@@ -123,6 +123,14 @@ def _write_csv(path: Path, body: str, config_hash: str) -> None:
     path.write_text(f"# version={__version__} config_hash={config_hash}\n" + body)
 
 
+def _coerce(kind: type, value, name: str):
+    """``kind(value)``; a value that does not convert is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -137,18 +145,20 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _check_sweep_config(cfg: dict) -> None:
-    if not cfg["nbars"] or any(nb <= 0 for nb in cfg["nbars"]):
+    nbars = [_coerce(float, nb, "nbars") for nb in cfg["nbars"]]
+    if not nbars or any(nb <= 0 for nb in nbars):
         raise ConfigError("nbars must be a non-empty list of positive values")
     for m in cfg["samples"]:
-        side = math.isqrt(int(m))
-        if m < 1 or side * side != m:
+        count = _coerce(int, m, "samples")
+        if count != m or count < 1 or math.isqrt(count) ** 2 != count:
             raise ConfigError(f"sample count {m} is not a perfect square")
     if cfg["scheme"] not in {"stratified", "random", "optimized"}:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-    if cfg["trials"] < 1:
+    if _coerce(int, cfg["trials"], "trials") < 1:
         raise ConfigError("trials must be >= 1")
-    if cfg["cutoff"] < 0:
+    if _coerce(int, cfg["cutoff"], "cutoff") < 0:
         raise ConfigError("cutoff must be >= 0")
+    _coerce(int, cfg["seed"], "seed")
 
 
 def cmd_mimic_sweep(cfg: dict) -> None:
@@ -186,23 +196,27 @@ def cmd_mimic_sweep(cfg: dict) -> None:
 def _check_tomo_config(cfg: dict) -> None:
     if cfg["source"] not in {"thermal", "artificial", "coherent", "vacuum"}:
         raise ConfigError(f"unknown source {cfg['source']!r}")
-    if cfg["source"] != "vacuum" and cfg["nbar"] <= 0:
+    nbar = _coerce(float, cfg["nbar"], "nbar")
+    if cfg["source"] != "vacuum" and nbar <= 0:
         raise ConfigError("nbar must be > 0")
     if cfg["scheme"] not in {"stratified", "random"}:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
     if cfg["convention"] not in {"half", "quarter"}:
         raise ConfigError(f"unknown convention {cfg['convention']!r}")
     for key in ("phases", "samples_per_phase", "runs", "max_iterations"):
-        if int(cfg[key]) < 1:
+        if _coerce(int, cfg[key], key) < 1:
             raise ConfigError(f"{key} must be >= 1")
     for key in ("cutoff", "source_cutoff"):
-        if int(cfg[key]) < 0:
+        if _coerce(int, cfg[key], key) < 0:
             raise ConfigError(f"{key} must be >= 0")
-    if cfg["gain"] is not None and float(cfg["gain"]) <= 0:
+    for key in ("codebook_amplitudes", "codebook_phases", "seed"):
+        _coerce(int, cfg[key], key)
+    if cfg["gain"] is not None and _coerce(float, cfg["gain"], "gain") <= 0:
         raise ConfigError("gain must be > 0")
-    if not 0.0 < float(cfg["dilution"]) <= 1.0:
+    _coerce(float, cfg["offset"], "offset")
+    if not 0.0 < _coerce(float, cfg["dilution"], "dilution") <= 1.0:
         raise ConfigError("dilution must lie in (0, 1]")
-    if float(cfg["stop_tol"]) <= 0.0:
+    if _coerce(float, cfg["stop_tol"], "stop_tol") <= 0.0:
         raise ConfigError("stop_tol must be > 0")
 
 
@@ -319,18 +333,20 @@ def cmd_tomo_end2end(cfg: dict) -> None:
 
 def _check_codebook_config(cfg: dict) -> None:
     if cfg["codebook_file"] is None:
-        if cfg["nbar"] <= 0:
+        if _coerce(float, cfg["nbar"], "nbar") <= 0:
             raise ConfigError("nbar must be > 0")
-        if int(cfg["codebook_amplitudes"]) < 1 or int(cfg["codebook_phases"]) < 1:
-            raise ConfigError("codebook needs at least one amplitude and one phase")
+        for key in ("codebook_amplitudes", "codebook_phases"):
+            if _coerce(int, cfg[key], key) < 1:
+                raise ConfigError("codebook needs at least one amplitude and one phase")
         if cfg["scheme"] not in {"stratified", "random"}:
             raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
         if cfg["scheme"] == "random" and cfg["seed"] is None:
             raise ConfigError("random scheme requires a seed")
-    if float(cfg["wavelength"]) <= 0 or float(cfg["tau"]) <= 0:
-        raise ConfigError("wavelength and tau must be > 0")
-    if float(cfg["extinction_db"]) <= 0:
-        raise ConfigError("extinction_db must be > 0")
+    for key in ("wavelength", "tau", "extinction_db"):
+        if _coerce(float, cfg[key], key) <= 0:
+            raise ConfigError(f"{key} must be > 0")
+    if not isinstance(cfg["ideal"], bool):
+        raise ConfigError(f"ideal must be true or false, got {cfg['ideal']!r}")
 
 
 def cmd_codebook_export(cfg: dict) -> None:
@@ -352,7 +368,7 @@ def cmd_codebook_export(cfg: dict) -> None:
     table = physical.codebook_to_drive(
         codebook,
         physical.ModePhysics(float(cfg["wavelength"]), float(cfg["tau"])),
-        physical.ModulatorSpec(float(cfg["extinction_db"]), ideal=bool(cfg["ideal"])),
+        physical.ModulatorSpec(float(cfg["extinction_db"]), ideal=cfg["ideal"]),
     )
     out_dir = Path(cfg["out_dir"])
     chash = _config_hash(cfg)

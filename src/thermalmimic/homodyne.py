@@ -118,18 +118,39 @@ def fock_wavefunctions(x, n_max: int) -> np.ndarray:
     return f
 
 
-def _quadratic_form(rho_entries: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``p_k = d_k^H rho d_k`` for every row ``d_k`` of ``d`` (unclipped).
+def _pdf_harmonics(rho: FockDensityMatrix, xs: np.ndarray) -> np.ndarray:
+    """Phase-independent harmonics of the quadrature pdf on the points ``xs``.
 
-    Shared by the pdf tabulation here and the tomography likelihood. Kept
-    private so a profiler that wraps public functions adds no span per call.
-    Computed as ``Re sum_m conj((rho d_k)_m) d_km``, which equals
-    ``Re(d_k^H rho d_k)`` and works in place in one (K, dim) temporary.
+    ``p(x|theta) = Re sum_k exp(i k theta) g_k(x)`` with
+    ``g_0 = sum_m rho_mm f_m^2`` and ``g_k = 2 sum_m rho_{m,m+k} f_m f_{m+k}``
+    for ``k >= 1`` (Lvovsky & Raymer, RMP 81, 299 (2009)). Returns the real
+    array ``[Re g, Im g]`` of shape (2, dim, len(xs)); row k of both halves
+    comes from one real matrix product over the k-th diagonal of ``rho``.
     """
-    q = d @ rho_entries.T
-    np.conjugate(q, out=q)
-    q *= d
-    return q.sum(axis=-1).real
+    dim = rho.cutoff + 1
+    f = fock_wavefunctions(xs, rho.cutoff)
+    products = np.empty_like(f)
+    harmonics = np.empty((2, dim, xs.size))
+    for k in range(dim):
+        rows = dim - k
+        np.multiply(f[:rows], f[k:], out=products[:rows])
+        diagonal = np.diagonal(rho.entries, k) * (1.0 if k == 0 else 2.0)
+        harmonics[:, k] = np.stack([diagonal.real, diagonal.imag]) @ products[:rows]
+    return harmonics
+
+
+def _pdf_rows(rho: FockDensityMatrix, thetas, xs: np.ndarray):
+    """Yield the pdf on ``xs`` at each LO phase in ``thetas``, in order.
+
+    The dim^2 work is done once in :func:`_pdf_harmonics`; each row is then
+    ``sum_k cos(k theta) Re g_k - sin(k theta) Im g_k``, clipped at zero.
+    """
+    harmonics = _pdf_harmonics(rho, xs).reshape(-1, xs.size)
+    k = np.arange(rho.cutoff + 1)
+    for theta in thetas:
+        weights = np.concatenate((np.cos(k * theta), -np.sin(k * theta)))
+        row = weights @ harmonics
+        yield np.clip(row, 0.0, None, out=row)
 
 
 def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
@@ -140,9 +161,7 @@ def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
     from rounding are clipped to zero.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    f = fock_wavefunctions(xs, rho.cutoff)
-    phase = np.exp(1j * np.arange(rho.cutoff + 1) * theta)
-    p = np.clip(_quadratic_form(rho.entries, f.T * phase), 0.0, None)
+    p = next(_pdf_rows(rho, [theta], xs))
     return float(p[0]) if np.isscalar(x) else p
 
 
@@ -173,9 +192,8 @@ def sample(
     grid = _sampling_grid(rho)
     xs, thetas = [], []
     children = np.random.SeedSequence(seed).spawn(len(phase_list))
-    for child, theta in zip(children, phase_list):
+    for child, theta, pdf in zip(children, phase_list, _pdf_rows(rho, phase_list, grid)):
         rng = np.random.default_rng(child)
-        pdf = quadrature_pdf(rho, theta, grid)
         xs.append(_inverse_cdf_draw(grid, pdf, rng.random(n_per_phase)))
         thetas.append(np.full(n_per_phase, theta))
     return QuadratureDataset(np.concatenate(xs), np.concatenate(thetas), Convention.HALF)

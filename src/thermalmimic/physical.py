@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import TWO_PI
 from .mimic import Codebook
 
 #: CODATA value, J*s.
@@ -50,7 +49,6 @@ class ModulatorSpec:
 
     extinction_db: float
     ideal: bool = False
-    phase_range: tuple[float, float] = (0.0, TWO_PI)
 
     def __post_init__(self) -> None:
         if self.extinction_db <= 0.0:

@@ -140,6 +140,13 @@ def test_tomo_bad_source_exits_config(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+def test_tomo_non_numeric_config_value_exits_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"phases": "many"}))
+    assert main(["tomo-end2end", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "phases" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # codebook-export
 # ---------------------------------------------------------------------------
@@ -188,6 +195,20 @@ def test_codebook_export_extinction_violation_exits_feasibility(tmp_path, capsys
     assert code == 4
     err = capsys.readouterr().err
     assert "dB" in err
+
+
+def test_codebook_export_rejects_string_ideal_flag(tmp_path, capsys):
+    # bool("false") is true: a string here would silently allow dark symbols.
+    cb = codebook_to_json(build_codebook(1.0, 2, 2))
+    cb["amplitudes"] = [0.0, cb["amplitudes"][1]]
+    cb_file = tmp_path / "dark.json"
+    cb_file.write_text(json.dumps(cb))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ideal": "false", "codebook_file": str(cb_file)}))
+    out = tmp_path / "out"
+    assert main(["codebook-export", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "ideal" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
