@@ -7,11 +7,13 @@ tomo-end2end     source state -> homodyne sampling -> MLE x runs -> ensemble + m
 codebook-export  codebook JSON plus modulator drive table with feasibility check
 metrics          metric report between two serialized density matrices
 
-Every command resolves its configuration from built-in defaults, an optional
-JSON config file, and long-form flag overrides (in that order), validates it,
-and writes deterministic outputs stamped with the toolkit version and a hash
-of the resolved configuration. Exit codes: 0 ok, 2 config error, 3 numerical
-failure, 4 physical infeasibility.
+Each command's knobs are the fields of one frozen dataclass, whose name, type
+and default make the long-form flag and the config-file key. The config is
+resolved from the defaults, an optional JSON config file, and flag overrides
+(in that order); each value must have its field's type, and the dataclass
+checks ranges. Outputs are deterministic and stamped with the toolkit version
+and a hash of the resolved config. Exit codes: 0 ok, 2 config error, 3
+numerical failure, 4 physical infeasibility.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,79 +41,186 @@ class ConfigError(ValueError):
     pass
 
 
-SWEEP_DEFAULTS = {
-    "nbars": [0.5, 1.0, 1.5, 2.0],
-    "samples": [4, 16, 36, 64, 100],
-    "scheme": "stratified",
-    "cutoff": 30,
-    "trials": 1,
-    "seed": 0,
-    "out_dir": ".",
-}
+@dataclass(frozen=True)
+class SweepConfig:
+    """Fidelity over a (nbar, constellation size) grid.
 
-TOMO_DEFAULTS = {
-    "source": "thermal",
-    "nbar": 1.35,
-    "codebook_amplitudes": 8,
-    "codebook_phases": 8,
-    "scheme": "stratified",
-    "source_cutoff": 30,
-    "cutoff": 12,
-    "phases": 50,
-    "samples_per_phase": 40,
-    "runs": 10,
-    "seed": 1,
-    "convention": "half",
-    "gain": None,
-    "offset": 0.0,
-    "max_iterations": 2000,
-    "stop_tol": 1e-7,
-    "dilution": 0.5,
-    "out_dir": ".",
-}
+    Each sample count M is a perfect square, the constellation sqrt(M) x sqrt(M).
+    """
 
-CODEBOOK_DEFAULTS = {
-    "nbar": 1.5,
-    "codebook_amplitudes": 8,
-    "codebook_phases": 8,
-    "scheme": "stratified",
-    "seed": None,
-    "codebook_file": None,
-    "wavelength": 1560.625e-9,
-    "tau": 13e-9,
-    "extinction_db": 25.0,
-    "ideal": False,
-    "out_dir": ".",
-}
+    nbars: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
+    samples: tuple[int, ...] = (4, 16, 36, 64, 100)
+    scheme: Literal["stratified", "random", "optimized"] = "stratified"
+    cutoff: int = 30
+    trials: int = 1
+    seed: int = 0
+    out_dir: str = "."
 
-METRICS_DEFAULTS = {
-    "matrix_a": None,
-    "matrix_b": None,
-    "out": None,
-}
+    def __post_init__(self) -> None:
+        if not self.nbars or any(nb <= 0 for nb in self.nbars):
+            raise ConfigError("nbars must be a non-empty list of positive values")
+        for m in self.samples:
+            if m < 1 or math.isqrt(m) ** 2 != m:
+                raise ConfigError(f"sample count {m} is not a perfect square")
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if self.cutoff < 0:
+            raise ConfigError("cutoff must be >= 0")
 
 
-def _resolve_config(defaults: dict, config_path: str | None, overrides: dict) -> dict:
-    config = dict(defaults)
-    if config_path is not None:
+@dataclass(frozen=True)
+class TomoConfig:
+    """Sample, reconstruct, average, score.
+
+    ``phases`` LO phases x ``samples_per_phase`` quadratures per run. A
+    ``gain`` enables the raw-voltage calibration path, under ``convention``.
+    ``cutoff``, ``max_iterations``, ``stop_tol`` and ``dilution`` are the MLE's.
+    """
+
+    source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"
+    nbar: float = 1.35
+    codebook_amplitudes: int = 8
+    codebook_phases: int = 8
+    scheme: Literal["stratified", "random"] = "stratified"
+    source_cutoff: int = 30
+    cutoff: int = 12
+    phases: int = 50
+    samples_per_phase: int = 40
+    runs: int = 10
+    seed: int = 1
+    convention: Literal["half", "quarter"] = "half"
+    gain: float | None = None
+    offset: float = 0.0
+    max_iterations: int = 2000
+    stop_tol: float = 1e-7
+    dilution: float = 0.5
+    out_dir: str = "."
+
+    def __post_init__(self) -> None:
+        if self.source != "vacuum" and self.nbar <= 0:
+            raise ConfigError("nbar must be > 0")
+        for key in ("phases", "samples_per_phase", "runs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.source_cutoff < 0:
+            raise ConfigError("source_cutoff must be >= 0")
+        if self.gain is not None and self.gain <= 0:
+            raise ConfigError("gain must be > 0")
         try:
-            loaded = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        config.update(loaded)
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    return config
+            self.mle  # tomo.MleConfig checks the MLE knobs
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @property
+    def mle(self) -> tomo.MleConfig:
+        return tomo.MleConfig(self.cutoff, self.max_iterations, self.stop_tol, self.dilution)
 
 
-def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+@dataclass(frozen=True)
+class CodebookConfig:
+    """Codebook JSON + modulator drive table.
+
+    A ``codebook_file`` exports an existing codebook JSON in place of building
+    one from ``nbar``, ``codebook_amplitudes``, ``codebook_phases``, ``scheme``
+    and ``seed``.
+    """
+
+    nbar: float = 1.5
+    codebook_amplitudes: int = 8
+    codebook_phases: int = 8
+    scheme: Literal["stratified", "random"] = "stratified"
+    seed: int | None = None
+    codebook_file: str | None = None
+    wavelength: float = 1560.625e-9
+    tau: float = 13e-9
+    extinction_db: float = 25.0
+    ideal: bool = False
+    out_dir: str = "."
+
+    def __post_init__(self) -> None:
+        if self.codebook_file is None:
+            if self.nbar <= 0:
+                raise ConfigError("nbar must be > 0")
+            if self.codebook_amplitudes < 1 or self.codebook_phases < 1:
+                raise ConfigError("codebook needs at least one amplitude and one phase")
+            if self.scheme == "random" and self.seed is None:
+                raise ConfigError("random scheme requires a seed")
+        try:
+            self.mode, self.modulator  # the physical types check their own knobs
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @property
+    def mode(self) -> physical.ModePhysics:
+        return physical.ModePhysics(self.wavelength, self.tau)
+
+    @property
+    def modulator(self) -> physical.ModulatorSpec:
+        return physical.ModulatorSpec(self.extinction_db, ideal=self.ideal)
+
+
+@dataclass(frozen=True)
+class MetricsConfig:
+    """Compare two serialized density matrices.
+
+    Each file holds a bare, reconstruction- or ensemble-wrapped matrix JSON.
+    ``out`` writes the report there instead of stdout.
+    """
+
+    matrix_a: str
+    matrix_b: str
+    out: str | None = None
+
+
+def _typed(key: str, value, kind):
+    """``value`` as a ``kind`` field takes it; a value of another JSON type is a
+    config error. An int field takes no bool or float, a float field takes a
+    finite int or float, a list field a list, an optional field also null."""
+    args = get_args(kind)
+    if get_origin(kind) is Literal:
+        if value in args:
+            return value
+        raise ConfigError(f"{key} must be one of {', '.join(args)}; got {value!r}")
+    if type(None) in args:
+        return None if value is None else _typed(key, value, args[0])
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_typed(key, item, args[0]) for item in value)
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # false for nan, inf and ints past float range
+            return float(value)
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def _load_json(path: str, what: str, parse=lambda obj: obj):
+    """``parse`` of the JSON held in ``path``. A file that cannot be read, or
+    whose contents ``parse`` finds in the wrong layout, is a config error."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, UnicodeError, json.JSONDecodeError, AttributeError, KeyError,
+            TypeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc!r}") from exc
+
+
+def _resolve_config(cls: type, config_path: str | None, overrides: dict):
+    """``cls`` from its defaults, then the JSON config file, then the flags
+    given (those not None), each value checked against its field's type."""
+    values = {} if config_path is None else _load_json(config_path, "config file")
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {config_path} must hold a JSON object")
+    kinds = get_type_hints(cls)
+    unknown = sorted(set(values) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {**values, **{k: v for k, v in overrides.items() if v is not None}}
+    return cls(**{key: _typed(key, value, kinds[key]) for key, value in values.items()})
+
+
+def _config_hash(cfg) -> str:
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -123,55 +234,16 @@ def _write_csv(path: Path, body: str, config_hash: str) -> None:
     path.write_text(f"# version={__version__} config_hash={config_hash}\n" + body)
 
 
-def _coerce(kind: type, value, name: str):
-    """``kind(value)``; a value that does not convert is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 # ---------------------------------------------------------------------------
 # mimic-sweep
 # ---------------------------------------------------------------------------
 
 
-def _check_sweep_config(cfg: dict) -> None:
-    nbars = [_coerce(float, nb, "nbars") for nb in cfg["nbars"]]
-    if not nbars or any(nb <= 0 for nb in nbars):
-        raise ConfigError("nbars must be a non-empty list of positive values")
-    for m in cfg["samples"]:
-        count = _coerce(int, m, "samples")
-        if count != m or count < 1 or math.isqrt(count) ** 2 != count:
-            raise ConfigError(f"sample count {m} is not a perfect square")
-    if cfg["scheme"] not in {"stratified", "random", "optimized"}:
-        raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-    if _coerce(int, cfg["trials"], "trials") < 1:
-        raise ConfigError("trials must be >= 1")
-    if _coerce(int, cfg["cutoff"], "cutoff") < 0:
-        raise ConfigError("cutoff must be >= 0")
-    _coerce(int, cfg["seed"], "seed")
-
-
-def cmd_mimic_sweep(cfg: dict) -> None:
-    _check_sweep_config(cfg)
+def cmd_mimic_sweep(cfg: SweepConfig) -> None:
     rows = mimic.sweep_fidelity(
-        nbars=[float(nb) for nb in cfg["nbars"]],
-        sample_counts=[int(m) for m in cfg["samples"]],
-        scheme=mimic.Scheme(cfg["scheme"]),
-        cutoff=int(cfg["cutoff"]),
-        trials=int(cfg["trials"]),
-        seed=int(cfg["seed"]),
+        cfg.nbars, cfg.samples, mimic.Scheme(cfg.scheme), cfg.cutoff, cfg.trials, cfg.seed
     )
-    out_dir = Path(cfg["out_dir"])
+    out_dir = Path(cfg.out_dir)
     chash = _config_hash(cfg)
     _write_csv(out_dir / "sweep.csv", mimic.sweep_to_csv(rows), chash)
     fids = [r.fidelity_mean for r in rows]
@@ -180,7 +252,7 @@ def cmd_mimic_sweep(cfg: dict) -> None:
         {
             "version": __version__,
             "config_hash": chash,
-            "config": cfg,
+            "config": asdict(cfg),
             "n_rows": len(rows),
             "fidelity_min": min(fids),
             "fidelity_max": max(fids),
@@ -193,107 +265,65 @@ def cmd_mimic_sweep(cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_tomo_config(cfg: dict) -> None:
-    if cfg["source"] not in {"thermal", "artificial", "coherent", "vacuum"}:
-        raise ConfigError(f"unknown source {cfg['source']!r}")
-    nbar = _coerce(float, cfg["nbar"], "nbar")
-    if cfg["source"] != "vacuum" and nbar <= 0:
-        raise ConfigError("nbar must be > 0")
-    if cfg["scheme"] not in {"stratified", "random"}:
-        raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-    if cfg["convention"] not in {"half", "quarter"}:
-        raise ConfigError(f"unknown convention {cfg['convention']!r}")
-    for key in ("phases", "samples_per_phase", "runs", "max_iterations"):
-        if _coerce(int, cfg[key], key) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("cutoff", "source_cutoff"):
-        if _coerce(int, cfg[key], key) < 0:
-            raise ConfigError(f"{key} must be >= 0")
-    for key in ("codebook_amplitudes", "codebook_phases", "seed"):
-        _coerce(int, cfg[key], key)
-    if cfg["gain"] is not None and _coerce(float, cfg["gain"], "gain") <= 0:
-        raise ConfigError("gain must be > 0")
-    _coerce(float, cfg["offset"], "offset")
-    if not 0.0 < _coerce(float, cfg["dilution"], "dilution") <= 1.0:
-        raise ConfigError("dilution must lie in (0, 1]")
-    if _coerce(float, cfg["stop_tol"], "stop_tol") <= 0.0:
-        raise ConfigError("stop_tol must be > 0")
-
-
-def _build_source(cfg: dict) -> fock.FockDensityMatrix:
-    cutoff = int(cfg["source_cutoff"])
-    nbar = float(cfg["nbar"])
-    if cfg["source"] == "thermal":
-        return fock.thermal(nbar, cutoff)
-    if cfg["source"] == "vacuum":
-        return fock.thermal(0.0, cutoff)
-    if cfg["source"] == "coherent":
-        psi = fock.coherent_pure(fock.ComplexAmplitude(math.sqrt(nbar)), cutoff)
+def _build_source(cfg: TomoConfig) -> fock.FockDensityMatrix:
+    if cfg.source == "thermal":
+        return fock.thermal(cfg.nbar, cfg.source_cutoff)
+    if cfg.source == "vacuum":
+        return fock.thermal(0.0, cfg.source_cutoff)
+    if cfg.source == "coherent":
+        psi = fock.coherent_pure(fock.ComplexAmplitude(math.sqrt(cfg.nbar)), cfg.source_cutoff)
         return fock.mix([(1.0, psi)])
+    seed = cfg.seed if cfg.scheme == "random" else None
     codebook = mimic.build_codebook(
-        nbar,
-        int(cfg["codebook_amplitudes"]),
-        int(cfg["codebook_phases"]),
-        mimic.Scheme(cfg["scheme"]),
-        seed=int(cfg["seed"]) if cfg["scheme"] == "random" else None,
+        cfg.nbar, cfg.codebook_amplitudes, cfg.codebook_phases, mimic.Scheme(cfg.scheme), seed
     )
-    return mimic.assemble(codebook, cutoff)
+    return mimic.assemble(codebook, cfg.source_cutoff)
 
 
-def _reference_state(cfg: dict) -> fock.FockDensityMatrix:
+def _reference_state(cfg: TomoConfig) -> fock.FockDensityMatrix:
     """Theoretical state the reconstruction is judged against, at the MLE cutoff."""
-    cutoff = int(cfg["cutoff"])
-    nbar = float(cfg["nbar"])
-    if cfg["source"] == "vacuum":
-        return fock.thermal(0.0, cutoff)
-    if cfg["source"] == "coherent":
-        psi = fock.coherent_pure(fock.ComplexAmplitude(math.sqrt(nbar)), cutoff, tail_tol=0.05)
+    if cfg.source == "vacuum":
+        return fock.thermal(0.0, cfg.cutoff)
+    if cfg.source == "coherent":
+        alpha = fock.ComplexAmplitude(math.sqrt(cfg.nbar))
+        psi = fock.coherent_pure(alpha, cfg.cutoff, tail_tol=0.05)
         return fock.mix([(1.0, psi)])
-    return fock.thermal(nbar, cutoff, tail_tol=0.05)
+    return fock.thermal(cfg.nbar, cfg.cutoff, tail_tol=0.05)
 
 
 def _reconstruct_ensemble(
-    source: fock.FockDensityMatrix, cfg: dict, seed_base: int
+    source: fock.FockDensityMatrix, cfg: TomoConfig, seed_base: int
 ) -> tuple[tomo.ReconstructionEnsemble, list[tomo.MleResult]]:
-    grid = fock.TWO_PI * np.arange(int(cfg["phases"])) / int(cfg["phases"])
-    mle_config = tomo.MleConfig(
-        cutoff=int(cfg["cutoff"]),
-        max_iterations=int(cfg["max_iterations"]),
-        stop_tol=float(cfg["stop_tol"]),
-        dilution=float(cfg["dilution"]),
-    )
+    grid = fock.TWO_PI * np.arange(cfg.phases) / cfg.phases
+    mle_config = cfg.mle
     results = []
-    for run in range(int(cfg["runs"])):
+    for run in range(cfg.runs):
         run_seed = seed_base + run
-        if cfg["gain"] is not None:
+        if cfg.gain is not None:
             raw, stats = homodyne.simulate_raw(
-                source, grid, int(cfg["samples_per_phase"]),
-                float(cfg["gain"]), float(cfg["offset"]), run_seed,
+                source, grid, cfg.samples_per_phase, cfg.gain, cfg.offset, run_seed
             )
-            dataset = homodyne.calibrate(raw, stats, homodyne.Convention(cfg["convention"]))
+            dataset = homodyne.calibrate(raw, stats, homodyne.Convention(cfg.convention))
             dataset = homodyne.convert(dataset, homodyne.Convention.HALF)
         else:
-            dataset = homodyne.sample(source, grid, int(cfg["samples_per_phase"]), run_seed)
+            dataset = homodyne.sample(source, grid, cfg.samples_per_phase, run_seed)
         results.append(tomo.mle_reconstruct(dataset, mle_config))
     ensemble = tomo.average([r.rho for r in results])
     return ensemble, results
 
 
-def cmd_tomo_end2end(cfg: dict) -> None:
-    _check_tomo_config(cfg)
+def cmd_tomo_end2end(cfg: TomoConfig) -> None:
     source = _build_source(cfg)
-    ensemble, results = _reconstruct_ensemble(source, cfg, int(cfg["seed"]))
+    ensemble, results = _reconstruct_ensemble(source, cfg, cfg.seed)
     reference = _reference_state(cfg)
 
     report = metrics.compare(reference, ensemble.mean)
     report["entropy_ceiling"] = metrics.thermal_entropy(fock.mean_photon(ensemble.mean))
     extra_runs: list[tomo.MleResult] = []
-    if cfg["source"] == "artificial":
+    if cfg.source == "artificial":
         # Independent thermal reconstruction for the hat-vs-hat comparison.
-        thermal_source = fock.thermal(float(cfg["nbar"]), int(cfg["source_cutoff"]))
-        thermal_ensemble, extra_runs = _reconstruct_ensemble(
-            thermal_source, cfg, int(cfg["seed"]) + 10_000
-        )
+        thermal_source = fock.thermal(cfg.nbar, cfg.source_cutoff)
+        thermal_ensemble, extra_runs = _reconstruct_ensemble(thermal_source, cfg, cfg.seed + 10_000)
         report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(
             thermal_ensemble.mean, ensemble.mean
         )
@@ -301,14 +331,14 @@ def cmd_tomo_end2end(cfg: dict) -> None:
             thermal_ensemble.mean, ensemble.mean
         )
 
-    out_dir = Path(cfg["out_dir"])
+    out_dir = Path(cfg.out_dir)
     chash = _config_hash(cfg)
     _write_json(
         out_dir / "ensemble.json",
         {
             "version": __version__,
             "config_hash": chash,
-            "config": cfg,
+            "config": asdict(cfg),
             "ensemble": tomo.ensemble_report(ensemble),
             "runs": [
                 {
@@ -331,53 +361,28 @@ def cmd_tomo_end2end(cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_codebook_config(cfg: dict) -> None:
-    if cfg["codebook_file"] is None:
-        if _coerce(float, cfg["nbar"], "nbar") <= 0:
-            raise ConfigError("nbar must be > 0")
-        for key in ("codebook_amplitudes", "codebook_phases"):
-            if _coerce(int, cfg[key], key) < 1:
-                raise ConfigError("codebook needs at least one amplitude and one phase")
-        if cfg["scheme"] not in {"stratified", "random"}:
-            raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-        if cfg["scheme"] == "random" and cfg["seed"] is None:
-            raise ConfigError("random scheme requires a seed")
-    for key in ("wavelength", "tau", "extinction_db"):
-        if _coerce(float, cfg[key], key) <= 0:
-            raise ConfigError(f"{key} must be > 0")
-    if not isinstance(cfg["ideal"], bool):
-        raise ConfigError(f"ideal must be true or false, got {cfg['ideal']!r}")
+def _parse_codebook(obj) -> mimic.Codebook:
+    """A bare codebook, or one wrapped as in ``codebook.json``."""
+    return mimic.codebook_from_json(obj.get("codebook", obj))
 
 
-def cmd_codebook_export(cfg: dict) -> None:
-    _check_codebook_config(cfg)
-    if cfg["codebook_file"] is not None:
-        try:
-            obj = json.loads(Path(cfg["codebook_file"]).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read codebook file: {exc}") from exc
-        codebook = mimic.codebook_from_json(obj.get("codebook", obj))
+def cmd_codebook_export(cfg: CodebookConfig) -> None:
+    if cfg.codebook_file is not None:
+        codebook = _load_json(cfg.codebook_file, "codebook file", _parse_codebook)
     else:
         codebook = mimic.build_codebook(
-            float(cfg["nbar"]),
-            int(cfg["codebook_amplitudes"]),
-            int(cfg["codebook_phases"]),
-            mimic.Scheme(cfg["scheme"]),
-            seed=cfg["seed"],
+            cfg.nbar, cfg.codebook_amplitudes, cfg.codebook_phases, mimic.Scheme(cfg.scheme),
+            cfg.seed,
         )
-    table = physical.codebook_to_drive(
-        codebook,
-        physical.ModePhysics(float(cfg["wavelength"]), float(cfg["tau"])),
-        physical.ModulatorSpec(float(cfg["extinction_db"]), ideal=cfg["ideal"]),
-    )
-    out_dir = Path(cfg["out_dir"])
+    table = physical.codebook_to_drive(codebook, cfg.mode, cfg.modulator)
+    out_dir = Path(cfg.out_dir)
     chash = _config_hash(cfg)
     _write_json(
         out_dir / "codebook.json",
         {
             "version": __version__,
             "config_hash": chash,
-            "config": cfg,
+            "config": asdict(cfg),
             "required_db": table.required_db,
             "codebook": mimic.codebook_to_json(codebook),
         },
@@ -390,31 +395,23 @@ def cmd_codebook_export(cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_matrix(path: str) -> fock.FockDensityMatrix:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
-    for key in ("matrix", "ensemble"):
-        if key in obj:
-            obj = obj[key]
-    if "matrix" in obj:
-        obj = obj["matrix"]
-    return fock.density_from_json(obj)
+def _parse_matrix(obj) -> fock.FockDensityMatrix:
+    """A bare density matrix, or one wrapped as a reconstruction
+    (``{"matrix": ...}``) or as in ``ensemble.json`` (``{"ensemble": {"matrix": ...}}``)."""
+    obj = obj.get("ensemble", obj)
+    return fock.density_from_json(obj.get("matrix", obj))
 
 
-def cmd_metrics(cfg: dict) -> None:
-    if not cfg["matrix_a"] or not cfg["matrix_b"]:
-        raise ConfigError("metrics needs two matrix files")
-    a = _load_matrix(cfg["matrix_a"])
-    b = _load_matrix(cfg["matrix_b"])
+def cmd_metrics(cfg: MetricsConfig) -> None:
+    a = _load_json(cfg.matrix_a, "matrix file", _parse_matrix)
+    b = _load_json(cfg.matrix_b, "matrix file", _parse_matrix)
     payload = {
         "version": __version__,
         "config_hash": _config_hash(cfg),
         "metrics": metrics.compare(a, b),
     }
-    if cfg["out"]:
-        _write_json(Path(cfg["out"]), payload)
+    if cfg.out:
+        _write_json(Path(cfg.out), payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -423,6 +420,33 @@ def cmd_metrics(cfg: dict) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "mimic-sweep": (SweepConfig, cmd_mimic_sweep),
+    "tomo-end2end": (TomoConfig, cmd_tomo_end2end),
+    "codebook-export": (CodebookConfig, cmd_codebook_export),
+    "metrics": (MetricsConfig, cmd_metrics),
+}
+
+
+def _flag_options(kind) -> dict:
+    """``add_argument`` options for a field of type ``kind``; every flag
+    defaults to None, which leaves the field as the config file or default has it."""
+    args = get_args(kind)
+    if type(None) in args:
+        return _flag_options(args[0])
+    if get_origin(kind) is Literal:
+        return {"choices": args}
+    if kind is bool:
+        return {"action": "store_const", "const": True}
+    if get_origin(kind) is tuple:
+        item = args[0]
+
+        def comma_list(text: str) -> tuple:
+            return tuple(item(tok) for tok in text.split(",") if tok.strip())
+
+        return {"type": comma_list}
+    return {"type": kind}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -430,76 +454,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Engineer and verify coherent-state mixtures that mimic thermal light.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("mimic-sweep", help="fidelity over (nbar, constellation size) grid")
-    sweep.add_argument("--config", help="JSON config file")
-    sweep.add_argument("--nbars", type=_parse_float_list, help="comma-separated mean photon numbers")
-    sweep.add_argument("--samples", type=_parse_int_list, help="comma-separated constellation sizes")
-    sweep.add_argument("--scheme", choices=["stratified", "random", "optimized"])
-    sweep.add_argument("--cutoff", type=int)
-    sweep.add_argument("--trials", type=int)
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--out-dir", dest="out_dir")
-
-    t2e = sub.add_parser("tomo-end2end", help="sample, reconstruct, average, score")
-    t2e.add_argument("--config", help="JSON config file")
-    t2e.add_argument("--source", choices=["thermal", "artificial", "coherent", "vacuum"])
-    t2e.add_argument("--nbar", type=float)
-    t2e.add_argument("--codebook-amplitudes", dest="codebook_amplitudes", type=int)
-    t2e.add_argument("--codebook-phases", dest="codebook_phases", type=int)
-    t2e.add_argument("--scheme", choices=["stratified", "random"])
-    t2e.add_argument("--source-cutoff", dest="source_cutoff", type=int)
-    t2e.add_argument("--cutoff", type=int)
-    t2e.add_argument("--phases", type=int, help="number of LO phases")
-    t2e.add_argument("--samples-per-phase", dest="samples_per_phase", type=int)
-    t2e.add_argument("--runs", type=int)
-    t2e.add_argument("--seed", type=int)
-    t2e.add_argument("--convention", choices=["half", "quarter"])
-    t2e.add_argument("--gain", type=float, help="enable the raw-voltage calibration path")
-    t2e.add_argument("--offset", type=float)
-    t2e.add_argument("--max-iterations", dest="max_iterations", type=int)
-    t2e.add_argument("--stop-tol", dest="stop_tol", type=float)
-    t2e.add_argument("--dilution", type=float)
-    t2e.add_argument("--out-dir", dest="out_dir")
-
-    cbe = sub.add_parser("codebook-export", help="codebook JSON + modulator drive table")
-    cbe.add_argument("--config", help="JSON config file")
-    cbe.add_argument("--nbar", type=float)
-    cbe.add_argument("--codebook-amplitudes", dest="codebook_amplitudes", type=int)
-    cbe.add_argument("--codebook-phases", dest="codebook_phases", type=int)
-    cbe.add_argument("--scheme", choices=["stratified", "random"])
-    cbe.add_argument("--seed", type=int)
-    cbe.add_argument("--codebook-file", dest="codebook_file", help="export an existing codebook JSON")
-    cbe.add_argument("--wavelength", type=float)
-    cbe.add_argument("--tau", type=float)
-    cbe.add_argument("--extinction-db", dest="extinction_db", type=float)
-    cbe.add_argument("--ideal", action="store_const", const=True, default=None)
-    cbe.add_argument("--out-dir", dest="out_dir")
-
-    met = sub.add_parser("metrics", help="compare two serialized density matrices")
-    met.add_argument("matrix_a")
-    met.add_argument("matrix_b")
-    met.add_argument("--out", help="write the report here instead of stdout")
-
+    for name, (cls, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=cls.__doc__.splitlines()[0], description=cls.__doc__)
+        if cls is not MetricsConfig:
+            cmd.add_argument("--config", help="JSON config file")
+        kinds = get_type_hints(cls)
+        for f in fields(cls):
+            if f.default is MISSING:
+                cmd.add_argument(f.name)
+            else:
+                flag = "--" + f.name.replace("_", "-")
+                cmd.add_argument(flag, dest=f.name, **_flag_options(kinds[f.name]))
     return parser
-
-
-_COMMANDS = {
-    "mimic-sweep": (SWEEP_DEFAULTS, cmd_mimic_sweep),
-    "tomo-end2end": (TOMO_DEFAULTS, cmd_tomo_end2end),
-    "codebook-export": (CODEBOOK_DEFAULTS, cmd_codebook_export),
-    "metrics": (METRICS_DEFAULTS, cmd_metrics),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
-    command = args.pop("command")
+    cls, runner = _COMMANDS[args.pop("command")]
     config_path = args.pop("config", None)
-    defaults, runner = _COMMANDS[command]
     try:
-        config = _resolve_config(defaults, config_path, args)
-        runner(config)
+        runner(_resolve_config(cls, config_path, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

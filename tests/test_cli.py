@@ -1,10 +1,23 @@
 import json
+import math
+from dataclasses import MISSING, fields
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalmimic import __version__, fock
-from thermalmimic.cli import main
+from thermalmimic.cli import (
+    CodebookConfig,
+    ConfigError,
+    MetricsConfig,
+    SweepConfig,
+    TomoConfig,
+    _resolve_config,
+    main,
+)
 from thermalmimic.mimic import build_codebook, codebook_from_json, codebook_to_json
 
 
@@ -245,3 +258,110 @@ def test_metrics_command_reads_ensemble_wrapped_matrices(tmp_path):
 
 def test_metrics_command_missing_file_exits_config(tmp_path):
     assert main(["metrics", str(tmp_path / "nope.json"), str(tmp_path / "nada.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# config loading
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("codebook-export", {"scheme": "random", "seed": "x"}, "seed"),
+        ("mimic-sweep", {"nbars": 1.0}, "nbars"),
+        ("tomo-end2end", {"source": ["thermal"]}, "source"),
+        ("tomo-end2end", {"phases": True}, "phases"),
+        ("tomo-end2end", {"gain": "2"}, "gain"),
+        ("tomo-end2end", {"phases": 12.7}, "phases"),
+    ],
+)
+def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("metrics", "[1, 2]"),
+        ("metrics", '"str"'),
+        ("metrics", '{"ensemble": 3}'),
+        ("metrics", '{"cutoff": 2}'),
+        ("metrics", "{not json"),
+        ("codebook-export", "[1, 2]"),
+        ("codebook-export", '{"nbar_target": 1.0}'),
+        ("codebook-export", '{"codebook": 5}'),
+        ("codebook-export", "{not json"),
+    ],
+)
+def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if command == "metrics":
+        argv = ["metrics", str(bad), str(bad)]
+    else:
+        argv = ["codebook-export", "--codebook-file", str(bad), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomo-end2end", "--scheme", "optimized"],
+        ["mimic-sweep", "--nbars", "1.0,x"],
+        ["tomo-end2end", "--phases", "2.5"],
+        ["codebook-export", "--ideal", "false"],
+    ],
+)
+def test_malformed_flag_exits_config(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def _has_type(value, kind) -> bool:
+    args = get_args(kind)
+    if get_origin(kind) is Literal:
+        return value in args
+    if type(None) in args:
+        return value is None or _has_type(value, args[0])
+    if get_origin(kind) is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
+    return type(value) is kind and (kind is not float or math.isfinite(value))
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["thermal", "artificial", "vacuum", "random", "optimized", "quarter"])
+    | st.sampled_from([math.nan, math.inf, -math.inf, 2**1100])
+)
+_JSON_VALUES = (
+    _JSON_LEAVES | st.lists(_JSON_LEAVES, max_size=4)
+    | st.dictionaries(st.text(max_size=3), _JSON_LEAVES, max_size=2)
+)
+
+
+@pytest.mark.parametrize("cls", [SweepConfig, TomoConfig, CodebookConfig, MetricsConfig])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_config_loader_returns_typed_config_or_config_error(tmp_path_factory, cls, data):
+    # A few keys at a time, so that some objects are valid throughout; keys
+    # without a default are always present, as they are positional arguments.
+    keys = st.sampled_from([f.name for f in fields(cls)])
+    obj = data.draw(st.dictionaries(keys, _JSON_VALUES, max_size=3))
+    obj = {**{f.name: "m.json" for f in fields(cls) if f.default is MISSING}, **obj}
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{cls.__name__}.json"
+    path.write_text(json.dumps(obj))
+    try:
+        cfg = _resolve_config(cls, str(path), {})
+    except ConfigError:
+        return
+    kinds = get_type_hints(cls)
+    for f in fields(cls):
+        assert _has_type(getattr(cfg, f.name), kinds[f.name]), f.name
