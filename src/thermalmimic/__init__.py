@@ -11,6 +11,7 @@ from .fock import (
     PureStateVector,
     TruncationError,
     coherent_pure,
+    coherent_states,
     mean_photon,
     mix,
     normalize,

@@ -108,12 +108,20 @@ class TomoConfig:
             raise ConfigError("gain must be > 0")
         try:
             self.mle  # tomo.MleConfig checks the MLE knobs
+            if self.source == "artificial":
+                mimic.check_codebook_args(*self.codebook_args)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     @property
     def mle(self) -> tomo.MleConfig:
         return tomo.MleConfig(self.cutoff, self.max_iterations, self.stop_tol, self.dilution)
+
+    @property
+    def codebook_args(self) -> tuple:
+        """``build_codebook``'s arguments for the artificial source."""
+        seed = self.seed if self.scheme == "random" else None
+        return self.nbar, self.codebook_amplitudes, self.codebook_phases, self.scheme, seed
 
 
 @dataclass(frozen=True)
@@ -138,17 +146,17 @@ class CodebookConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if self.codebook_file is None:
-            if self.nbar <= 0:
-                raise ConfigError("nbar must be > 0")
-            if self.codebook_amplitudes < 1 or self.codebook_phases < 1:
-                raise ConfigError("codebook needs at least one amplitude and one phase")
-            if self.scheme == "random" and self.seed is None:
-                raise ConfigError("random scheme requires a seed")
         try:
             self.mode, self.modulator  # the physical types check their own knobs
+            if self.codebook_file is None:
+                mimic.check_codebook_args(*self.codebook_args)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    @property
+    def codebook_args(self) -> tuple:
+        """``build_codebook``'s arguments when no ``codebook_file`` is given."""
+        return self.nbar, self.codebook_amplitudes, self.codebook_phases, self.scheme, self.seed
 
     @property
     def mode(self) -> physical.ModePhysics:
@@ -197,11 +205,10 @@ def _typed(key: str, value, kind):
 
 def _load_json(path: str, what: str, parse=lambda obj: obj):
     """``parse`` of the JSON held in ``path``. A file that cannot be read, or
-    whose contents ``parse`` finds in the wrong layout, is a config error."""
+    whose layout or values ``parse`` rejects, is a config error."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, UnicodeError, json.JSONDecodeError, AttributeError, KeyError,
-            TypeError) as exc:
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc!r}") from exc
 
 
@@ -265,30 +272,11 @@ def cmd_mimic_sweep(cfg: SweepConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_source(cfg: TomoConfig) -> fock.FockDensityMatrix:
-    if cfg.source == "thermal":
-        return fock.thermal(cfg.nbar, cfg.source_cutoff)
-    if cfg.source == "vacuum":
-        return fock.thermal(0.0, cfg.source_cutoff)
-    if cfg.source == "coherent":
-        psi = fock.coherent_pure(fock.ComplexAmplitude(math.sqrt(cfg.nbar)), cfg.source_cutoff)
-        return fock.mix([(1.0, psi)])
-    seed = cfg.seed if cfg.scheme == "random" else None
-    codebook = mimic.build_codebook(
-        cfg.nbar, cfg.codebook_amplitudes, cfg.codebook_phases, mimic.Scheme(cfg.scheme), seed
-    )
-    return mimic.assemble(codebook, cfg.source_cutoff)
-
-
-def _reference_state(cfg: TomoConfig) -> fock.FockDensityMatrix:
-    """Theoretical state the reconstruction is judged against, at the MLE cutoff."""
-    if cfg.source == "vacuum":
-        return fock.thermal(0.0, cfg.cutoff)
-    if cfg.source == "coherent":
-        alpha = fock.ComplexAmplitude(math.sqrt(cfg.nbar))
-        psi = fock.coherent_pure(alpha, cfg.cutoff, tail_tol=0.05)
-        return fock.mix([(1.0, psi)])
-    return fock.thermal(cfg.nbar, cfg.cutoff, tail_tol=0.05)
+def _model_state(source: str, nbar: float, cutoff: int, tail_tol: float) -> fock.FockDensityMatrix:
+    """Vacuum, coherent or (for any other source) thermal state of mean photon number ``nbar``."""
+    if source == "coherent":
+        return fock.mix([1.0], fock.coherent_states([math.sqrt(nbar)], [0.0], cutoff, tail_tol))
+    return fock.thermal(0.0 if source == "vacuum" else nbar, cutoff, tail_tol)
 
 
 def _reconstruct_ensemble(
@@ -313,9 +301,13 @@ def _reconstruct_ensemble(
 
 
 def cmd_tomo_end2end(cfg: TomoConfig) -> None:
-    source = _build_source(cfg)
+    if cfg.source == "artificial":
+        source = mimic.assemble(mimic.build_codebook(*cfg.codebook_args), cfg.source_cutoff)
+    else:
+        source = _model_state(cfg.source, cfg.nbar, cfg.source_cutoff, fock.DEFAULT_TAIL_TOL)
     ensemble, results = _reconstruct_ensemble(source, cfg, cfg.seed)
-    reference = _reference_state(cfg)
+    # the theoretical state the reconstruction is judged against, at the MLE cutoff
+    reference = _model_state(cfg.source, cfg.nbar, cfg.cutoff, tail_tol=0.05)
 
     report = metrics.compare(reference, ensemble.mean)
     report["entropy_ceiling"] = metrics.thermal_entropy(fock.mean_photon(ensemble.mean))
@@ -370,10 +362,7 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
     if cfg.codebook_file is not None:
         codebook = _load_json(cfg.codebook_file, "codebook file", _parse_codebook)
     else:
-        codebook = mimic.build_codebook(
-            cfg.nbar, cfg.codebook_amplitudes, cfg.codebook_phases, mimic.Scheme(cfg.scheme),
-            cfg.seed,
-        )
+        codebook = mimic.build_codebook(*cfg.codebook_args)
     table = physical.codebook_to_drive(codebook, cfg.mode, cfg.modulator)
     out_dir = Path(cfg.out_dir)
     chash = _config_hash(cfg)

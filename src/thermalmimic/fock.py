@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,33 +144,41 @@ class FockDensityMatrix:
         return float(self.entries.trace().real)
 
 
-def coherent_pure(
-    alpha: ComplexAmplitude, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> PureStateVector:
-    """Truncated coherent state ``|alpha>`` in the Fock basis.
+def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL):
+    """Truncated coherent states ``|alpha>``, ``alpha = magnitude e^{i phase}``,
+    as an array of one row of ``cutoff + 1`` Fock coefficients per amplitude.
 
     Coefficient ``n`` is ``|alpha|^n e^{i n theta} e^{-|alpha|^2 / 2} / sqrt(n!)``,
     evaluated in log space so no factorial is ever formed directly.
 
     Raises:
-        TruncationError: if the Poisson mass beyond ``cutoff`` exceeds ``tail_tol``.
+        TruncationError: if a row's Poisson mass beyond ``cutoff`` exceeds ``tail_tol``.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    r = np.asarray(magnitudes, dtype=float)[:, None]
+    theta = np.asarray(phases, dtype=float)[:, None]
+    if not np.all(r >= 0.0):
+        raise ValueError("magnitudes must be >= 0")
     n = np.arange(cutoff + 1)
-    if alpha.magnitude == 0.0:
-        coeffs = np.zeros(cutoff + 1, dtype=np.complex128)
-        coeffs[0] = 1.0
-        return PureStateVector(cutoff, coeffs)
-    log_mag = n * math.log(alpha.magnitude) - 0.5 * alpha.magnitude**2 - 0.5 * gammaln(n + 1)
-    coeffs = np.exp(log_mag) * np.exp(1j * alpha.phase * n)
-    tail = 1.0 - float(np.vdot(coeffs, coeffs).real)
-    if tail > tail_tol:
+    log_mag = xlogy(n, r) - 0.5 * r**2 - 0.5 * gammaln(n + 1)
+    states = np.exp(log_mag) * np.exp(1j * theta * n)
+    tails = 1.0 - np.einsum("ij,ij->i", states.conj(), states).real
+    if np.any(tails > tail_tol):
+        i = np.argmax(tails > tail_tol)  # the first row over budget
         raise TruncationError(
-            f"coherent state |alpha|^2 = {alpha.magnitude ** 2:.4g} loses mass "
-            f"{tail:.3e} beyond cutoff {cutoff} (budget {tail_tol:.1e})"
+            f"coherent state |alpha|^2 = {r[i, 0] ** 2:.4g} loses mass "
+            f"{tails[i]:.3e} beyond cutoff {cutoff} (budget {tail_tol:.1e})"
         )
-    return PureStateVector(cutoff, coeffs)
+    return states
+
+
+def coherent_pure(
+    alpha: ComplexAmplitude, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
+) -> PureStateVector:
+    """Truncated coherent state ``|alpha>``: the one-row case of :func:`coherent_states`."""
+    states = coherent_states([alpha.magnitude], [alpha.phase], cutoff, tail_tol)
+    return PureStateVector(cutoff, states[0])
 
 
 def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatrix:
@@ -203,35 +211,37 @@ def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Foc
     return FockDensityMatrix(cutoff, np.diag(diag).astype(np.complex128), trace_tol=tail + 1e-12)
 
 
-def mix(components: list[tuple[float, PureStateVector]]) -> FockDensityMatrix:
+def mix(weights, states) -> FockDensityMatrix:
     """Statistical mixture ``sum_i p_i |psi_i><psi_i|`` of pure states.
 
-    Weights must be nonnegative and sum to 1 within 1e-12; all states must
-    share one cutoff. The result is Hermitian and PSD by construction, and its
-    trace equals the weighted sum of the input norms (short of 1 only by the
-    truncation mass the inputs carried).
+    ``states`` holds one Fock coefficient row ``psi_i`` per weight ``p_i``, as
+    :func:`coherent_states` returns them. Weights must be nonnegative and sum
+    to 1 within 1e-12; all rows must share one length (one cutoff), and no
+    row's squared norm may exceed 1. The result is Hermitian and PSD by
+    construction, and its trace equals the weighted sum of the row norms
+    (short of 1 only by the truncation mass the rows carried).
     """
-    if not components:
-        raise ValueError("mixture needs at least one component")
-    weights = np.array([w for w, _ in components], dtype=float)
+    weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0.0):
         raise ValueError("mixture weights must be >= 0")
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {total!r}")
-    cutoff = components[0][1].cutoff
-    for _, psi in components:
-        if psi.cutoff != cutoff:
-            raise CutoffMismatchError(
-                f"all states must share one cutoff, got {psi.cutoff} and {cutoff}"
-            )
+    lengths = {len(row) for row in states}
+    if len(lengths) > 1:
+        raise CutoffMismatchError(f"all states must share one cutoff, got row lengths {lengths}")
+    stacked = np.asarray(states, dtype=np.complex128)
+    if stacked.shape[:1] != weights.shape:
+        raise ValueError(f"{weights.size} weights for {len(stacked)} states")
+    norms = np.einsum("ij,ij->i", stacked.conj(), stacked).real
+    if np.any(norms > 1.0 + TRACE_EXCESS_TOL):
+        raise ValueError(f"state squared norm {norms.max()} exceeds 1")
     # rho = A^T conj(A) with rows sqrt(p_i) psi_i, PSD by construction
-    stacked = np.stack([psi.coefficients for _, psi in components])
     scaled = np.sqrt(weights)[:, None] * stacked
     rho = scaled.T @ scaled.conj()
     rho = 0.5 * (rho + rho.conj().T)
-    deficit = 1.0 - float(np.sum(weights * np.array([psi.norm_sq for _, psi in components])))
-    return FockDensityMatrix(cutoff, rho, trace_tol=max(deficit, 0.0) + 1e-9)
+    deficit = 1.0 - float(np.sum(weights * norms))
+    return FockDensityMatrix(stacked.shape[1] - 1, rho, trace_tol=max(deficit, 0.0) + 1e-9)
 
 
 def mean_photon(rho: FockDensityMatrix) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from . import fock
-from .fock import ComplexAmplitude, FockDensityMatrix, coherent_pure
+from .fock import FockDensityMatrix, coherent_states
 from .metrics import fidelity
 
 
@@ -85,6 +85,10 @@ class Codebook:
         """Total number of constellation points M = L * Q."""
         return self.amplitudes.size * self.phases.size
 
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The M points' magnitudes and phases, in the (l, q) order of ``weights.ravel()``."""
+        return np.repeat(self.amplitudes, self.n_phases), np.tile(self.phases, self.n_amplitudes)
+
 
 def rayleigh_quantile(nbar: float, u):
     """Inverse CDF of the Rayleigh amplitude law for a thermal state.
@@ -101,6 +105,21 @@ def rayleigh_quantile(nbar: float, u):
     return float(out) if np.isscalar(u) else out
 
 
+def check_codebook_args(nbar: float, n_amplitudes: int, n_phases: int, scheme, seed) -> Scheme:
+    """Check :func:`build_codebook`'s arguments at O(1) cost, without building
+    the L x Q codebook: raise the ``ValueError`` it would, else return the scheme."""
+    if n_amplitudes < 1 or n_phases < 1:
+        raise ValueError("need at least one amplitude and one phase")
+    if nbar <= 0.0:
+        raise ValueError(f"nbar must be > 0, got {nbar}")
+    scheme = Scheme(scheme)
+    if scheme == Scheme.RANDOM and seed is None:
+        raise ValueError("random scheme requires a seed")
+    if scheme == Scheme.OPTIMIZED:
+        raise ValueError("optimized codebooks come from optimize_weights, not build_codebook")
+    return scheme
+
+
 def build_codebook(
     nbar: float,
     n_amplitudes: int,
@@ -115,25 +134,16 @@ def build_codebook(
     amplitudes drawn i.i.d. from the Rayleigh law and phases i.i.d. uniform,
     fully determined by ``seed``.
     """
-    if n_amplitudes < 1 or n_phases < 1:
-        raise ValueError("need at least one amplitude and one phase")
-    if nbar <= 0.0:
-        raise ValueError(f"nbar must be > 0, got {nbar}")
-    scheme = Scheme(scheme)
+    scheme = check_codebook_args(nbar, n_amplitudes, n_phases, scheme, seed)
     if scheme == Scheme.RANDOM:
-        if seed is None:
-            raise ValueError("random scheme requires a seed")
         rng = np.random.default_rng(seed)
         amps = rayleigh_quantile(nbar, rng.random(n_amplitudes))
         phases = rng.uniform(0.0, fock.TWO_PI, n_phases)
-    elif scheme == Scheme.STRATIFIED:
+    else:
         l = np.arange(1, n_amplitudes + 1)
         amps = rayleigh_quantile(nbar, (2 * l - 1) / (2 * n_amplitudes))
         q = np.arange(1, n_phases + 1)
         phases = math.pi * (2 * q - 1) / n_phases
-    else:
-        raise ValueError("build_codebook produces stratified or random codebooks; "
-                         "optimized ones come from optimize_weights")
     weights = np.full((n_amplitudes, n_phases), 1.0 / (n_amplitudes * n_phases))
     return Codebook(nbar, amps, phases, weights, scheme, seed)
 
@@ -142,26 +152,27 @@ def assemble(
     codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF, tail_tol: float = fock.DEFAULT_TAIL_TOL
 ) -> FockDensityMatrix:
     """Density matrix of the codebook's coherent-state mixture."""
-    components = []
-    for l, amp in enumerate(codebook.amplitudes):
-        for q, phase in enumerate(codebook.phases):
-            psi = coherent_pure(ComplexAmplitude(amp, phase), cutoff, tail_tol)
-            components.append((float(codebook.weights[l, q]), psi))
-    return fock.mix(components)
+    return fock.mix(codebook.weights.ravel(), coherent_states(*codebook.points(), cutoff, tail_tol))
 
 
-def _hermitian_embedding(matrix: np.ndarray) -> np.ndarray:
-    """Map a Hermitian matrix to its independent real parameters.
-
-    Diagonal, then sqrt(2)-scaled real and imaginary upper-triangle parts; the
-    scaling preserves the Frobenius inner product, so a least-squares fit in
-    this embedding is a least-squares fit between the matrices themselves.
-    """
-    iu = np.triu_indices(matrix.shape[0], k=1)
-    upper = matrix[iu]
-    return np.concatenate(
-        [np.diag(matrix).real, math.sqrt(2.0) * upper.real, math.sqrt(2.0) * upper.imag]
-    )
+def _hermitian_embedding(row) -> np.ndarray:
+    """Independent real parameters of Hermitian matrices whose row ``m`` from
+    the diagonal on is ``row(m)``, matrices on its leading axes: the diagonal,
+    then the sqrt(2)-scaled real and imaginary upper triangles in row-major
+    order, along the first axis. The scaling keeps the Frobenius inner product,
+    so a least-squares fit in this embedding is one between the matrices."""
+    first = row(0)
+    dim = first.shape[-1]
+    n_upper = dim * (dim - 1) // 2
+    out = np.empty((dim * dim,) + first.shape[:-1])
+    stop = dim
+    for m in range(dim):
+        entries = row(m)
+        start, stop = stop, stop + dim - m - 1
+        out[m] = entries[..., 0].real
+        out[start:stop] = math.sqrt(2.0) * entries[..., 1:].T.real
+        out[n_upper + start:n_upper + stop] = math.sqrt(2.0) * entries[..., 1:].T.imag
+    return out
 
 
 def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> Codebook:
@@ -173,28 +184,24 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> Codebook:
     since Frobenius distance is only a surrogate for fidelity), the original
     weights are kept.
     """
-    alphas = (codebook.amplitudes[:, None] * np.exp(1j * codebook.phases[None, :])).ravel()
+    magnitudes, phases = codebook.points()
+    alphas = magnitudes * np.exp(1j * phases)
     if alphas.size > 1 and np.all(np.abs(alphas - alphas[0]) < 1e-15):
         raise SingularDesignError("all constellation points coincide; weights are unidentifiable")
 
-    columns = []
-    for l, amp in enumerate(codebook.amplitudes):
-        for q, phase in enumerate(codebook.phases):
-            psi = coherent_pure(ComplexAmplitude(amp, phase), target.cutoff).coefficients
-            columns.append(_hermitian_embedding(np.outer(psi, psi.conj())))
-    design = np.stack(columns, axis=1)
-    solution, _ = nnls(design, _hermitian_embedding(target.entries))
+    states = coherent_states(magnitudes, phases, target.cutoff)
+    # column j embeds |psi_j><psi_j|, whose row m is psi_jm conj(psi_j)
+    design = _hermitian_embedding(lambda m: states[:, m, None] * states[:, m:].conj())
+    solution, _ = nnls(design, _hermitian_embedding(lambda m: target.entries[m, m:]))
     total = float(solution.sum())
     if total <= 0.0:
         raise SingularDesignError("nonnegative least squares returned an all-zero weight vector")
     new_weights = (solution / total).reshape(codebook.weights.shape)
-
-    refit = replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED)
-    if fidelity(assemble(refit, target.cutoff), target) < fidelity(
-        assemble(codebook, target.cutoff), target
+    if fidelity(fock.mix(new_weights.ravel(), states), target) < fidelity(
+        fock.mix(codebook.weights.ravel(), states), target
     ):
-        return replace(codebook, scheme=Scheme.OPTIMIZED)
-    return refit
+        new_weights = codebook.weights
+    return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED)
 
 
 @dataclass(frozen=True)

@@ -87,25 +87,17 @@ def codebook_to_drive(
     zero-amplitude symbol appears on a non-ideal modulator (it would need
     infinite extinction).
     """
-    amplitudes = codebook.amplitudes
-    if not any(a > 0.0 for a in amplitudes):
+    magnitudes, phases = (axis.tolist() for axis in codebook.points())
+    if not any(a > 0.0 for a in magnitudes):
         raise ValueError("codebook has no nonzero-amplitude symbol")
+    if not spec.ideal and 0.0 in magnitudes:
+        raise ExtinctionRangeError(
+            f"symbol {magnitudes.index(0.0)} has zero amplitude and needs infinite extinction; "
+            "only an ideal modulator spec permits dark symbols"
+        )
 
-    symbols = [
-        (l * codebook.n_phases + q, float(a), float(phase))
-        for l, a in enumerate(amplitudes)
-        for q, phase in enumerate(codebook.phases)
-    ]
-    if not spec.ideal:
-        dark = [idx for idx, a, _ in symbols if a == 0.0]
-        if dark:
-            raise ExtinctionRangeError(
-                f"symbol {dark[0]} has zero amplitude and needs infinite extinction; "
-                "only an ideal modulator spec permits dark symbols"
-            )
-
-    powers = {idx: nbar_to_power(a * a, physics) for idx, a, _ in symbols}
-    nonzero = [p for p in powers.values() if p > 0.0]
+    powers = [nbar_to_power(a * a, physics) for a in magnitudes]
+    nonzero = [p for p in powers if p > 0.0]
     required_db = 10.0 * math.log10(max(nonzero) / min(nonzero))
     if required_db > spec.extinction_db:
         raise ExtinctionRangeError(
@@ -115,8 +107,8 @@ def codebook_to_drive(
 
     p_max = max(nonzero)
     levels = tuple(
-        DriveLevel(idx, a * a, powers[idx], powers[idx] / p_max, phase)
-        for idx, a, phase in symbols
+        DriveLevel(idx, a * a, power, power / p_max, phase)
+        for idx, (a, power, phase) in enumerate(zip(magnitudes, powers, phases))
     )
     return DriveTable(levels, required_db)
 

@@ -153,6 +153,19 @@ def test_tomo_bad_source_exits_config(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomo-end2end", "--source", "artificial", "--codebook-amplitudes", "0"],
+        ["tomo-end2end", "--source", "artificial", "--codebook-phases", "0"],
+        ["codebook-export", "--codebook-amplitudes", "0"],
+    ],
+)
+def test_empty_codebook_exits_config(tmp_path, capsys, argv):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "at least one amplitude and one phase" in capsys.readouterr().err
+
+
 def test_tomo_non_numeric_config_value_exits_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phases": "many"}))
@@ -297,6 +310,9 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
         ("codebook-export", '{"nbar_target": 1.0}'),
         ("codebook-export", '{"codebook": 5}'),
         ("codebook-export", "{not json"),
+        ("metrics", '{"cutoff": 0, "entries_real": [[2.0]], "entries_imag": [[0.0]]}'),
+        ("codebook-export", '{"nbar_target": 1.0, "amplitudes": [1.0], "phases": [0.0], '
+                            '"weights": [[1.0]], "scheme": "bogus"}'),
     ],
 )
 def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):

@@ -6,12 +6,14 @@ import pytest
 from scipy.stats import poisson
 
 from thermalmimic import fock
+from thermalmimic.mimic import Scheme, build_codebook
 from thermalmimic.fock import (
     ComplexAmplitude,
     CutoffMismatchError,
     FockDensityMatrix,
     TruncationError,
     coherent_pure,
+    coherent_states,
     mean_photon,
     mix,
     normalize,
@@ -58,6 +60,36 @@ def test_coherent_coefficients_match_poisson_pmf():
 def test_coherent_truncation_error_when_tail_too_large():
     with pytest.raises(TruncationError):
         coherent_pure(ComplexAmplitude(3.0), cutoff=5)
+
+
+# ---------------------------------------------------------------------------
+# coherent_states
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "magnitudes, phases",
+    [
+        build_codebook(1.5, 6, 5).points(),
+        build_codebook(1.5, 6, 5, Scheme.RANDOM, seed=3).points(),
+        ([0.0, 1.2, 0.0], [0.0, 0.4, 2.5]),
+    ],
+    ids=["stratified", "random", "zero-amplitude"],
+)
+def test_coherent_states_rows_equal_coherent_pure(magnitudes, phases):
+    states = coherent_states(magnitudes, phases, 30)
+    assert states.shape == (len(magnitudes), 31)
+    for row, mag, phase in zip(states, magnitudes, phases):
+        assert np.array_equal(row, coherent_pure(ComplexAmplitude(mag, phase), 30).coefficients)
+        if mag == 0.0:
+            assert np.array_equal(row, np.eye(31)[0])
+
+
+def test_coherent_states_truncation_error_names_the_row_over_budget():
+    # at cutoff 5 only |alpha|^2 = 9 loses more than the default 1e-5
+    with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 9 "):
+        coherent_states([0.1, 3.0, 0.5], [0.0, 1.0, 2.0], cutoff=5)
+    assert coherent_states([0.1, 0.5], [0.0, 2.0], cutoff=5).shape == (2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +141,13 @@ def test_thermal_diagonal_decreasing_and_exact(nbar):
 
 def test_mix_single_component_is_projector():
     psi = coherent(1.0)
-    rho = mix([(1.0, psi)])
+    rho = mix([1.0], [psi.coefficients])
     assert np.allclose(rho.entries, np.outer(psi.coefficients, psi.coefficients.conj()))
     assert purity(rho) >= 1.0 - 2 * fock.DEFAULT_TAIL_TOL
 
 
 def test_mix_opposite_phases_kills_odd_coherences():
-    rho = mix([(0.5, coherent(1.0, 0.0)), (0.5, coherent(1.0, math.pi))])
+    rho = mix([0.5, 0.5], [coherent(1.0, 0.0).coefficients, coherent(1.0, math.pi).coefficients])
     m, n = np.indices(rho.entries.shape)
     odd = (m - n) % 2 == 1
     assert np.max(np.abs(rho.entries[odd])) < 1e-12
@@ -126,7 +158,7 @@ def test_mix_trace_is_weighted_norm_sum():
     weights = rng.random(5)
     weights /= weights.sum()
     states = [coherent(rng.uniform(0, 1.8), rng.uniform(0, 2 * math.pi)) for _ in range(5)]
-    rho = mix(list(zip(weights, states)))
+    rho = mix(weights, [s.coefficients for s in states])
     expected = sum(w * s.norm_sq for w, s in zip(weights, states))
     assert rho.trace == pytest.approx(expected, abs=1e-9)
 
@@ -134,11 +166,19 @@ def test_mix_trace_is_weighted_norm_sum():
 def test_mix_rejects_bad_weights_and_cutoffs():
     psi = coherent(1.0)
     with pytest.raises(ValueError, match="sum to 1"):
-        mix([(0.5, psi), (0.4, psi)])
+        mix([0.5, 0.4], [psi.coefficients, psi.coefficients])
     with pytest.raises(ValueError, match=">= 0"):
-        mix([(1.5, psi), (-0.5, psi)])
+        mix([1.5, -0.5], [psi.coefficients, psi.coefficients])
     with pytest.raises(CutoffMismatchError):
-        mix([(0.5, psi), (0.5, coherent(1.0, 0.0, cutoff=20))])
+        mix([0.5, 0.5], [psi.coefficients, coherent(1.0, 0.0, cutoff=20).coefficients])
+
+
+def test_mix_rejects_rows_above_unit_norm_and_miscounted_weights():
+    psi = coherent(1.0).coefficients
+    with pytest.raises(ValueError, match="exceeds 1"):
+        mix([0.5, 0.5], [psi, 1.01 * psi])
+    with pytest.raises(ValueError, match="3 weights for 2 states"):
+        mix([0.5, 0.25, 0.25], [psi, psi])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +192,7 @@ def test_mean_photon_of_thermal_is_nbar():
 
 
 def test_mean_photon_of_coherent_is_alpha_squared():
-    rho = mix([(1.0, coherent(math.sqrt(1.5)))])
+    rho = mix([1.0], [coherent(math.sqrt(1.5)).coefficients])
     assert mean_photon(rho) == pytest.approx(1.5, abs=1e-6)
 
 

@@ -30,7 +30,7 @@ PHASES_50 = 2.0 * math.pi * np.arange(50) / 50
 
 
 def coherent_state(mag, phase=0.0, cutoff=30):
-    return mix([(1.0, coherent_pure(ComplexAmplitude(mag, phase), cutoff))])
+    return mix([1.0], [coherent_pure(ComplexAmplitude(mag, phase), cutoff).coefficients])
 
 
 def random_density(rng, cutoff=9):

@@ -106,6 +106,19 @@ def test_assemble_single_vacuum_point():
     assert np.array_equal(rho.entries, expected)
 
 
+def test_assemble_pairs_each_weight_with_its_point():
+    amplitudes = np.array([0.3, 0.8, 1.4])
+    phases = np.array([0.1, 1.2, 2.3, 4.5])
+    weights = np.arange(1.0, 13.0).reshape(3, 4) / 78.0
+    rho = assemble(Codebook(1.0, amplitudes, phases, weights, Scheme.STRATIFIED), 20)
+    expected = np.zeros((21, 21), dtype=complex)
+    for l, amp in enumerate(amplitudes):
+        for q, phase in enumerate(phases):
+            psi = coherent_pure(ComplexAmplitude(amp, phase), 20).coefficients
+            expected += weights[l, q] * np.outer(psi, psi.conj())
+    assert np.allclose(rho.entries, expected, atol=1e-14)
+
+
 def test_assemble_stratified_mimics_thermal():
     rho = assemble(build_codebook(1.0, 8, 8), 30)
     assert metrics.fidelity(rho, thermal(1.0, 30)) >= 0.99

@@ -126,3 +126,20 @@ def test_drive_csv_header_and_rows():
     assert lines[0] == "index,alpha_sq,power_w,intensity_level,phase_rad"
     assert len(lines) == 5
     assert isinstance(table, DriveTable)
+
+
+def test_points_order_matches_weights_and_drive_table():
+    # L != Q, so a points() that swapped the repeat and the tile would not pass
+    amplitudes = np.array([0.3, 0.8, 1.4])
+    phases = np.array([0.1, 1.2, 2.3, 4.5])
+    weights = np.arange(1.0, 13.0).reshape(3, 4) / 78.0
+    cb = Codebook(1.0, amplitudes, phases, weights, Scheme.STRATIFIED)
+    l, q = np.divmod(np.arange(cb.size), cb.n_phases)  # point i sits at row-major (l, q)
+    magnitudes, point_phases = cb.points()
+    assert np.array_equal(magnitudes, amplitudes[l])
+    assert np.array_equal(point_phases, phases[q])
+    assert np.array_equal(cb.weights.ravel(), weights[l, q])
+    table = codebook_to_drive(cb, TELECOM, ModulatorSpec(30.0))
+    assert [lvl.index for lvl in table.levels] == list(range(cb.size))
+    assert [lvl.phase_rad for lvl in table.levels] == phases[q].tolist()
+    assert [lvl.alpha_sq for lvl in table.levels] == (amplitudes[l] ** 2).tolist()

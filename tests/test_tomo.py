@@ -114,10 +114,10 @@ def test_coherent_state_at_nonzero_phase_is_recovered():
     # (theta -> -theta) reconstructs the conjugate amplitude, at fidelity
     # exp(-|alpha - conj(alpha)|^2) = exp(-3) for this alpha.
     alpha = ComplexAmplitude(1.0, math.pi / 3)
-    data = sample(mix([(1.0, coherent_pure(alpha, 30))]), PHASES_50, 40, seed=7)
+    data = sample(mix([1.0], [coherent_pure(alpha, 30).coefficients]), PHASES_50, 40, seed=7)
     result = mle_reconstruct(data, MleConfig(cutoff=10))
     assert result.converged
-    assert fidelity(result.rho, mix([(1.0, coherent_pure(alpha, 10))])) >= 0.99
+    assert fidelity(result.rho, mix([1.0], [coherent_pure(alpha, 10).coefficients])) >= 0.99
 
 
 def test_thermal_ensemble_recovers_the_source():
