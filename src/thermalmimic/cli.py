@@ -459,12 +459,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
-    cls, runner = _COMMANDS[args.pop("command")]
+    command = args.pop("command")
+    cls, runner = _COMMANDS[command]
     config_path = args.pop("config", None)
     try:
         runner(_resolve_config(cls, config_path, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: the {command} request does not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except physical.ExtinctionRangeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

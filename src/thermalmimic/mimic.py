@@ -184,6 +184,11 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> Codebook:
     since Frobenius distance is only a surrogate for fidelity), the original
     weights are kept.
     """
+    return _fit_weights(codebook, target)[0]
+
+
+def _fit_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Codebook, float]:
+    """:func:`optimize_weights` and the fidelity of the kept mixture to ``target``."""
     magnitudes, phases = codebook.points()
     alphas = magnitudes * np.exp(1j * phases)
     if alphas.size > 1 and np.all(np.abs(alphas - alphas[0]) < 1e-15):
@@ -197,11 +202,11 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> Codebook:
     if total <= 0.0:
         raise SingularDesignError("nonnegative least squares returned an all-zero weight vector")
     new_weights = (solution / total).reshape(codebook.weights.shape)
-    if fidelity(fock.mix(new_weights.ravel(), states), target) < fidelity(
-        fock.mix(codebook.weights.ravel(), states), target
-    ):
-        new_weights = codebook.weights
-    return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED)
+    refit = fidelity(fock.mix(new_weights.ravel(), states), target)
+    kept = fidelity(fock.mix(codebook.weights.ravel(), states), target)
+    if refit < kept:
+        return replace(codebook, scheme=Scheme.OPTIMIZED), kept
+    return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED), refit
 
 
 @dataclass(frozen=True)
@@ -244,9 +249,10 @@ def sweep_fidelity(
                     cb = build_codebook(nbar, side, side, scheme, seed + trial)
                 else:
                     cb = build_codebook(nbar, side, side, Scheme.STRATIFIED)
-                    if scheme == Scheme.OPTIMIZED:
-                        cb = optimize_weights(cb, reference)
-                fids.append(fidelity(assemble(cb, cutoff), reference))
+                if scheme == Scheme.OPTIMIZED:
+                    fids.append(_fit_weights(cb, reference)[1])
+                else:
+                    fids.append(fidelity(assemble(cb, cutoff), reference))
             fids_arr = np.asarray(fids)
             rows.append(
                 SweepRow(nbar, m, scheme, float(fids_arr.mean()), float(fids_arr.std()))

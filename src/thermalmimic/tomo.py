@@ -3,7 +3,15 @@
 Implements the iterative expectation-maximization fixed point
 ``rho <- N[R(rho) rho R(rho)]`` with ``R(rho) = (1/K) sum_k Pi_k / p_k(rho)``,
 where ``Pi_k`` is the rank-1 projector onto the quadrature eigenstate of
-record k and ``N`` renormalizes the trace. The update is damped as
+record k and ``N`` renormalizes the trace.
+
+The record probability ``p_k = Tr(rho Pi_k)`` is real-linear in rho, so the
+records make one real (K, dim^2) map ``A`` with ``p = A @ packed(rho)``. A
+Hermitian matrix is packed as its real upper triangle, diagonal included, and
+its imaginary strict lower triangle, row-major in one dim x dim block:
+``packed(h) = where(triu, h.real, h.imag).ravel()``. ``R`` is the adjoint of
+the same map applied to ``1/(K p)``, so each iteration is two real
+matrix-vector products over ``A``. The update is damped as
 ``R' = (1 - d) I + d R`` (dilution ``d``), which keeps the log-likelihood
 non-decreasing in practice on small datasets where the undamped iteration can
 oscillate. Each step preserves Hermiticity, positivity, and unit trace.
@@ -12,6 +20,7 @@ oscillate. Each step preserves Hermiticity, positivity, and unit trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -79,39 +88,59 @@ def _require_half(data: QuadratureDataset) -> None:
 
 
 def measurement_matrix(data: QuadratureDataset, cutoff: int) -> np.ndarray:
-    """Row k is the Fock-basis quadrature eigenvector of record k.
+    """The real (K, dim^2) map ``A`` with ``p_k = A[k] @ packed(rho)``.
 
-    Record probabilities under a state rho are the quadratic forms
-    ``p_k = d_k^H rho d_k`` with ``d_k`` the rows returned here.
+    With ``f_m = f_m(x_k)`` and ``theta = theta_k``, row k holds ``f_m^2`` in
+    slot (m, m), ``2 cos((n - m) theta) f_m f_n`` in slot (m, n) for m < n,
+    and ``2 sin((m - n) theta) f_m f_n`` in slot (m, n) for m > n: the phase
+    harmonics of :func:`homodyne._pdf_harmonics`, filled one diagonal at a
+    time. From the left, ``w @ A`` is ``packed(sum_k w_k Pi_k)`` with its
+    off-diagonal slots doubled.
     """
+    dim = cutoff + 1
     f = fock_wavefunctions(data.x, cutoff)
-    phases = np.exp(1j * np.outer(np.arange(cutoff + 1), data.theta))
-    return (f * phases).T
+    out = np.empty((data.count, dim, dim))
+    for k in range(dim):
+        m = np.arange(dim - k)
+        products = f[:dim - k] * f[k:]
+        if k == 0:
+            out[:, m, m] = products.T
+        else:
+            out[:, m, m + k] = (2.0 * np.cos(k * data.theta) * products).T
+            out[:, m + k, m] = (2.0 * np.sin(k * data.theta) * products).T
+    return out.reshape(data.count, dim * dim)
 
 
-def _quadratic_form(rho_entries: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``p_k = d_k^H rho d_k`` for every row ``d_k`` of ``d`` (unclipped).
-
-    The record-probability kernel of the likelihood. Kept private so a
-    profiler that wraps public functions adds no span per MLE iteration.
-    Computed as ``Re sum_m conj((rho d_k)_m) d_km``, which equals
-    ``Re(d_k^H rho d_k)`` and works in place in one (K, dim) temporary.
-    """
-    q = d @ rho_entries.T
-    np.conjugate(q, out=q)
-    q *= d
-    return q.sum(axis=-1).real
+@cache
+def _upper_triangle(dim: int) -> np.ndarray:
+    """Read-only mask of the packed slots holding real parts (m <= n)."""
+    mask = np.tri(dim, dtype=bool).T
+    mask.setflags(write=False)
+    return mask
 
 
-def _record_probabilities(rho_entries: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.clip(_quadratic_form(rho_entries, d), LIKELIHOOD_FLOOR, None)
+def _pack(h: np.ndarray) -> np.ndarray:
+    """``packed(h)``: real upper triangle and imaginary strict lower triangle of ``h``."""
+    return np.where(_upper_triangle(h.shape[0]), h.real, h.imag).ravel()
+
+
+def _unpack(g: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian ``R = sum_k w_k Pi_k`` from ``g = w @ A``: ``R_mm = g_mm``,
+    ``Re R_mn = g_mn / 2`` for m < n and ``Im R_mn = g_mn / 2`` for m > n."""
+    half = 0.5 * g.reshape(dim, dim)
+    r = np.where(_upper_triangle(dim), half, 1j * half)
+    return r + r.conj().T
+
+
+def _record_probabilities(rho_entries: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return np.clip(a @ _pack(rho_entries), LIKELIHOOD_FLOOR, None)
 
 
 def log_likelihood(rho: FockDensityMatrix, data: QuadratureDataset) -> float:
     """``sum_k ln p(x_k | theta_k)`` under the quadrature kernel of ``rho``."""
     _require_half(data)
-    d = measurement_matrix(data, rho.cutoff)
-    return float(np.sum(np.log(_record_probabilities(rho.entries, d))))
+    a = measurement_matrix(data, rho.cutoff)
+    return float(np.sum(np.log(_record_probabilities(rho.entries, a))))
 
 
 def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) -> MleResult:
@@ -124,27 +153,26 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     """
     _require_half(data)
     dim = config.cutoff + 1
-    d = measurement_matrix(data, config.cutoff)
-    n_records = d.shape[0]
+    a = measurement_matrix(data, config.cutoff)
+    n_records = a.shape[0]
     identity = np.eye(dim)
 
     rho = np.eye(dim, dtype=np.complex128) / dim
     # p belongs to the current iterate: it gives that iterate's history entry
-    # and the next iteration's R, so the kernel runs once per iteration.
-    p = _record_probabilities(rho, d)
+    # and the next iteration's R, so the map runs once each way per iteration.
+    p = _record_probabilities(rho, a)
     history = [float(np.sum(np.log(p)))]
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        r = (d / p[:, None]).T @ d.conj() / n_records
-        r = 0.5 * (r + r.conj().T)
+        r = _unpack((1.0 / p) @ a / n_records, dim)
         r_damped = (1.0 - config.dilution) * identity + config.dilution * r
         updated = r_damped @ rho @ r_damped
         updated = 0.5 * (updated + updated.conj().T)
         updated /= updated.trace().real
         delta = float(np.max(np.abs(updated - rho)))
         rho = updated
-        p = _record_probabilities(rho, d)
+        p = _record_probabilities(rho, a)
         history.append(float(np.sum(np.log(p))))
         if delta < config.stop_tol:
             converged = True

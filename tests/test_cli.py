@@ -166,6 +166,24 @@ def test_empty_codebook_exits_config(tmp_path, capsys, argv):
     assert "at least one amplitude and one phase" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomo-end2end", "--source", "artificial", "--codebook-amplitudes", "1099511627776"],
+        ["codebook-export", "--codebook-amplitudes", "1099511627776"],
+    ],
+)
+def test_codebook_too_large_to_allocate_exits_config(tmp_path, capsys, argv):
+    # 2^40 amplitudes need 8 TiB in the first array built from them, which
+    # numpy refuses before allocating anything.
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"the {argv[0]} request does not fit in memory" in err
+    assert "1099511627776" in err
+    assert not out.exists()
+
+
 def test_tomo_non_numeric_config_value_exits_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phases": "many"}))

@@ -96,10 +96,20 @@ def test_pdf_is_nonnegative():
     assert np.min(quadrature_pdf(rho, 0.4, xs)) >= 0.0
 
 
+def complex_record_kernel(rho, xs, thetas):
+    # p_k = Re d_k^H rho d_k with d_kn = f_n(x_k) exp(i n theta_k): the
+    # projector form of the record probability, written independently of the
+    # phase harmonics that quadrature_pdf and the tomography map are built on.
+    phases = np.exp(1j * np.outer(np.arange(rho.cutoff + 1), thetas))
+    d = (fock_wavefunctions(xs, rho.cutoff) * phases).T
+    return np.einsum("km,mn,kn->k", d.conj(), rho.entries, d).real
+
+
 def test_pdf_rows_match_the_tomography_record_kernel():
-    # The grid pdf (phase harmonics) and the likelihood kernel (d^H rho d) are
-    # separate implementations of p(x|theta); a sign slip in theta or a
-    # conjugation in either one breaks this agreement for non-diagonal states.
+    # The grid pdf (phase harmonics) and the likelihood kernel (the real record
+    # map) are both checked against the complex projector form of p(x|theta);
+    # a sign slip in theta or a conjugation in any one of them breaks this
+    # agreement for non-diagonal states.
     rng = np.random.default_rng(31)
     xs = np.linspace(-5, 5, 101)
     thetas = (0.0, 0.7, 2.9, 5.1)
@@ -107,9 +117,11 @@ def test_pdf_rows_match_the_tomography_record_kernel():
         rho = random_density(rng)
         for theta in thetas:
             records = QuadratureDataset(xs, np.full(xs.size, theta), Convention.HALF)
-            d = tomo.measurement_matrix(records, rho.cutoff)
-            expected = tomo._quadratic_form(rho.entries, d)
+            expected = complex_record_kernel(rho, xs, records.theta)
+            record_map = tomo.measurement_matrix(records, rho.cutoff)
+            kernel = tomo._record_probabilities(rho.entries, record_map)
             assert np.allclose(quadrature_pdf(rho, theta, xs), expected, rtol=0, atol=1e-12)
+            assert np.allclose(kernel, expected, rtol=0, atol=1e-12)
 
 
 def test_fock_wavefunctions_are_orthonormal():

@@ -13,9 +13,17 @@ from thermalmimic.fock import (
     mix,
     thermal,
 )
-from thermalmimic.homodyne import Convention, ConventionError, QuadratureDataset, convert, sample
+from thermalmimic.homodyne import (
+    Convention,
+    ConventionError,
+    QuadratureDataset,
+    convert,
+    fock_wavefunctions,
+    sample,
+)
 from thermalmimic.metrics import fidelity
 from thermalmimic.tomo import (
+    LIKELIHOOD_FLOOR,
     MleConfig,
     ReconstructionEnsemble,
     average,
@@ -32,6 +40,44 @@ def fock_projector(n, cutoff):
     entries = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     entries[n, n] = 1.0
     return FockDensityMatrix(cutoff, entries)
+
+
+def complex_record_vectors(data, cutoff):
+    # d_kn = f_n(x_k) exp(i n theta_k): record k's quadrature eigenvector,
+    # whose projector Pi_k has entries d_km conj(d_kn).
+    phases = np.exp(1j * np.outer(np.arange(cutoff + 1), data.theta))
+    return (fock_wavefunctions(data.x, cutoff) * phases).T
+
+
+def complex_probabilities(rho_entries, d):
+    # p_k = Re d_k^H rho d_k, clipped like the likelihood
+    q = np.conj(d @ rho_entries.T) * d
+    return np.clip(q.sum(axis=-1).real, LIKELIHOOD_FLOOR, None)
+
+
+def complex_reference_mle(data, config):
+    """The damped R-rho-R iteration with R = (1/K) sum_k Pi_k / p_k built
+    from the complex projectors, independent of the real record map."""
+    dim = config.cutoff + 1
+    d = complex_record_vectors(data, config.cutoff)
+    rho = np.eye(dim, dtype=complex) / dim
+    p = complex_probabilities(rho, d)
+    history = [float(np.sum(np.log(p)))]
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        r = (d / p[:, None]).T @ d.conj() / d.shape[0]
+        r = 0.5 * (r + r.conj().T)
+        r_damped = (1.0 - config.dilution) * np.eye(dim) + config.dilution * r
+        updated = r_damped @ rho @ r_damped
+        updated = 0.5 * (updated + updated.conj().T)
+        updated /= updated.trace().real
+        delta = float(np.max(np.abs(updated - rho)))
+        rho = updated
+        p = complex_probabilities(rho, d)
+        history.append(float(np.sum(np.log(p))))
+        if delta < config.stop_tol:
+            break
+    return rho, iterations, np.asarray(history)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +164,27 @@ def test_coherent_state_at_nonzero_phase_is_recovered():
     result = mle_reconstruct(data, MleConfig(cutoff=10))
     assert result.converged
     assert fidelity(result.rho, mix([1.0], [coherent_pure(alpha, 10).coefficients])) >= 0.99
+
+
+def test_mle_iterates_match_the_complex_reference_iteration():
+    # A coherent part at a non-real amplitude gives rho and R imaginary
+    # off-diagonals, so a wrong sign or scale in unpacking R from the real
+    # record map changes the iterates.
+    alpha = ComplexAmplitude(1.0, math.pi / 3)
+    coherent = mix([1.0], [coherent_pure(alpha, 30).coefficients]).entries
+    source = FockDensityMatrix(30, 0.6 * coherent + 0.4 * thermal(0.5, 30).entries,
+                               trace_tol=1e-9)
+    data = sample(source, PHASES_50, 20, seed=11)
+    config = MleConfig(cutoff=10)
+    result = mle_reconstruct(data, config)
+    rho, iterations, history = complex_reference_mle(data, config)
+    assert result.converged
+    assert result.iterations == iterations
+    assert np.max(np.abs(result.rho.entries - rho)) <= 1e-12
+    assert np.max(np.abs(result.log_likelihoods - history)) <= 1e-9
+    oracle = np.sum(np.log(complex_probabilities(
+        result.rho.entries, complex_record_vectors(data, config.cutoff))))
+    assert log_likelihood(result.rho, data) == pytest.approx(oracle, rel=0.0, abs=1e-9)
 
 
 def test_thermal_ensemble_recovers_the_source():
