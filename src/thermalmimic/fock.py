@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -244,6 +245,51 @@ def mix(weights, states) -> FockDensityMatrix:
     return FockDensityMatrix(stacked.shape[1] - 1, rho, trace_tol=max(deficit, 0.0) + 1e-9)
 
 
+@cache
+def _upper_triangle(dim: int) -> np.ndarray:
+    """Read-only mask of the packed slots holding real parts (m <= n)."""
+    mask = np.tri(dim, dtype=bool).T
+    mask.setflags(write=False)
+    return mask
+
+
+def _pack(h: np.ndarray) -> np.ndarray:
+    """``packed(h)``, the real coordinates of a Hermitian ``h``: its real upper
+    triangle, diagonal included, and its imaginary strict lower triangle, in
+    one row-major dim x dim block."""
+    return np.where(_upper_triangle(h.shape[0]), h.real, h.imag).ravel()
+
+
+def _unpack(g: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian ``S`` with ``S_mm = g_mm``, ``Re S_mn = g_mn / 2`` (m < n) and
+    ``Im S_mn = g_mn / 2`` (m > n): ``sum_k w_k d_k d_k^H`` if ``g = projector_map(...) @ w``."""
+    half = 0.5 * g.reshape(dim, dim)
+    r = np.where(_upper_triangle(dim), half, 1j * half)
+    return r + r.conj().T
+
+
+def projector_map(radial: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The real C-contiguous (dim^2, K) array whose column k is ``packed(d_k d_k^H)``
+    with its off-diagonal slots doubled, ``d_kn = radial[n, k] e^{i n phases[k]}``:
+    ``radial_m^2`` in slot (m, m), ``2 cos((n - m) theta) radial_m radial_n`` in
+    slot (m, n) for m < n and ``2 sin((m - n) theta) radial_m radial_n`` for m > n.
+    So ``_pack(h) @ M`` is ``Tr(h d_k d_k^H)`` and ``_unpack(M @ w, dim)`` is
+    ``sum_k w_k d_k d_k^H``. Filled one diagonal at a time, so every write is a
+    contiguous row of K values.
+    """
+    dim, count = radial.shape
+    out = np.empty((dim, dim, count))
+    for k in range(dim):
+        m = np.arange(dim - k)
+        products = radial[:dim - k] * radial[k:]
+        if k == 0:
+            out[m, m] = products
+        else:
+            out[m, m + k] = 2.0 * np.cos(k * phases) * products
+            out[m + k, m] = 2.0 * np.sin(k * phases) * products
+    return out.reshape(dim * dim, count)
+
+
 def mean_photon(rho: FockDensityMatrix) -> float:
     """Expected photon number ``sum_n n rho_nn``."""
     n = np.arange(rho.cutoff + 1)
@@ -293,13 +339,26 @@ def density_to_csv(rho: FockDensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def density_from_csv(text: str, trace_tol: float = 0.05) -> FockDensityMatrix:
+def _csv_records(text: str, header: str) -> list[list[str]]:
+    """Fields of the records of CSV ``text`` below the line ``header``; blank and ``#``
+    lines are skipped. Raises ``ValueError`` unless there is at least one record
+    and every record has as many fields as ``header``."""
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not rows or rows[0] != "row,col,re,im":
-        raise ValueError("expected CSV header 'row,col,re,im'")
-    cells = [ln.split(",") for ln in rows[1:]]
-    dim = max(int(c[0]) for c in cells) + 1
+    if not rows or rows[0] != header:
+        raise ValueError(f"expected CSV header {header!r}")
+    records = [ln.split(",") for ln in rows[1:]]
+    width = header.count(",") + 1
+    if not records or any(len(record) != width for record in records):
+        raise ValueError(f"expected one or more CSV records of {width} fields {header!r}")
+    return records
+
+
+def density_from_csv(text: str, trace_tol: float = 0.05) -> FockDensityMatrix:
+    cells = [(int(m), int(n), re, im) for m, n, re, im in _csv_records(text, "row,col,re,im")]
+    if min(min(c[:2]) for c in cells) < 0:
+        raise ValueError("CSV row and col indices must be >= 0")
+    dim = max(max(c[:2]) for c in cells) + 1
     entries = np.zeros((dim, dim), dtype=np.complex128)
     for m, n, re, im in cells:
-        entries[int(m), int(n)] = complex(float(re), float(im))
+        entries[m, n] = complex(float(re), float(im))
     return FockDensityMatrix(dim - 1, entries, trace_tol=trace_tol)

@@ -263,8 +263,5 @@ def dataset_from_csv(text: str, sidecar: dict) -> QuadratureDataset:
     if "convention" not in sidecar:
         raise ConventionError("dataset sidecar is missing the convention tag")
     convention = Convention(sidecar["convention"])
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not rows or rows[0] != "theta,x":
-        raise ValueError("expected CSV header 'theta,x'")
-    pairs = np.array([[float(c) for c in ln.split(",")] for ln in rows[1:]])
+    pairs = np.array([[float(c) for c in pair] for pair in fock._csv_records(text, "theta,x")])
     return QuadratureDataset(pairs[:, 1], pairs[:, 0], convention)

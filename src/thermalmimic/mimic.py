@@ -155,26 +155,6 @@ def assemble(
     return fock.mix(codebook.weights.ravel(), coherent_states(*codebook.points(), cutoff, tail_tol))
 
 
-def _hermitian_embedding(row) -> np.ndarray:
-    """Independent real parameters of Hermitian matrices whose row ``m`` from
-    the diagonal on is ``row(m)``, matrices on its leading axes: the diagonal,
-    then the sqrt(2)-scaled real and imaginary upper triangles in row-major
-    order, along the first axis. The scaling keeps the Frobenius inner product,
-    so a least-squares fit in this embedding is one between the matrices."""
-    first = row(0)
-    dim = first.shape[-1]
-    n_upper = dim * (dim - 1) // 2
-    out = np.empty((dim * dim,) + first.shape[:-1])
-    stop = dim
-    for m in range(dim):
-        entries = row(m)
-        start, stop = stop, stop + dim - m - 1
-        out[m] = entries[..., 0].real
-        out[start:stop] = math.sqrt(2.0) * entries[..., 1:].T.real
-        out[n_upper + start:n_upper + stop] = math.sqrt(2.0) * entries[..., 1:].T.imag
-    return out
-
-
 def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> Codebook:
     """Refit the codebook weights to a target state by nonnegative least squares.
 
@@ -188,16 +168,22 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> Codebook:
 
 
 def _fit_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Codebook, float]:
-    """:func:`optimize_weights` and the fidelity of the kept mixture to ``target``."""
+    """:func:`optimize_weights` and the fidelity of the kept mixture to ``target``.
+
+    The NNLS design is the packed Frobenius design: the (dim^2, M)
+    :func:`fock.projector_map` of the coherent states against the packed target,
+    off-diagonal slots weighted so the residual 2-norm is the Frobenius distance.
+    """
     magnitudes, phases = codebook.points()
     alphas = magnitudes * np.exp(1j * phases)
     if alphas.size > 1 and np.all(np.abs(alphas - alphas[0]) < 1e-15):
         raise SingularDesignError("all constellation points coincide; weights are unidentifiable")
 
     states = coherent_states(magnitudes, phases, target.cutoff)
-    # column j embeds |psi_j><psi_j|, whose row m is psi_jm conj(psi_j)
-    design = _hermitian_embedding(lambda m: states[:, m, None] * states[:, m:].conj())
-    solution, _ = nnls(design, _hermitian_embedding(lambda m: target.entries[m, m:]))
+    frobenius = np.where(np.eye(target.dim, dtype=bool), 1.0, math.sqrt(2.0)).ravel()
+    design = fock.projector_map(np.abs(states).T, phases)
+    design /= frobenius[:, None]
+    solution, _ = nnls(design, fock._pack(target.entries) * frobenius)
     total = float(solution.sum())
     if total <= 0.0:
         raise SingularDesignError("nonnegative least squares returned an all-zero weight vector")

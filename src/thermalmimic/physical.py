@@ -82,21 +82,21 @@ def codebook_to_drive(
 ) -> DriveTable:
     """Per-symbol power and normalized drive level, gated on modulator feasibility.
 
-    Symbols are indexed row-major over (amplitude, phase). Raises if the span
-    of nonzero symbol powers exceeds the extinction ratio, or if a
-    zero-amplitude symbol appears on a non-ideal modulator (it would need
-    infinite extinction).
+    Symbols are indexed row-major over (amplitude, phase). Raises if no symbol
+    has power (one that underflows counts as zero), if the span of nonzero
+    symbol powers exceeds the extinction ratio, or if a zero-power symbol
+    appears on a non-ideal modulator (it would need infinite extinction).
     """
     magnitudes, phases = (axis.tolist() for axis in codebook.points())
-    if not any(a > 0.0 for a in magnitudes):
-        raise ValueError("codebook has no nonzero-amplitude symbol")
-    if not spec.ideal and 0.0 in magnitudes:
+    powers = [nbar_to_power(a * a, physics) for a in magnitudes]
+    if not any(p > 0.0 for p in powers):
+        raise ValueError("codebook has no symbol of nonzero power")
+    if not spec.ideal and 0.0 in powers:
         raise ExtinctionRangeError(
-            f"symbol {magnitudes.index(0.0)} has zero amplitude and needs infinite extinction; "
+            f"symbol {powers.index(0.0)} has zero power and needs infinite extinction; "
             "only an ideal modulator spec permits dark symbols"
         )
 
-    powers = [nbar_to_power(a * a, physics) for a in magnitudes]
     nonzero = [p for p in powers if p > 0.0]
     required_db = 10.0 * math.log10(max(nonzero) / min(nonzero))
     if required_db > spec.extinction_db:

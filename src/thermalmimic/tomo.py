@@ -5,26 +5,24 @@ Implements the iterative expectation-maximization fixed point
 where ``Pi_k`` is the rank-1 projector onto the quadrature eigenstate of
 record k and ``N`` renormalizes the trace.
 
-The record probability ``p_k = Tr(rho Pi_k)`` is real-linear in rho, so the
-records make one real (K, dim^2) map ``A`` with ``p = A @ packed(rho)``. A
-Hermitian matrix is packed as its real upper triangle, diagonal included, and
-its imaginary strict lower triangle, row-major in one dim x dim block:
-``packed(h) = where(triu, h.real, h.imag).ravel()``. ``R`` is the adjoint of
-the same map applied to ``1/(K p)``, so each iteration is two real
-matrix-vector products over ``A``. The update is damped as
-``R' = (1 - d) I + d R`` (dilution ``d``), which keeps the log-likelihood
-non-decreasing in practice on small datasets where the undamped iteration can
-oscillate. Each step preserves Hermiticity, positivity, and unit trace.
+The record probability ``p_k = Tr(rho Pi_k)`` is real-linear in rho: the
+records make one real (dim^2, K) map ``A`` of packed projectors
+(:func:`fock.projector_map`) with ``p = packed(rho) @ A``, and ``R`` is
+unpacked from ``A @ (1/(K p))``, so each iteration is two real
+matrix-vector products. The update is damped as ``R' = (1 - d) I + d R``
+(dilution ``d``), which keeps the log-likelihood non-decreasing in practice
+on small datasets where the undamped iteration can oscillate. Each step
+preserves Hermiticity, positivity, and unit trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
-from .fock import CutoffMismatchError, FockDensityMatrix, mean_photon
+from .fock import CutoffMismatchError, FockDensityMatrix, density_to_json, mean_photon
+from .fock import _pack, _unpack, projector_map
 from .homodyne import (
     Convention,
     ConventionError,
@@ -88,52 +86,15 @@ def _require_half(data: QuadratureDataset) -> None:
 
 
 def measurement_matrix(data: QuadratureDataset, cutoff: int) -> np.ndarray:
-    """The real (K, dim^2) map ``A`` with ``p_k = A[k] @ packed(rho)``.
-
-    With ``f_m = f_m(x_k)`` and ``theta = theta_k``, row k holds ``f_m^2`` in
-    slot (m, m), ``2 cos((n - m) theta) f_m f_n`` in slot (m, n) for m < n,
-    and ``2 sin((m - n) theta) f_m f_n`` in slot (m, n) for m > n: the phase
-    harmonics of :func:`homodyne._pdf_harmonics`, filled one diagonal at a
-    time. From the left, ``w @ A`` is ``packed(sum_k w_k Pi_k)`` with its
-    off-diagonal slots doubled.
-    """
-    dim = cutoff + 1
-    f = fock_wavefunctions(data.x, cutoff)
-    out = np.empty((data.count, dim, dim))
-    for k in range(dim):
-        m = np.arange(dim - k)
-        products = f[:dim - k] * f[k:]
-        if k == 0:
-            out[:, m, m] = products.T
-        else:
-            out[:, m, m + k] = (2.0 * np.cos(k * data.theta) * products).T
-            out[:, m + k, m] = (2.0 * np.sin(k * data.theta) * products).T
-    return out.reshape(data.count, dim * dim)
-
-
-@cache
-def _upper_triangle(dim: int) -> np.ndarray:
-    """Read-only mask of the packed slots holding real parts (m <= n)."""
-    mask = np.tri(dim, dtype=bool).T
-    mask.setflags(write=False)
-    return mask
-
-
-def _pack(h: np.ndarray) -> np.ndarray:
-    """``packed(h)``: real upper triangle and imaginary strict lower triangle of ``h``."""
-    return np.where(_upper_triangle(h.shape[0]), h.real, h.imag).ravel()
-
-
-def _unpack(g: np.ndarray, dim: int) -> np.ndarray:
-    """The Hermitian ``R = sum_k w_k Pi_k`` from ``g = w @ A``: ``R_mm = g_mm``,
-    ``Re R_mn = g_mn / 2`` for m < n and ``Im R_mn = g_mn / 2`` for m > n."""
-    half = 0.5 * g.reshape(dim, dim)
-    r = np.where(_upper_triangle(dim), half, 1j * half)
-    return r + r.conj().T
+    """The real (dim^2, K) map ``A`` with ``p_k = packed(rho) @ A[:, k]``: the
+    :func:`fock.projector_map` of the records' quadrature eigenstates
+    ``d_kn = f_n(x_k) e^{i n theta_k}``, so ``_unpack(A @ w, dim)`` is
+    ``sum_k w_k Pi_k``."""
+    return projector_map(fock_wavefunctions(data.x, cutoff), data.theta)
 
 
 def _record_probabilities(rho_entries: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.clip(a @ _pack(rho_entries), LIKELIHOOD_FLOOR, None)
+    return np.clip(_pack(rho_entries) @ a, LIKELIHOOD_FLOOR, None)
 
 
 def log_likelihood(rho: FockDensityMatrix, data: QuadratureDataset) -> float:
@@ -154,7 +115,7 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     _require_half(data)
     dim = config.cutoff + 1
     a = measurement_matrix(data, config.cutoff)
-    n_records = a.shape[0]
+    n_records = a.shape[1]
     identity = np.eye(dim)
 
     rho = np.eye(dim, dtype=np.complex128) / dim
@@ -165,7 +126,7 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        r = _unpack((1.0 / p) @ a / n_records, dim)
+        r = _unpack(a @ (1.0 / p) / n_records, dim)
         r_damped = (1.0 - config.dilution) * identity + config.dilution * r
         updated = r_damped @ rho @ r_damped
         updated = 0.5 * (updated + updated.conj().T)
@@ -211,8 +172,6 @@ def average(runs: list[FockDensityMatrix]) -> ReconstructionEnsemble:
 
 
 def reconstruction_report(result: MleResult) -> dict:
-    from .fock import density_to_json
-
     return {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -224,8 +183,6 @@ def reconstruction_report(result: MleResult) -> dict:
 
 
 def ensemble_report(ensemble: ReconstructionEnsemble) -> dict:
-    from .fock import density_to_json
-
     return {
         "cutoff": ensemble.mean.cutoff,
         "matrix": density_to_json(ensemble.mean),

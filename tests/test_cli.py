@@ -241,6 +241,14 @@ def test_codebook_export_extinction_violation_exits_feasibility(tmp_path, capsys
     assert "dB" in err
 
 
+def test_codebook_export_underflowing_powers_exit_numeric(tmp_path, capsys):
+    # at nbar 1e-300 every symbol's optical power rounds to 0 W
+    out = tmp_path / "out"
+    assert main(["codebook-export", "--nbar", "1e-300", "--out-dir", str(out)]) == 3
+    assert "codebook has no symbol of nonzero power" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_codebook_export_rejects_string_ideal_flag(tmp_path, capsys):
     # bool("false") is true: a string here would silently allow dark symbols.
     cb = codebook_to_json(build_codebook(1.0, 2, 2))

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import poisson
 
 from thermalmimic import fock
@@ -182,6 +185,33 @@ def test_mix_rejects_rows_above_unit_norm_and_miscounted_weights():
 
 
 # ---------------------------------------------------------------------------
+# projector_map
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_projector_map_is_the_packed_projector(data):
+    dim = data.draw(st.integers(1, 8), label="dim")
+    count = data.draw(st.integers(1, 6), label="K")
+    radial = data.draw(arrays(float, (dim, count), elements=st.floats(-1.0, 1.0)), label="radial")
+    phases = data.draw(arrays(float, count, elements=st.floats(0.0, fock.TWO_PI)), label="phases")
+    raw = data.draw(arrays(complex, (dim, dim), elements=st.complex_numbers(max_magnitude=1.0)),
+                    label="raw")
+    weights = data.draw(arrays(float, count, elements=st.floats(0.0, 1.0)), label="w")
+    h = raw + raw.conj().T
+
+    m = fock.projector_map(radial, phases)
+    assert m.shape == (dim * dim, count) and m.flags.c_contiguous
+    # complex oracle: d_kn = radial[n, k] e^{i n phases[k]}, projector d_k d_k^H
+    d = radial.T * np.exp(1j * np.outer(phases, np.arange(dim)))
+    expectations = np.einsum("km,mn,kn->k", d.conj(), h, d).real
+    mixture = np.einsum("k,km,kn->mn", weights, d, d.conj())
+    assert np.allclose(fock._pack(h) @ m, expectations, rtol=0, atol=1e-12)
+    assert np.allclose(fock._unpack(m @ weights, dim), mixture, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # mean_photon / normalize
 # ---------------------------------------------------------------------------
 
@@ -280,3 +310,13 @@ def test_csv_round_trip_is_bit_exact():
 def test_csv_rejects_wrong_header():
     with pytest.raises(ValueError, match="header"):
         fock.density_from_csv("a,b,c\n0,0,1,0\n")
+    # malformed bodies behind the right header are ValueErrors too
+    for body, match in [
+        ("0,1,0.5,0\n", "not Hermitian"),  # an index beyond the rows
+        ("", "4 fields"),
+        ("0,0,1\n", "4 fields"),
+        ("-1,0,1,0\n", ">= 0"),
+        ("0,0,one,0\n", "float"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            fock.density_from_csv("row,col,re,im\n" + body)

@@ -294,6 +294,12 @@ def test_dataset_reader_rejects_missing_convention():
         dataset_from_csv(dataset_to_csv(ds), {"seed": 1, "count": 5})
 
 
+def test_dataset_reader_rejects_malformed_text():
+    for body in ("", "0.5\n", "0.5,1.0,2.0\n"):
+        with pytest.raises(ValueError, match="2 fields"):
+            dataset_from_csv("theta,x\n" + body, {"convention": "half"})
+
+
 def test_dataset_requires_phases_in_range():
     with pytest.raises(ValueError):
         QuadratureDataset(np.array([0.0]), np.array([7.0]), Convention.HALF)

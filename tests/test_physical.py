@@ -92,21 +92,26 @@ def test_extinction_acceptance_is_monotone_in_budget():
 
 
 def test_zero_amplitude_symbol_requires_ideal_modulator():
-    cb = Codebook(
-        1.0, np.array([0.0, 1.0]), np.array([0.5]),
-        np.array([[0.5], [0.5]]), Scheme.STRATIFIED,
-    )
-    with pytest.raises(ExtinctionRangeError, match="symbol 0"):
-        codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
-    table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0, ideal=True))
-    assert table.levels[0].intensity_level == 0.0
-    assert table.levels[1].intensity_level == 1.0
+    # |alpha|^2 = 1e-340 rounds to 0: a nonzero amplitude whose power is zero
+    for dark in (0.0, 1e-170):
+        cb = Codebook(
+            1.0, np.array([dark, 1.0]), np.array([0.5]),
+            np.array([[0.5], [0.5]]), Scheme.STRATIFIED,
+        )
+        with pytest.raises(ExtinctionRangeError, match="symbol 0 has zero power"):
+            codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
+        table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0, ideal=True))
+        assert table.levels[0].intensity_level == 0.0
+        assert table.levels[1].intensity_level == 1.0
 
 
 def test_all_dark_codebook_is_rejected():
-    cb = Codebook(1.0, np.array([0.0]), np.array([0.0]), np.array([[1.0]]), Scheme.STRATIFIED)
-    with pytest.raises(ValueError, match="nonzero"):
-        codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0, ideal=True))
+    for dark in (0.0, 1e-170):
+        cb = Codebook(1.0, np.array([dark]), np.array([0.0]), np.array([[1.0]]), Scheme.STRATIFIED)
+        for spec in (ModulatorSpec(25.0), ModulatorSpec(25.0, ideal=True)):
+            with pytest.raises(ValueError, match="no symbol of nonzero power") as excinfo:
+                codebook_to_drive(cb, TELECOM, spec)
+            assert not isinstance(excinfo.value, ExtinctionRangeError)
 
 
 def test_drive_levels_round_trip_to_photon_numbers():
