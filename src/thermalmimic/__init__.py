@@ -5,12 +5,9 @@ metrics."""
 __version__ = "0.1.0"
 
 from .fock import (
-    ComplexAmplitude,
     CutoffMismatchError,
     FockDensityMatrix,
-    PureStateVector,
     TruncationError,
-    coherent_pure,
     coherent_states,
     mean_photon,
     mix,

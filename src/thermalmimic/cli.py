@@ -59,6 +59,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.nbars or any(nb <= 0 for nb in self.nbars):
             raise ConfigError("nbars must be a non-empty list of positive values")
+        if not self.samples:
+            raise ConfigError("samples must be a non-empty list of perfect squares")
         for m in self.samples:
             if m < 1 or math.isqrt(m) ** 2 != m:
                 raise ConfigError(f"sample count {m} is not a perfect square")
@@ -332,14 +334,7 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
             "config_hash": chash,
             "config": asdict(cfg),
             "ensemble": tomo.ensemble_report(ensemble),
-            "runs": [
-                {
-                    "converged": r.converged,
-                    "iterations": r.iterations,
-                    "final_log_likelihood": r.final_log_likelihood,
-                }
-                for r in results + extra_runs
-            ],
+            "runs": [tomo.reconstruction_report(r) for r in results + extra_runs],
         },
     )
     _write_json(
@@ -385,8 +380,9 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
 
 
 def _parse_matrix(obj) -> fock.FockDensityMatrix:
-    """A bare density matrix, or one wrapped as a reconstruction
-    (``{"matrix": ...}``) or as in ``ensemble.json`` (``{"ensemble": {"matrix": ...}}``)."""
+    """A bare density matrix, or one wrapped as ``{"matrix": ...}`` (as
+    :func:`tomo.ensemble_report` writes it) or as in ``ensemble.json``
+    (``{"ensemble": {"matrix": ...}}``)."""
     obj = obj.get("ensemble", obj)
     return fock.density_from_json(obj.get("matrix", obj))
 

@@ -1,10 +1,11 @@
 """Fock-basis representations of coherent, thermal, and mixed optical states.
 
-Everything downstream (constellation shaping, homodyne simulation, tomography,
-metrics) works on the two value types defined here: ``PureStateVector`` for
-coherent states and ``FockDensityMatrix`` for everything else. Both are
-immutable after construction and validate their own matrix invariants, so a
-state that reaches the rest of the toolkit is guaranteed Hermitian, positive
+Coherent states are rows of Fock coefficients, one per amplitude, as
+:func:`coherent_states` returns them; :func:`mix` turns weighted rows into a
+``FockDensityMatrix``, the value type everything downstream (constellation
+shaping, homodyne simulation, tomography, metrics) works on. A density matrix
+is immutable after construction and validates its own invariants, so a state
+that reaches the rest of the toolkit is guaranteed finite, Hermitian, positive
 semidefinite, and normalized up to a declared truncation budget.
 """
 
@@ -49,66 +50,14 @@ def wrap_phase(phase: float) -> float:
     return 0.0 if wrapped >= TWO_PI else wrapped
 
 
-@dataclass(frozen=True)
-class ComplexAmplitude:
-    """Polar form of a coherent-state amplitude: magnitude >= 0, phase in [0, 2*pi)."""
-
-    magnitude: float
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.magnitude < 0.0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
-        object.__setattr__(self, "phase", wrap_phase(self.phase))
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexAmplitude":
-        return cls(abs(z), math.atan2(z.imag, z.real))
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-
-@dataclass(frozen=True, eq=False)
-class PureStateVector:
-    """Fock-basis coefficient vector of a pure state, truncated at ``cutoff``.
-
-    Coefficient ``n`` is the overlap with the number state ``|n>``. The squared
-    norm may fall short of 1 by the truncation mass accepted at construction,
-    and is never above 1 (beyond rounding).
-    """
-
-    cutoff: int
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.cutoff + 1,):
-            raise ValueError(
-                f"coefficients must have shape ({self.cutoff + 1},), got {coeffs.shape}"
-            )
-        norm_sq = float(np.vdot(coeffs, coeffs).real)
-        if norm_sq > 1.0 + TRACE_EXCESS_TOL:
-            raise ValueError(f"squared norm {norm_sq} exceeds 1")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.coefficients, self.coefficients).real)
-
-
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Complex matrix of number-basis elements ``<m|rho|n>`` up to ``cutoff``.
 
     ``trace_tol`` is the truncation-mass budget the matrix was built under:
     the trace must lie in [1 - trace_tol, 1 + 1e-12]. Construction validates
-    Hermiticity and positive semidefiniteness; traces are never silently
-    renormalized (use :func:`normalize` explicitly).
+    finiteness, Hermiticity and positive semidefiniteness; traces are never
+    silently renormalized (use :func:`normalize` explicitly).
     """
 
     cutoff: int
@@ -122,6 +71,8 @@ class FockDensityMatrix:
         dim = self.cutoff + 1
         if rho.shape != (dim, dim):
             raise ValueError(f"entries must have shape ({dim}, {dim}), got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("entries must be finite")
         asym = float(np.max(np.abs(rho - rho.conj().T)))
         if asym > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |rho - rho^dag| = {asym:.3e}")
@@ -153,6 +104,7 @@ def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_T
     evaluated in log space so no factorial is ever formed directly.
 
     Raises:
+        ValueError: if a magnitude is negative.
         TruncationError: if a row's Poisson mass beyond ``cutoff`` exceeds ``tail_tol``.
     """
     if cutoff < 0:
@@ -172,14 +124,6 @@ def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_T
             f"{tails[i]:.3e} beyond cutoff {cutoff} (budget {tail_tol:.1e})"
         )
     return states
-
-
-def coherent_pure(
-    alpha: ComplexAmplitude, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> PureStateVector:
-    """Truncated coherent state ``|alpha>``: the one-row case of :func:`coherent_states`."""
-    states = coherent_states([alpha.magnitude], [alpha.phase], cutoff, tail_tol)
-    return PureStateVector(cutoff, states[0])
 
 
 def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatrix:
@@ -358,6 +302,9 @@ def density_from_csv(text: str, trace_tol: float = 0.05) -> FockDensityMatrix:
     if min(min(c[:2]) for c in cells) < 0:
         raise ValueError("CSV row and col indices must be >= 0")
     dim = max(max(c[:2]) for c in cells) + 1
+    if len(cells) != dim * dim or len({c[:2] for c in cells}) != dim * dim:
+        raise ValueError(f"expected one CSV record per cell of the {dim} x {dim} grid, "
+                         f"got {len(cells)} records")
     entries = np.zeros((dim, dim), dtype=np.complex128)
     for m, n, re, im in cells:
         entries[m, n] = complex(float(re), float(im))

@@ -59,7 +59,9 @@ class QuadratureDataset:
             raise ValueError("need at least one quadrature record")
         if thetas.shape != xs.shape:
             raise ValueError("x and theta must have identical shapes")
-        if np.any(thetas < 0.0) or np.any(thetas >= fock.TWO_PI):
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("quadratures must be finite")
+        if not np.all((thetas >= 0.0) & (thetas < fock.TWO_PI)):  # false for nan
             raise ValueError("phases must lie in [0, 2*pi)")
         if not isinstance(self.convention, Convention):
             raise ConventionError(f"invalid convention tag {self.convention!r}")

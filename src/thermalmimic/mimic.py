@@ -5,8 +5,9 @@ amplitudes follow a Rayleigh law. This module discretizes that picture into a
 finite codebook of L amplitudes x Q phases with mixing weights, builds the
 resulting density matrix, and measures how faithfully it reproduces the target
 thermal state. Weights default to uniform over a stratified (quantile-midpoint)
-grid, which already mimics well; a nonnegative-least-squares refinement is
-available when the uniform mixture is not faithful enough.
+grid, which already mimics well; :func:`optimize_weights` refits them by
+nonnegative least squares when the uniform mixture is not faithful enough, and
+returns the refit codebook with its fidelity to the target.
 """
 
 from __future__ import annotations
@@ -155,24 +156,17 @@ def assemble(
     return fock.mix(codebook.weights.ravel(), coherent_states(*codebook.points(), cutoff, tail_tol))
 
 
-def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> Codebook:
-    """Refit the codebook weights to a target state by nonnegative least squares.
+def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Codebook, float]:
+    """Refit the codebook weights to a target state by nonnegative least squares;
+    return the refit codebook and the fidelity of its mixture to ``target``.
 
     Minimizes the Frobenius distance between the mixture and the target over
     nonnegative weights, then renormalizes to sum 1. The returned codebook is
     never less faithful than the input: if the refit loses fidelity (possible
     since Frobenius distance is only a surrogate for fidelity), the original
-    weights are kept.
-    """
-    return _fit_weights(codebook, target)[0]
-
-
-def _fit_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Codebook, float]:
-    """:func:`optimize_weights` and the fidelity of the kept mixture to ``target``.
-
-    The NNLS design is the packed Frobenius design: the (dim^2, M)
-    :func:`fock.projector_map` of the coherent states against the packed target,
-    off-diagonal slots weighted so the residual 2-norm is the Frobenius distance.
+    weights are kept. The NNLS design is the (dim^2, M) :func:`fock.projector_map`
+    of the coherent states against the packed target, off-diagonal slots
+    weighted so the residual 2-norm is the Frobenius distance.
     """
     magnitudes, phases = codebook.points()
     alphas = magnitudes * np.exp(1j * phases)
@@ -236,7 +230,7 @@ def sweep_fidelity(
                 else:
                     cb = build_codebook(nbar, side, side, Scheme.STRATIFIED)
                 if scheme == Scheme.OPTIMIZED:
-                    fids.append(_fit_weights(cb, reference)[1])
+                    fids.append(optimize_weights(cb, reference)[1])
                 else:
                     fids.append(fidelity(assemble(cb, cutoff), reference))
             fids_arr = np.asarray(fids)

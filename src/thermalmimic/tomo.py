@@ -13,6 +13,10 @@ matrix-vector products. The update is damped as ``R' = (1 - d) I + d R``
 (dilution ``d``), which keeps the log-likelihood non-decreasing in practice
 on small datasets where the undamped iteration can oscillate. Each step
 preserves Hermiticity, positivity, and unit trace.
+
+:func:`reconstruction_report` (one run's convergence record) and
+:func:`ensemble_report` (the averaged state) are the JSON records a
+``tomo-end2end`` run writes.
 """
 
 from __future__ import annotations
@@ -172,17 +176,16 @@ def average(runs: list[FockDensityMatrix]) -> ReconstructionEnsemble:
 
 
 def reconstruction_report(result: MleResult) -> dict:
+    """One run's convergence record, as ``ensemble.json`` lists it under ``runs``."""
     return {
         "converged": result.converged,
         "iterations": result.iterations,
         "final_log_likelihood": result.final_log_likelihood,
-        "cutoff": result.rho.cutoff,
-        "matrix": density_to_json(result.rho),
-        "mean_photon": mean_photon(result.rho),
     }
 
 
 def ensemble_report(ensemble: ReconstructionEnsemble) -> dict:
+    """The averaged state and its spread, as ``ensemble.json`` writes it under ``ensemble``."""
     return {
         "cutoff": ensemble.mean.cutoff,
         "matrix": density_to_json(ensemble.mean),

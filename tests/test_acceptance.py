@@ -136,7 +136,7 @@ def test_criterion_4_helstrom_floor_between_reconstructions(pipelines):
 def test_criterion_5_thermal_vs_laser_discrimination():
     t0 = time.perf_counter()
     rho_th = fock.thermal(1.0, 30)
-    laser = fock.mix([1.0], [fock.coherent_pure(fock.ComplexAmplitude(1.0), 30).coefficients])
+    laser = fock.mix([1.0], fock.coherent_states([1.0], [0.0], 30))
     p_err = metrics.helstrom_error(rho_th, laser)
     elapsed = time.perf_counter() - t0
     ok = abs(p_err - 0.14) <= 0.02 and elapsed < 1.0
@@ -148,7 +148,7 @@ def test_criterion_5_thermal_vs_laser_discrimination():
 
 def test_criterion_6_entropy_block(pipelines):
     s_coherent = metrics.von_neumann_entropy(
-        fock.mix([1.0], [fock.coherent_pure(fock.ComplexAmplitude(1.0), 30).coefficients])
+        fock.mix([1.0], fock.coherent_states([1.0], [0.0], 30))
     )
     s_thermal_1 = metrics.von_neumann_entropy(fock.thermal(1.0, 40))
     ceiling = metrics.thermal_entropy(NBAR)
@@ -185,10 +185,7 @@ def test_criterion_7_property_battery():
     for rho in (
         fock.thermal(1.35, 30),
         mimic.assemble(mimic.build_codebook(1.0, 4, 4), 30),
-        fock.mix([0.5, 0.5], [
-            fock.coherent_pure(fock.ComplexAmplitude(1.0), 30).coefficients,
-            fock.coherent_pure(fock.ComplexAmplitude(1.0, math.pi), 30).coefficients,
-        ]),
+        fock.mix([0.5, 0.5], fock.coherent_states([1.0, 1.0], [0.0, math.pi], 30)),
     ):
         assert np.max(np.abs(rho.entries - rho.entries.conj().T)) <= 1e-12
         assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-10

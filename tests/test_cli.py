@@ -66,6 +66,15 @@ def test_sweep_rejects_non_square_sample_count(tmp_path):
     assert main(["mimic-sweep", "--samples", "50", "--out-dir", str(tmp_path)]) == 2
 
 
+def test_sweep_rejects_empty_sample_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": []}))
+    for extra in (["--samples", ""], ["--config", str(cfg)]):
+        assert main(["mimic-sweep", *extra, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "samples must be a non-empty list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_accepts_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nbars": [1.0], "samples": [4], "seed": 9}))
@@ -339,6 +348,10 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
         ("metrics", '{"cutoff": 0, "entries_real": [[2.0]], "entries_imag": [[0.0]]}'),
         ("codebook-export", '{"nbar_target": 1.0, "amplitudes": [1.0], "phases": [0.0], '
                             '"weights": [[1.0]], "scheme": "bogus"}'),
+        ("metrics", '{"cutoff": 1, "entries_real": [[NaN, 0.0], [0.0, 0.5]], '
+                    '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
+        ("metrics", '{"cutoff": 1, "entries_real": [[0.5, Infinity], [Infinity, 0.5]], '
+                    '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
     ],
 )
 def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):

@@ -11,11 +11,9 @@ from scipy.stats import poisson
 from thermalmimic import fock
 from thermalmimic.mimic import Scheme, build_codebook
 from thermalmimic.fock import (
-    ComplexAmplitude,
     CutoffMismatchError,
     FockDensityMatrix,
     TruncationError,
-    coherent_pure,
     coherent_states,
     mean_photon,
     mix,
@@ -26,11 +24,16 @@ from thermalmimic.fock import (
 
 
 def coherent(mag, phase=0.0, cutoff=30):
-    return coherent_pure(ComplexAmplitude(mag, phase), cutoff)
+    """The Fock row of one coherent state."""
+    return coherent_states([mag], [phase], cutoff)[0]
+
+
+def norm_sq(psi):
+    return float(np.vdot(psi, psi).real)
 
 
 # ---------------------------------------------------------------------------
-# coherent_pure
+# coherent_states
 # ---------------------------------------------------------------------------
 
 
@@ -38,36 +41,36 @@ def test_coherent_vacuum_is_ground_state():
     psi = coherent(0.0, 0.0, cutoff=10)
     expected = np.zeros(11)
     expected[0] = 1.0
-    assert np.array_equal(psi.coefficients, expected)
+    assert np.array_equal(psi, expected)
 
 
 def test_coherent_ground_coefficient_matches_direct_formula():
     psi = coherent(1.0, 0.0, cutoff=30)
-    assert psi.coefficients[0].real == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert psi.coefficients[0].imag == 0.0
+    assert psi[0].real == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert psi[0].imag == 0.0
 
 
 def test_coherent_norm_captures_poisson_mass():
     # |alpha|^2 = 1.5: the Poisson tail above n=30 is far below 1e-9.
     psi = coherent(math.sqrt(1.5), math.pi / 3, cutoff=30)
-    assert psi.norm_sq >= 1.0 - 1e-9
+    assert norm_sq(psi) >= 1.0 - 1e-9
     assert poisson.sf(30, 1.5) < 1e-9  # independent tail oracle
 
 
 def test_coherent_coefficients_match_poisson_pmf():
     psi = coherent(math.sqrt(2.0), 0.7, cutoff=40)
-    probs = np.abs(psi.coefficients) ** 2
+    probs = np.abs(psi) ** 2
     assert np.allclose(probs, poisson.pmf(np.arange(41), 2.0), atol=1e-14)
 
 
 def test_coherent_truncation_error_when_tail_too_large():
     with pytest.raises(TruncationError):
-        coherent_pure(ComplexAmplitude(3.0), cutoff=5)
+        coherent(3.0, cutoff=5)
 
 
-# ---------------------------------------------------------------------------
-# coherent_states
-# ---------------------------------------------------------------------------
+def test_coherent_states_rejects_negative_magnitude():
+    with pytest.raises(ValueError, match="magnitudes must be >= 0"):
+        coherent_states([0.5, -0.1], [0.0, 1.0], cutoff=10)
 
 
 @pytest.mark.parametrize(
@@ -79,11 +82,17 @@ def test_coherent_truncation_error_when_tail_too_large():
     ],
     ids=["stratified", "random", "zero-amplitude"],
 )
-def test_coherent_states_rows_equal_coherent_pure(magnitudes, phases):
+def test_coherent_states_rows_match_the_direct_formula(magnitudes, phases):
     states = coherent_states(magnitudes, phases, 30)
     assert states.shape == (len(magnitudes), 31)
     for row, mag, phase in zip(states, magnitudes, phases):
-        assert np.array_equal(row, coherent_pure(ComplexAmplitude(mag, phase), 30).coefficients)
+        # term by term: |a|^n e^{i n p} e^{-|a|^2/2} / sqrt(n!)
+        direct = [
+            mag**n * complex(math.cos(n * phase), math.sin(n * phase))
+            * math.exp(-0.5 * mag**2) / math.sqrt(math.factorial(n))
+            for n in range(31)
+        ]
+        assert np.allclose(row, direct, rtol=1e-12, atol=0.0)
         if mag == 0.0:
             assert np.array_equal(row, np.eye(31)[0])
 
@@ -144,13 +153,13 @@ def test_thermal_diagonal_decreasing_and_exact(nbar):
 
 def test_mix_single_component_is_projector():
     psi = coherent(1.0)
-    rho = mix([1.0], [psi.coefficients])
-    assert np.allclose(rho.entries, np.outer(psi.coefficients, psi.coefficients.conj()))
+    rho = mix([1.0], [psi])
+    assert np.allclose(rho.entries, np.outer(psi, psi.conj()))
     assert purity(rho) >= 1.0 - 2 * fock.DEFAULT_TAIL_TOL
 
 
 def test_mix_opposite_phases_kills_odd_coherences():
-    rho = mix([0.5, 0.5], [coherent(1.0, 0.0).coefficients, coherent(1.0, math.pi).coefficients])
+    rho = mix([0.5, 0.5], [coherent(1.0, 0.0), coherent(1.0, math.pi)])
     m, n = np.indices(rho.entries.shape)
     odd = (m - n) % 2 == 1
     assert np.max(np.abs(rho.entries[odd])) < 1e-12
@@ -161,23 +170,23 @@ def test_mix_trace_is_weighted_norm_sum():
     weights = rng.random(5)
     weights /= weights.sum()
     states = [coherent(rng.uniform(0, 1.8), rng.uniform(0, 2 * math.pi)) for _ in range(5)]
-    rho = mix(weights, [s.coefficients for s in states])
-    expected = sum(w * s.norm_sq for w, s in zip(weights, states))
+    rho = mix(weights, states)
+    expected = sum(w * norm_sq(s) for w, s in zip(weights, states))
     assert rho.trace == pytest.approx(expected, abs=1e-9)
 
 
 def test_mix_rejects_bad_weights_and_cutoffs():
     psi = coherent(1.0)
     with pytest.raises(ValueError, match="sum to 1"):
-        mix([0.5, 0.4], [psi.coefficients, psi.coefficients])
+        mix([0.5, 0.4], [psi, psi])
     with pytest.raises(ValueError, match=">= 0"):
-        mix([1.5, -0.5], [psi.coefficients, psi.coefficients])
+        mix([1.5, -0.5], [psi, psi])
     with pytest.raises(CutoffMismatchError):
-        mix([0.5, 0.5], [psi.coefficients, coherent(1.0, 0.0, cutoff=20).coefficients])
+        mix([0.5, 0.5], [psi, coherent(1.0, 0.0, cutoff=20)])
 
 
 def test_mix_rejects_rows_above_unit_norm_and_miscounted_weights():
-    psi = coherent(1.0).coefficients
+    psi = coherent(1.0)
     with pytest.raises(ValueError, match="exceeds 1"):
         mix([0.5, 0.5], [psi, 1.01 * psi])
     with pytest.raises(ValueError, match="3 weights for 2 states"):
@@ -222,7 +231,7 @@ def test_mean_photon_of_thermal_is_nbar():
 
 
 def test_mean_photon_of_coherent_is_alpha_squared():
-    rho = mix([1.0], [coherent(math.sqrt(1.5)).coefficients])
+    rho = mix([1.0], [coherent(math.sqrt(1.5))])
     assert mean_photon(rho) == pytest.approx(1.5, abs=1e-6)
 
 
@@ -252,12 +261,19 @@ def test_density_matrix_rejects_non_hermitian():
     bad[0, 1] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
         FockDensityMatrix(2, bad)
+    # inf - inf is nan, and nan > tol is false, so only a finiteness check sees this pair
+    bad = 0.5 * np.eye(2, dtype=complex)
+    bad[0, 1] = bad[1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        FockDensityMatrix(1, bad)
 
 
 def test_density_matrix_rejects_negative_eigenvalues():
     bad = np.diag([1.2, -0.2, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="positive semidefinite"):
         FockDensityMatrix(2, bad)
+    with pytest.raises(ValueError, match="finite"):
+        FockDensityMatrix(1, np.diag([np.nan, 0.5]).astype(complex))
 
 
 def test_density_matrix_rejects_bad_trace():
@@ -271,14 +287,6 @@ def test_density_matrix_entries_are_immutable():
     rho = thermal(1.0, 30)
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.0
-
-
-def test_complex_amplitude_wraps_phase_and_rejects_negative_magnitude():
-    amp = ComplexAmplitude(1.0, -math.pi / 2)
-    assert amp.phase == pytest.approx(1.5 * math.pi)
-    assert ComplexAmplitude.from_complex(amp.value).magnitude == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        ComplexAmplitude(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +320,7 @@ def test_csv_rejects_wrong_header():
         fock.density_from_csv("a,b,c\n0,0,1,0\n")
     # malformed bodies behind the right header are ValueErrors too
     for body, match in [
-        ("0,1,0.5,0\n", "not Hermitian"),  # an index beyond the rows
+        ("0,1,0.5,0\n", "one CSV record per cell"),  # an index beyond the rows
         ("", "4 fields"),
         ("0,0,1\n", "4 fields"),
         ("-1,0,1,0\n", ">= 0"),
@@ -320,3 +328,8 @@ def test_csv_rejects_wrong_header():
     ]:
         with pytest.raises(ValueError, match=match):
             fock.density_from_csv("row,col,re,im\n" + body)
+    # every cell of the dim x dim grid exactly once: no cut-off tail, no repeat
+    lines = fock.density_to_csv(thermal(0.5, 12)).splitlines()
+    for kept in (lines[:-14], lines + [lines[1]], lines[:-1] + [lines[1]]):
+        with pytest.raises(ValueError, match="one CSV record per cell of the 13 x 13 grid"):
+            fock.density_from_csv("\n".join(kept))

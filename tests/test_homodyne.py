@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from thermalmimic import mimic, tomo
-from thermalmimic.fock import ComplexAmplitude, FockDensityMatrix, coherent_pure, mix, thermal
+from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.homodyne import (
     CalibrationStats,
     Convention,
@@ -30,7 +30,7 @@ PHASES_50 = 2.0 * math.pi * np.arange(50) / 50
 
 
 def coherent_state(mag, phase=0.0, cutoff=30):
-    return mix([1.0], [coherent_pure(ComplexAmplitude(mag, phase), cutoff).coefficients])
+    return mix([1.0], coherent_states([mag], [phase], cutoff))
 
 
 def random_density(rng, cutoff=9):
@@ -297,6 +297,13 @@ def test_dataset_reader_rejects_missing_convention():
 def test_dataset_reader_rejects_malformed_text():
     for body in ("", "0.5\n", "0.5,1.0,2.0\n"):
         with pytest.raises(ValueError, match="2 fields"):
+            dataset_from_csv("theta,x\n" + body, {"convention": "half"})
+    for body, match in [
+        ("nan,0.1\n", r"phases must lie in \[0, 2\*pi\)"),
+        ("0.5,nan\n", "quadratures must be finite"),
+        ("0.5,inf\n", "quadratures must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
             dataset_from_csv("theta,x\n" + body, {"convention": "half"})
 
 

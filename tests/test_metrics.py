@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermalmimic import fock, metrics, mimic
-from thermalmimic.fock import ComplexAmplitude, FockDensityMatrix, coherent_pure, mix, thermal
+from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.metrics import (
     NotPositiveSemidefiniteError,
     compare,
@@ -107,7 +107,7 @@ def test_helstrom_extremes():
 
 def test_helstrom_thermal_vs_laser_near_point_14():
     rho_th = thermal(1.0, 30)
-    laser = mix([1.0], [coherent_pure(ComplexAmplitude(1.0), 30).coefficients])
+    laser = mix([1.0], coherent_states([1.0], [0.0], 30))
     p_err = helstrom_error(rho_th, laser)
     assert p_err == pytest.approx(0.14, abs=0.02)
     assert 0.5 - trace_distance(rho_th, laser) / 2.0 == pytest.approx(p_err, abs=1e-12)
@@ -132,7 +132,7 @@ def test_fuchs_van_de_graaff_sandwich():
 
 
 def test_entropy_of_pure_coherent_state_is_zero():
-    rho = mix([1.0], [coherent_pure(ComplexAmplitude(1.2, 0.4), 30).coefficients])
+    rho = mix([1.0], coherent_states([1.2], [0.4], 30))
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -171,7 +171,7 @@ def test_thermal_state_maximizes_entropy_at_fixed_mean(nbar, n_amp, n_ph):
 
 def test_compare_report_fields():
     a = thermal(1.0, 30)
-    b = mix([1.0], [coherent_pure(ComplexAmplitude(1.0), 30).coefficients])
+    b = mix([1.0], coherent_states([1.0], [0.0], 30))
     report = compare(a, b)
     assert set(report) == {
         "fidelity",
