@@ -76,7 +76,8 @@ class TomoConfig:
 
     ``phases`` LO phases x ``samples_per_phase`` quadratures per run. A
     ``gain`` enables the raw-voltage calibration path, under ``convention``.
-    ``cutoff``, ``max_iterations``, ``stop_tol`` and ``dilution`` are the MLE's.
+    ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap, in
+    nats, at which a run stops) are the MLE's.
     """
 
     source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"
@@ -94,8 +95,7 @@ class TomoConfig:
     gain: float | None = None
     offset: float = 0.0
     max_iterations: int = 2000
-    stop_tol: float = 1e-7
-    dilution: float = 0.5
+    stop_tol: float = 1e-3
     out_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -117,7 +117,7 @@ class TomoConfig:
 
     @property
     def mle(self) -> tomo.MleConfig:
-        return tomo.MleConfig(self.cutoff, self.max_iterations, self.stop_tol, self.dilution)
+        return tomo.MleConfig(self.cutoff, self.max_iterations, self.stop_tol)
 
     @property
     def codebook_args(self) -> tuple:
@@ -173,7 +173,8 @@ class CodebookConfig:
 class MetricsConfig:
     """Compare two serialized density matrices.
 
-    Each file holds a bare, reconstruction- or ensemble-wrapped matrix JSON.
+    Each file holds a density-matrix JSON: bare, wrapped as ``{"matrix": ...}``
+    (an ``ensemble_report``), or a whole ``ensemble.json``.
     ``out`` writes the report there instead of stdout.
     """
 

@@ -193,6 +193,14 @@ def test_codebook_too_large_to_allocate_exits_config(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_tomo_config_file_naming_dilution_exits_config(tmp_path, capsys):
+    # the MLE has no damping knob; a config that still names one is rejected
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dilution": 0.5}))
+    assert main(["tomo-end2end", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "unknown config keys: dilution" in capsys.readouterr().err
+
+
 def test_tomo_non_numeric_config_value_exits_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phases": "many"}))
@@ -372,6 +380,7 @@ def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):
         ["mimic-sweep", "--nbars", "1.0,x"],
         ["tomo-end2end", "--phases", "2.5"],
         ["codebook-export", "--ideal", "false"],
+        ["tomo-end2end", "--dilution", "0.5"],
     ],
 )
 def test_malformed_flag_exits_config(tmp_path, argv):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalmimic import mimic
 from thermalmimic.fock import (
@@ -25,9 +27,12 @@ from thermalmimic.tomo import (
     LIKELIHOOD_FLOOR,
     MleConfig,
     ReconstructionEnsemble,
+    _gradient,
+    _record_probabilities,
     average,
     ensemble_report,
     log_likelihood,
+    measurement_matrix,
     mle_reconstruct,
     reconstruction_report,
 )
@@ -54,29 +59,30 @@ def complex_probabilities(rho_entries, d):
     return np.clip(q.sum(axis=-1).real, LIKELIHOOD_FLOOR, None)
 
 
-def complex_reference_mle(data, config):
-    """The damped R-rho-R iteration with R = (1/K) sum_k Pi_k / p_k built
-    from the complex projectors, independent of the real record map."""
-    dim = config.cutoff + 1
-    d = complex_record_vectors(data, config.cutoff)
-    rho = np.eye(dim, dtype=complex) / dim
-    p = complex_probabilities(rho, d)
-    history = [float(np.sum(np.log(p)))]
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        r = (d / p[:, None]).T @ d.conj() / d.shape[0]
-        r = 0.5 * (r + r.conj().T)
-        r_damped = (1.0 - config.dilution) * np.eye(dim) + config.dilution * r
-        updated = r_damped @ rho @ r_damped
-        updated = 0.5 * (updated + updated.conj().T)
-        updated /= updated.trace().real
-        delta = float(np.max(np.abs(updated - rho)))
-        rho = updated
-        p = complex_probabilities(rho, d)
-        history.append(float(np.sum(np.log(p))))
-        if delta < config.stop_tol:
-            break
-    return rho, iterations, np.asarray(history)
+def complex_gradient(rho_entries, d):
+    # R = (1/K) sum_k Pi_k / p_k from the complex projectors
+    r = (d / complex_probabilities(rho_entries, d)[:, None]).T @ d.conj() / d.shape[0]
+    return 0.5 * (r + r.conj().T)
+
+
+def complex_gap(r, d):
+    # K (lambda_max(R) - 1), the bound on ll* - ll(rho) in nats
+    return d.shape[0] * (np.linalg.eigvalsh(r)[-1] - 1.0)
+
+
+def complex_reference_mle(data, cutoff, stop_gap):
+    """The R-rho-R fixed point with R built from the complex projectors,
+    independent of the real record map, run until its optimality gap
+    K (lambda_max(R) - 1) is at most ``stop_gap`` nats."""
+    d = complex_record_vectors(data, cutoff)
+    rho = np.eye(cutoff + 1, dtype=complex) / (cutoff + 1)
+    for _ in range(5000):
+        r = complex_gradient(rho, d)
+        if complex_gap(r, d) <= stop_gap:
+            return rho
+        rho = r @ rho @ r
+        rho = 0.5 * (rho + rho.conj().T) / rho.trace().real
+    raise AssertionError(f"the reference iteration stopped short of a {stop_gap}-nat gap")
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +159,45 @@ def test_log_likelihood_is_monotone_along_the_iteration():
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source_cutoff=st.integers(0, 8),
+    rank=st.integers(1, 3),
+    phases=st.integers(1, 12),
+    per_phase=st.integers(1, 25),
+    cutoff=st.integers(0, 6),
+    max_iterations=st.integers(1, 300),
+    stop_tol=st.sampled_from([1e-3, 1e-6]),
+)
+def test_mle_invariants_hold_on_random_sources(
+    seed, source_cutoff, rank, phases, per_phase, cutoff, max_iterations, stop_tol
+):
+    rng = np.random.default_rng(seed)
+    factor = rng.normal(size=(source_cutoff + 1, rank)) + 1j * rng.normal(
+        size=(source_cutoff + 1, rank))
+    entries = factor @ factor.conj().T
+    source = FockDensityMatrix(source_cutoff, entries / entries.trace().real, trace_tol=1e-9)
+    data = sample(source, 2.0 * math.pi * np.arange(phases) / phases, per_phase, seed=seed)
+    config = MleConfig(cutoff=cutoff, max_iterations=max_iterations, stop_tol=stop_tol)
+    result = mle_reconstruct(data, config)
+    rho = result.rho  # construction itself validates trace, Hermiticity and PSD
+    assert isinstance(rho, FockDensityMatrix) and rho.cutoff == cutoff
+    assert np.diff(result.log_likelihoods).min(initial=0.0) >= -1e-8
+    assert result.optimality_gap >= -1e-9
+    assert not result.converged or result.optimality_gap <= stop_tol
+
+
+def test_optimality_gap_bounds_the_likelihood_distance():
+    data = sample(thermal(1.0, 30), PHASES_50, 20, seed=12)
+    default = mle_reconstruct(data, MleConfig(cutoff=10))
+    tight = mle_reconstruct(data, MleConfig(cutoff=10, stop_tol=1e-9))
+    assert default.converged and tight.converged
+    assert tight.optimality_gap <= 1e-9
+    assert tight.final_log_likelihood - default.final_log_likelihood <= (
+        default.optimality_gap + 1e-9)
+
+
 def test_coherent_state_at_nonzero_phase_is_recovered():
     # A state that is not phase-invariant pins the sign of theta in the
     # measurement rows to the one homodyne.sample draws with: a slip
@@ -165,24 +210,30 @@ def test_coherent_state_at_nonzero_phase_is_recovered():
     assert fidelity(result.rho, mix([1.0], coherent_states(*alpha, 10))) >= 0.99
 
 
-def test_mle_iterates_match_the_complex_reference_iteration():
+def test_mle_gradient_and_optimum_match_the_complex_reference():
     # A coherent part at a non-real amplitude gives rho and R imaginary
     # off-diagonals, so a wrong sign or scale in unpacking R from the real
-    # record map changes the iterates.
+    # record map changes the gradient, the steps and the certified gap.
     coherent = mix([1.0], coherent_states([1.0], [math.pi / 3], 30)).entries
     source = FockDensityMatrix(30, 0.6 * coherent + 0.4 * thermal(0.5, 30).entries,
                                trace_tol=1e-9)
     data = sample(source, PHASES_50, 20, seed=11)
     config = MleConfig(cutoff=10)
     result = mle_reconstruct(data, config)
-    rho, iterations, history = complex_reference_mle(data, config)
     assert result.converged
-    assert result.iterations == iterations
-    assert np.max(np.abs(result.rho.entries - rho)) <= 1e-12
-    assert np.max(np.abs(result.log_likelihoods - history)) <= 1e-9
+    d = complex_record_vectors(data, config.cutoff)
+    a = measurement_matrix(data, config.cutoff)
+    for cap in (1, result.iterations // 2, result.iterations):
+        rho = mle_reconstruct(data, MleConfig(cutoff=10, max_iterations=cap)).rho.entries
+        r = _gradient(a, _record_probabilities(rho, a))
+        assert np.max(np.abs(r - complex_gradient(rho, d))) <= 1e-12
+    assert result.optimality_gap == pytest.approx(
+        complex_gap(complex_gradient(result.rho.entries, d), d), rel=0.0, abs=1e-8)
     oracle = np.sum(np.log(complex_probabilities(
-        result.rho.entries, complex_record_vectors(data, config.cutoff))))
-    assert log_likelihood(result.rho, data) == pytest.approx(oracle, rel=0.0, abs=1e-9)
+        complex_reference_mle(data, config.cutoff, stop_gap=1e-6), d)))
+    assert oracle - result.final_log_likelihood <= result.optimality_gap + 1e-9
+    assert log_likelihood(result.rho, data) == pytest.approx(
+        np.sum(np.log(complex_probabilities(result.rho.entries, d))), rel=0.0, abs=1e-9)
 
 
 def test_thermal_ensemble_recovers_the_source():
@@ -253,19 +304,16 @@ def test_mle_config_validation():
         MleConfig(max_iterations=0)
     with pytest.raises(ValueError):
         MleConfig(stop_tol=0.0)
-    with pytest.raises(ValueError):
-        MleConfig(dilution=0.0)
-    with pytest.raises(ValueError):
-        MleConfig(dilution=1.2)
 
 
 def test_reports_carry_the_contracted_fields():
     data = sample(thermal(0.0, 5), [0.0, 1.0], 50, seed=9)
     result = mle_reconstruct(data, MleConfig(cutoff=4, max_iterations=200))
     report = reconstruction_report(result)
-    assert set(report) == {"converged", "iterations", "final_log_likelihood"}
+    assert set(report) == {"converged", "iterations", "final_log_likelihood", "optimality_gap"}
     assert report["iterations"] == result.iterations
     assert report["final_log_likelihood"] == pytest.approx(result.log_likelihoods[-1])
+    assert report["optimality_gap"] == result.optimality_gap
 
     ensemble = average([result.rho, result.rho])
     ens_report = ensemble_report(ensemble)
