@@ -11,7 +11,6 @@ from .fock import (
     coherent_states,
     mean_photon,
     mix,
-    normalize,
     purity,
     thermal,
 )
@@ -28,11 +27,9 @@ from .homodyne import (
     simulate_raw,
 )
 from .metrics import (
-    NotPositiveSemidefiniteError,
     compare,
     fidelity,
     helstrom_error,
-    nbar_for_entropy,
     thermal_entropy,
     trace_distance,
     von_neumann_entropy,

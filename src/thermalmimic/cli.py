@@ -304,20 +304,22 @@ def _reconstruct_ensemble(
 
 
 def cmd_tomo_end2end(cfg: TomoConfig) -> None:
+    # Every state is built before any sampling, so a cutoff too small for
+    # nbar fails before the reconstructions rather than after them.
     if cfg.source == "artificial":
         source = mimic.assemble(mimic.build_codebook(*cfg.codebook_args), cfg.source_cutoff)
+        # the thermal source of the independent hat-vs-hat reconstruction
+        thermal_source = fock.thermal(cfg.nbar, cfg.source_cutoff)
     else:
         source = _model_state(cfg.source, cfg.nbar, cfg.source_cutoff, fock.DEFAULT_TAIL_TOL)
-    ensemble, results = _reconstruct_ensemble(source, cfg, cfg.seed)
     # the theoretical state the reconstruction is judged against, at the MLE cutoff
     reference = _model_state(cfg.source, cfg.nbar, cfg.cutoff, tail_tol=0.05)
+    ensemble, results = _reconstruct_ensemble(source, cfg, cfg.seed)
 
     report = metrics.compare(reference, ensemble.mean)
     report["entropy_ceiling"] = metrics.thermal_entropy(fock.mean_photon(ensemble.mean))
     extra_runs: list[tomo.MleResult] = []
     if cfg.source == "artificial":
-        # Independent thermal reconstruction for the hat-vs-hat comparison.
-        thermal_source = fock.thermal(cfg.nbar, cfg.source_cutoff)
         thermal_ensemble, extra_runs = _reconstruct_ensemble(thermal_source, cfg, cfg.seed + 10_000)
         report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(
             thermal_ensemble.mean, ensemble.mean

@@ -57,7 +57,7 @@ class FockDensityMatrix:
     ``trace_tol`` is the truncation-mass budget the matrix was built under:
     the trace must lie in [1 - trace_tol, 1 + 1e-12]. Construction validates
     finiteness, Hermiticity and positive semidefiniteness; traces are never
-    silently renormalized (use :func:`normalize` explicitly).
+    silently renormalized.
     """
 
     cutoff: int
@@ -245,17 +245,9 @@ def purity(rho: FockDensityMatrix) -> float:
     return float(np.trace(rho.entries @ rho.entries).real)
 
 
-def normalize(rho: FockDensityMatrix) -> FockDensityMatrix:
-    """Rescale to unit trace. Truncated states are never renormalized implicitly."""
-    tr = rho.trace
-    if tr <= 0.0:
-        raise ValueError(f"cannot normalize matrix with trace {tr}")
-    return FockDensityMatrix(rho.cutoff, rho.entries / tr, trace_tol=1e-12)
-
-
 # ---------------------------------------------------------------------------
-# Serialization: JSON object and (row, col, re, im) CSV flattening, both
-# bit-exact round trips at full double precision.
+# Serialization: one JSON object, a bit-exact round trip at full double
+# precision. A matrix read back must satisfy the default trace budget (0.05).
 # ---------------------------------------------------------------------------
 
 
@@ -267,45 +259,8 @@ def density_to_json(rho: FockDensityMatrix) -> dict:
     }
 
 
-def density_from_json(obj: dict, trace_tol: float = 0.05) -> FockDensityMatrix:
+def density_from_json(obj: dict) -> FockDensityMatrix:
     entries = np.asarray(obj["entries_real"], dtype=float) + 1j * np.asarray(
         obj["entries_imag"], dtype=float
     )
-    return FockDensityMatrix(int(obj["cutoff"]), entries, trace_tol=trace_tol)
-
-
-def density_to_csv(rho: FockDensityMatrix) -> str:
-    lines = ["row,col,re,im"]
-    for m in range(rho.dim):
-        for n in range(rho.dim):
-            z = rho.entries[m, n]
-            lines.append(f"{m},{n},{z.real:.17g},{z.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_records(text: str, header: str) -> list[list[str]]:
-    """Fields of the records of CSV ``text`` below the line ``header``; blank and ``#``
-    lines are skipped. Raises ``ValueError`` unless there is at least one record
-    and every record has as many fields as ``header``."""
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not rows or rows[0] != header:
-        raise ValueError(f"expected CSV header {header!r}")
-    records = [ln.split(",") for ln in rows[1:]]
-    width = header.count(",") + 1
-    if not records or any(len(record) != width for record in records):
-        raise ValueError(f"expected one or more CSV records of {width} fields {header!r}")
-    return records
-
-
-def density_from_csv(text: str, trace_tol: float = 0.05) -> FockDensityMatrix:
-    cells = [(int(m), int(n), re, im) for m, n, re, im in _csv_records(text, "row,col,re,im")]
-    if min(min(c[:2]) for c in cells) < 0:
-        raise ValueError("CSV row and col indices must be >= 0")
-    dim = max(max(c[:2]) for c in cells) + 1
-    if len(cells) != dim * dim or len({c[:2] for c in cells}) != dim * dim:
-        raise ValueError(f"expected one CSV record per cell of the {dim} x {dim} grid, "
-                         f"got {len(cells)} records")
-    entries = np.zeros((dim, dim), dtype=np.complex128)
-    for m, n, re, im in cells:
-        entries[m, n] = complex(float(re), float(im))
-    return FockDensityMatrix(dim - 1, entries, trace_tol=trace_tol)
+    return FockDensityMatrix(int(obj["cutoff"]), entries)

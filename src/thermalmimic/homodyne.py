@@ -247,23 +247,3 @@ def convert(dataset: QuadratureDataset, convention: Convention) -> QuadratureDat
         return dataset
     scale = math.sqrt(2.0) if convention == Convention.HALF else 1.0 / math.sqrt(2.0)
     return QuadratureDataset(dataset.x * scale, dataset.theta, convention)
-
-
-def dataset_to_csv(dataset: QuadratureDataset) -> str:
-    lines = ["theta,x"]
-    for theta, x in zip(dataset.theta, dataset.x):
-        lines.append(f"{theta:.17g},{x:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def dataset_sidecar(dataset: QuadratureDataset, seed: int | None = None) -> dict:
-    return {"convention": dataset.convention.value, "seed": seed, "count": dataset.count}
-
-
-def dataset_from_csv(text: str, sidecar: dict) -> QuadratureDataset:
-    """Load a dataset; refuses inputs whose sidecar lacks the convention tag."""
-    if "convention" not in sidecar:
-        raise ConventionError("dataset sidecar is missing the convention tag")
-    convention = Convention(sidecar["convention"])
-    pairs = np.array([[float(c) for c in pair] for pair in fock._csv_records(text, "theta,x")])
-    return QuadratureDataset(pairs[:, 1], pairs[:, 0], convention)

@@ -227,7 +227,6 @@ def average(runs: list[FockDensityMatrix]) -> ReconstructionEnsemble:
             raise CutoffMismatchError(f"cutoff mismatch: {run.cutoff} vs {cutoff}")
     stack = np.stack([run.entries for run in runs])
     mean = stack.mean(axis=0)
-    mean = 0.5 * (mean + mean.conj().T)
     mean /= mean.trace().real
     std = np.sqrt(stack.real.std(axis=0) ** 2 + stack.imag.std(axis=0) ** 2)
     return ReconstructionEnsemble(

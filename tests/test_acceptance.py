@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _states import random_density
 from thermalmimic import fock, homodyne, metrics, mimic, physical, tomo
 
 SEEDS = (0, 1, 2)
@@ -173,14 +174,6 @@ def test_criterion_7_property_battery():
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
 
-    def random_density(cutoff=9):
-        raw = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(
-            size=(cutoff + 1, cutoff + 1)
-        )
-        rho = raw @ raw.conj().T
-        rho /= rho.trace().real
-        return fock.FockDensityMatrix(cutoff, 0.5 * (rho + rho.conj().T), trace_tol=1e-9)
-
     # density-matrix invariants on engineered states
     for rho in (
         fock.thermal(1.35, 30),
@@ -193,7 +186,7 @@ def test_criterion_7_property_battery():
 
     # fidelity symmetry, self-fidelity, Fuchs-van de Graaff on 50 random pairs
     for _ in range(50):
-        a, b = random_density(), random_density()
+        a, b = random_density(rng), random_density(rng)
         f = metrics.fidelity(a, b)
         t = metrics.trace_distance(a, b)
         assert abs(f - metrics.fidelity(b, a)) <= 1e-9
@@ -203,7 +196,7 @@ def test_criterion_7_property_battery():
 
     # quadrature pdf normalization
     for _ in range(5):
-        rho = random_density()
+        rho = random_density(rng)
         total, _ = quad(lambda x: homodyne.quadrature_pdf(rho, 0.7, x), -14, 14, limit=300)
         assert total == pytest.approx(rho.trace, abs=1e-6)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalmimic import __version__, fock
+from thermalmimic import __version__, fock, homodyne
 from thermalmimic.cli import (
     CodebookConfig,
     ConfigError,
@@ -155,6 +155,32 @@ def test_tomo_calibrated_quarter_path(tmp_path):
 def test_tomo_truncation_failure_exits_numeric(tmp_path):
     assert main(["tomo-end2end", "--source", "thermal", "--nbar", "5.0",
                  "--source-cutoff", "10", "--out-dir", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the reference state at the MLE cutoff loses (2/3)^7 = 0.059 > 0.05
+        ["--source", "thermal", "--nbar", "2", "--cutoff", "6", "--runs", "10"],
+        # the hat-vs-hat thermal source loses (2/3)^21 = 2e-4 > 1e-5
+        ["--source", "artificial", "--nbar", "2.0", "--source-cutoff", "20",
+         "--runs", "2", "--phases", "10", "--samples-per-phase", "10"],
+    ],
+)
+def test_tomo_truncation_fails_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    sample = homodyne.sample
+    monkeypatch.setattr(homodyne, "sample", counting_sample)
+    out = tmp_path / "out"
+    assert main(["tomo-end2end", *argv, "--out-dir", str(out)]) == 3
+    assert "thermal state nbar = 2" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_tomo_bad_source_exits_config(tmp_path):
@@ -359,6 +385,12 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
         ("metrics", '{"cutoff": 1, "entries_real": [[NaN, 0.0], [0.0, 0.5]], '
                     '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
         ("metrics", '{"cutoff": 1, "entries_real": [[0.5, Infinity], [Infinity, 0.5]], '
+                    '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
+        # not PSD, then not Hermitian: the density-matrix constructor is the
+        # only check a metrics input passes
+        ("metrics", '{"cutoff": 1, "entries_real": [[1.2, 0.0], [0.0, -0.2]], '
+                    '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
+        ("metrics", '{"cutoff": 1, "entries_real": [[0.5, 0.1], [0.0, 0.5]], '
                     '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
     ],
 )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import poisson
 
+from _states import random_density
 from thermalmimic import fock
 from thermalmimic.mimic import Scheme, build_codebook
 from thermalmimic.fock import (
@@ -17,7 +18,6 @@ from thermalmimic.fock import (
     coherent_states,
     mean_photon,
     mix,
-    normalize,
     purity,
     thermal,
 )
@@ -133,7 +133,8 @@ def test_thermal_truncation_error_when_cutoff_too_small():
     # tail (2/3)^11 ~ 1.2e-2 blows the default 1e-6 budget
     with pytest.raises(TruncationError):
         thermal(2.0, 10)
-    thermal(2.0, 10, tail_tol=0.05)  # explicit budget allows it
+    # an explicit budget allows it, and the lost mass stays visible in the trace
+    assert thermal(2.0, 10, tail_tol=0.05).trace < 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("nbar", [0.25, 0.5, 1.0, 2.0, 3.5, 5.0])
@@ -221,7 +222,7 @@ def test_projector_map_is_the_packed_projector(data):
 
 
 # ---------------------------------------------------------------------------
-# mean_photon / normalize
+# mean_photon
 # ---------------------------------------------------------------------------
 
 
@@ -243,12 +244,6 @@ def test_mean_photon_thermal_within_tail_deficit(nbar):
     q = nbar / (nbar + 1.0)
     tail_mean = q ** (cutoff + 1) * ((cutoff + 1) - cutoff * q) / (1.0 - q)
     assert nbar - tail_mean - 1e-12 <= got <= nbar + 1e-12
-
-
-def test_normalize_restores_unit_trace():
-    rho = thermal(2.0, 10, tail_tol=0.05)
-    assert rho.trace < 1.0 - 1e-3  # truncation is not hidden
-    assert normalize(rho).trace == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -294,42 +289,9 @@ def test_density_matrix_entries_are_immutable():
 # ---------------------------------------------------------------------------
 
 
-def _random_density(rng, cutoff=7):
-    raw = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
-    rho = raw @ raw.conj().T
-    rho /= rho.trace().real
-    return FockDensityMatrix(cutoff, 0.5 * (rho + rho.conj().T), trace_tol=1e-9)
-
-
 def test_json_round_trip_is_bit_exact():
-    rho = _random_density(np.random.default_rng(11))
+    rho = random_density(np.random.default_rng(11), cutoff=7)
     payload = json.dumps(fock.density_to_json(rho))
     back = fock.density_from_json(json.loads(payload))
     assert np.array_equal(back.entries, rho.entries)
     assert back.cutoff == rho.cutoff
-
-
-def test_csv_round_trip_is_bit_exact():
-    rho = _random_density(np.random.default_rng(12))
-    back = fock.density_from_csv(fock.density_to_csv(rho))
-    assert np.array_equal(back.entries, rho.entries)
-
-
-def test_csv_rejects_wrong_header():
-    with pytest.raises(ValueError, match="header"):
-        fock.density_from_csv("a,b,c\n0,0,1,0\n")
-    # malformed bodies behind the right header are ValueErrors too
-    for body, match in [
-        ("0,1,0.5,0\n", "one CSV record per cell"),  # an index beyond the rows
-        ("", "4 fields"),
-        ("0,0,1\n", "4 fields"),
-        ("-1,0,1,0\n", ">= 0"),
-        ("0,0,one,0\n", "float"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            fock.density_from_csv("row,col,re,im\n" + body)
-    # every cell of the dim x dim grid exactly once: no cut-off tail, no repeat
-    lines = fock.density_to_csv(thermal(0.5, 12)).splitlines()
-    for kept in (lines[:-14], lines + [lines[1]], lines[:-1] + [lines[1]]):
-        with pytest.raises(ValueError, match="one CSV record per cell of the 13 x 13 grid"):
-            fock.density_from_csv("\n".join(kept))

@@ -1,12 +1,12 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _states import random_density
 from thermalmimic import mimic, tomo
-from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
+from thermalmimic.fock import coherent_states, mix, thermal
 from thermalmimic.homodyne import (
     CalibrationStats,
     Convention,
@@ -17,9 +17,6 @@ from thermalmimic.homodyne import (
     _sampling_grid,
     calibrate,
     convert,
-    dataset_from_csv,
-    dataset_sidecar,
-    dataset_to_csv,
     fock_wavefunctions,
     quadrature_pdf,
     sample,
@@ -31,13 +28,6 @@ PHASES_50 = 2.0 * math.pi * np.arange(50) / 50
 
 def coherent_state(mag, phase=0.0, cutoff=30):
     return mix([1.0], coherent_states([mag], [phase], cutoff))
-
-
-def random_density(rng, cutoff=9):
-    raw = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
-    rho = raw @ raw.conj().T
-    rho /= rho.trace().real
-    return FockDensityMatrix(cutoff, 0.5 * (rho + rho.conj().T), trace_tol=1e-9)
 
 
 def pdf_moment(rho, theta, order, half_width=14.0):
@@ -273,40 +263,17 @@ def test_calibration_stats_require_positive_spread():
         CalibrationStats(v_vac=0.0, sigma_vac=0.0)
 
 
-# ---------------------------------------------------------------------------
-# dataset serialization
-# ---------------------------------------------------------------------------
-
-
-def test_dataset_csv_round_trip():
-    ds = sample(thermal(1.0, 30), [0.0, 2.0], 10, seed=2)
-    sidecar = json.loads(json.dumps(dataset_sidecar(ds, seed=2)))
-    back = dataset_from_csv(dataset_to_csv(ds), sidecar)
-    assert np.array_equal(back.x, ds.x)
-    assert np.array_equal(back.theta, ds.theta)
-    assert back.convention == ds.convention
-    assert sidecar["count"] == ds.count
-
-
-def test_dataset_reader_rejects_missing_convention():
-    ds = sample(thermal(0.0, 5), [0.0], 5, seed=1)
-    with pytest.raises(ConventionError):
-        dataset_from_csv(dataset_to_csv(ds), {"seed": 1, "count": 5})
-
-
-def test_dataset_reader_rejects_malformed_text():
-    for body in ("", "0.5\n", "0.5,1.0,2.0\n"):
-        with pytest.raises(ValueError, match="2 fields"):
-            dataset_from_csv("theta,x\n" + body, {"convention": "half"})
-    for body, match in [
-        ("nan,0.1\n", r"phases must lie in \[0, 2\*pi\)"),
-        ("0.5,nan\n", "quadratures must be finite"),
-        ("0.5,inf\n", "quadratures must be finite"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            dataset_from_csv("theta,x\n" + body, {"convention": "half"})
-
-
 def test_dataset_requires_phases_in_range():
     with pytest.raises(ValueError):
         QuadratureDataset(np.array([0.0]), np.array([7.0]), Convention.HALF)
+    for theta, x, match in [
+        (np.nan, 0.1, r"phases must lie in \[0, 2\*pi\)"),
+        (0.5, np.nan, "quadratures must be finite"),
+        (0.5, np.inf, "quadratures must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            QuadratureDataset(np.array([x]), np.array([theta]), Convention.HALF)
+    # no dataset exists without a Convention tag; a bare string is not one
+    for tag in (None, "half"):
+        with pytest.raises(ConventionError):
+            QuadratureDataset(np.array([0.1]), np.array([0.5]), tag)

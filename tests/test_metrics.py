@@ -3,31 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from thermalmimic import fock, metrics, mimic
+from _states import fock_projector, random_density
+from thermalmimic import fock, mimic
 from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.metrics import (
-    NotPositiveSemidefiniteError,
     compare,
     fidelity,
     helstrom_error,
-    nbar_for_entropy,
     thermal_entropy,
     trace_distance,
     von_neumann_entropy,
 )
-
-
-def fock_projector(n, cutoff):
-    entries = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    entries[n, n] = 1.0
-    return FockDensityMatrix(cutoff, entries)
-
-
-def random_density(rng, cutoff=9):
-    raw = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
-    rho = raw @ raw.conj().T
-    rho /= rho.trace().real
-    return FockDensityMatrix(cutoff, 0.5 * (rho + rho.conj().T), trace_tol=1e-9)
 
 
 RNG = np.random.default_rng(2024)
@@ -80,12 +66,9 @@ def test_fidelity_is_one_only_for_identical_matrices():
 def test_fidelity_rejects_cutoff_mismatch_and_non_psd():
     with pytest.raises(fock.CutoffMismatchError):
         fidelity(thermal(1.0, 30), thermal(1.0, 20, tail_tol=1e-5))
-    bad = FockDensityMatrix.__new__(FockDensityMatrix)
-    object.__setattr__(bad, "cutoff", 1)
-    object.__setattr__(bad, "entries", np.diag([1.2, -0.2]).astype(complex))
-    object.__setattr__(bad, "trace_tol", 1e-6)
-    with pytest.raises(NotPositiveSemidefiniteError):
-        fidelity(bad, thermal(0.0, 1))
+    # a non-PSD matrix never reaches fidelity: construction refuses it
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        fidelity(FockDensityMatrix(1, np.diag([1.2, -0.2]).astype(complex)), thermal(0.0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +136,6 @@ def test_entropy_matches_closed_form(nbar):
     # and the eigenvalue path agrees exactly with the direct pmf summation
     p_kept = nbar ** np.arange(41) * np.exp(-np.arange(1, 42) * np.log(nbar + 1.0))
     assert got == pytest.approx(float(-np.sum(p_kept * np.log2(p_kept))), abs=1e-12)
-
-
-def test_nbar_for_entropy_inverts_closed_form():
-    nbar = nbar_for_entropy(2.31)
-    assert nbar == pytest.approx(1.35, abs=0.005)
-    assert thermal_entropy(nbar) == pytest.approx(2.31, abs=1e-12)
-    assert nbar_for_entropy(0.0) == 0.0
 
 
 @pytest.mark.parametrize("nbar,n_amp,n_ph", [(0.5, 4, 4), (1.0, 8, 8), (1.5, 8, 4), (2.0, 16, 8)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _states import fock_projector
 from thermalmimic import mimic
 from thermalmimic.fock import (
     CutoffMismatchError,
@@ -38,12 +39,6 @@ from thermalmimic.tomo import (
 )
 
 PHASES_50 = 2.0 * math.pi * np.arange(50) / 50
-
-
-def fock_projector(n, cutoff):
-    entries = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    entries[n, n] = 1.0
-    return FockDensityMatrix(cutoff, entries)
 
 
 def complex_record_vectors(data, cutoff):
