@@ -250,22 +250,22 @@ def _write_csv(path: Path, body: str, config_hash: str) -> None:
 
 
 def cmd_mimic_sweep(cfg: SweepConfig) -> None:
-    rows = mimic.sweep_fidelity(
-        cfg.nbars, cfg.samples, mimic.Scheme(cfg.scheme), cfg.cutoff, cfg.trials, cfg.seed
-    )
+    scheme = mimic.Scheme(cfg.scheme)
+    mean, std = mimic.sweep_fidelity(cfg.nbars, cfg.samples, scheme, cfg.cutoff, cfg.trials, cfg.seed)
     out_dir = Path(cfg.out_dir)
     chash = _config_hash(cfg)
-    _write_csv(out_dir / "sweep.csv", mimic.sweep_to_csv(rows), chash)
-    fids = [r.fidelity_mean for r in rows]
+    _write_csv(
+        out_dir / "sweep.csv", mimic.sweep_to_csv(cfg.nbars, cfg.samples, scheme, mean, std), chash
+    )
     _write_json(
         out_dir / "sweep_summary.json",
         {
             "version": __version__,
             "config_hash": chash,
             "config": asdict(cfg),
-            "n_rows": len(rows),
-            "fidelity_min": min(fids),
-            "fidelity_max": max(fids),
+            "n_rows": mean.size,
+            "fidelity_min": float(mean.min()),
+            "fidelity_max": float(mean.max()),
         },
     )
 

@@ -73,22 +73,9 @@ class Codebook:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_amplitudes(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def n_phases(self) -> int:
-        return self.phases.size
-
-    @property
-    def size(self) -> int:
-        """Total number of constellation points M = L * Q."""
-        return self.amplitudes.size * self.phases.size
-
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """The M points' magnitudes and phases, in the (l, q) order of ``weights.ravel()``."""
-        return np.repeat(self.amplitudes, self.n_phases), np.tile(self.phases, self.n_amplitudes)
+        return np.repeat(self.amplitudes, self.phases.size), np.tile(self.phases, self.amplitudes.size)
 
 
 def rayleigh_quantile(nbar: float, u):
@@ -189,15 +176,6 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Cod
     return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED), refit
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    nbar: float
-    n_samples: int
-    scheme: Scheme
-    fidelity_mean: float
-    fidelity_std: float
-
-
 def sweep_fidelity(
     nbars: list[float],
     sample_counts: list[int],
@@ -205,48 +183,46 @@ def sweep_fidelity(
     cutoff: int = fock.DEFAULT_CUTOFF,
     trials: int = 1,
     seed: int = 0,
-) -> list[SweepRow]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity of the mimicked state versus constellation size M = L * Q.
 
-    Each M must be a perfect square (L = Q = sqrt(M)). Random-scheme cells are
-    averaged over ``trials`` independent codebooks with per-trial seeds
-    ``seed + trial_index``; deterministic schemes report a single evaluation
-    with zero spread.
+    Each M must be a perfect square (L = Q = sqrt(M)). Returns the mean and
+    standard deviation over trials, each of shape (len(nbars), len(sample_counts)).
+    Random-scheme cells are averaged over ``trials`` independent codebooks with
+    per-trial seeds ``seed + trial_index``; deterministic schemes report a
+    single evaluation with zero spread.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     scheme = Scheme(scheme)
-    rows = []
-    for nbar in nbars:
+    sides = [math.isqrt(int(m)) for m in sample_counts]
+    for m, side in zip(sample_counts, sides):
+        if side * side != m:
+            raise ValueError(f"sample count {m} is not a perfect square")
+    fids = np.empty((len(nbars), len(sides), trials if scheme == Scheme.RANDOM else 1))
+    for i, nbar in enumerate(nbars):
         reference = fock.thermal(nbar, cutoff)
-        for m in sample_counts:
-            side = math.isqrt(int(m))
-            if side * side != m:
-                raise ValueError(f"sample count {m} is not a perfect square")
-            fids = []
-            for trial in range(trials if scheme == Scheme.RANDOM else 1):
+        for j, side in enumerate(sides):
+            for trial in range(fids.shape[2]):
                 if scheme == Scheme.RANDOM:
                     cb = build_codebook(nbar, side, side, scheme, seed + trial)
                 else:
                     cb = build_codebook(nbar, side, side, Scheme.STRATIFIED)
                 if scheme == Scheme.OPTIMIZED:
-                    fids.append(optimize_weights(cb, reference)[1])
+                    fids[i, j, trial] = optimize_weights(cb, reference)[1]
                 else:
-                    fids.append(fidelity(assemble(cb, cutoff), reference))
-            fids_arr = np.asarray(fids)
-            rows.append(
-                SweepRow(nbar, m, scheme, float(fids_arr.mean()), float(fids_arr.std()))
-            )
-    return rows
+                    fids[i, j, trial] = fidelity(assemble(cb, cutoff), reference)
+    return fids.mean(axis=2), fids.std(axis=2)
 
 
-def sweep_to_csv(rows: list[SweepRow]) -> str:
+def sweep_to_csv(
+    nbars: list[float], sample_counts: list[int], scheme: Scheme, mean: np.ndarray, std: np.ndarray
+) -> str:
+    """One row per (nbar, M) cell of :func:`sweep_fidelity`'s grids, nbar-major."""
     lines = ["nbar,M,scheme,fidelity_mean,fidelity_std"]
-    for r in rows:
-        lines.append(
-            f"{r.nbar:.17g},{r.n_samples},{r.scheme.value},"
-            f"{r.fidelity_mean:.17g},{r.fidelity_std:.17g}"
-        )
+    for nbar, means, stds in zip(nbars, mean.tolist(), std.tolist()):
+        for m, mu, sigma in zip(sample_counts, means, stds):
+            lines.append(f"{nbar:.17g},{m},{Scheme(scheme).value},{mu:.17g},{sigma:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mimic import Codebook
 
 #: CODATA value, J*s.
@@ -55,25 +57,22 @@ class ModulatorSpec:
             raise ValueError(f"extinction_db must be > 0, got {self.extinction_db}")
 
 
-def nbar_to_power(nbar: float, physics: ModePhysics) -> float:
-    """Optical power in watts carrying ``nbar`` photons per temporal mode."""
-    if nbar < 0.0:
+def nbar_to_power(nbar, physics: ModePhysics):
+    """Optical power in watts carrying ``nbar`` photons per temporal mode;
+    elementwise over an array of photon numbers."""
+    if np.any(np.asarray(nbar) < 0.0):
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     return nbar * PLANCK * physics.frequency / physics.tau
 
 
-@dataclass(frozen=True)
-class DriveLevel:
-    index: int
-    alpha_sq: float
-    power_w: float
-    intensity_level: float
-    phase_rad: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveTable:
-    levels: tuple[DriveLevel, ...]
+    """Per-symbol drive columns; row i is symbol i of ``Codebook.points()``."""
+
+    alpha_sq: np.ndarray
+    power_w: np.ndarray
+    intensity_level: np.ndarray
+    phase_rad: np.ndarray
     required_db: float
 
 
@@ -87,37 +86,32 @@ def codebook_to_drive(
     symbol powers exceeds the extinction ratio, or if a zero-power symbol
     appears on a non-ideal modulator (it would need infinite extinction).
     """
-    magnitudes, phases = (axis.tolist() for axis in codebook.points())
-    powers = [nbar_to_power(a * a, physics) for a in magnitudes]
-    if not any(p > 0.0 for p in powers):
+    magnitudes, phases = codebook.points()
+    alpha_sq = magnitudes * magnitudes
+    powers = nbar_to_power(alpha_sq, physics)
+    nonzero = powers[powers > 0.0]
+    if nonzero.size == 0:
         raise ValueError("codebook has no symbol of nonzero power")
-    if not spec.ideal and 0.0 in powers:
+    dark = powers == 0.0
+    if not spec.ideal and dark.any():
         raise ExtinctionRangeError(
-            f"symbol {powers.index(0.0)} has zero power and needs infinite extinction; "
+            f"symbol {dark.argmax()} has zero power and needs infinite extinction; "
             "only an ideal modulator spec permits dark symbols"
         )
 
-    nonzero = [p for p in powers if p > 0.0]
-    required_db = 10.0 * math.log10(max(nonzero) / min(nonzero))
+    p_max = nonzero.max()
+    required_db = 10.0 * math.log10(p_max / nonzero.min())
     if required_db > spec.extinction_db:
         raise ExtinctionRangeError(
             f"codebook needs {required_db:.2f} dB of intensity range but the "
             f"modulator provides {spec.extinction_db:.2f} dB"
         )
-
-    p_max = max(nonzero)
-    levels = tuple(
-        DriveLevel(idx, a * a, power, power / p_max, phase)
-        for idx, (a, power, phase) in enumerate(zip(magnitudes, powers, phases))
-    )
-    return DriveTable(levels, required_db)
+    return DriveTable(alpha_sq, powers, powers / p_max, phases, required_db)
 
 
 def drive_to_csv(table: DriveTable) -> str:
     lines = ["index,alpha_sq,power_w,intensity_level,phase_rad"]
-    for lvl in table.levels:
-        lines.append(
-            f"{lvl.index},{lvl.alpha_sq:.17g},{lvl.power_w:.17g},"
-            f"{lvl.intensity_level:.17g},{lvl.phase_rad:.17g}"
-        )
+    columns = (table.alpha_sq, table.power_w, table.intensity_level, table.phase_rad)
+    for i, (alpha_sq, power, level, phase) in enumerate(zip(*(c.tolist() for c in columns))):
+        lines.append(f"{i},{alpha_sq:.17g},{power:.17g},{level:.17g},{phase:.17g}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 from dataclasses import MISSING, fields
+from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -15,6 +17,8 @@ from thermalmimic.cli import (
     MetricsConfig,
     SweepConfig,
     TomoConfig,
+    _build_parser,
+    _COMMANDS,
     _resolve_config,
     main,
 )
@@ -356,6 +360,12 @@ def test_metrics_command_missing_file_exits_config(tmp_path):
         ("tomo-end2end", {"phases": True}, "phases"),
         ("tomo-end2end", {"gain": "2"}, "gain"),
         ("tomo-end2end", {"phases": 12.7}, "phases"),
+        # right type, out of range
+        ("mimic-sweep", {"nbars": []}, "nbars"),
+        ("mimic-sweep", {"trials": 0}, "trials"),
+        ("tomo-end2end", {"runs": 0}, "runs"),
+        ("tomo-end2end", {"source_cutoff": -1}, "source_cutoff"),
+        ("tomo-end2end", {"gain": 0.0}, "gain"),
     ],
 )
 def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config, key):
@@ -392,6 +402,8 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
                     '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
         ("metrics", '{"cutoff": 1, "entries_real": [[0.5, 0.1], [0.0, 0.5]], '
                     '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
+        # a --config file must hold an object
+        ("tomo-end2end", "[1, 2]"),
     ],
 )
 def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):
@@ -399,8 +411,10 @@ def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):
     bad.write_text(text)
     if command == "metrics":
         argv = ["metrics", str(bad), str(bad)]
-    else:
+    elif command == "codebook-export":
         argv = ["codebook-export", "--codebook-file", str(bad), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = [command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
     assert str(bad) in capsys.readouterr().err
 
@@ -461,3 +475,19 @@ def test_config_loader_returns_typed_config_or_config_error(tmp_path_factory, cl
     kinds = get_type_hints(cls)
     for f in fields(cls):
         assert _has_type(getattr(cfg, f.name), kinds[f.name]), f.name
+
+
+def test_readme_examples_resolve():
+    # every `$ thermalmimic ...` example in the README parses and resolves to
+    # a config, so a renamed flag or config field cannot leave the docs stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [
+        shlex.split(line.split("$ thermalmimic ", 1)[1], comments=True)
+        for line in readme.replace("\\\n", " ").splitlines()
+        if line.lstrip().startswith("$ thermalmimic ")
+    ]
+    assert examples
+    for argv in examples:
+        args = vars(_build_parser().parse_args(argv))
+        cls, _ = _COMMANDS[args.pop("command")]
+        _resolve_config(cls, args.pop("config", None), args)

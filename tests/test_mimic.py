@@ -140,7 +140,7 @@ def test_assemble_output_invariants(nbar):
     rho = assemble(cb, 30)
     assert np.max(np.abs(rho.entries - rho.entries.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-10
-    assert 1.0 - fock.DEFAULT_TAIL_TOL * cb.size <= rho.trace <= 1.0 + 1e-9
+    assert 1.0 - fock.DEFAULT_TAIL_TOL * 16 <= rho.trace <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("nbar", [0.5, 1.0, 1.5, 2.0])
@@ -217,24 +217,21 @@ def test_optimize_weights_rejects_degenerate_constellation():
 
 
 def test_sweep_hits_fig2_threshold_at_64_samples():
-    rows = sweep_fidelity([1.0], [64])
-    assert len(rows) == 1
-    assert rows[0].fidelity_mean >= 0.99
-    assert rows[0].fidelity_std == 0.0
+    mean, std = sweep_fidelity([1.0], [64])
+    assert mean.shape == std.shape == (1, 1)
+    assert mean[0, 0] >= 0.99
+    assert std[0, 0] == 0.0
 
 
 def test_sweep_fidelity_grows_with_samples():
-    rows = {r.n_samples: r.fidelity_mean for r in sweep_fidelity([0.5], [4, 64])}
-    assert rows[4] < rows[64]
+    mean, _ = sweep_fidelity([0.5], [4, 64])
+    assert mean[0, 0] < mean[0, 1]
 
 
 def test_sweep_higher_nbar_needs_more_samples():
-    rows = {
-        (r.nbar, r.n_samples): r.fidelity_mean
-        for r in sweep_fidelity([0.5, 2.0], [4, 64])
-    }
-    assert rows[(2.0, 4)] < rows[(0.5, 4)]
-    assert rows[(2.0, 64)] >= 0.99
+    mean, _ = sweep_fidelity([0.5, 2.0], [4, 64])  # mean[nbar index, sample-count index]
+    assert mean[1, 0] < mean[0, 0]
+    assert mean[1, 1] >= 0.99
 
 
 def test_sweep_rejects_non_square_sample_counts():
@@ -243,20 +240,21 @@ def test_sweep_rejects_non_square_sample_counts():
 
 
 def test_random_sweep_mean_within_three_sigma_of_stratified():
-    strat = sweep_fidelity([1.0], [64])[0].fidelity_mean
-    rand = sweep_fidelity([1.0], [64], Scheme.RANDOM, trials=20, seed=10)[0]
-    assert abs(rand.fidelity_mean - strat) <= 3.0 * rand.fidelity_std
+    strat, _ = sweep_fidelity([1.0], [64])
+    rand, rand_std = sweep_fidelity([1.0], [64], Scheme.RANDOM, trials=20, seed=10)
+    assert abs(rand[0, 0] - strat[0, 0]) <= 3.0 * rand_std[0, 0]
 
 
 def test_optimized_sweep_never_trails_stratified():
-    strat = sweep_fidelity([1.0], [16])[0]
-    opt = sweep_fidelity([1.0], [16], Scheme.OPTIMIZED)[0]
-    assert opt.scheme == Scheme.OPTIMIZED
-    assert opt.fidelity_mean >= strat.fidelity_mean - 1e-12
+    strat, _ = sweep_fidelity([1.0], [16])
+    opt, opt_std = sweep_fidelity([1.0], [16], Scheme.OPTIMIZED)
+    assert opt[0, 0] >= strat[0, 0] - 1e-12
+    row = sweep_to_csv([1.0], [16], Scheme.OPTIMIZED, opt, opt_std).splitlines()[1]
+    assert row.split(",")[2] == "optimized"
 
 
 def test_sweep_csv_shape():
-    text = sweep_to_csv(sweep_fidelity([1.0], [4, 16]))
+    text = sweep_to_csv([1.0], [4, 16], Scheme.STRATIFIED, *sweep_fidelity([1.0], [4, 16]))
     lines = text.strip().splitlines()
     assert lines[0] == "nbar,M,scheme,fidelity_mean,fidelity_std"
     assert len(lines) == 3

@@ -67,13 +67,13 @@ def test_stratified_l8_fits_in_25_db():
     table = codebook_to_drive(build_codebook(1.5, 8, 8), TELECOM, ModulatorSpec(25.0))
     assert table.required_db == pytest.approx(stratified_required_db(8), abs=1e-9)
     assert table.required_db < 25.0
-    assert len(table.levels) == 64
+    assert table.power_w.shape == (64,)
 
 
 def test_single_symbol_codebook_is_trivially_feasible():
     table = codebook_to_drive(build_codebook(1.5, 1, 1), TELECOM, ModulatorSpec(25.0))
     assert table.required_db == 0.0
-    assert table.levels[0].intensity_level == 1.0
+    assert table.intensity_level.tolist() == [1.0]
 
 
 def test_stratified_l64_exceeds_25_db():
@@ -101,8 +101,16 @@ def test_zero_amplitude_symbol_requires_ideal_modulator():
         with pytest.raises(ExtinctionRangeError, match="symbol 0 has zero power"):
             codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
         table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0, ideal=True))
-        assert table.levels[0].intensity_level == 0.0
-        assert table.levels[1].intensity_level == 1.0
+        assert table.intensity_level.tolist() == [0.0, 1.0]
+    # L != Q: the error names the row-major symbol index, not the amplitude index
+    cb = Codebook(
+        1.0, np.array([1.0, 0.0]), np.array([0.5, 2.0]),
+        np.full((2, 2), 0.25), Scheme.STRATIFIED,
+    )
+    with pytest.raises(ExtinctionRangeError, match="symbol 2 has zero power"):
+        codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
+    table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0, ideal=True))
+    assert table.intensity_level.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_all_dark_codebook_is_rejected():
@@ -117,12 +125,12 @@ def test_all_dark_codebook_is_rejected():
 def test_drive_levels_round_trip_to_photon_numbers():
     cb = build_codebook(1.5, 8, 8)
     table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
-    p_max = max(lvl.power_w for lvl in table.levels)
+    p_max = table.power_w.max()
     quantum = PLANCK * TELECOM.frequency / TELECOM.tau
-    for lvl in table.levels:
-        assert lvl.intensity_level * p_max / quantum == pytest.approx(lvl.alpha_sq, rel=1e-12)
-        assert lvl.phase_rad == pytest.approx(cb.phases[lvl.index % 8])
-        assert lvl.alpha_sq == pytest.approx(cb.amplitudes[lvl.index // 8] ** 2)
+    for i in range(64):
+        assert table.intensity_level[i] * p_max / quantum == pytest.approx(table.alpha_sq[i], rel=1e-12)
+        assert table.phase_rad[i] == pytest.approx(cb.phases[i % 8])
+        assert table.alpha_sq[i] == pytest.approx(cb.amplitudes[i // 8] ** 2)
 
 
 def test_drive_csv_header_and_rows():
@@ -131,6 +139,15 @@ def test_drive_csv_header_and_rows():
     assert lines[0] == "index,alpha_sq,power_w,intensity_level,phase_rad"
     assert len(lines) == 5
     assert isinstance(table, DriveTable)
+    # L != Q: every row equals a scalar oracle built from Python floats
+    cb = build_codebook(1.0, 3, 2, Scheme.RANDOM, seed=5)
+    lines = drive_to_csv(codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))).splitlines()
+    symbols = [(a, q) for a in cb.amplitudes.tolist() for q in cb.phases.tolist()]
+    powers = [a * a * PLANCK * (SPEED_OF_LIGHT / TELECOM.wavelength) / TELECOM.tau for a, _ in symbols]
+    assert lines[1:] == [
+        f"{i},{a * a:.17g},{power:.17g},{power / max(powers):.17g},{q:.17g}"
+        for i, ((a, q), power) in enumerate(zip(symbols, powers))
+    ]
 
 
 def test_points_order_matches_weights_and_drive_table():
@@ -139,12 +156,11 @@ def test_points_order_matches_weights_and_drive_table():
     phases = np.array([0.1, 1.2, 2.3, 4.5])
     weights = np.arange(1.0, 13.0).reshape(3, 4) / 78.0
     cb = Codebook(1.0, amplitudes, phases, weights, Scheme.STRATIFIED)
-    l, q = np.divmod(np.arange(cb.size), cb.n_phases)  # point i sits at row-major (l, q)
+    l, q = np.divmod(np.arange(12), 4)  # point i sits at row-major (l, q)
     magnitudes, point_phases = cb.points()
     assert np.array_equal(magnitudes, amplitudes[l])
     assert np.array_equal(point_phases, phases[q])
     assert np.array_equal(cb.weights.ravel(), weights[l, q])
     table = codebook_to_drive(cb, TELECOM, ModulatorSpec(30.0))
-    assert [lvl.index for lvl in table.levels] == list(range(cb.size))
-    assert [lvl.phase_rad for lvl in table.levels] == phases[q].tolist()
-    assert [lvl.alpha_sq for lvl in table.levels] == (amplitudes[l] ** 2).tolist()
+    assert table.phase_rad.tolist() == phases[q].tolist()
+    assert table.alpha_sq.tolist() == (amplitudes[l] ** 2).tolist()
