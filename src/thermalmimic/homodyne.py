@@ -180,20 +180,26 @@ def _inverse_cdf_draw(grid: np.ndarray, pdf: np.ndarray, u: np.ndarray) -> np.nd
 
 
 def sample(
-    rho: FockDensityMatrix, phases, n_per_phase: int, seed: int
+    rho: FockDensityMatrix, phases, n_per_phase: int, seed: int | np.random.SeedSequence
 ) -> QuadratureDataset:
     """Draw quadrature samples at each LO phase by tabulated inverse-CDF lookup.
 
-    Per-phase generators are spawned deterministically from ``seed``, so the
-    output is reproducible and independent of how phases might be distributed
-    over workers. Records are concatenated in phase order.
+    The generator of phase i is seeded by the child of ``seed`` (an integer or
+    a ``SeedSequence``) with ``i`` appended to its spawn key, as
+    ``SeedSequence.spawn`` makes it, so the output is reproducible and
+    independent of how phases might be distributed over workers. Records are
+    concatenated in phase order.
     """
     if n_per_phase < 1:
         raise ValueError(f"n_per_phase must be >= 1, got {n_per_phase}")
     phase_list = [fock.wrap_phase(float(t)) for t in np.atleast_1d(phases)]
     grid = _sampling_grid(rho)
     xs, thetas = [], []
-    children = np.random.SeedSequence(seed).spawn(len(phase_list))
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = [
+        np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
+        for i in range(len(phase_list))
+    ]
     for child, theta, pdf in zip(children, phase_list, _pdf_rows(rho, phase_list, grid)):
         rng = np.random.default_rng(child)
         xs.append(_inverse_cdf_draw(grid, pdf, rng.random(n_per_phase)))
@@ -211,15 +217,22 @@ def simulate_raw(
 ) -> tuple[RawDataset, CalibrationStats]:
     """Synthesize uncalibrated detector values ``V = offset + gain * x``.
 
-    A separate vacuum acquisition with the same gain and offset (seeded at
-    ``seed + 1``) provides the reference statistics that :func:`calibrate`
-    needs to undo the detector scale.
+    The signal ``x`` is ``sample(rho, phases, n_per_phase, seed)``. A separate
+    vacuum acquisition with the same gain and offset provides the reference
+    statistics that :func:`calibrate` needs to undo the detector scale. Its
+    phase-i generator is seeded by ``SeedSequence(seed, spawn_key=(0, i))``:
+    every generator of an integer-seeded :func:`sample` has a spawn key of
+    length one, so the vacuum reuses no uniform of any such call (as it would
+    if it were seeded at ``seed + 1``, the next run's signal seed).
     """
     if gain <= 0.0:
         raise ValueError(f"gain must be > 0, got {gain}")
     signal = sample(rho, phases, n_per_phase, seed)
     raw = RawDataset(offset + gain * signal.x, signal.theta)
-    vacuum = sample(fock.thermal(0.0, rho.cutoff), phases, n_per_phase, seed + 1)
+    vacuum = sample(
+        fock.thermal(0.0, rho.cutoff), phases, n_per_phase,
+        np.random.SeedSequence(seed, spawn_key=(0,)),
+    )
     vac_raw = offset + gain * vacuum.x
     stats = CalibrationStats(float(vac_raw.mean()), float(vac_raw.std(ddof=1)))
     return raw, stats

@@ -208,6 +208,29 @@ def test_simulate_raw_identity_gain_reproduces_samples():
     assert np.array_equal(raw.theta, direct.theta)
 
 
+def test_simulate_raw_vacuum_draws_no_integer_seeded_sample_stream():
+    # gain 1 and offset 0 make the vacuum reference the raw vacuum draws, so
+    # a reused stream shows as exactly equal statistics
+    vacuum = thermal(0.0, 10)
+    for seed in (5, 6, 40):
+        _, stats = simulate_raw(vacuum, PHASES_50, 40, gain=1.0, offset=0.0, seed=seed)
+        for t in range(seed - 2, seed + 3):
+            x = sample(vacuum, PHASES_50, 40, seed=t).x
+            assert stats.v_vac != float(x.mean()), t
+            assert stats.sigma_vac != float(x.std(ddof=1)), t
+
+
+def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():
+    rho = thermal(1.0, 20)
+    by_int = sample(rho, PHASES_50, 10, seed=3).x
+    assert np.array_equal(sample(rho, PHASES_50, 10, seed=np.random.SeedSequence(3)).x, by_int)
+    child = np.random.SeedSequence(3, spawn_key=(0,))
+    first = sample(rho, PHASES_50, 10, seed=child).x
+    assert np.array_equal(sample(rho, PHASES_50, 10, seed=child).x, first)
+    assert child.n_children_spawned == 0
+    assert not np.array_equal(first, by_int)
+
+
 def test_simulate_raw_vacuum_statistics_follow_gain_and_offset():
     _, stats = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seed=9)
     sigma = 2.5 * math.sqrt(0.5)
