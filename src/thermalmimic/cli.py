@@ -251,7 +251,9 @@ def _write_csv(path: Path, body: str, config_hash: str) -> None:
 
 def cmd_mimic_sweep(cfg: SweepConfig) -> None:
     scheme = mimic.Scheme(cfg.scheme)
-    mean, std = mimic.sweep_fidelity(cfg.nbars, cfg.samples, scheme, cfg.cutoff, cfg.trials, cfg.seed)
+    mean, std = mimic.sweep_fidelity(
+        cfg.nbars, cfg.samples, scheme, cfg.cutoff, cfg.trials, cfg.seed
+    )
     out_dir = Path(cfg.out_dir)
     chash = _config_hash(cfg)
     _write_csv(

@@ -75,7 +75,8 @@ class Codebook:
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """The M points' magnitudes and phases, in the (l, q) order of ``weights.ravel()``."""
-        return np.repeat(self.amplitudes, self.phases.size), np.tile(self.phases, self.amplitudes.size)
+        amps, phs = self.amplitudes, self.phases
+        return np.repeat(amps, phs.size), np.tile(phs, amps.size)
 
 
 def rayleigh_quantile(nbar: float, u):
@@ -222,7 +223,7 @@ def sweep_to_csv(
     lines = ["nbar,M,scheme,fidelity_mean,fidelity_std"]
     for nbar, means, stds in zip(nbars, mean.tolist(), std.tolist()):
         for m, mu, sigma in zip(sample_counts, means, stds):
-            lines.append(f"{nbar:.17g},{m},{Scheme(scheme).value},{mu:.17g},{sigma:.17g}")
+            lines.append(f"{nbar:.17g},{m},{scheme.value},{mu:.17g},{sigma:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -57,7 +57,7 @@ class ModulatorSpec:
             raise ValueError(f"extinction_db must be > 0, got {self.extinction_db}")
 
 
-def nbar_to_power(nbar, physics: ModePhysics):
+def nbar_to_power(nbar: float | np.ndarray, physics: ModePhysics) -> float | np.ndarray:
     """Optical power in watts carrying ``nbar`` photons per temporal mode;
     elementwise over an array of photon numbers."""
     if np.any(np.asarray(nbar) < 0.0):

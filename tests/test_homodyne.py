@@ -223,7 +223,8 @@ def test_simulate_raw_vacuum_draws_no_integer_seeded_sample_stream():
 def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():
     rho = thermal(1.0, 20)
     by_int = sample(rho, PHASES_50, 10, seed=3).x
-    assert np.array_equal(sample(rho, PHASES_50, 10, seed=np.random.SeedSequence(3)).x, by_int)
+    by_sequence = sample(rho, PHASES_50, 10, seed=np.random.SeedSequence(3)).x
+    assert np.array_equal(by_sequence, by_int)
     child = np.random.SeedSequence(3, spawn_key=(0,))
     first = sample(rho, PHASES_50, 10, seed=child).x
     assert np.array_equal(sample(rho, PHASES_50, 10, seed=child).x, first)

@@ -128,7 +128,8 @@ def test_drive_levels_round_trip_to_photon_numbers():
     p_max = table.power_w.max()
     quantum = PLANCK * TELECOM.frequency / TELECOM.tau
     for i in range(64):
-        assert table.intensity_level[i] * p_max / quantum == pytest.approx(table.alpha_sq[i], rel=1e-12)
+        photons = table.intensity_level[i] * p_max / quantum
+        assert photons == pytest.approx(table.alpha_sq[i], rel=1e-12)
         assert table.phase_rad[i] == pytest.approx(cb.phases[i % 8])
         assert table.alpha_sq[i] == pytest.approx(cb.amplitudes[i // 8] ** 2)
 
@@ -143,7 +144,8 @@ def test_drive_csv_header_and_rows():
     cb = build_codebook(1.0, 3, 2, Scheme.RANDOM, seed=5)
     lines = drive_to_csv(codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))).splitlines()
     symbols = [(a, q) for a in cb.amplitudes.tolist() for q in cb.phases.tolist()]
-    powers = [a * a * PLANCK * (SPEED_OF_LIGHT / TELECOM.wavelength) / TELECOM.tau for a, _ in symbols]
+    frequency = SPEED_OF_LIGHT / TELECOM.wavelength
+    powers = [a * a * PLANCK * frequency / TELECOM.tau for a, _ in symbols]
     assert lines[1:] == [
         f"{i},{a * a:.17g},{power:.17g},{power / max(powers):.17g},{q:.17g}"
         for i, ((a, q), power) in enumerate(zip(symbols, powers))
