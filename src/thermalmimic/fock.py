@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,7 +100,9 @@ def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_T
     as an array of one row of ``cutoff + 1`` Fock coefficients per amplitude.
 
     Coefficient ``n`` is ``|alpha|^n e^{i n theta} e^{-|alpha|^2 / 2} / sqrt(n!)``,
-    evaluated in log space so no factorial is ever formed directly.
+    evaluated in log space so no factorial is ever formed directly: ``log n!``
+    is the running sum of ``log k`` for k = 1..n, and ``n log |alpha|`` is
+    taken as 0 at n = 0, so |alpha| = 0 gives exactly the vacuum row.
 
     Raises:
         ValueError: if a magnitude is negative.
@@ -114,7 +115,10 @@ def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_T
     if not np.all(r >= 0.0):
         raise ValueError("magnitudes must be >= 0")
     n = np.arange(cutoff + 1)
-    log_mag = xlogy(n, r) - 0.5 * r**2 - 0.5 * gammaln(n + 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff + 1)))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # |alpha| = 0: log 0, then 0 * -inf
+        n_log_r = np.where(n == 0, 0.0, n * np.log(r))
+    log_mag = n_log_r - 0.5 * r**2 - 0.5 * log_factorial
     states = np.exp(log_mag) * np.exp(1j * theta * n)
     tails = 1.0 - np.einsum("ij,ij->i", states.conj(), states).real
     if np.any(tails > tail_tol):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import fock
 from .fock import FockDensityMatrix, coherent_states
@@ -58,6 +57,11 @@ class Codebook:
             raise ValueError("amplitudes must be a non-empty 1-D array")
         if phs.ndim != 1 or phs.size < 1:
             raise ValueError("phases must be a non-empty 1-D array")
+        checked = (("nbar_target", self.nbar_target), ("amplitudes", amps), ("phases", phs),
+                   ("weights", wts))
+        for name, arr in checked:
+            if not np.all(np.isfinite(arr)):  # NaN passes every range check below
+                raise ValueError(f"{name} must be finite")
         if np.any(amps < 0.0):
             raise ValueError("amplitudes must be >= 0")
         if np.any(phs < 0.0) or np.any(phs >= fock.TWO_PI):
@@ -156,6 +160,8 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Cod
     of the coherent states against the packed target, off-diagonal slots
     weighted so the residual 2-norm is the Frobenius distance.
     """
+    from scipy.optimize import nnls  # the package's one scipy use; kept off the import path
+
     magnitudes, phases = codebook.points()
     alphas = magnitudes * np.exp(1j * phases)
     if alphas.size > 1 and np.all(np.abs(alphas - alphas[0]) < 1e-15):

@@ -296,6 +296,27 @@ def test_codebook_export_underflowing_powers_exit_numeric(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, index", [("amplitudes", 0), ("phases", 1), ("weights", 0), ("nbar_target", None)]
+)
+def test_codebook_export_nan_field_exits_config(tmp_path, capsys, field, index):
+    # json.loads reads NaN, and NaN fails every range comparison silently
+    cb = codebook_to_json(build_codebook(1.0, 2, 2))
+    if index is None:
+        cb[field] = math.nan
+    else:
+        cb[field][index] = [math.nan, 0.25] if field == "weights" else math.nan
+    cb_file = tmp_path / "nan.json"
+    cb_file.write_text(json.dumps(cb))
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        codebook_from_json(json.loads(cb_file.read_text()))
+    out = tmp_path / "out"
+    assert main(["codebook-export", "--codebook-file", str(cb_file),
+                 "--out-dir", str(out)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_codebook_export_rejects_string_ideal_flag(tmp_path, capsys):
     # bool("false") is true: a string here would silently allow dark symbols.
     cb = codebook_to_json(build_codebook(1.0, 2, 2))

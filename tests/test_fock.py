@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,38 @@ def test_coherent_states_rows_match_the_direct_formula(magnitudes, phases):
         assert np.allclose(row, direct, rtol=1e-12, atol=0.0)
         if mag == 0.0:
             assert np.array_equal(row, np.eye(31)[0])
+
+
+def _coherent_oracle(mag, phase, cutoff):
+    """One coherent row from Python floats: lgamma for log n!, the vacuum row by hand."""
+    if mag == 0.0:
+        return [1.0] + [0.0] * cutoff
+    return [
+        cmath.exp(n * math.log(mag) - 0.5 * mag**2 - 0.5 * math.lgamma(n + 1) + 1j * n * phase)
+        for n in range(cutoff + 1)
+    ]
+
+
+@given(
+    cutoff=st.integers(0, 40),
+    points=st.lists(
+        st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_coherent_states_match_a_scalar_log_space_oracle(cutoff, points):
+    magnitudes, phases = (list(col) for col in zip((0.0, 0.3), *points))  # a vacuum row first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = coherent_states(magnitudes, phases, cutoff, tail_tol=1.0)
+    assert np.array_equal(states[0], np.eye(cutoff + 1)[0])
+    for row, mag, phase in zip(states, magnitudes, phases):
+        # the atol only admits subnormal coefficients, which carry fewer than 53 bits
+        assert np.allclose(row, _coherent_oracle(mag, phase, cutoff), rtol=1e-12,
+                           atol=np.finfo(float).tiny)
+        if mag == 0.0:
+            assert np.array_equal(row, np.eye(cutoff + 1)[0])
 
 
 def test_coherent_states_truncation_error_names_the_row_over_budget():

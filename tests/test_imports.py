@@ -1,0 +1,78 @@
+"""Cold-start guard: the package and its numpy-only commands load no scipy.
+
+Importing ``scipy.special`` and ``scipy.optimize`` costs about 0.5 s of a
+fresh process, more than a small ``tomo-end2end`` run spends on its MLE. Only
+``mimic.optimize_weights`` needs scipy (for ``nnls``) and imports it on first
+call. Each check runs in a fresh interpreter, since this test process has
+scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Records, for the first scipy module the child imports, the first frame
+# outside importlib and scipy: the module (and line) that pulled scipy in.
+_CHILD = r"""
+import json, sys
+
+first = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if (name == "scipy" or name.startswith("scipy.")) and not first:
+            frame = sys._getframe(1)
+            while frame is not None:
+                module = frame.f_globals.get("__name__", "")
+                if not module.startswith(("importlib", "scipy", "_frozen_importlib")):
+                    first.append(f"{module}:{frame.f_lineno} (importing {name})")
+                    break
+                frame = frame.f_back
+        return None
+
+def report(stage):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps({"stage": stage, "scipy": loaded, "importer": first[:1]}))
+
+sys.meta_path.insert(0, Watch())
+import thermalmimic.cli
+report("import thermalmimic.cli")
+
+out = sys.argv[1]
+tomo = ["tomo-end2end", "--source", "thermal", "--nbar", "1.35", "--phases", "8",
+        "--samples-per-phase", "25", "--cutoff", "6", "--runs", "2", "--seed", "1",
+        "--out-dir", out + "/tomo"]
+assert thermalmimic.cli.main(tomo) == 0
+report("tomo-end2end --source thermal")
+
+export = ["codebook-export", "--nbar", "1.0", "--codebook-amplitudes", "4",
+          "--codebook-phases", "4", "--out-dir", out + "/export"]
+assert thermalmimic.cli.main(export) == 0
+report("codebook-export")
+
+ensemble = out + "/tomo/ensemble.json"
+assert thermalmimic.cli.main(["metrics", ensemble, ensemble, "--out", out + "/m.json"]) == 0
+report("metrics")
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    stages = [json.loads(line) for line in child.stdout.splitlines() if line.startswith("{")]
+    assert [s["stage"] for s in stages] == [
+        "import thermalmimic.cli", "tomo-end2end --source thermal", "codebook-export", "metrics",
+    ]
+    for s in stages:
+        assert not s["scipy"], (
+            f"{s['stage']} loaded {len(s['scipy'])} scipy modules, first pulled in by "
+            f"{s['importer']}: {s['scipy'][:5]}"
+        )
