@@ -121,7 +121,7 @@ def test_coherent_states_match_a_scalar_log_space_oracle(cutoff, points):
     magnitudes, phases = (list(col) for col in zip((0.0, 0.3), *points))  # a vacuum row first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states = coherent_states(magnitudes, phases, cutoff, tail_tol=1.0)
+        states = coherent_states(magnitudes, phases, cutoff, tail_tol=1.0)  # any cutoff
     assert np.array_equal(states[0], np.eye(cutoff + 1)[0])
     for row, mag, phase in zip(states, magnitudes, phases):
         # the atol only admits subnormal coefficients, which carry fewer than 53 bits
