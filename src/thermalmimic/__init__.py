@@ -21,7 +21,6 @@ from .homodyne import (
     QuadratureDataset,
     RawDataset,
     calibrate,
-    convert,
     quadrature_pdf,
     sample,
     simulate_raw,

@@ -297,7 +297,6 @@ def _reconstruct_ensemble(
                 source, grid, cfg.samples_per_phase, cfg.gain, cfg.offset, run_seed
             )
             dataset = homodyne.calibrate(raw, stats, homodyne.Convention(cfg.convention))
-            dataset = homodyne.convert(dataset, homodyne.Convention.HALF)
         else:
             dataset = homodyne.sample(source, grid, cfg.samples_per_phase, run_seed)
         results.append(tomo.mle_reconstruct(dataset, mle_config))

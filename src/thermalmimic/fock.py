@@ -40,15 +40,6 @@ class CutoffMismatchError(ValueError):
     """Raised when an operation combines states with different cutoffs."""
 
 
-def wrap_phase(phase: float) -> float:
-    """Wrap an angle in radians into [0, 2*pi)."""
-    wrapped = math.fmod(phase, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    # fmod can round back up to the period itself for tiny negative inputs
-    return 0.0 if wrapped >= TWO_PI else wrapped
-
-
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Complex matrix of number-basis elements ``<m|rho|n>`` up to ``cutoff``.

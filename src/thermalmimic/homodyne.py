@@ -7,8 +7,8 @@ by a factor sqrt(2) in the quadrature axis:
 
 * ``half``    - vacuum variance 1/2. This is the scale of the harmonic
   oscillator eigenfunctions ``f_n(x) = H_n(x) exp(-x^2/2) / (pi^(1/4)
-  sqrt(2^n n!))`` that the tomography likelihood is built on. All sampling and
-  reconstruction in this package runs in ``half``.
+  sqrt(2^n n!))`` that the tomography likelihood is built on. :func:`sample`
+  draws on this scale.
 * ``quarter`` - vacuum variance 1/4. This is the scale produced by referencing
   raw detector voltages to a measured vacuum via
   ``x = (V - V_vac) sqrt(1 / (4 sigma_vac^2))``.
@@ -16,8 +16,9 @@ by a factor sqrt(2) in the quadrature axis:
 The two are mutually inconsistent if applied blindly, which would corrupt a
 reconstruction by a sqrt(2) quadrature scale (showing up as a wrong mean
 photon number). Every dataset therefore carries an explicit convention tag,
-:func:`calibrate` supports both targets, :func:`convert` rescales between
-them, and the tomography module rejects anything not tagged ``half``.
+whose :attr:`Convention.vacuum_variance` is the one place the scale is
+written: :func:`calibrate` maps the measured vacuum onto it, and the
+tomography module reads each dataset on the ``half`` axis its tag implies.
 """
 
 from __future__ import annotations
@@ -39,9 +40,14 @@ class Convention(str, Enum):
     HALF = "half"
     QUARTER = "quarter"
 
+    @property
+    def vacuum_variance(self) -> float:
+        """Variance of the vacuum's quadrature on this scale."""
+        return 0.5 if self is Convention.HALF else 0.25
+
 
 class ConventionError(ValueError):
-    """Dataset carries the wrong (or no) quadrature scale convention."""
+    """Dataset carries no valid quadrature scale convention tag."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +89,10 @@ class CalibrationStats:
     sigma_vac: float
 
     def __post_init__(self) -> None:
-        if self.sigma_vac <= 0.0:
-            raise ValueError(f"sigma_vac must be > 0, got {self.sigma_vac}")
+        if not math.isfinite(self.v_vac):
+            raise ValueError(f"v_vac must be finite, got {self.v_vac}")
+        if not (math.isfinite(self.sigma_vac) and self.sigma_vac > 0.0):
+            raise ValueError(f"sigma_vac must be finite and > 0, got {self.sigma_vac}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +107,10 @@ class RawDataset:
         t = np.asarray(self.theta, dtype=float)
         if v.ndim != 1 or v.size < 1 or t.shape != v.shape:
             raise ValueError("voltages and theta must be matching non-empty 1-D arrays")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("voltages must be finite")
+        if not np.all((t >= 0.0) & (t < fock.TWO_PI)):  # false for nan
+            raise ValueError("phases must lie in [0, 2*pi)")
         v.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "voltages", v)
@@ -192,19 +204,22 @@ def sample(
     """
     if n_per_phase < 1:
         raise ValueError(f"n_per_phase must be >= 1, got {n_per_phase}")
-    phase_list = [fock.wrap_phase(float(t)) for t in np.atleast_1d(phases)]
+    thetas = np.atleast_1d(np.asarray(phases, dtype=float))
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("phases must be finite")
+    thetas = np.mod(thetas, fock.TWO_PI)
+    thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
     grid = _sampling_grid(rho)
-    xs, thetas = [], []
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = [
         np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
-        for i in range(len(phase_list))
+        for i in range(thetas.size)
     ]
-    for child, theta, pdf in zip(children, phase_list, _pdf_rows(rho, phase_list, grid)):
-        rng = np.random.default_rng(child)
-        xs.append(_inverse_cdf_draw(grid, pdf, rng.random(n_per_phase)))
-        thetas.append(np.full(n_per_phase, theta))
-    return QuadratureDataset(np.concatenate(xs), np.concatenate(thetas), Convention.HALF)
+    xs = [
+        _inverse_cdf_draw(grid, pdf, np.random.default_rng(child).random(n_per_phase))
+        for child, pdf in zip(children, _pdf_rows(rho, thetas, grid))
+    ]
+    return QuadratureDataset(np.concatenate(xs), np.repeat(thetas, n_per_phase), Convention.HALF)
 
 
 def simulate_raw(
@@ -218,19 +233,20 @@ def simulate_raw(
     """Synthesize uncalibrated detector values ``V = offset + gain * x``.
 
     The signal ``x`` is ``sample(rho, phases, n_per_phase, seed)``. A separate
-    vacuum acquisition with the same gain and offset provides the reference
-    statistics that :func:`calibrate` needs to undo the detector scale. Its
-    phase-i generator is seeded by ``SeedSequence(seed, spawn_key=(0, i))``:
-    every generator of an integer-seeded :func:`sample` has a spawn key of
-    length one, so the vacuum reuses no uniform of any such call (as it would
-    if it were seeded at ``seed + 1``, the next run's signal seed).
+    acquisition of the vacuum ``|0>`` with the same gain and offset provides
+    the reference statistics that :func:`calibrate` needs to undo the
+    detector scale. Its phase-i generator is seeded by
+    ``SeedSequence(seed, spawn_key=(0, i))``: every generator of an
+    integer-seeded :func:`sample` has a spawn key of length one, so the vacuum
+    reuses no uniform of any such call (as it would if it were seeded at
+    ``seed + 1``, the next run's signal seed).
     """
     if gain <= 0.0:
         raise ValueError(f"gain must be > 0, got {gain}")
     signal = sample(rho, phases, n_per_phase, seed)
     raw = RawDataset(offset + gain * signal.x, signal.theta)
     vacuum = sample(
-        fock.thermal(0.0, rho.cutoff), phases, n_per_phase,
+        fock.thermal(0.0, 0), phases, n_per_phase,
         np.random.SeedSequence(seed, spawn_key=(0,)),
     )
     vac_raw = offset + gain * vacuum.x
@@ -243,20 +259,10 @@ def calibrate(
 ) -> QuadratureDataset:
     """Scale raw values to quadratures referenced to the measured vacuum.
 
-    ``quarter`` applies ``x = (V - V_vac) sqrt(1 / (4 sigma_vac^2))`` (vacuum
-    maps to variance 1/4); ``half`` applies ``sqrt(1 / (2 sigma_vac^2))``
-    (vacuum maps to variance 1/2, matching the tomography kernel).
+    Applies ``x = (V - V_vac) sqrt(vacuum_variance / sigma_vac^2)``, so the
+    vacuum maps to the variance of ``convention``: 1/4 for ``quarter``, 1/2
+    for ``half``. The dataset carries ``convention`` as its tag.
     """
     convention = Convention(convention)
-    denominator = 4.0 if convention == Convention.QUARTER else 2.0
-    scale = math.sqrt(1.0 / (denominator * stats.sigma_vac**2))
+    scale = math.sqrt(convention.vacuum_variance / stats.sigma_vac**2)
     return QuadratureDataset((raw.voltages - stats.v_vac) * scale, raw.theta, convention)
-
-
-def convert(dataset: QuadratureDataset, convention: Convention) -> QuadratureDataset:
-    """Rescale a dataset between the two vacuum-variance conventions."""
-    convention = Convention(convention)
-    if convention == dataset.convention:
-        return dataset
-    scale = math.sqrt(2.0) if convention == Convention.HALF else 1.0 / math.sqrt(2.0)
-    return QuadratureDataset(dataset.x * scale, dataset.theta, convention)

@@ -59,10 +59,18 @@ class ModulatorSpec:
 
 def nbar_to_power(nbar: float | np.ndarray, physics: ModePhysics) -> float | np.ndarray:
     """Optical power in watts carrying ``nbar`` photons per temporal mode;
-    elementwise over an array of photon numbers."""
+    elementwise over an array of photon numbers. Raises if a power is not
+    finite."""
     if np.any(np.asarray(nbar) < 0.0):
         raise ValueError(f"nbar must be >= 0, got {nbar}")
-    return nbar * PLANCK * physics.frequency / physics.tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = nbar * PLANCK * physics.frequency / physics.tau
+    if not np.all(np.isfinite(power)):
+        raise ValueError(
+            f"optical power is not finite at wavelength {physics.wavelength} m, "
+            f"tau {physics.tau} s"
+        )
+    return power
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,12 +36,7 @@ import numpy as np
 
 from .fock import CutoffMismatchError, FockDensityMatrix, density_to_json, mean_photon
 from .fock import _pack, _unpack, projector_map
-from .homodyne import (
-    Convention,
-    ConventionError,
-    QuadratureDataset,
-    fock_wavefunctions,
-)
+from .homodyne import QuadratureDataset, fock_wavefunctions
 
 #: Density floor guarding log(0) in the likelihood.
 LIKELIHOOD_FLOOR = 1e-300
@@ -98,20 +93,15 @@ class ReconstructionEnsemble:
     n_runs: int
 
 
-def _require_half(data: QuadratureDataset) -> None:
-    if data.convention != Convention.HALF:
-        raise ConventionError(
-            f"tomography runs on the 'half' convention; got {data.convention.value!r} "
-            "(use homodyne.convert first)"
-        )
-
-
 def measurement_matrix(data: QuadratureDataset, cutoff: int) -> np.ndarray:
     """The real (dim^2, K) map ``A`` with ``p_k = packed(rho) @ A[:, k]``: the
     :func:`fock.projector_map` of the records' quadrature eigenstates
     ``d_kn = f_n(x_k) e^{i n theta_k}``, so ``_unpack(A @ w, dim)`` is
-    ``sum_k w_k Pi_k``."""
-    return projector_map(fock_wavefunctions(data.x, cutoff), data.theta)
+    ``sum_k w_k Pi_k``. ``x_k`` is read on the ``half`` axis of the kernel
+    ``f_n``: a record tagged with vacuum variance ``v`` is scaled by
+    ``sqrt(0.5 / v)``."""
+    x = data.x * math.sqrt(0.5 / data.convention.vacuum_variance)
+    return projector_map(fock_wavefunctions(x, cutoff), data.theta)
 
 
 def _record_probabilities(rho_entries: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -120,7 +110,6 @@ def _record_probabilities(rho_entries: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def log_likelihood(rho: FockDensityMatrix, data: QuadratureDataset) -> float:
     """``sum_k ln p(x_k | theta_k)`` under the quadrature kernel of ``rho``."""
-    _require_half(data)
     a = measurement_matrix(data, rho.cutoff)
     return float(np.sum(np.log(_record_probabilities(rho.entries, a))))
 
@@ -153,7 +142,6 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     holds the likelihood after each iteration (an iteration that restarts
     the momentum keeps the iterate), so its monotonicity is checkable per step.
     """
-    _require_half(data)
     dim = config.cutoff + 1
     a = measurement_matrix(data, config.cutoff)
     n_records = a.shape[1]

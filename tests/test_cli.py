@@ -1,5 +1,8 @@
+import importlib
 import json
 import math
+import pkgutil
+import re
 import shlex
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thermalmimic
 from thermalmimic import __version__, fock, homodyne
 from thermalmimic.cli import (
     CodebookConfig,
@@ -296,6 +300,16 @@ def test_codebook_export_underflowing_powers_exit_numeric(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_codebook_export_overflowing_powers_exit_numeric(tmp_path, capsys):
+    # at a 1e-300 m wavelength the photon energy, and so every power, is inf
+    out = tmp_path / "out"
+    assert main(["codebook-export", "--nbar", "1.5", "--codebook-amplitudes", "2",
+                 "--codebook-phases", "2", "--wavelength", "1e-300",
+                 "--out-dir", str(out)]) == 3
+    assert "optical power is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, index", [("amplitudes", 0), ("phases", 1), ("weights", 0), ("nbar_target", None)]
 )
@@ -512,3 +526,21 @@ def test_readme_examples_resolve():
         args = vars(_build_parser().parse_args(argv))
         cls, _ = _COMMANDS[args.pop("command")]
         _resolve_config(cls, args.pop("config", None), args)
+
+
+def test_readme_module_names_resolve():
+    # every backticked `module.name` of a thermalmimic module in the README
+    # names something that exists, so a deleted function cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {m.name: importlib.import_module(f"thermalmimic.{m.name}")
+               for m in pkgutil.iter_modules(thermalmimic.__path__)}
+    modules["thermalmimic"] = thermalmimic
+    names = [
+        (module, name)
+        for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+        for module, name in re.findall(r"\b(\w+)\.(\w+)", span)
+        if module in modules
+    ]
+    assert ("fock", "projector_map") in names
+    for module, name in names:
+        assert hasattr(modules[module], name), f"{module}.{name}"

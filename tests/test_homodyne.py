@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from thermalmimic.homodyne import (
     _inverse_cdf_draw,
     _sampling_grid,
     calibrate,
-    convert,
     fock_wavefunctions,
     quadrature_pdf,
     sample,
@@ -195,8 +195,19 @@ def test_sample_rejects_empty_request():
         sample(thermal(0.0, 5), [0.0], 0, seed=1)
 
 
+def test_sample_wraps_phases_into_the_period_and_rejects_non_finite_ones():
+    ds = sample(thermal(0.0, 5), [-1e-20, -3.0, 100.0, 2.0 * math.pi], 3, seed=1)
+    wrapped = [0.0, 2.0 * math.pi - 3.0, math.fmod(100.0, 2.0 * math.pi), 0.0]
+    assert np.array_equal(ds.theta, np.repeat(wrapped, 3))
+    for bad in (np.inf, -np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phases must be finite"):
+                sample(thermal(0.0, 5), [0.0, bad], 3, seed=1)
+
+
 # ---------------------------------------------------------------------------
-# simulate_raw / calibrate / convert
+# simulate_raw / calibrate
 # ---------------------------------------------------------------------------
 
 
@@ -218,6 +229,14 @@ def test_simulate_raw_vacuum_draws_no_integer_seeded_sample_stream():
             x = sample(vacuum, PHASES_50, 40, seed=t).x
             assert stats.v_vac != float(x.mean()), t
             assert stats.sigma_vac != float(x.std(ddof=1)), t
+
+
+def test_simulate_raw_vacuum_reference_is_the_one_level_vacuum_stream():
+    phases, n, gain, offset, seed = PHASES_50[:10], 20, 2.5, 0.3, 7
+    _, stats = simulate_raw(thermal(1.0, 30), phases, n, gain, offset, seed)
+    vacuum = sample(thermal(0.0, 0), phases, n, np.random.SeedSequence(seed, spawn_key=(0,)))
+    vac_raw = offset + gain * vacuum.x
+    assert stats == CalibrationStats(float(vac_raw.mean()), float(vac_raw.std(ddof=1)))
 
 
 def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():
@@ -273,18 +292,28 @@ def test_calibration_is_gain_and_offset_invariant():
     assert np.allclose(a.x, b.x, rtol=0, atol=1e-9)
 
 
-def test_convert_rescales_between_conventions():
-    ds = QuadratureDataset(np.array([1.0, -2.0]), np.array([0.0, 1.0]), Convention.HALF)
-    quarter = convert(ds, Convention.QUARTER)
-    assert np.allclose(quarter.x, ds.x / math.sqrt(2.0))
-    back = convert(quarter, Convention.HALF)
-    assert np.allclose(back.x, ds.x)
-    assert convert(ds, Convention.HALF) is ds
-
-
 def test_calibration_stats_require_positive_spread():
-    with pytest.raises(ValueError):
-        CalibrationStats(v_vac=0.0, sigma_vac=0.0)
+    for v_vac, sigma_vac, field in [
+        (0.0, 0.0, "sigma_vac"),
+        (0.0, -1.0, "sigma_vac"),
+        (0.0, np.nan, "sigma_vac"),
+        (0.0, np.inf, "sigma_vac"),
+        (np.inf, 1.0, "v_vac"),
+        (np.nan, 1.0, "v_vac"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            CalibrationStats(v_vac=v_vac, sigma_vac=sigma_vac)
+
+
+def test_raw_dataset_requires_finite_voltages_and_phases_in_range():
+    for voltages, theta, match in [
+        ([np.inf, 1.0], [0.0, 1.0], "voltages must be finite"),
+        ([np.nan], [0.5], "voltages must be finite"),
+        ([0.0, 1.0], [0.0, 9.0], r"phases must lie in \[0, 2\*pi\)"),
+        ([0.0], [np.nan], r"phases must lie in \[0, 2\*pi\)"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            RawDataset(np.array(voltages), np.array(theta))
 
 
 def test_dataset_requires_phases_in_range():

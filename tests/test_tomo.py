@@ -17,11 +17,11 @@ from thermalmimic.fock import (
 )
 from thermalmimic.homodyne import (
     Convention,
-    ConventionError,
     QuadratureDataset,
-    convert,
+    calibrate,
     fock_wavefunctions,
     sample,
+    simulate_raw,
 )
 from thermalmimic.metrics import fidelity
 from thermalmimic.tomo import (
@@ -106,12 +106,16 @@ def test_likelihood_of_diagonal_state_ignores_global_phase_shift():
     assert log_likelihood(rho, data) == pytest.approx(log_likelihood(rho, shifted), abs=1e-9)
 
 
-def test_likelihood_rejects_quarter_convention():
-    data = convert(sample(thermal(0.0, 5), [0.0], 10, seed=3), Convention.QUARTER)
-    with pytest.raises(ConventionError):
-        log_likelihood(fock_projector(0, 5), data)
-    with pytest.raises(ConventionError):
-        mle_reconstruct(data)
+def test_quarter_dataset_reads_like_its_half_twin():
+    raw, stats = simulate_raw(thermal(1.0, 30), PHASES_50[::5], 20, 2.5, 0.3, seed=3)
+    quarter = calibrate(raw, stats, Convention.QUARTER)
+    half = QuadratureDataset(quarter.x * math.sqrt(2.0), quarter.theta, Convention.HALF)
+    rho = thermal(1.0, 6, tail_tol=0.05)
+    assert log_likelihood(rho, quarter) == log_likelihood(rho, half)
+    config = MleConfig(cutoff=6)
+    a, b = mle_reconstruct(quarter, config), mle_reconstruct(half, config)
+    assert np.array_equal(a.rho.entries, b.rho.entries)
+    assert (a.iterations, a.optimality_gap) == (b.iterations, b.optimality_gap)
 
 
 # ---------------------------------------------------------------------------
