@@ -229,9 +229,11 @@ def _resolve_config(cls: type, config_path: str | None, overrides: dict):
     return cls(**{key: _typed(key, value, kinds[key]) for key, value in values.items()})
 
 
-def _config_hash(cfg) -> str:
+def _stamp(cfg) -> dict:
+    """The toolkit version and a hash of the resolved config, which every output carries."""
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return {"version": __version__, "config_hash": digest}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -239,9 +241,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, body: str, config_hash: str) -> None:
+def _write_csv(path: Path, body: str, cfg) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"# version={__version__} config_hash={config_hash}\n" + body)
+    header = " ".join(f"{key}={value}" for key, value in _stamp(cfg).items())
+    path.write_text(f"# {header}\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +258,13 @@ def cmd_mimic_sweep(cfg: SweepConfig) -> None:
         cfg.nbars, cfg.samples, scheme, cfg.cutoff, cfg.trials, cfg.seed
     )
     out_dir = Path(cfg.out_dir)
-    chash = _config_hash(cfg)
     _write_csv(
-        out_dir / "sweep.csv", mimic.sweep_to_csv(cfg.nbars, cfg.samples, scheme, mean, std), chash
+        out_dir / "sweep.csv", mimic.sweep_to_csv(cfg.nbars, cfg.samples, scheme, mean, std), cfg
     )
     _write_json(
         out_dir / "sweep_summary.json",
         {
-            "version": __version__,
-            "config_hash": chash,
+            **_stamp(cfg),
             "config": asdict(cfg),
             "n_rows": mean.size,
             "fidelity_min": float(mean.min()),
@@ -296,7 +297,7 @@ def _reconstruct_ensemble(
             raw, stats = homodyne.simulate_raw(
                 source, grid, cfg.samples_per_phase, cfg.gain, cfg.offset, run_seed
             )
-            dataset = homodyne.calibrate(raw, stats, homodyne.Convention(cfg.convention))
+            dataset = homodyne.calibrate(raw, stats, cfg.convention)
         else:
             dataset = homodyne.sample(source, grid, cfg.samples_per_phase, run_seed)
         results.append(tomo.mle_reconstruct(dataset, mle_config))
@@ -330,21 +331,16 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
         )
 
     out_dir = Path(cfg.out_dir)
-    chash = _config_hash(cfg)
     _write_json(
         out_dir / "ensemble.json",
         {
-            "version": __version__,
-            "config_hash": chash,
+            **_stamp(cfg),
             "config": asdict(cfg),
             "ensemble": tomo.ensemble_report(ensemble),
             "runs": [tomo.reconstruction_report(r) for r in results + extra_runs],
         },
     )
-    _write_json(
-        out_dir / "metrics.json",
-        {"version": __version__, "config_hash": chash, "metrics": report},
-    )
+    _write_json(out_dir / "metrics.json", {**_stamp(cfg), "metrics": report})
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +360,16 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
         codebook = mimic.build_codebook(*cfg.codebook_args)
     table = physical.codebook_to_drive(codebook, cfg.mode, cfg.modulator)
     out_dir = Path(cfg.out_dir)
-    chash = _config_hash(cfg)
     _write_json(
         out_dir / "codebook.json",
         {
-            "version": __version__,
-            "config_hash": chash,
+            **_stamp(cfg),
             "config": asdict(cfg),
             "required_db": table.required_db,
             "codebook": mimic.codebook_to_json(codebook),
         },
     )
-    _write_csv(out_dir / "drive.csv", physical.drive_to_csv(table), chash)
+    _write_csv(out_dir / "drive.csv", physical.drive_to_csv(table), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +388,7 @@ def _parse_matrix(obj) -> fock.FockDensityMatrix:
 def cmd_metrics(cfg: MetricsConfig) -> None:
     a = _load_json(cfg.matrix_a, "matrix file", _parse_matrix)
     b = _load_json(cfg.matrix_b, "matrix file", _parse_matrix)
-    payload = {
-        "version": __version__,
-        "config_hash": _config_hash(cfg),
-        "metrics": metrics.compare(a, b),
-    }
+    payload = {**_stamp(cfg), "metrics": metrics.compare(a, b)}
     if cfg.out:
         _write_json(Path(cfg.out), payload)
     else:

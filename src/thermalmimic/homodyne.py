@@ -50,6 +50,23 @@ class ConventionError(ValueError):
     """Dataset carries no valid quadrature scale convention tag."""
 
 
+def _freeze_records(dataset, field: str, name: str) -> None:
+    """Check ``dataset.<field>`` and ``dataset.theta`` as its records and store
+    them as read-only float arrays: matching non-empty 1-D arrays, finite
+    values (called ``name`` in the errors), phases in [0, 2*pi)."""
+    values = np.asarray(getattr(dataset, field), dtype=float)
+    theta = np.asarray(dataset.theta, dtype=float)
+    if values.ndim != 1 or values.size < 1 or theta.shape != values.shape:
+        raise ValueError(f"{name} and theta must be matching non-empty 1-D arrays")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    if not np.all((theta >= 0.0) & (theta < fock.TWO_PI)):  # false for nan
+        raise ValueError("phases must lie in [0, 2*pi)")
+    for attr, array in ((field, values), ("theta", theta)):
+        array.setflags(write=False)
+        object.__setattr__(dataset, attr, array)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureDataset:
     """Scaled quadrature records (x_k, theta_k) under a declared convention."""
@@ -59,22 +76,9 @@ class QuadratureDataset:
     convention: Convention
 
     def __post_init__(self) -> None:
-        xs = np.asarray(self.x, dtype=float)
-        thetas = np.asarray(self.theta, dtype=float)
-        if xs.ndim != 1 or xs.size < 1:
-            raise ValueError("need at least one quadrature record")
-        if thetas.shape != xs.shape:
-            raise ValueError("x and theta must have identical shapes")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("quadratures must be finite")
-        if not np.all((thetas >= 0.0) & (thetas < fock.TWO_PI)):  # false for nan
-            raise ValueError("phases must lie in [0, 2*pi)")
+        _freeze_records(self, "x", "quadratures")
         if not isinstance(self.convention, Convention):
             raise ConventionError(f"invalid convention tag {self.convention!r}")
-        xs.setflags(write=False)
-        thetas.setflags(write=False)
-        object.__setattr__(self, "x", xs)
-        object.__setattr__(self, "theta", thetas)
 
     @property
     def count(self) -> int:
@@ -103,18 +107,7 @@ class RawDataset:
     theta: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.voltages, dtype=float)
-        t = np.asarray(self.theta, dtype=float)
-        if v.ndim != 1 or v.size < 1 or t.shape != v.shape:
-            raise ValueError("voltages and theta must be matching non-empty 1-D arrays")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("voltages must be finite")
-        if not np.all((t >= 0.0) & (t < fock.TWO_PI)):  # false for nan
-            raise ValueError("phases must lie in [0, 2*pi)")
-        v.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "voltages", v)
-        object.__setattr__(self, "theta", t)
+        _freeze_records(self, "voltages", "voltages")
 
 
 def fock_wavefunctions(x, n_max: int) -> np.ndarray:
@@ -255,13 +248,14 @@ def simulate_raw(
 
 
 def calibrate(
-    raw: RawDataset, stats: CalibrationStats, convention: Convention = Convention.HALF
+    raw: RawDataset, stats: CalibrationStats, convention: Convention | str
 ) -> QuadratureDataset:
     """Scale raw values to quadratures referenced to the measured vacuum.
 
     Applies ``x = (V - V_vac) sqrt(vacuum_variance / sigma_vac^2)``, so the
-    vacuum maps to the variance of ``convention``: 1/4 for ``quarter``, 1/2
-    for ``half``. The dataset carries ``convention`` as its tag.
+    vacuum maps to the variance of ``convention`` (a :class:`Convention` or
+    its value): 1/4 for ``quarter``, 1/2 for ``half``. The dataset carries
+    ``convention`` as its tag.
     """
     convention = Convention(convention)
     scale = math.sqrt(convention.vacuum_variance / stats.sigma_vac**2)

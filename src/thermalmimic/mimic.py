@@ -141,11 +141,9 @@ def build_codebook(
     return Codebook(nbar, amps, phases, weights, scheme, seed)
 
 
-def assemble(
-    codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF, tail_tol: float = fock.DEFAULT_TAIL_TOL
-) -> FockDensityMatrix:
+def assemble(codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF) -> FockDensityMatrix:
     """Density matrix of the codebook's coherent-state mixture."""
-    return fock.mix(codebook.weights.ravel(), coherent_states(*codebook.points(), cutoff, tail_tol))
+    return fock.mix(codebook.weights.ravel(), coherent_states(*codebook.points(), cutoff))
 
 
 def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Codebook, float]:

@@ -27,6 +27,14 @@ class ExtinctionRangeError(ValueError):
     """Codebook needs more intensity dynamic range than the modulator has."""
 
 
+def _require_positive(spec, *names: str) -> None:
+    """Each named field of ``spec`` must be finite and > 0."""
+    for name in names:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ModePhysics:
     """Wavelength and temporal-mode duration defining the photon energy scale."""
@@ -35,10 +43,7 @@ class ModePhysics:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        _require_positive(self, "wavelength", "tau")
 
     @property
     def frequency(self) -> float:
@@ -53,8 +58,7 @@ class ModulatorSpec:
     ideal: bool = False
 
     def __post_init__(self) -> None:
-        if self.extinction_db <= 0.0:
-            raise ValueError(f"extinction_db must be > 0, got {self.extinction_db}")
+        _require_positive(self, "extinction_db")
 
 
 def nbar_to_power(nbar: float | np.ndarray, physics: ModePhysics) -> float | np.ndarray:

@@ -311,6 +311,9 @@ def test_raw_dataset_requires_finite_voltages_and_phases_in_range():
         ([np.nan], [0.5], "voltages must be finite"),
         ([0.0, 1.0], [0.0, 9.0], r"phases must lie in \[0, 2\*pi\)"),
         ([0.0], [np.nan], r"phases must lie in \[0, 2\*pi\)"),
+        ([], [], "voltages and theta must be matching non-empty 1-D arrays"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], "voltages and theta must be matching"),
+        ([0.0, 1.0], [0.5], "voltages and theta must be matching"),
     ]:
         with pytest.raises(ValueError, match=match):
             RawDataset(np.array(voltages), np.array(theta))
@@ -326,6 +329,9 @@ def test_dataset_requires_phases_in_range():
     ]:
         with pytest.raises(ValueError, match=match):
             QuadratureDataset(np.array([x]), np.array([theta]), Convention.HALF)
+    for x, theta in [([], []), ([[0.1, 0.2]], [[0.5, 0.5]]), ([0.1, 0.2], [0.5])]:
+        with pytest.raises(ValueError, match="quadratures and theta must be matching non-empty"):
+            QuadratureDataset(np.array(x), np.array(theta), Convention.HALF)
     # no dataset exists without a Convention tag; a bare string is not one
     for tag in (None, "half"):
         with pytest.raises(ConventionError):

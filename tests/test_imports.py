@@ -1,7 +1,10 @@
-"""Cold-start guard: the package and its numpy-only commands load no scipy.
+"""Cold-start guard: the package loads nothing, and its numpy-only commands
+load no scipy.
 
-Importing ``scipy.special`` and ``scipy.optimize`` costs about 0.5 s of a
-fresh process, more than a small ``tomo-end2end`` run spends on its MLE. Only
+A bare ``import thermalmimic`` holds only ``__version__``: it loads no numpy
+and no submodule, and gives no name a second, package-level home. Importing
+``scipy.special`` and ``scipy.optimize`` costs about 0.5 s of a fresh
+process, more than a small ``tomo-end2end`` run spends on its MLE. Only
 ``mimic.optimize_weights`` needs scipy (for ``nnls``) and imports it on first
 call. Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
@@ -34,11 +37,19 @@ class Watch:
                 frame = frame.f_back
         return None
 
-def report(stage):
+def report(stage, **extra):
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print(json.dumps({"stage": stage, "scipy": loaded, "importer": first[:1]}))
+    print(json.dumps({"stage": stage, "scipy": loaded, "importer": first[:1], **extra}))
 
 sys.meta_path.insert(0, Watch())
+import thermalmimic
+report(
+    "import thermalmimic",
+    loaded=sorted(m for m in sys.modules
+                  if m.split(".")[0] == "numpy" or m.startswith("thermalmimic.")),
+    public=sorted(name for name in vars(thermalmimic) if not name.startswith("_")),
+)
+
 import thermalmimic.cli
 report("import thermalmimic.cli")
 
@@ -69,8 +80,12 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     assert child.returncode == 0, child.stderr
     stages = [json.loads(line) for line in child.stdout.splitlines() if line.startswith("{")]
     assert [s["stage"] for s in stages] == [
-        "import thermalmimic.cli", "tomo-end2end --source thermal", "codebook-export", "metrics",
+        "import thermalmimic", "import thermalmimic.cli", "tomo-end2end --source thermal",
+        "codebook-export", "metrics",
     ]
+    bare = stages[0]
+    assert not bare["loaded"], f"import thermalmimic loaded {bare['loaded'][:5]}"
+    assert not bare["public"], f"the package holds public names {bare['public'][:5]}"
     for s in stages:
         assert not s["scipy"], (
             f"{s['stage']} loaded {len(s['scipy'])} scipy modules, first pulled in by "

@@ -49,6 +49,14 @@ def test_physics_validation():
         ModulatorSpec(extinction_db=0.0)
     with pytest.raises(ValueError):
         nbar_to_power(-1.0, TELECOM)
+    # NaN fails every comparison, so a "<= 0" check alone would let it through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="wavelength must be finite"):
+            ModePhysics(wavelength=bad, tau=1e-9)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            ModePhysics(wavelength=1e-6, tau=bad)
+        with pytest.raises(ValueError, match="extinction_db must be finite"):
+            ModulatorSpec(extinction_db=bad)
 
 
 # ---------------------------------------------------------------------------
