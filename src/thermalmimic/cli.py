@@ -86,7 +86,7 @@ class TomoConfig:
     codebook_phases: int = 8
     scheme: Literal["stratified", "random"] = "stratified"
     source_cutoff: int = 30
-    cutoff: int = 12
+    cutoff: int = tomo.MleConfig.cutoff
     phases: int = 50
     samples_per_phase: int = 40
     runs: int = 10
@@ -94,8 +94,8 @@ class TomoConfig:
     convention: Literal["half", "quarter"] = "half"
     gain: float | None = None
     offset: float = 0.0
-    max_iterations: int = 2000
-    stop_tol: float = 1e-3
+    max_iterations: int = tomo.MleConfig.max_iterations
+    stop_tol: float = tomo.MleConfig.stop_tol
     out_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -108,6 +108,8 @@ class TomoConfig:
             raise ConfigError("source_cutoff must be >= 0")
         if self.gain is not None and self.gain <= 0:
             raise ConfigError("gain must be > 0")
+        if self.gain is not None and self.phases * self.samples_per_phase < 2:
+            raise ConfigError("the raw path's vacuum trace needs phases * samples_per_phase >= 2")
         try:
             self.mle  # tomo.MleConfig checks the MLE knobs
             if self.source == "artificial":
@@ -211,7 +213,7 @@ def _load_json(path: str, what: str, parse=lambda obj: obj):
     whose layout or values ``parse`` rejects, is a config error."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc!r}") from exc
 
 
@@ -294,10 +296,9 @@ def _reconstruct_ensemble(
     for run in range(cfg.runs):
         run_seed = seed_base + run
         if cfg.gain is not None:
-            raw, stats = homodyne.simulate_raw(
-                source, grid, cfg.samples_per_phase, cfg.gain, cfg.offset, run_seed
-            )
-            dataset = homodyne.calibrate(raw, stats, cfg.convention)
+            raw = homodyne.simulate_raw(source, grid, cfg.samples_per_phase, cfg.gain,
+                                        cfg.offset, run_seed)
+            dataset = homodyne.calibrate(raw, cfg.convention)
         else:
             dataset = homodyne.sample(source, grid, cfg.samples_per_phase, run_seed)
         results.append(tomo.mle_reconstruct(dataset, mle_config))
@@ -388,6 +389,8 @@ def _parse_matrix(obj) -> fock.FockDensityMatrix:
 def cmd_metrics(cfg: MetricsConfig) -> None:
     a = _load_json(cfg.matrix_a, "matrix file", _parse_matrix)
     b = _load_json(cfg.matrix_b, "matrix file", _parse_matrix)
+    if a.cutoff != b.cutoff:
+        raise ConfigError(f"cutoff {a.cutoff} of {cfg.matrix_a} != {b.cutoff} of {cfg.matrix_b}")
     payload = {**_stamp(cfg), "metrics": metrics.compare(a, b)}
     if cfg.out:
         _write_json(Path(cfg.out), payload)

@@ -57,7 +57,7 @@ class FockDensityMatrix:
     def __post_init__(self) -> None:
         if self.cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-        rho = np.asarray(self.entries, dtype=np.complex128)
+        rho = np.array(self.entries, dtype=np.complex128)  # a copy: the caller's stays writeable
         dim = self.cutoff + 1
         if rho.shape != (dim, dim):
             raise ValueError(f"entries must have shape ({dim}, {dim}), got {rho.shape}")
@@ -255,7 +255,10 @@ def density_to_json(rho: FockDensityMatrix) -> dict:
 
 
 def density_from_json(obj: dict) -> FockDensityMatrix:
+    cutoff = obj["cutoff"]
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+        raise TypeError(f"cutoff must be an integer, got {cutoff!r}")
     entries = np.asarray(obj["entries_real"], dtype=float) + 1j * np.asarray(
         obj["entries_imag"], dtype=float
     )
-    return FockDensityMatrix(int(obj["cutoff"]), entries)
+    return FockDensityMatrix(cutoff, entries)

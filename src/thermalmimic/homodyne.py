@@ -10,14 +10,14 @@ by a factor sqrt(2) in the quadrature axis:
   sqrt(2^n n!))`` that the tomography likelihood is built on. :func:`sample`
   draws on this scale.
 * ``quarter`` - vacuum variance 1/4. This is the scale produced by referencing
-  raw detector voltages to a measured vacuum via
+  raw detector voltages to the vacuum trace recorded with them via
   ``x = (V - V_vac) sqrt(1 / (4 sigma_vac^2))``.
 
 The two are mutually inconsistent if applied blindly, which would corrupt a
 reconstruction by a sqrt(2) quadrature scale (showing up as a wrong mean
 photon number). Every dataset therefore carries an explicit convention tag,
 whose :attr:`Convention.vacuum_variance` is the one place the scale is
-written: :func:`calibrate` maps the measured vacuum onto it, and the
+written: :func:`calibrate` maps a raw record's vacuum trace onto it, and the
 tomography module reads each dataset on the ``half`` axis its tag implies.
 """
 
@@ -50,19 +50,21 @@ class ConventionError(ValueError):
     """Dataset carries no valid quadrature scale convention tag."""
 
 
-def _freeze_records(dataset, field: str, name: str) -> None:
-    """Check ``dataset.<field>`` and ``dataset.theta`` as its records and store
-    them as read-only float arrays: matching non-empty 1-D arrays, finite
-    values (called ``name`` in the errors), phases in [0, 2*pi)."""
-    values = np.asarray(getattr(dataset, field), dtype=float)
-    theta = np.asarray(dataset.theta, dtype=float)
-    if values.ndim != 1 or values.size < 1 or theta.shape != values.shape:
-        raise ValueError(f"{name} and theta must be matching non-empty 1-D arrays")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
+def _freeze_records(dataset, **names: str) -> None:
+    """Check ``dataset.theta`` and each record field ``dataset.<key>`` (called
+    ``names[key]`` in the errors) and store read-only float copies of them:
+    matching non-empty 1-D arrays, finite values, phases in [0, 2*pi)."""
+    theta = np.array(dataset.theta, dtype=float)
+    arrays = {"theta": theta}
+    for attr, name in names.items():
+        values = arrays[attr] = np.array(getattr(dataset, attr), dtype=float)
+        if values.ndim != 1 or values.size < 1 or theta.shape != values.shape:
+            raise ValueError(f"{name} and theta must be matching non-empty 1-D arrays")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if not np.all((theta >= 0.0) & (theta < fock.TWO_PI)):  # false for nan
         raise ValueError("phases must lie in [0, 2*pi)")
-    for attr, array in ((field, values), ("theta", theta)):
+    for attr, array in arrays.items():
         array.setflags(write=False)
         object.__setattr__(dataset, attr, array)
 
@@ -76,7 +78,7 @@ class QuadratureDataset:
     convention: Convention
 
     def __post_init__(self) -> None:
-        _freeze_records(self, "x", "quadratures")
+        _freeze_records(self, x="quadratures")
         if not isinstance(self.convention, Convention):
             raise ConventionError(f"invalid convention tag {self.convention!r}")
 
@@ -85,29 +87,17 @@ class QuadratureDataset:
         return self.x.size
 
 
-@dataclass(frozen=True)
-class CalibrationStats:
-    """Mean and standard deviation of raw detector values on vacuum input."""
-
-    v_vac: float
-    sigma_vac: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.v_vac):
-            raise ValueError(f"v_vac must be finite, got {self.v_vac}")
-        if not (math.isfinite(self.sigma_vac) and self.sigma_vac > 0.0):
-            raise ValueError(f"sigma_vac must be finite and > 0, got {self.sigma_vac}")
-
-
 @dataclass(frozen=True, eq=False)
 class RawDataset:
-    """Uncalibrated detector values paired with the LO phase at acquisition."""
+    """One raw acquisition: uncalibrated detector values paired with the LO
+    phase at acquisition, and the vacuum values recorded at the same phases."""
 
     voltages: np.ndarray
     theta: np.ndarray = field(repr=False)
+    vacuum: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _freeze_records(self, "voltages", "voltages")
+        _freeze_records(self, voltages="voltages", vacuum="vacuum")
 
 
 def fock_wavefunctions(x, n_max: int) -> np.ndarray:
@@ -222,13 +212,11 @@ def simulate_raw(
     gain: float,
     offset: float,
     seed: int,
-) -> tuple[RawDataset, CalibrationStats]:
-    """Synthesize uncalibrated detector values ``V = offset + gain * x``.
-
-    The signal ``x`` is ``sample(rho, phases, n_per_phase, seed)``. A separate
-    acquisition of the vacuum ``|0>`` with the same gain and offset provides
-    the reference statistics that :func:`calibrate` needs to undo the
-    detector scale. Its phase-i generator is seeded by
+) -> RawDataset:
+    """One raw acquisition: uncalibrated values ``V = offset + gain * x`` of the
+    signal ``x = sample(rho, phases, n_per_phase, seed)``, and the vacuum trace
+    that :func:`calibrate` reads, ``|0>`` recorded at the same phases, gain and
+    offset. The vacuum's phase-i generator is seeded by
     ``SeedSequence(seed, spawn_key=(0, i))``: every generator of an
     integer-seeded :func:`sample` has a spawn key of length one, so the vacuum
     reuses no uniform of any such call (as it would if it were seeded at
@@ -237,26 +225,26 @@ def simulate_raw(
     if gain <= 0.0:
         raise ValueError(f"gain must be > 0, got {gain}")
     signal = sample(rho, phases, n_per_phase, seed)
-    raw = RawDataset(offset + gain * signal.x, signal.theta)
-    vacuum = sample(
-        fock.thermal(0.0, 0), phases, n_per_phase,
-        np.random.SeedSequence(seed, spawn_key=(0,)),
-    )
-    vac_raw = offset + gain * vacuum.x
-    stats = CalibrationStats(float(vac_raw.mean()), float(vac_raw.std(ddof=1)))
-    return raw, stats
+    vacuum_seed = np.random.SeedSequence(seed, spawn_key=(0,))
+    vacuum = sample(fock.thermal(0.0, 0), phases, n_per_phase, vacuum_seed)
+    return RawDataset(offset + gain * signal.x, signal.theta, offset + gain * vacuum.x)
 
 
-def calibrate(
-    raw: RawDataset, stats: CalibrationStats, convention: Convention | str
-) -> QuadratureDataset:
-    """Scale raw values to quadratures referenced to the measured vacuum.
-
-    Applies ``x = (V - V_vac) sqrt(vacuum_variance / sigma_vac^2)``, so the
-    vacuum maps to the variance of ``convention`` (a :class:`Convention` or
-    its value): 1/4 for ``quarter``, 1/2 for ``half``. The dataset carries
-    ``convention`` as its tag.
+def calibrate(raw: RawDataset, convention: Convention | str) -> QuadratureDataset:
+    """Scale raw values to quadratures referenced to the vacuum trace the record
+    carries: ``x = (V - V_vac) sqrt(vacuum_variance / sigma_vac^2)``, with
+    ``V_vac`` and ``sigma_vac`` the mean and sample standard deviation of
+    ``raw.vacuum``, maps the vacuum to the variance of ``convention`` (a
+    :class:`Convention` or its value), which the dataset carries as its tag.
     """
     convention = Convention(convention)
-    scale = math.sqrt(convention.vacuum_variance / stats.sigma_vac**2)
-    return QuadratureDataset((raw.voltages - stats.v_vac) * scale, raw.theta, convention)
+    if raw.vacuum.size < 2:
+        raise ValueError(f"the vacuum trace needs at least two values, got {raw.vacuum.size}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below catch overflow
+        v_vac, sigma_vac = float(raw.vacuum.mean()), float(raw.vacuum.std(ddof=1))
+    if not math.isfinite(v_vac):
+        raise ValueError(f"v_vac must be finite, got {v_vac}")
+    if not (math.isfinite(sigma_vac) and sigma_vac > 0.0):
+        raise ValueError(f"sigma_vac must be finite and > 0, got {sigma_vac}")
+    scale = math.sqrt(convention.vacuum_variance / sigma_vac**2)
+    return QuadratureDataset((raw.voltages - v_vac) * scale, raw.theta, convention)

@@ -50,13 +50,12 @@ class Codebook:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=float)
-        phs = np.asarray(self.phases, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("amplitudes must be a non-empty 1-D array")
-        if phs.ndim != 1 or phs.size < 1:
-            raise ValueError("phases must be a non-empty 1-D array")
+        amps = np.array(self.amplitudes, dtype=float)  # copies: the caller's stay writeable
+        phs = np.array(self.phases, dtype=float)
+        wts = np.array(self.weights, dtype=float)
+        for name, arr in (("amplitudes", amps), ("phases", phs)):
+            if arr.ndim != 1 or arr.size < 1:
+                raise ValueError(f"{name} must be a non-empty 1-D array")
         checked = (("nbar_target", self.nbar_target), ("amplitudes", amps), ("phases", phs),
                    ("weights", wts))
         for name, arr in checked:
@@ -243,11 +242,16 @@ def codebook_to_json(codebook: Codebook) -> dict:
 
 
 def codebook_from_json(obj: dict) -> Codebook:
+    nbar, seed = obj["nbar_target"], obj.get("seed")
+    if isinstance(nbar, bool) or not isinstance(nbar, (int, float)):
+        raise TypeError(f"nbar_target must be a number, got {nbar!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise TypeError(f"seed must be an integer or null, got {seed!r}")
     return Codebook(
-        nbar_target=float(obj["nbar_target"]),
-        amplitudes=np.asarray(obj["amplitudes"], dtype=float),
-        phases=np.asarray(obj["phases"], dtype=float),
-        weights=np.asarray(obj["weights"], dtype=float),
+        nbar_target=float(nbar),
+        amplitudes=obj["amplitudes"],
+        phases=obj["phases"],
+        weights=obj["weights"],
         scheme=Scheme(obj["scheme"]),
-        seed=obj.get("seed"),
+        seed=seed,
     )

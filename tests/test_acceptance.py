@@ -209,11 +209,11 @@ def test_criterion_7_property_battery():
         assert partial.rho.trace == pytest.approx(1.0, abs=1e-9)
 
     # vacuum calibration variance under both conventions
-    raw, stats = homodyne.simulate_raw(
+    raw = homodyne.simulate_raw(
         fock.thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seed=60
     )
-    var_quarter = homodyne.calibrate(raw, stats, homodyne.Convention.QUARTER).x.var()
-    var_half = homodyne.calibrate(raw, stats, homodyne.Convention.HALF).x.var()
+    var_quarter = homodyne.calibrate(raw, homodyne.Convention.QUARTER).x.var()
+    var_half = homodyne.calibrate(raw, homodyne.Convention.HALF).x.var()
     assert var_quarter == pytest.approx(0.25, abs=0.03)
     assert var_half == pytest.approx(0.5, abs=0.05)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermalmimic
-from thermalmimic import __version__, fock, homodyne
+from thermalmimic import __version__, fock, homodyne, tomo
 from thermalmimic.cli import (
     CodebookConfig,
     ConfigError,
@@ -401,6 +401,11 @@ def test_metrics_command_missing_file_exits_config(tmp_path):
         ("tomo-end2end", {"runs": 0}, "runs"),
         ("tomo-end2end", {"source_cutoff": -1}, "source_cutoff"),
         ("tomo-end2end", {"gain": 0.0}, "gain"),
+        ("codebook-export", {"nbar": 0}, "nbar"),
+        ("tomo-end2end", {"cutoff": -1}, "cutoff"),
+        ("mimic-sweep", {"cutoff": -1}, "cutoff"),
+        # one record per run leaves the raw path's vacuum trace without a spread
+        ("tomo-end2end", {"gain": 1.0, "phases": 1, "samples_per_phase": 1}, "samples_per_phase"),
     ],
 )
 def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config, key):
@@ -410,6 +415,12 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
     assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+_CODEBOOK = {"nbar_target": 1.0, "amplitudes": [1.0], "phases": [0.0], "weights": [[1.0]],
+             "scheme": "stratified"}
+_MATRIX = {"cutoff": 1, "entries_real": [[0.5, 0.0], [0.0, 0.5]],
+           "entries_imag": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 @pytest.mark.parametrize(
@@ -439,19 +450,43 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
                     '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
         # a --config file must hold an object
         ("tomo-end2end", "[1, 2]"),
+        # a seed is an integer or null, nbar_target a number, a cutoff an integer
+        *(pytest.param("codebook-export", json.dumps({**_CODEBOOK, "seed": seed}),
+                       id=f"codebook-export-seed-{seed!r}")
+          for seed in ("abc", [1, 2], 1.5, True)),
+        *(pytest.param("codebook-export", json.dumps({**_CODEBOOK, "nbar_target": nbar}),
+                       id=f"codebook-export-nbar_target-{nbar!r}")
+          for nbar in ("1.5", True)),
+        *(pytest.param("metrics", json.dumps({**_MATRIX, "cutoff": cutoff}),
+                       id=f"metrics-cutoff-{cutoff!r}")
+          for cutoff in (1.9, "1", True)),
+        # an integer past the float range
+        pytest.param("codebook-export", json.dumps({**_CODEBOOK, "nbar_target": 10**400}),
+                     id="codebook-export-nbar_target-10**400"),
+        pytest.param("metrics", json.dumps({**_MATRIX, "entries_real": [[10**400, 0], [0, 0]]}),
+                     id="metrics-entries-10**400"),
+        # two valid files of different cutoffs
+        pytest.param("metrics", tuple(json.dumps(fock.density_to_json(fock.thermal(0.0, cutoff)))
+                                      for cutoff in (10, 12)), id="metrics-cutoff-mismatch"),
     ],
 )
 def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    texts = text if isinstance(text, tuple) else (text,)  # a pair is two metrics files
+    bad = [tmp_path / f"bad{i}.json" for i in range(len(texts))]
+    for path, body in zip(bad, texts):
+        path.write_text(body)
+    out = tmp_path / "out"
     if command == "metrics":
-        argv = ["metrics", str(bad), str(bad)]
+        argv = ["metrics", str(bad[0]), str(bad[-1]), "--out", str(out / "report.json")]
     elif command == "codebook-export":
-        argv = ["codebook-export", "--codebook-file", str(bad), "--out-dir", str(tmp_path / "out")]
+        argv = ["codebook-export", "--codebook-file", str(bad[0]), "--out-dir", str(out)]
     else:
-        argv = [command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]
+        argv = [command, "--config", str(bad[0]), "--out-dir", str(out)]
     assert main(argv) == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for path in bad:
+        assert str(path) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -468,6 +503,10 @@ def test_malformed_flag_exits_config(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_tomo_config_takes_the_mle_defaults_from_mle_config():
+    assert TomoConfig().mle == tomo.MleConfig()
 
 
 def _has_type(value, kind) -> bool:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,9 +8,8 @@ from scipy.integrate import quad
 
 from _states import random_density
 from thermalmimic import mimic, tomo
-from thermalmimic.fock import coherent_states, mix, thermal
+from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.homodyne import (
-    CalibrationStats,
     Convention,
     ConventionError,
     QuadratureDataset,
@@ -213,30 +213,28 @@ def test_sample_wraps_phases_into_the_period_and_rejects_non_finite_ones():
 
 def test_simulate_raw_identity_gain_reproduces_samples():
     rho = thermal(1.0, 30)
-    raw, _ = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seed=5)
+    raw = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seed=5)
     direct = sample(rho, PHASES_50, 40, seed=5)
     assert np.array_equal(raw.voltages, direct.x)
     assert np.array_equal(raw.theta, direct.theta)
 
 
 def test_simulate_raw_vacuum_draws_no_integer_seeded_sample_stream():
-    # gain 1 and offset 0 make the vacuum reference the raw vacuum draws, so
-    # a reused stream shows as exactly equal statistics
+    # gain 1 and offset 0 make the vacuum trace the raw vacuum draws, so a
+    # reused stream shows as an equal trace
     vacuum = thermal(0.0, 10)
     for seed in (5, 6, 40):
-        _, stats = simulate_raw(vacuum, PHASES_50, 40, gain=1.0, offset=0.0, seed=seed)
+        raw = simulate_raw(vacuum, PHASES_50, 40, gain=1.0, offset=0.0, seed=seed)
         for t in range(seed - 2, seed + 3):
-            x = sample(vacuum, PHASES_50, 40, seed=t).x
-            assert stats.v_vac != float(x.mean()), t
-            assert stats.sigma_vac != float(x.std(ddof=1)), t
+            assert not np.array_equal(raw.vacuum, sample(vacuum, PHASES_50, 40, seed=t).x), t
 
 
 def test_simulate_raw_vacuum_reference_is_the_one_level_vacuum_stream():
     phases, n, gain, offset, seed = PHASES_50[:10], 20, 2.5, 0.3, 7
-    _, stats = simulate_raw(thermal(1.0, 30), phases, n, gain, offset, seed)
+    raw = simulate_raw(thermal(1.0, 30), phases, n, gain, offset, seed)
     vacuum = sample(thermal(0.0, 0), phases, n, np.random.SeedSequence(seed, spawn_key=(0,)))
-    vac_raw = offset + gain * vacuum.x
-    assert stats == CalibrationStats(float(vac_raw.mean()), float(vac_raw.std(ddof=1)))
+    assert np.array_equal(raw.vacuum, offset + gain * vacuum.x)
+    assert np.array_equal(raw.theta, vacuum.theta)
 
 
 def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():
@@ -252,57 +250,60 @@ def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():
 
 
 def test_simulate_raw_vacuum_statistics_follow_gain_and_offset():
-    _, stats = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seed=9)
+    vacuum = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seed=9).vacuum
     sigma = 2.5 * math.sqrt(0.5)
-    assert stats.v_vac == pytest.approx(0.3, abs=3.0 * sigma / math.sqrt(2000))
-    assert stats.sigma_vac == pytest.approx(sigma, abs=3.0 * sigma / math.sqrt(2 * 2000))
+    assert vacuum.mean() == pytest.approx(0.3, abs=3.0 * sigma / math.sqrt(2000))
+    assert vacuum.std(ddof=1) == pytest.approx(sigma, abs=3.0 * sigma / math.sqrt(2 * 2000))
+    with pytest.raises(ValueError, match="gain must be > 0"):
+        simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=0.0, offset=0.3, seed=9)
 
 
 def test_calibrate_centers_the_vacuum_mean():
-    stats = CalibrationStats(v_vac=1.7, sigma_vac=0.4)
-    raw = RawDataset(np.array([1.7]), np.array([0.0]))
-    assert calibrate(raw, stats, Convention.HALF).x[0] == 0.0
-    assert calibrate(raw, stats, Convention.QUARTER).x[0] == 0.0
+    # the trace's mean is exactly 1.75, the first record's value
+    raw = RawDataset(np.array([1.75, 3.0]), np.array([0.0, 1.0]), np.array([1.5, 2.0]))
+    assert calibrate(raw, Convention.HALF).x[0] == 0.0
+    assert calibrate(raw, Convention.QUARTER).x[0] == 0.0
 
 
 @pytest.mark.parametrize(
     "convention,target", [(Convention.QUARTER, 0.25), (Convention.HALF, 0.5)]
 )
 def test_calibrated_vacuum_variance_matches_convention(convention, target):
-    raw, stats = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=3.0, offset=-0.7, seed=21)
-    ds = calibrate(raw, stats, convention)
+    raw = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=3.0, offset=-0.7, seed=21)
+    ds = calibrate(raw, convention)
     assert ds.convention == convention
     assert ds.x.var() == pytest.approx(target, abs=0.1 * target)
 
 
 def test_calibration_round_trip_recovers_thermal_variance():
-    raw, stats = simulate_raw(thermal(1.0, 30), PHASES_50, 40, gain=2.5, offset=0.3, seed=13)
-    ds = calibrate(raw, stats, Convention.HALF)
+    raw = simulate_raw(thermal(1.0, 30), PHASES_50, 40, gain=2.5, offset=0.3, seed=13)
+    ds = calibrate(raw, Convention.HALF)
     assert ds.x.var() == pytest.approx(1.5, abs=0.15)
 
 
 def test_calibration_is_gain_and_offset_invariant():
     rho = thermal(1.0, 30)
-    raw_a, stats_a = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seed=17)
-    raw_b, stats_b = simulate_raw(rho, PHASES_50, 40, gain=2.5, offset=0.3, seed=17)
-    a = calibrate(raw_a, stats_a, Convention.HALF)
-    b = calibrate(raw_b, stats_b, Convention.HALF)
+    raw_a = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seed=17)
+    raw_b = simulate_raw(rho, PHASES_50, 40, gain=2.5, offset=0.3, seed=17)
+    a = calibrate(raw_a, Convention.HALF)
+    b = calibrate(raw_b, Convention.HALF)
     # With a shared seed the calibration cancels gain and offset exactly.
     assert np.array_equal(a.theta, b.theta)
     assert np.allclose(a.x, b.x, rtol=0, atol=1e-9)
 
 
-def test_calibration_stats_require_positive_spread():
-    for v_vac, sigma_vac, field in [
-        (0.0, 0.0, "sigma_vac"),
-        (0.0, -1.0, "sigma_vac"),
-        (0.0, np.nan, "sigma_vac"),
-        (0.0, np.inf, "sigma_vac"),
-        (np.inf, 1.0, "v_vac"),
-        (np.nan, 1.0, "v_vac"),
+def test_calibrate_requires_a_vacuum_trace_with_finite_positive_spread():
+    for vacuum, match in [
+        ([0.3, 0.3, 0.3], "sigma_vac must be finite and > 0, got 0.0"),
+        ([1e308, -1e308, 1e308], "sigma_vac must be finite and > 0, got inf"),
+        ([1e308, 1e308], "v_vac must be finite, got inf"),
+        ([0.3], "at least two values"),
     ]:
-        with pytest.raises(ValueError, match=field):
-            CalibrationStats(v_vac=v_vac, sigma_vac=sigma_vac)
+        raw = RawDataset(np.zeros(len(vacuum)), np.zeros(len(vacuum)), np.array(vacuum))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(match)):
+                calibrate(raw, Convention.QUARTER)
 
 
 def test_raw_dataset_requires_finite_voltages_and_phases_in_range():
@@ -316,7 +317,34 @@ def test_raw_dataset_requires_finite_voltages_and_phases_in_range():
         ([0.0, 1.0], [0.5], "voltages and theta must be matching"),
     ]:
         with pytest.raises(ValueError, match=match):
-            RawDataset(np.array(voltages), np.array(theta))
+            RawDataset(np.array(voltages), np.array(theta), np.zeros(np.shape(theta)))
+    # the vacuum trace is checked as the voltages are, against the same phases
+    for vacuum, match in [
+        ([0.0, np.nan], "vacuum must be finite"),
+        ([0.0], "vacuum and theta must be matching non-empty 1-D arrays"),
+        ([[0.0, 1.0]], "vacuum and theta must be matching"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            RawDataset(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array(vacuum))
+
+
+def test_value_types_freeze_copies_of_the_callers_arrays():
+    entries = np.diag([0.75, 0.25]).astype(np.complex128)
+    amps, phases, weights = np.array([1.0]), np.array([0.0, 1.0]), np.array([[0.5, 0.5]])
+    x, theta, vacuum = np.array([0.1, -0.2]), np.array([0.0, 1.0]), np.array([0.3, 0.4])
+    rho = FockDensityMatrix(1, entries)
+    codebook = mimic.Codebook(1.0, amps, phases, weights, mimic.Scheme.STRATIFIED)
+    dataset = QuadratureDataset(x, theta, Convention.HALF)
+    raw = RawDataset(x, theta, vacuum)
+    for given in (entries, amps, phases, weights, x, theta, vacuum):
+        assert given.flags.writeable
+    for held, given in [
+        (rho.entries, entries), (codebook.amplitudes, amps), (codebook.phases, phases),
+        (codebook.weights, weights), (dataset.x, x), (dataset.theta, theta),
+        (raw.voltages, x), (raw.theta, theta), (raw.vacuum, vacuum),
+    ]:
+        assert not held.flags.writeable
+        assert np.array_equal(held, given)
 
 
 def test_dataset_requires_phases_in_range():

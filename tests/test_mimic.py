@@ -237,6 +237,8 @@ def test_sweep_higher_nbar_needs_more_samples():
 def test_sweep_rejects_non_square_sample_counts():
     with pytest.raises(ValueError, match="perfect square"):
         sweep_fidelity([1.0], [50])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sweep_fidelity([1.0], [4], Scheme.RANDOM, trials=0)
 
 
 def test_random_sweep_mean_within_three_sigma_of_stratified():
@@ -286,3 +288,14 @@ def test_codebook_validation():
         )
     with pytest.raises(ValueError, match="shape"):
         Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[0.5, 0.5]]), Scheme.STRATIFIED)
+    for amps, phases, match in [
+        ([], [0.0], "amplitudes must be a non-empty 1-D array"),
+        ([1.0], [], "phases must be a non-empty 1-D array"),
+        ([-1.0], [0.0], "amplitudes must be >= 0"),
+        ([1.0], [2.0 * np.pi], r"phases must lie in \[0, 2\*pi\)"),
+    ]:
+        weights = np.full((len(amps), len(phases)), 1.0 / max(len(amps) * len(phases), 1))
+        with pytest.raises(ValueError, match=match):
+            Codebook(1.0, np.array(amps), np.array(phases), weights, Scheme.STRATIFIED)
+    with pytest.raises(ValueError, match="optimized codebooks come from optimize_weights"):
+        build_codebook(1.0, 2, 2, Scheme.OPTIMIZED)

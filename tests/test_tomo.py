@@ -107,8 +107,8 @@ def test_likelihood_of_diagonal_state_ignores_global_phase_shift():
 
 
 def test_quarter_dataset_reads_like_its_half_twin():
-    raw, stats = simulate_raw(thermal(1.0, 30), PHASES_50[::5], 20, 2.5, 0.3, seed=3)
-    quarter = calibrate(raw, stats, Convention.QUARTER)
+    raw = simulate_raw(thermal(1.0, 30), PHASES_50[::5], 20, 2.5, 0.3, seed=3)
+    quarter = calibrate(raw, Convention.QUARTER)
     half = QuadratureDataset(quarter.x * math.sqrt(2.0), quarter.theta, Convention.HALF)
     rho = thermal(1.0, 6, tail_tol=0.05)
     assert log_likelihood(rho, quarter) == log_likelihood(rho, half)
