@@ -66,8 +66,9 @@ class SweepConfig:
                 raise ConfigError(f"sample count {m} is not a perfect square")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.cutoff < 0:
-            raise ConfigError("cutoff must be >= 0")
+        for key in ("cutoff", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,9 @@ class TomoConfig:
         for key in ("phases", "samples_per_phase", "runs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self.source_cutoff < 0:
-            raise ConfigError("source_cutoff must be >= 0")
+        for key in ("source_cutoff", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
         if self.gain is not None and self.gain <= 0:
             raise ConfigError("gain must be > 0")
         if self.gain is not None and self.phases * self.samples_per_phase < 2:
@@ -150,6 +152,8 @@ class CodebookConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         try:
             self.mode, self.modulator  # the physical types check their own knobs
             if self.codebook_file is None:
@@ -283,7 +287,7 @@ def cmd_mimic_sweep(cfg: SweepConfig) -> None:
 def _model_state(source: str, nbar: float, cutoff: int, tail_tol: float) -> fock.FockDensityMatrix:
     """Vacuum, coherent or (for any other source) thermal state of mean photon number ``nbar``."""
     if source == "coherent":
-        return fock.mix([1.0], fock.coherent_states([math.sqrt(nbar)], [0.0], cutoff, tail_tol))
+        return fock.mix([1.0], fock.coherent_states([math.sqrt(nbar)], [0.0], cutoff), tail_tol)
     return fock.thermal(0.0 if source == "vacuum" else nbar, cutoff, tail_tol)
 
 

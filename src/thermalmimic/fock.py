@@ -86,9 +86,11 @@ class FockDensityMatrix:
         return float(self.entries.trace().real)
 
 
-def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL):
+def coherent_states(magnitudes, phases, cutoff: int):
     """Truncated coherent states ``|alpha>``, ``alpha = magnitude e^{i phase}``,
     as an array of one row of ``cutoff + 1`` Fock coefficients per amplitude.
+    Any cutoff is allowed: :func:`mix` weighs the mass the rows lose beyond it
+    against the mixture's truncation budget.
 
     Coefficient ``n`` is ``|alpha|^n e^{i n theta} e^{-|alpha|^2 / 2} / sqrt(n!)``,
     evaluated in log space so no factorial is ever formed directly: ``log n!``
@@ -97,7 +99,6 @@ def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_T
 
     Raises:
         ValueError: if a magnitude is negative.
-        TruncationError: if a row's Poisson mass beyond ``cutoff`` exceeds ``tail_tol``.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
@@ -110,15 +111,7 @@ def coherent_states(magnitudes, phases, cutoff: int, tail_tol: float = DEFAULT_T
     with np.errstate(divide="ignore", invalid="ignore"):  # |alpha| = 0: log 0, then 0 * -inf
         n_log_r = np.where(n == 0, 0.0, n * np.log(r))
     log_mag = n_log_r - 0.5 * r**2 - 0.5 * log_factorial
-    states = np.exp(log_mag) * np.exp(1j * theta * n)
-    tails = 1.0 - np.einsum("ij,ij->i", states.conj(), states).real
-    if np.any(tails > tail_tol):
-        i = np.argmax(tails > tail_tol)  # the first row over budget
-        raise TruncationError(
-            f"coherent state |alpha|^2 = {r[i, 0] ** 2:.4g} loses mass "
-            f"{tails[i]:.3e} beyond cutoff {cutoff} (budget {tail_tol:.1e})"
-        )
-    return states
+    return np.exp(log_mag) * np.exp(1j * theta * n)
 
 
 def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatrix:
@@ -151,15 +144,18 @@ def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Foc
     return FockDensityMatrix(cutoff, np.diag(diag).astype(np.complex128), trace_tol=tail + 1e-12)
 
 
-def mix(weights, states) -> FockDensityMatrix:
+def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatrix:
     """Statistical mixture ``sum_i p_i |psi_i><psi_i|`` of pure states.
 
     ``states`` holds one Fock coefficient row ``psi_i`` per weight ``p_i``, as
     :func:`coherent_states` returns them. Weights must be nonnegative and sum
     to 1 within 1e-12; all rows must share one length (one cutoff), and no
     row's squared norm may exceed 1. The result is Hermitian and PSD by
-    construction, and its trace equals the weighted sum of the row norms
-    (short of 1 only by the truncation mass the rows carried).
+    construction, and its trace equals the weighted sum of the row norms.
+
+    Raises:
+        TruncationError: if the weighted tail ``1 - sum_i p_i |psi_i|^2`` exceeds
+            ``tail_tol``. A rare row may lose more, if its weight keeps the sum in budget.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0.0):
@@ -176,11 +172,14 @@ def mix(weights, states) -> FockDensityMatrix:
     norms = np.einsum("ij,ij->i", stacked.conj(), stacked).real
     if np.any(norms > 1.0 + TRACE_EXCESS_TOL):
         raise ValueError(f"state squared norm {norms.max()} exceeds 1")
+    deficit = 1.0 - float(np.sum(weights * norms))
+    if deficit > tail_tol:
+        raise TruncationError(f"mixture loses mass {deficit:.3e} beyond cutoff "
+                              f"{stacked.shape[1] - 1} (budget {tail_tol:.1e})")
     # rho = A^T conj(A) with rows sqrt(p_i) psi_i, PSD by construction
     scaled = np.sqrt(weights)[:, None] * stacked
     rho = scaled.T @ scaled.conj()
     rho = 0.5 * (rho + rho.conj().T)
-    deficit = 1.0 - float(np.sum(weights * norms))
     return FockDensityMatrix(stacked.shape[1] - 1, rho, trace_tol=max(deficit, 0.0) + 1e-9)
 
 
@@ -233,11 +232,6 @@ def mean_photon(rho: FockDensityMatrix) -> float:
     """Expected photon number ``sum_n n rho_nn``."""
     n = np.arange(rho.cutoff + 1)
     return float(np.sum(n * np.diag(rho.entries).real))
-
-
-def purity(rho: FockDensityMatrix) -> float:
-    """``Tr(rho^2)``; 1 for pure states, 1/dim for the maximally mixed state."""
-    return float(np.trace(rho.entries @ rho.entries).real)
 
 
 # ---------------------------------------------------------------------------

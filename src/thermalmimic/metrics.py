@@ -27,7 +27,10 @@ def fidelity(a: FockDensityMatrix, b: FockDensityMatrix) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(b) a sqrt(b)))^2``.
 
     Symmetric in its arguments and equal to 1 iff the states are identical.
-    For a pure state it reduces to the overlap with the other state.
+    For a pure state it reduces to the overlap with the other state. At a
+    rank-deficient argument, an eigenvalue ``e`` moving off zero moves F by
+    about ``sqrt(e)`` (1e-18 shows as 1e-10 to 1e-9, and F is clipped at 1), so
+    a byte-identity check should expect F to shift whenever the entries move.
     """
     _require_same_cutoff(a, b)
     vals_b, vecs_b = np.linalg.eigh(b.entries)
@@ -35,7 +38,6 @@ def fidelity(a: FockDensityMatrix, b: FockDensityMatrix) -> float:
     inner = sqrt_b @ a.entries @ sqrt_b
     inner = 0.5 * (inner + inner.conj().T)
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    # square roots of near-zero eigenvalues can push the sum past 1 by ~1e-8
     return min(float(np.sum(np.sqrt(vals)) ** 2), 1.0)
 
 

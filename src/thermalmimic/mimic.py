@@ -245,8 +245,8 @@ def codebook_from_json(obj: dict) -> Codebook:
     nbar, seed = obj["nbar_target"], obj.get("seed")
     if isinstance(nbar, bool) or not isinstance(nbar, (int, float)):
         raise TypeError(f"nbar_target must be a number, got {nbar!r}")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise TypeError(f"seed must be an integer or null, got {seed!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise TypeError(f"seed must be a non-negative integer or null, got {seed!r}")
     return Codebook(
         nbar_target=float(nbar),
         amplitudes=obj["amplitudes"],

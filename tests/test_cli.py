@@ -163,6 +163,9 @@ def test_tomo_calibrated_quarter_path(tmp_path):
 def test_tomo_truncation_failure_exits_numeric(tmp_path):
     assert main(["tomo-end2end", "--source", "thermal", "--nbar", "5.0",
                  "--source-cutoff", "10", "--out-dir", str(tmp_path)]) == 3
+    # a one-row mixture's weighted tail is its row's tail
+    assert main(["tomo-end2end", "--source", "coherent", "--nbar", "5",
+                 "--source-cutoff", "10", "--out-dir", str(tmp_path)]) == 3
 
 
 @pytest.mark.parametrize(
@@ -406,6 +409,10 @@ def test_metrics_command_missing_file_exits_config(tmp_path):
         ("mimic-sweep", {"cutoff": -1}, "cutoff"),
         # one record per run leaves the raw path's vacuum trace without a spread
         ("tomo-end2end", {"gain": 1.0, "phases": 1, "samples_per_phase": 1}, "samples_per_phase"),
+        # a seed below 0, which numpy cannot seed a generator from
+        ("codebook-export", {"scheme": "random", "seed": -1}, "seed"),
+        ("mimic-sweep", {"scheme": "random", "seed": -1}, "seed"),
+        ("tomo-end2end", {"source": "vacuum", "seed": -1}, "seed"),
     ],
 )
 def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config, key):
@@ -450,10 +457,10 @@ _MATRIX = {"cutoff": 1, "entries_real": [[0.5, 0.0], [0.0, 0.5]],
                     '"entries_imag": [[0.0, 0.0], [0.0, 0.0]]}'),
         # a --config file must hold an object
         ("tomo-end2end", "[1, 2]"),
-        # a seed is an integer or null, nbar_target a number, a cutoff an integer
+        # a seed is a non-negative integer or null, nbar_target a number, a cutoff an integer
         *(pytest.param("codebook-export", json.dumps({**_CODEBOOK, "seed": seed}),
                        id=f"codebook-export-seed-{seed!r}")
-          for seed in ("abc", [1, 2], 1.5, True)),
+          for seed in ("abc", [1, 2], 1.5, True, -1)),
         *(pytest.param("codebook-export", json.dumps({**_CODEBOOK, "nbar_target": nbar}),
                        id=f"codebook-export-nbar_target-{nbar!r}")
           for nbar in ("1.5", True)),

@@ -20,7 +20,6 @@ from thermalmimic.fock import (
     coherent_states,
     mean_photon,
     mix,
-    purity,
     thermal,
 )
 
@@ -66,8 +65,9 @@ def test_coherent_coefficients_match_poisson_pmf():
 
 
 def test_coherent_truncation_error_when_tail_too_large():
+    # the row builds at any cutoff; the one-row mixture is what loses too much
     with pytest.raises(TruncationError):
-        coherent(3.0, cutoff=5)
+        mix([1.0], [coherent(3.0, cutoff=5)])
 
 
 def test_coherent_states_rejects_negative_magnitude():
@@ -121,7 +121,7 @@ def test_coherent_states_match_a_scalar_log_space_oracle(cutoff, points):
     magnitudes, phases = (list(col) for col in zip((0.0, 0.3), *points))  # a vacuum row first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states = coherent_states(magnitudes, phases, cutoff, tail_tol=1.0)  # any cutoff
+        states = coherent_states(magnitudes, phases, cutoff)
     assert np.array_equal(states[0], np.eye(cutoff + 1)[0])
     for row, mag, phase in zip(states, magnitudes, phases):
         # the atol only admits subnormal coefficients, which carry fewer than 53 bits
@@ -131,11 +131,13 @@ def test_coherent_states_match_a_scalar_log_space_oracle(cutoff, points):
             assert np.array_equal(row, np.eye(cutoff + 1)[0])
 
 
-def test_coherent_states_truncation_error_names_the_row_over_budget():
-    # at cutoff 5 only |alpha|^2 = 9 loses more than the default 1e-5
-    with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 9 "):
-        coherent_states([0.1, 3.0, 0.5], [0.0, 1.0, 2.0], cutoff=5)
-    assert coherent_states([0.1, 0.5], [0.0, 2.0], cutoff=5).shape == (2, 6)
+def test_mix_budget_bounds_the_weighted_tail():
+    # at cutoff 30, |alpha|^2 = 0.25 loses nothing and |alpha|^2 = 31 loses 0.524
+    rows = coherent_states([0.5, math.sqrt(31.0)], [0.0, 1.0], 30)
+    rare = mix([1.0 - 1e-9, 1e-9], rows)  # loses 5.2e-10, inside the default 1e-5
+    assert rare.trace == pytest.approx(1.0 - 1e-9 * 0.52388802, abs=1e-15)
+    with pytest.raises(TruncationError, match="loses mass 5.239e-05 beyond cutoff 30"):
+        mix([1.0 - 1e-4, 1e-4], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ def test_mix_single_component_is_projector():
     psi = coherent(1.0)
     rho = mix([1.0], [psi])
     assert np.allclose(rho.entries, np.outer(psi, psi.conj()))
-    assert purity(rho) >= 1.0 - 2 * fock.DEFAULT_TAIL_TOL
+    assert np.trace(rho.entries @ rho.entries).real >= 1.0 - 2 * fock.DEFAULT_TAIL_TOL
 
 
 def test_mix_opposite_phases_kills_odd_coherences():
