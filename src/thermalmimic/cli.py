@@ -13,7 +13,9 @@ resolved from the defaults, an optional JSON config file, and flag overrides
 (in that order); each value must have its field's type, and the dataclass
 checks ranges. Outputs are deterministic and stamped with the toolkit version
 and a hash of the resolved config. Exit codes: 0 ok, 2 config error, 3
-numerical failure, 4 physical infeasibility.
+numerical failure, 4 physical infeasibility. Any ``ValueError`` raised while a
+config, or a library type it builds, is constructed exits 2;
+``physical.ExtinctionRangeError`` exits 4; any other ``ValueError`` exits 3.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class TomoConfig:
     """Sample, reconstruct, average, score.
 
     ``phases`` LO phases x ``samples_per_phase`` quadratures per run. A
-    ``gain`` enables the raw-voltage calibration path, under ``convention``.
+    ``gain`` enables the raw-voltage calibration path; ``convention`` sets only
+    the scale of its intermediate calibrated records, not the reconstruction.
     ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap, in
     nats, at which a run stops) are the MLE's.
     """
@@ -112,12 +115,9 @@ class TomoConfig:
             raise ConfigError("gain must be > 0")
         if self.gain is not None and self.phases * self.samples_per_phase < 2:
             raise ConfigError("the raw path's vacuum trace needs phases * samples_per_phase >= 2")
-        try:
-            self.mle  # tomo.MleConfig checks the MLE knobs
-            if self.source == "artificial":
-                mimic.check_codebook_args(*self.codebook_args)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.mle  # tomo.MleConfig checks the MLE knobs
+        if self.source == "artificial":
+            mimic.check_codebook_args(*self.codebook_args)
 
     @property
     def mle(self) -> tomo.MleConfig:
@@ -126,8 +126,7 @@ class TomoConfig:
     @property
     def codebook_args(self) -> tuple:
         """``build_codebook``'s arguments for the artificial source."""
-        seed = self.seed if self.scheme == "random" else None
-        return self.nbar, self.codebook_amplitudes, self.codebook_phases, self.scheme, seed
+        return self.nbar, self.codebook_amplitudes, self.codebook_phases, self.scheme, self.seed
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,9 @@ class CodebookConfig:
     def __post_init__(self) -> None:
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        try:
-            self.mode, self.modulator  # the physical types check their own knobs
-            if self.codebook_file is None:
-                mimic.check_codebook_args(*self.codebook_args)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.mode, self.modulator  # the physical types check their own knobs
+        if self.codebook_file is None:
+            mimic.check_codebook_args(*self.codebook_args)
 
     @property
     def codebook_args(self) -> tuple:
@@ -223,7 +219,9 @@ def _load_json(path: str, what: str, parse=lambda obj: obj):
 
 def _resolve_config(cls: type, config_path: str | None, overrides: dict):
     """``cls`` from its defaults, then the JSON config file, then the flags
-    given (those not None), each value checked against its field's type."""
+    given (those not None), each value checked against its field's type. A
+    ``ValueError`` raised while ``cls``, or a library type it builds to check
+    its knobs, is constructed is a config error."""
     values = {} if config_path is None else _load_json(config_path, "config file")
     if not isinstance(values, dict):
         raise ConfigError(f"config file {config_path} must hold a JSON object")
@@ -232,7 +230,11 @@ def _resolve_config(cls: type, config_path: str | None, overrides: dict):
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values = {**values, **{k: v for k, v in overrides.items() if v is not None}}
-    return cls(**{key: _typed(key, value, kinds[key]) for key, value in values.items()})
+    typed = {key: _typed(key, value, kinds[key]) for key, value in values.items()}
+    try:
+        return cls(**typed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _stamp(cfg) -> dict:

@@ -32,14 +32,6 @@ PSD_EIGVAL_FLOOR = -1e-10
 TRACE_EXCESS_TOL = 1e-12
 
 
-class TruncationError(ValueError):
-    """Raised when the chosen Fock cutoff discards more mass than allowed."""
-
-
-class CutoffMismatchError(ValueError):
-    """Raised when an operation combines states with different cutoffs."""
-
-
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Complex matrix of number-basis elements ``<m|rho|n>`` up to ``cutoff``.
@@ -121,8 +113,8 @@ def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Foc
     entries are exactly zero.
 
     Raises:
-        TruncationError: if the geometric tail ``(nbar/(nbar+1))^(cutoff+1)``
-            exceeds ``tail_tol``.
+        ValueError: if the geometric tail ``(nbar/(nbar+1))^(cutoff+1)``
+            exceeds ``tail_tol`` ("has tail mass ... beyond cutoff ...").
     """
     if nbar < 0.0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
@@ -137,7 +129,7 @@ def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Foc
         diag = np.exp(n * math.log(nbar) - (n + 1) * math.log(nbar + 1.0))
         tail = (nbar / (nbar + 1.0)) ** (cutoff + 1)
         if tail > tail_tol:
-            raise TruncationError(
+            raise ValueError(
                 f"thermal state nbar = {nbar} has tail mass {tail:.3e} beyond "
                 f"cutoff {cutoff} (budget {tail_tol:.1e})"
             )
@@ -154,18 +146,19 @@ def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatri
     construction, and its trace equals the weighted sum of the row norms.
 
     Raises:
-        TruncationError: if the weighted tail ``1 - sum_i p_i |psi_i|^2`` exceeds
-            ``tail_tol``. A rare row may lose more, if its weight keeps the sum in budget.
+        ValueError: if the weighted tail ``1 - sum_i p_i |psi_i|^2`` exceeds
+            ``tail_tol`` ("loses mass ... beyond cutoff ..."). A rare row may
+            lose more, if its weight keeps the sum in budget.
     """
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0.0):
-        raise ValueError("mixture weights must be >= 0")
+    if not np.all(weights >= 0.0):  # false for nan
+        raise ValueError(f"mixture weights must be >= 0, got {weights[~(weights >= 0.0)]}")
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {total!r}")
     lengths = {len(row) for row in states}
     if len(lengths) > 1:
-        raise CutoffMismatchError(f"all states must share one cutoff, got row lengths {lengths}")
+        raise ValueError(f"all states must share one cutoff, got row lengths {lengths}")
     stacked = np.asarray(states, dtype=np.complex128)
     if stacked.shape[:1] != weights.shape:
         raise ValueError(f"{weights.size} weights for {len(stacked)} states")
@@ -174,8 +167,8 @@ def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatri
         raise ValueError(f"state squared norm {norms.max()} exceeds 1")
     deficit = 1.0 - float(np.sum(weights * norms))
     if deficit > tail_tol:
-        raise TruncationError(f"mixture loses mass {deficit:.3e} beyond cutoff "
-                              f"{stacked.shape[1] - 1} (budget {tail_tol:.1e})")
+        raise ValueError(f"mixture loses mass {deficit:.3e} beyond cutoff "
+                         f"{stacked.shape[1] - 1} (budget {tail_tol:.1e})")
     # rho = A^T conj(A) with rows sqrt(p_i) psi_i, PSD by construction
     scaled = np.sqrt(weights)[:, None] * stacked
     rho = scaled.T @ scaled.conj()

@@ -46,10 +46,6 @@ class Convention(str, Enum):
         return 0.5 if self is Convention.HALF else 0.25
 
 
-class ConventionError(ValueError):
-    """Dataset carries no valid quadrature scale convention tag."""
-
-
 def _freeze_records(dataset, **names: str) -> None:
     """Check ``dataset.theta`` and each record field ``dataset.<key>`` (called
     ``names[key]`` in the errors) and store read-only float copies of them:
@@ -80,7 +76,7 @@ class QuadratureDataset:
     def __post_init__(self) -> None:
         _freeze_records(self, x="quadratures")
         if not isinstance(self.convention, Convention):
-            raise ConventionError(f"invalid convention tag {self.convention!r}")
+            raise ValueError(f"invalid convention tag {self.convention!r}")
 
     @property
     def count(self) -> int:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .fock import CutoffMismatchError, FockDensityMatrix, mean_photon
+from .fock import FockDensityMatrix, mean_photon
 
 #: Eigenvalues below this contribute nothing to the entropy (0 log 0 = 0).
 ENTROPY_EIGVAL_FLOOR = 1e-14
@@ -20,7 +20,7 @@ ENTROPY_EIGVAL_FLOOR = 1e-14
 
 def _require_same_cutoff(a: FockDensityMatrix, b: FockDensityMatrix) -> None:
     if a.cutoff != b.cutoff:
-        raise CutoffMismatchError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
+        raise ValueError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
 
 
 def fidelity(a: FockDensityMatrix, b: FockDensityMatrix) -> float:

@@ -29,10 +29,6 @@ class Scheme(str, Enum):
     OPTIMIZED = "optimized"
 
 
-class SingularDesignError(ValueError):
-    """Weight optimization over a constellation with no distinct points."""
-
-
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Constellation of L amplitudes x Q phases with mixing weights.
@@ -162,7 +158,7 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Cod
     magnitudes, phases = codebook.points()
     alphas = magnitudes * np.exp(1j * phases)
     if alphas.size > 1 and np.all(np.abs(alphas - alphas[0]) < 1e-15):
-        raise SingularDesignError("all constellation points coincide; weights are unidentifiable")
+        raise ValueError("all constellation points coincide; weights are unidentifiable")
 
     states = coherent_states(magnitudes, phases, target.cutoff)
     frobenius = np.where(np.eye(target.dim, dtype=bool), 1.0, math.sqrt(2.0)).ravel()
@@ -171,7 +167,7 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Cod
     solution, _ = nnls(design, fock._pack(target.entries) * frobenius)
     total = float(solution.sum())
     if total <= 0.0:
-        raise SingularDesignError("nonnegative least squares returned an all-zero weight vector")
+        raise ValueError("nonnegative least squares returned an all-zero weight vector")
     new_weights = (solution / total).reshape(codebook.weights.shape)
     refit = fidelity(fock.mix(new_weights.ravel(), states), target)
     kept = fidelity(fock.mix(codebook.weights.ravel(), states), target)
@@ -203,15 +199,13 @@ def sweep_fidelity(
     for m, side in zip(sample_counts, sides):
         if side * side != m:
             raise ValueError(f"sample count {m} is not a perfect square")
+    base = Scheme.STRATIFIED if scheme == Scheme.OPTIMIZED else scheme  # the grid it refits
     fids = np.empty((len(nbars), len(sides), trials if scheme == Scheme.RANDOM else 1))
     for i, nbar in enumerate(nbars):
         reference = fock.thermal(nbar, cutoff)
         for j, side in enumerate(sides):
             for trial in range(fids.shape[2]):
-                if scheme == Scheme.RANDOM:
-                    cb = build_codebook(nbar, side, side, scheme, seed + trial)
-                else:
-                    cb = build_codebook(nbar, side, side, Scheme.STRATIFIED)
+                cb = build_codebook(nbar, side, side, base, seed + trial)
                 if scheme == Scheme.OPTIMIZED:
                     fids[i, j, trial] = optimize_weights(cb, reference)[1]
                 else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import CutoffMismatchError, FockDensityMatrix, density_to_json, mean_photon
+from .fock import FockDensityMatrix, density_to_json, mean_photon
 from .fock import _pack, _unpack, projector_map
 from .homodyne import QuadratureDataset, fock_wavefunctions
 
@@ -212,7 +212,7 @@ def average(runs: list[FockDensityMatrix]) -> ReconstructionEnsemble:
     cutoff = runs[0].cutoff
     for run in runs[1:]:
         if run.cutoff != cutoff:
-            raise CutoffMismatchError(f"cutoff mismatch: {run.cutoff} vs {cutoff}")
+            raise ValueError(f"cutoff mismatch: {run.cutoff} vs {cutoff}")
     stack = np.stack([run.entries for run in runs])
     mean = stack.mean(axis=0)
     mean /= mean.trace().real

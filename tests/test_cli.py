@@ -160,6 +160,30 @@ def test_tomo_calibrated_quarter_path(tmp_path):
     assert report["metrics"]["fidelity"] >= 0.95
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tomo_raw_convention_changes_no_reconstruction(tmp_path, seed):
+    # calibrate scales the records to the chosen vacuum variance and tomo
+    # scales them back, so the convention sets only the intermediate scale
+    outputs = {}
+    for convention in ("half", "quarter"):
+        out = tmp_path / convention
+        assert main(["tomo-end2end", "--source", "thermal", "--runs", "2", "--seed", str(seed),
+                     "--cutoff", "6", "--phases", "8", "--samples-per-phase", "25",
+                     "--gain", "2.5", "--offset", "0.3", "--convention", convention,
+                     "--out-dir", str(out)]) == 0
+        outputs[convention] = read_json(out / "ensemble.json")
+    rho = {
+        convention: fock.density_from_json(output["ensemble"]["matrix"]).entries
+        for convention, output in outputs.items()
+    }
+    assert np.max(np.abs(rho["half"] - rho["quarter"])) <= 1e-12
+    iterations = {
+        convention: [run["iterations"] for run in output["runs"]]
+        for convention, output in outputs.items()
+    }
+    assert iterations["half"] == iterations["quarter"]
+
+
 def test_tomo_truncation_failure_exits_numeric(tmp_path):
     assert main(["tomo-end2end", "--source", "thermal", "--nbar", "5.0",
                  "--source-cutoff", "10", "--out-dir", str(tmp_path)]) == 3
@@ -210,6 +234,25 @@ def test_tomo_bad_source_exits_config(tmp_path):
 def test_empty_codebook_exits_config(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "at least one amplitude and one phase" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, knob",
+    [
+        (["tomo-end2end", "--stop-tol", "0"], "stop_tol"),
+        (["tomo-end2end", "--max-iterations", "0"], "max_iterations"),
+        (["codebook-export", "--tau", "0"], "tau"),
+        (["codebook-export", "--extinction-db", "0"], "extinction_db"),
+    ],
+)
+def test_library_type_rejecting_a_knob_exits_config(tmp_path, capsys, argv, knob):
+    # tomo.MleConfig and the physical types check these knobs; the config
+    # loader makes their ValueError a config error
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {knob} must be")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -514,6 +557,20 @@ def test_malformed_flag_exits_config(tmp_path, argv):
 
 def test_tomo_config_takes_the_mle_defaults_from_mle_config():
     assert TomoConfig().mle == tomo.MleConfig()
+
+
+def test_each_exception_type_has_its_own_exit_code():
+    # main maps ConfigError to 2 and ExtinctionRangeError to 4; any other
+    # ValueError exits 3, so a further subclass would name nothing main tells apart
+    modules = ("cli", "fock", "homodyne", "metrics", "mimic", "physical", "tomo")
+    defined = {
+        f"{name}.{attr}"
+        for name in modules
+        for attr, obj in vars(importlib.import_module(f"thermalmimic.{name}")).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__ == f"thermalmimic.{name}"
+    }
+    assert defined == {"cli.ConfigError", "physical.ExtinctionRangeError"}
 
 
 def _has_type(value, kind) -> bool:

@@ -14,9 +14,7 @@ from _states import random_density
 from thermalmimic import fock
 from thermalmimic.mimic import Scheme, build_codebook
 from thermalmimic.fock import (
-    CutoffMismatchError,
     FockDensityMatrix,
-    TruncationError,
     coherent_states,
     mean_photon,
     mix,
@@ -66,7 +64,7 @@ def test_coherent_coefficients_match_poisson_pmf():
 
 def test_coherent_truncation_error_when_tail_too_large():
     # the row builds at any cutoff; the one-row mixture is what loses too much
-    with pytest.raises(TruncationError):
+    with pytest.raises(ValueError, match="loses mass"):
         mix([1.0], [coherent(3.0, cutoff=5)])
 
 
@@ -136,7 +134,7 @@ def test_mix_budget_bounds_the_weighted_tail():
     rows = coherent_states([0.5, math.sqrt(31.0)], [0.0, 1.0], 30)
     rare = mix([1.0 - 1e-9, 1e-9], rows)  # loses 5.2e-10, inside the default 1e-5
     assert rare.trace == pytest.approx(1.0 - 1e-9 * 0.52388802, abs=1e-15)
-    with pytest.raises(TruncationError, match="loses mass 5.239e-05 beyond cutoff 30"):
+    with pytest.raises(ValueError, match="loses mass 5.239e-05 beyond cutoff 30"):
         mix([1.0 - 1e-4, 1e-4], rows)
 
 
@@ -166,8 +164,8 @@ def test_thermal_entry_values_and_diagonality():
 
 
 def test_thermal_truncation_error_when_cutoff_too_small():
-    # tail (2/3)^11 ~ 1.2e-2 blows the default 1e-6 budget
-    with pytest.raises(TruncationError):
+    # tail (2/3)^11 ~ 1.2e-2 blows the default 1e-5 budget
+    with pytest.raises(ValueError, match="has tail mass"):
         thermal(2.0, 10)
     # an explicit budget allows it, and the lost mass stays visible in the trace
     assert thermal(2.0, 10, tail_tol=0.05).trace < 1.0 - 1e-3
@@ -218,7 +216,11 @@ def test_mix_rejects_bad_weights_and_cutoffs():
         mix([0.5, 0.4], [psi, psi])
     with pytest.raises(ValueError, match=">= 0"):
         mix([1.5, -0.5], [psi, psi])
-    with pytest.raises(CutoffMismatchError):
+    # nan fails every comparison, so it must be named, not pass to the product
+    for weights in ([math.nan, 1.0], [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"weights must be >= 0, got \[nan\]"):
+            mix(weights, [psi, psi])
+    with pytest.raises(ValueError, match="share one cutoff"):
         mix([0.5, 0.5], [psi, coherent(1.0, 0.0, cutoff=20)])
 
 

@@ -9,7 +9,6 @@ from thermalmimic.fock import coherent_states, thermal
 from thermalmimic.mimic import (
     Codebook,
     Scheme,
-    SingularDesignError,
     assemble,
     build_codebook,
     codebook_from_json,
@@ -207,7 +206,7 @@ def test_optimize_weights_rejects_degenerate_constellation():
     cb = Codebook(
         1.0, np.array([1.0, 1.0]), np.array([0.5]), np.array([[0.5], [0.5]]), Scheme.STRATIFIED
     )
-    with pytest.raises(SingularDesignError):
+    with pytest.raises(ValueError, match="coincide"):
         optimize_weights(cb, thermal(1.0, 30))[0]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from _states import fock_projector
 from thermalmimic import mimic
 from thermalmimic.fock import (
-    CutoffMismatchError,
     FockDensityMatrix,
     coherent_states,
     mean_photon,
@@ -287,7 +286,7 @@ def test_average_two_point_statistics():
 
 
 def test_average_rejects_mixed_cutoffs_and_empty_input():
-    with pytest.raises(CutoffMismatchError):
+    with pytest.raises(ValueError, match="cutoff mismatch"):
         average([fock_projector(0, 4), fock_projector(0, 5)])
     with pytest.raises(ValueError):
         average([])
