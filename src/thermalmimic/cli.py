@@ -16,6 +16,11 @@ and a hash of the resolved config. Exit codes: 0 ok, 2 config error, 3
 numerical failure, 4 physical infeasibility. Any ``ValueError`` raised while a
 config, or a library type it builds, is constructed exits 2;
 ``physical.ExtinctionRangeError`` exits 4; any other ``ValueError`` exits 3.
+
+This module owns every file layout: it writes each output and parses each
+input file, so the library modules compute on value types only. An input
+file's values are typed by the rule a config file's are; an input that
+cannot be read or parsed, or an output path that cannot be written, exits 2.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class SweepConfig:
     nbars: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
     samples: tuple[int, ...] = (4, 16, 36, 64, 100)
     scheme: Literal["stratified", "random", "optimized"] = "stratified"
-    cutoff: int = 30
+    cutoff: int = fock.DEFAULT_CUTOFF
     trials: int = 1
     seed: int = 0
     out_dir: str = "."
@@ -89,7 +94,7 @@ class TomoConfig:
     codebook_amplitudes: int = 8
     codebook_phases: int = 8
     scheme: Literal["stratified", "random"] = "stratified"
-    source_cutoff: int = 30
+    source_cutoff: int = fock.DEFAULT_CUTOFF
     cutoff: int = tomo.MleConfig.cutoff
     phases: int = 50
     samples_per_phase: int = 40
@@ -176,7 +181,7 @@ class MetricsConfig:
     """Compare two serialized density matrices.
 
     Each file holds a density-matrix JSON: bare, wrapped as ``{"matrix": ...}``
-    (an ``ensemble_report``), or a whole ``ensemble.json``.
+    (the ``ensemble`` record of an ``ensemble.json``), or a whole ``ensemble.json``.
     ``out`` writes the report there instead of stdout.
     """
 
@@ -244,15 +249,28 @@ def _stamp(cfg) -> dict:
     return {"version": __version__, "config_hash": digest}
 
 
+def _write(path: Path, text: str) -> None:
+    """``text`` into ``path``, its directories made first. Every output goes
+    through here; a path that cannot be written is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc!r}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, body: str, cfg) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_csv(path: Path, cfg, columns: tuple[str, ...], rows) -> None:
+    """The stamp as a comment line, the ``columns`` header, then one line per
+    row: a float cell as ``.17g``, any other cell with ``str``."""
     header = " ".join(f"{key}={value}" for key, value in _stamp(cfg).items())
-    path.write_text(f"# {header}\n" + body)
+    lines = [f"# {header}", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +279,17 @@ def _write_csv(path: Path, body: str, cfg) -> None:
 
 
 def cmd_mimic_sweep(cfg: SweepConfig) -> None:
-    scheme = mimic.Scheme(cfg.scheme)
     mean, std = mimic.sweep_fidelity(
-        cfg.nbars, cfg.samples, scheme, cfg.cutoff, cfg.trials, cfg.seed
+        cfg.nbars, cfg.samples, mimic.Scheme(cfg.scheme), cfg.cutoff, cfg.trials, cfg.seed
     )
     out_dir = Path(cfg.out_dir)
-    _write_csv(
-        out_dir / "sweep.csv", mimic.sweep_to_csv(cfg.nbars, cfg.samples, scheme, mean, std), cfg
+    rows = (
+        (nbar, m, cfg.scheme, mu, sigma)  # one row per cell, nbar-major
+        for nbar, means, stds in zip(cfg.nbars, mean.tolist(), std.tolist())
+        for m, mu, sigma in zip(cfg.samples, means, stds)
     )
+    columns = ("nbar", "M", "scheme", "fidelity_mean", "fidelity_std")
+    _write_csv(out_dir / "sweep.csv", cfg, columns, rows)
     _write_json(
         out_dir / "sweep_summary.json",
         {
@@ -293,9 +314,19 @@ def _model_state(source: str, nbar: float, cutoff: int, tail_tol: float) -> fock
     return fock.thermal(0.0 if source == "vacuum" else nbar, cutoff, tail_tol)
 
 
+def _density_json(rho: fock.FockDensityMatrix) -> dict:
+    """A density matrix's JSON layout; :func:`_parse_matrix` reads it back bit for bit."""
+    return {
+        "cutoff": rho.cutoff,
+        "entries_real": rho.entries.real.tolist(),
+        "entries_imag": rho.entries.imag.tolist(),
+    }
+
+
 def _reconstruct_ensemble(
     source: fock.FockDensityMatrix, cfg: TomoConfig, seed_base: int
-) -> tuple[tomo.ReconstructionEnsemble, list[tomo.MleResult]]:
+) -> tuple[list[tomo.MleResult], fock.FockDensityMatrix, np.ndarray]:
+    """``cfg.runs`` reconstructions of ``source``, their mean state and elementwise spread."""
     grid = fock.TWO_PI * np.arange(cfg.phases) / cfg.phases
     mle_config = cfg.mle
     results = []
@@ -308,8 +339,7 @@ def _reconstruct_ensemble(
         else:
             dataset = homodyne.sample(source, grid, cfg.samples_per_phase, run_seed)
         results.append(tomo.mle_reconstruct(dataset, mle_config))
-    ensemble = tomo.average([r.rho for r in results])
-    return ensemble, results
+    return results, *tomo.average([r.rho for r in results])
 
 
 def cmd_tomo_end2end(cfg: TomoConfig) -> None:
@@ -323,29 +353,31 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
         source = _model_state(cfg.source, cfg.nbar, cfg.source_cutoff, fock.DEFAULT_TAIL_TOL)
     # the theoretical state the reconstruction is judged against, at the MLE cutoff
     reference = _model_state(cfg.source, cfg.nbar, cfg.cutoff, tail_tol=0.05)
-    ensemble, results = _reconstruct_ensemble(source, cfg, cfg.seed)
+    results, mean, spread = _reconstruct_ensemble(source, cfg, cfg.seed)
+    mean_photon = fock.mean_photon(mean)
 
-    report = metrics.compare(reference, ensemble.mean)
-    report["entropy_ceiling"] = metrics.thermal_entropy(fock.mean_photon(ensemble.mean))
-    extra_runs: list[tomo.MleResult] = []
+    report = metrics.compare(reference, mean)
+    report["entropy_ceiling"] = metrics.thermal_entropy(mean_photon)
     if cfg.source == "artificial":
-        thermal_ensemble, extra_runs = _reconstruct_ensemble(thermal_source, cfg, cfg.seed + 10_000)
-        report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(
-            thermal_ensemble.mean, ensemble.mean
-        )
-        report["helstrom_vs_thermal_reconstruction"] = metrics.helstrom_error(
-            thermal_ensemble.mean, ensemble.mean
-        )
+        thermal_runs, thermal_mean, _ = _reconstruct_ensemble(thermal_source, cfg,
+                                                              cfg.seed + 10_000)
+        results += thermal_runs
+        report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(thermal_mean, mean)
+        report["helstrom_vs_thermal_reconstruction"] = metrics.helstrom_error(thermal_mean, mean)
 
     out_dir = Path(cfg.out_dir)
+    ensemble = {
+        "cutoff": mean.cutoff,
+        "matrix": _density_json(mean),
+        "elementwise_std": spread.tolist(),
+        "n_runs": cfg.runs,
+        "mean_photon": mean_photon,
+    }
+    run_keys = ("converged", "iterations", "final_log_likelihood", "optimality_gap")
+    runs = [{key: getattr(r, key) for key in run_keys} for r in results]  # hat-vs-hat runs last
     _write_json(
         out_dir / "ensemble.json",
-        {
-            **_stamp(cfg),
-            "config": asdict(cfg),
-            "ensemble": tomo.ensemble_report(ensemble),
-            "runs": [tomo.reconstruction_report(r) for r in results + extra_runs],
-        },
+        {**_stamp(cfg), "config": asdict(cfg), "ensemble": ensemble, "runs": runs},
     )
     _write_json(out_dir / "metrics.json", {**_stamp(cfg), "metrics": report})
 
@@ -357,7 +389,15 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
 
 def _parse_codebook(obj) -> mimic.Codebook:
     """A bare codebook, or one wrapped as in ``codebook.json``."""
-    return mimic.codebook_from_json(obj.get("codebook", obj))
+    obj = obj.get("codebook", obj)
+    return mimic.Codebook(
+        nbar_target=_typed("nbar_target", obj["nbar_target"], float),
+        amplitudes=_typed("amplitudes", obj["amplitudes"], tuple[float, ...]),
+        phases=_typed("phases", obj["phases"], tuple[float, ...]),
+        weights=_typed("weights", obj["weights"], tuple[tuple[float, ...], ...]),
+        scheme=mimic.Scheme(obj["scheme"]),
+        seed=_typed("seed", obj.get("seed"), int | None),
+    )
 
 
 def cmd_codebook_export(cfg: CodebookConfig) -> None:
@@ -373,10 +413,19 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
             **_stamp(cfg),
             "config": asdict(cfg),
             "required_db": table.required_db,
-            "codebook": mimic.codebook_to_json(codebook),
+            "codebook": {
+                "nbar_target": codebook.nbar_target,
+                "amplitudes": codebook.amplitudes.tolist(),
+                "phases": codebook.phases.tolist(),
+                "weights": codebook.weights.tolist(),
+                "scheme": codebook.scheme.value,
+                "seed": codebook.seed,
+            },
         },
     )
-    _write_csv(out_dir / "drive.csv", physical.drive_to_csv(table), cfg)
+    columns = ("alpha_sq", "power_w", "intensity_level", "phase_rad")  # DriveTable's fields
+    symbols = enumerate(zip(*(getattr(table, c).tolist() for c in columns)))  # row i is symbol i
+    _write_csv(out_dir / "drive.csv", cfg, ("index", *columns), ((i, *row) for i, row in symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +434,14 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
 
 
 def _parse_matrix(obj) -> fock.FockDensityMatrix:
-    """A bare density matrix, or one wrapped as ``{"matrix": ...}`` (as
-    :func:`tomo.ensemble_report` writes it) or as in ``ensemble.json``
-    (``{"ensemble": {"matrix": ...}}``)."""
+    """A bare density matrix as :func:`_density_json` writes it, or one wrapped
+    as ``{"matrix": ...}`` (the ``ensemble`` record of ``ensemble.json``) or as
+    in ``ensemble.json`` (``{"ensemble": {"matrix": ...}}``)."""
     obj = obj.get("ensemble", obj)
-    return fock.density_from_json(obj.get("matrix", obj))
+    obj = obj.get("matrix", obj)
+    real, imag = (np.array(_typed(key, obj[key], tuple[tuple[float, ...], ...]))
+                  for key in ("entries_real", "entries_imag"))
+    return fock.FockDensityMatrix(_typed("cutoff", obj["cutoff"], int), real + 1j * imag)
 
 
 def cmd_metrics(cfg: MetricsConfig) -> None:

@@ -6,7 +6,8 @@ Coherent states are rows of Fock coefficients, one per amplitude, as
 shaping, homodyne simulation, tomography, metrics) works on. A density matrix
 is immutable after construction and validates its own invariants, so a state
 that reaches the rest of the toolkit is guaranteed finite, Hermitian, positive
-semidefinite, and normalized up to a declared truncation budget.
+semidefinite, and normalized up to a declared truncation budget. The
+module computes on values only; a matrix's file layout is the CLI's.
 """
 
 from __future__ import annotations
@@ -226,26 +227,3 @@ def mean_photon(rho: FockDensityMatrix) -> float:
     n = np.arange(rho.cutoff + 1)
     return float(np.sum(n * np.diag(rho.entries).real))
 
-
-# ---------------------------------------------------------------------------
-# Serialization: one JSON object, a bit-exact round trip at full double
-# precision. A matrix read back must satisfy the default trace budget (0.05).
-# ---------------------------------------------------------------------------
-
-
-def density_to_json(rho: FockDensityMatrix) -> dict:
-    return {
-        "cutoff": rho.cutoff,
-        "entries_real": rho.entries.real.tolist(),
-        "entries_imag": rho.entries.imag.tolist(),
-    }
-
-
-def density_from_json(obj: dict) -> FockDensityMatrix:
-    cutoff = obj["cutoff"]
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-        raise TypeError(f"cutoff must be an integer, got {cutoff!r}")
-    entries = np.asarray(obj["entries_real"], dtype=float) + 1j * np.asarray(
-        obj["entries_imag"], dtype=float
-    )
-    return FockDensityMatrix(cutoff, entries)

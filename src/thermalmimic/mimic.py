@@ -35,7 +35,7 @@ class Codebook:
 
     ``weights[l, q]`` is the probability of the coherent state with amplitude
     ``amplitudes[l]`` and phase ``phases[q]``; weights are nonnegative and sum
-    to 1 within 1e-12.
+    to 1 within 1e-12. ``seed``, the random scheme's, is None or >= 0.
     """
 
     nbar_target: float
@@ -59,6 +59,8 @@ class Codebook:
                 raise ValueError(f"{name} must be finite")
         if np.any(amps < 0.0):
             raise ValueError("amplitudes must be >= 0")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if np.any(phs < 0.0) or np.any(phs >= fock.TWO_PI):
             raise ValueError("phases must lie in [0, 2*pi)")
         if wts.shape != (amps.size, phs.size):
@@ -212,40 +214,3 @@ def sweep_fidelity(
                     fids[i, j, trial] = fidelity(assemble(cb, cutoff), reference)
     return fids.mean(axis=2), fids.std(axis=2)
 
-
-def sweep_to_csv(
-    nbars: list[float], sample_counts: list[int], scheme: Scheme, mean: np.ndarray, std: np.ndarray
-) -> str:
-    """One row per (nbar, M) cell of :func:`sweep_fidelity`'s grids, nbar-major."""
-    lines = ["nbar,M,scheme,fidelity_mean,fidelity_std"]
-    for nbar, means, stds in zip(nbars, mean.tolist(), std.tolist()):
-        for m, mu, sigma in zip(sample_counts, means, stds):
-            lines.append(f"{nbar:.17g},{m},{scheme.value},{mu:.17g},{sigma:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def codebook_to_json(codebook: Codebook) -> dict:
-    return {
-        "nbar_target": codebook.nbar_target,
-        "amplitudes": codebook.amplitudes.tolist(),
-        "phases": codebook.phases.tolist(),
-        "weights": codebook.weights.tolist(),
-        "scheme": codebook.scheme.value,
-        "seed": codebook.seed,
-    }
-
-
-def codebook_from_json(obj: dict) -> Codebook:
-    nbar, seed = obj["nbar_target"], obj.get("seed")
-    if isinstance(nbar, bool) or not isinstance(nbar, (int, float)):
-        raise TypeError(f"nbar_target must be a number, got {nbar!r}")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise TypeError(f"seed must be a non-negative integer or null, got {seed!r}")
-    return Codebook(
-        nbar_target=float(nbar),
-        amplitudes=obj["amplitudes"],
-        phases=obj["phases"],
-        weights=obj["weights"],
-        scheme=Scheme(obj["scheme"]),
-        seed=seed,
-    )

@@ -120,10 +120,3 @@ def codebook_to_drive(
         )
     return DriveTable(alpha_sq, powers, powers / p_max, phases, required_db)
 
-
-def drive_to_csv(table: DriveTable) -> str:
-    lines = ["index,alpha_sq,power_w,intensity_level,phase_rad"]
-    columns = (table.alpha_sq, table.power_w, table.intensity_level, table.phase_rad)
-    for i, (alpha_sq, power, level, phase) in enumerate(zip(*(c.tolist() for c in columns))):
-        lines.append(f"{i},{alpha_sq:.17g},{power:.17g},{level:.17g},{phase:.17g}")
-    return "\n".join(lines) + "\n"

@@ -22,9 +22,9 @@ Girard, NJP 14, 095017 (2012)): ``Tr(R(rho) rho) = 1`` and ``ll`` is
 concave, so ``ll* - ll(rho) <= K (lambda_max(R(rho)) - 1)``, the
 *optimality gap* in nats.
 
-:func:`reconstruction_report` (one run's convergence record) and
-:func:`ensemble_report` (the averaged state) are the JSON records a
-``tomo-end2end`` run writes.
+:func:`average` gives the mean state and elementwise spread of repeated
+reconstructions; the records a ``tomo-end2end`` run writes are laid out by
+the CLI.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockDensityMatrix, density_to_json, mean_photon
-from .fock import _pack, _unpack, projector_map
+from .fock import FockDensityMatrix, _pack, _unpack, projector_map
 from .homodyne import QuadratureDataset, fock_wavefunctions
 
 #: Density floor guarding log(0) in the likelihood.
@@ -82,15 +81,6 @@ class MleResult:
     @property
     def final_log_likelihood(self) -> float:
         return float(self.log_likelihoods[-1])
-
-
-@dataclass(frozen=True, eq=False)
-class ReconstructionEnsemble:
-    """Elementwise mean and spread of repeated reconstructions."""
-
-    mean: FockDensityMatrix
-    elementwise_std: np.ndarray
-    n_runs: int
 
 
 def measurement_matrix(data: QuadratureDataset, cutoff: int) -> np.ndarray:
@@ -201,8 +191,8 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     )
 
 
-def average(runs: list[FockDensityMatrix]) -> ReconstructionEnsemble:
-    """Elementwise mean (renormalized to unit trace) and spread of runs.
+def average(runs: list[FockDensityMatrix]) -> tuple[FockDensityMatrix, np.ndarray]:
+    """Elementwise mean (renormalized to unit trace) and elementwise spread of runs.
 
     The spread of a complex entry combines the standard deviations of its real
     and imaginary parts in quadrature.
@@ -217,29 +207,5 @@ def average(runs: list[FockDensityMatrix]) -> ReconstructionEnsemble:
     mean = stack.mean(axis=0)
     mean /= mean.trace().real
     std = np.sqrt(stack.real.std(axis=0) ** 2 + stack.imag.std(axis=0) ** 2)
-    return ReconstructionEnsemble(
-        mean=FockDensityMatrix(cutoff, mean, trace_tol=1e-9),
-        elementwise_std=std,
-        n_runs=len(runs),
-    )
+    return FockDensityMatrix(cutoff, mean, trace_tol=1e-9), std
 
-
-def reconstruction_report(result: MleResult) -> dict:
-    """One run's convergence record, as ``ensemble.json`` lists it under ``runs``."""
-    return {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "final_log_likelihood": result.final_log_likelihood,
-        "optimality_gap": result.optimality_gap,
-    }
-
-
-def ensemble_report(ensemble: ReconstructionEnsemble) -> dict:
-    """The averaged state and its spread, as ``ensemble.json`` writes it under ``ensemble``."""
-    return {
-        "cutoff": ensemble.mean.cutoff,
-        "matrix": density_to_json(ensemble.mean),
-        "elementwise_std": ensemble.elementwise_std.tolist(),
-        "n_runs": ensemble.n_runs,
-        "mean_photon": mean_photon(ensemble.mean),
-    }

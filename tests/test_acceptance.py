@@ -36,7 +36,7 @@ def reconstruct_ensemble(source, seed_base):
         ).rho
         for r in range(10)
     ]
-    return tomo.average(runs).mean
+    return tomo.average(runs)[0]
 
 
 @pytest.fixture(scope="module")

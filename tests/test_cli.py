@@ -4,6 +4,7 @@ import math
 import pkgutil
 import re
 import shlex
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermalmimic
+from _states import random_density
 from thermalmimic import __version__, fock, homodyne, tomo
 from thermalmimic.cli import (
     CodebookConfig,
@@ -23,14 +25,40 @@ from thermalmimic.cli import (
     TomoConfig,
     _build_parser,
     _COMMANDS,
+    _density_json,
+    _load_json,
+    _parse_codebook,
+    _parse_matrix,
     _resolve_config,
     main,
 )
-from thermalmimic.mimic import build_codebook, codebook_from_json, codebook_to_json
+from thermalmimic.mimic import Codebook, Scheme, build_codebook
+from thermalmimic.physical import PLANCK, SPEED_OF_LIGHT
 
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+_CODEBOOK = {"nbar_target": 1.0, "amplitudes": [1.0], "phases": [0.0], "weights": [[1.0]],
+             "scheme": "stratified"}
+_MATRIX = {"cutoff": 1, "entries_real": [[0.5, 0.0], [0.0, 0.5]],
+           "entries_imag": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+def codebook_json(**changes):
+    """A 2 x 2 stratified codebook file's JSON, with ``changes`` to its keys."""
+    return {"nbar_target": 1.0, "amplitudes": [0.5, 1.5], "phases": [1.0, 4.0],
+            "weights": [[0.25, 0.25], [0.25, 0.25]], "scheme": "stratified", "seed": None,
+            **changes}
+
+
+def vacuum_json(cutoff):
+    """The vacuum's density-matrix JSON at ``cutoff``."""
+    dim = cutoff + 1
+    return {"cutoff": cutoff,
+            "entries_real": [[float(m == n == 0) for n in range(dim)] for m in range(dim)],
+            "entries_imag": [[0.0] * dim for _ in range(dim)]}
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +80,23 @@ def test_sweep_single_cell_writes_one_row(tmp_path):
     assert summary["version"] == __version__
     assert summary["config_hash"]
     assert summary["n_rows"] == 1
+
+
+def test_sweep_csv_shape(tmp_path):
+    assert main(["mimic-sweep", "--nbars", "1", "--samples", "4,16",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "nbar,M,scheme,fidelity_mean,fidelity_std"
+    assert len(lines) == 4
+    assert lines[2].startswith("1,4,stratified,")
+    assert lines[3].startswith("1,16,stratified,")
+
+
+def test_optimized_sweep_rows_name_their_scheme(tmp_path):
+    assert main(["mimic-sweep", "--scheme", "optimized", "--nbars", "1", "--samples", "16",
+                 "--out-dir", str(tmp_path)]) == 0
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[2]
+    assert row.split(",")[2] == "optimized"
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
@@ -172,16 +217,47 @@ def test_tomo_raw_convention_changes_no_reconstruction(tmp_path, seed):
                      "--gain", "2.5", "--offset", "0.3", "--convention", convention,
                      "--out-dir", str(out)]) == 0
         outputs[convention] = read_json(out / "ensemble.json")
-    rho = {
-        convention: fock.density_from_json(output["ensemble"]["matrix"]).entries
-        for convention, output in outputs.items()
-    }
+    rho = {convention: _parse_matrix(output).entries for convention, output in outputs.items()}
     assert np.max(np.abs(rho["half"] - rho["quarter"])) <= 1e-12
     iterations = {
         convention: [run["iterations"] for run in output["runs"]]
         for convention, output in outputs.items()
     }
     assert iterations["half"] == iterations["quarter"]
+
+
+def test_reports_carry_the_contracted_fields(tmp_path):
+    assert main(["tomo-end2end", "--source", "vacuum", "--runs", "2", "--phases", "2",
+                 "--samples-per-phase", "50", "--cutoff", "4", "--max-iterations", "200",
+                 "--seed", "9", "--out-dir", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "ensemble.json")
+    config = tomo.MleConfig(cutoff=4, max_iterations=200)
+    results = [
+        tomo.mle_reconstruct(homodyne.sample(fock.thermal(0.0, 30), [0.0, math.pi], 50, seed),
+                             config)
+        for seed in (9, 10)
+    ]
+    assert payload["runs"] == [
+        {"converged": r.converged, "iterations": r.iterations,
+         "final_log_likelihood": float(r.log_likelihoods[-1]),
+         "optimality_gap": r.optimality_gap}
+        for r in results
+    ]
+    ensemble = payload["ensemble"]
+    assert set(ensemble) == {"cutoff", "matrix", "elementwise_std", "n_runs", "mean_photon"}
+    mean, spread = tomo.average([r.rho for r in results])
+    assert ensemble["cutoff"] == 4
+    assert ensemble["n_runs"] == 2
+    assert np.array_equal(_parse_matrix(payload).entries, mean.entries)
+    assert ensemble["elementwise_std"] == spread.tolist()
+    assert ensemble["mean_photon"] == fock.mean_photon(mean)
+
+
+def test_density_json_round_trip_is_bit_exact():
+    rho = random_density(np.random.default_rng(11), cutoff=7)
+    back = _parse_matrix(json.loads(json.dumps(_density_json(rho))))
+    assert np.array_equal(back.entries, rho.entries)
+    assert back.cutoff == rho.cutoff
 
 
 def test_tomo_truncation_failure_exits_numeric(tmp_path):
@@ -299,7 +375,7 @@ def test_codebook_export_round_trip(tmp_path):
     payload = read_json(tmp_path / "codebook.json")
     assert payload["version"] == __version__
     assert payload["required_db"] < 25.0
-    reloaded = codebook_from_json(payload["codebook"])
+    reloaded = _parse_codebook(payload)
     original = build_codebook(1.5, 8, 8)
     assert np.array_equal(reloaded.amplitudes, original.amplitudes)
     assert np.array_equal(reloaded.weights, original.weights)
@@ -309,21 +385,47 @@ def test_codebook_export_round_trip(tmp_path):
     assert len(drive) == 66  # provenance comment + header + 64 symbols
 
 
+def test_codebook_json_round_trip(tmp_path):
+    assert main(["codebook-export", "--scheme", "random", "--seed", "7", "--nbar", "1.5",
+                 "--extinction-db", "40", "--out-dir", str(tmp_path)]) == 0
+    back = _parse_codebook(read_json(tmp_path / "codebook.json"))
+    cb = build_codebook(1.5, 8, 8, Scheme.RANDOM, seed=7)
+    assert np.array_equal(back.amplitudes, cb.amplitudes)
+    assert np.array_equal(back.phases, cb.phases)
+    assert np.array_equal(back.weights, cb.weights)
+    assert back.scheme == cb.scheme
+    assert back.seed == cb.seed
+
+
+def test_drive_csv_header_and_rows(tmp_path):
+    # L != Q: every row equals a scalar oracle built from Python floats
+    assert main(["codebook-export", "--nbar", "1.0", "--codebook-amplitudes", "3",
+                 "--codebook-phases", "2", "--scheme", "random", "--seed", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "drive.csv").read_text().splitlines()
+    assert lines[1] == "index,alpha_sq,power_w,intensity_level,phase_rad"
+    cb = build_codebook(1.0, 3, 2, Scheme.RANDOM, seed=5)
+    symbols = [(a, q) for a in cb.amplitudes.tolist() for q in cb.phases.tolist()]
+    frequency = SPEED_OF_LIGHT / CodebookConfig.wavelength
+    powers = [a * a * PLANCK * frequency / CodebookConfig.tau for a, _ in symbols]
+    assert lines[2:] == [
+        f"{i},{a * a:.17g},{power:.17g},{power / max(powers):.17g},{q:.17g}"
+        for i, ((a, q), power) in enumerate(zip(symbols, powers))
+    ]
+
+
 def test_codebook_export_reexports_existing_file(tmp_path):
     cb_file = tmp_path / "cb.json"
-    cb_file.write_text(json.dumps(codebook_to_json(build_codebook(1.0, 4, 4))))
+    cb_file.write_text(json.dumps(codebook_json()))
     out = tmp_path / "out"
     assert main(["codebook-export", "--codebook-file", str(cb_file),
                  "--out-dir", str(out)]) == 0
-    reloaded = codebook_from_json(read_json(out / "codebook.json")["codebook"])
-    assert np.array_equal(reloaded.phases, build_codebook(1.0, 4, 4).phases)
+    assert read_json(out / "codebook.json")["codebook"] == codebook_json()
 
 
 def test_codebook_export_zero_amplitude_exits_feasibility(tmp_path, capsys):
-    cb = codebook_to_json(build_codebook(1.0, 2, 2))
-    cb["amplitudes"] = [0.0, cb["amplitudes"][1]]
     cb_file = tmp_path / "dark.json"
-    cb_file.write_text(json.dumps(cb))
+    cb_file.write_text(json.dumps(codebook_json(amplitudes=[0.0, 1.5])))
     code = main(["codebook-export", "--codebook-file", str(cb_file),
                  "--out-dir", str(tmp_path)])
     assert code == 4
@@ -360,29 +462,28 @@ def test_codebook_export_overflowing_powers_exit_numeric(tmp_path, capsys):
     "field, index", [("amplitudes", 0), ("phases", 1), ("weights", 0), ("nbar_target", None)]
 )
 def test_codebook_export_nan_field_exits_config(tmp_path, capsys, field, index):
-    # json.loads reads NaN, and NaN fails every range comparison silently
-    cb = codebook_to_json(build_codebook(1.0, 2, 2))
+    # json.loads reads NaN, and NaN fails every range comparison silently: the
+    # input file's typing rule rejects it, as Codebook does for library callers
+    cb = codebook_json()
     if index is None:
         cb[field] = math.nan
     else:
         cb[field][index] = [math.nan, 0.25] if field == "weights" else math.nan
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Codebook(**{**cb, "scheme": Scheme(cb["scheme"])})
     cb_file = tmp_path / "nan.json"
     cb_file.write_text(json.dumps(cb))
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        codebook_from_json(json.loads(cb_file.read_text()))
     out = tmp_path / "out"
     assert main(["codebook-export", "--codebook-file", str(cb_file),
                  "--out-dir", str(out)]) == 2
-    assert f"{field} must be finite" in capsys.readouterr().err
+    assert f"{field} must be float, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_codebook_export_rejects_string_ideal_flag(tmp_path, capsys):
     # bool("false") is true: a string here would silently allow dark symbols.
-    cb = codebook_to_json(build_codebook(1.0, 2, 2))
-    cb["amplitudes"] = [0.0, cb["amplitudes"][1]]
     cb_file = tmp_path / "dark.json"
-    cb_file.write_text(json.dumps(cb))
+    cb_file.write_text(json.dumps(codebook_json(amplitudes=[0.0, 1.5])))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ideal": "false", "codebook_file": str(cb_file)}))
     out = tmp_path / "out"
@@ -399,8 +500,8 @@ def test_codebook_export_rejects_string_ideal_flag(tmp_path, capsys):
 def test_metrics_command_compares_two_matrices(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(json.dumps(fock.density_to_json(fock.thermal(1.0, 30))))
-    b.write_text(json.dumps(fock.density_to_json(fock.thermal(1.0, 30))))
+    a.write_text(json.dumps(_MATRIX))
+    b.write_text(json.dumps({"matrix": _MATRIX}))
     assert main(["metrics", str(a), str(b)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["metrics"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
@@ -416,7 +517,7 @@ def test_metrics_command_reads_ensemble_wrapped_matrices(tmp_path):
                  "--cutoff", "4", "--phases", "10", "--samples-per-phase", "20",
                  "--out-dir", str(tmp_path)]) == 0
     bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps(fock.density_to_json(fock.thermal(0.0, 4))))
+    bare.write_text(json.dumps(vacuum_json(4)))
     out_file = tmp_path / "cmp.json"
     assert main(["metrics", str(tmp_path / "ensemble.json"), str(bare),
                  "--out", str(out_file)]) == 0
@@ -425,6 +526,37 @@ def test_metrics_command_reads_ensemble_wrapped_matrices(tmp_path):
 
 def test_metrics_command_missing_file_exits_config(tmp_path):
     assert main(["metrics", str(tmp_path / "nope.json"), str(tmp_path / "nada.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # an --out-dir that is an existing file, or lies under one
+        (["mimic-sweep", "--nbars", "1", "--samples", "4"], "file"),
+        (["tomo-end2end", "--source", "vacuum", "--runs", "1", "--cutoff", "2", "--phases", "4",
+          "--samples-per-phase", "10"], "file/out"),
+        (["codebook-export"], "file"),
+        (["codebook-export"], "file/out"),
+        # a metrics --out that is a directory
+        (["metrics", "a.json", "a.json", "--out"], "dir"),
+    ],
+    ids=["mimic-sweep", "tomo-end2end", "codebook-export", "codebook-export-under-file",
+         "metrics"],
+)
+def test_unwritable_output_path_exits_config(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("kept\n")
+    Path("dir").mkdir()
+    Path("a.json").write_text(json.dumps(_MATRIX))
+    if argv[0] == "metrics":
+        argv = [*argv, out]
+    else:
+        argv = [*argv, "--out-dir", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}")
+    assert Path("file").read_text() == "kept\n"
+    assert not any(Path("dir").iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +597,6 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
     assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
-
-
-_CODEBOOK = {"nbar_target": 1.0, "amplitudes": [1.0], "phases": [0.0], "weights": [[1.0]],
-             "scheme": "stratified"}
-_MATRIX = {"cutoff": 1, "entries_real": [[0.5, 0.0], [0.0, 0.5]],
-           "entries_imag": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 @pytest.mark.parametrize(
@@ -516,8 +642,20 @@ _MATRIX = {"cutoff": 1, "entries_real": [[0.5, 0.0], [0.0, 0.5]],
         pytest.param("metrics", json.dumps({**_MATRIX, "entries_real": [[10**400, 0], [0, 0]]}),
                      id="metrics-entries-10**400"),
         # two valid files of different cutoffs
-        pytest.param("metrics", tuple(json.dumps(fock.density_to_json(fock.thermal(0.0, cutoff)))
-                                      for cutoff in (10, 12)), id="metrics-cutoff-mismatch"),
+        pytest.param("metrics", tuple(json.dumps(vacuum_json(cutoff)) for cutoff in (10, 12)),
+                     id="metrics-cutoff-mismatch"),
+        # a string or a bool in a number list, which numpy's dtype=float would read as a number
+        *(pytest.param("codebook-export", json.dumps({**_CODEBOOK, key: value}),
+                       id=f"codebook-export-{key}-{value!r}")
+          for key, value in (("amplitudes", ["1.0"]), ("amplitudes", [True]),
+                             ("phases", ["0"]), ("phases", [False]),
+                             ("weights", [["1"]]), ("weights", [[True]]))),
+        *(pytest.param("metrics", json.dumps({**_MATRIX, key: value}),
+                       id=f"metrics-{key}-{value!r}")
+          for key, value in (("entries_real", [["0.5", 0.0], [0.0, "0.5"]]),
+                             ("entries_real", [[True, False], [False, False]]),
+                             ("entries_imag", [["0", 0.0], [0.0, 0.0]]),
+                             ("entries_imag", [[False, False], [False, False]]))),
     ],
 )
 def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):
@@ -613,6 +751,53 @@ def test_config_loader_returns_typed_config_or_config_error(tmp_path_factory, cl
     kinds = get_type_hints(cls)
     for f in fields(cls):
         assert _has_type(getattr(cfg, f.name), kinds[f.name]), f.name
+
+
+def _json_has_type(value, kind) -> bool:
+    """Whether a JSON value fits a ``kind`` field: a list where a tuple is
+    asked, a finite int or float where a float is."""
+    args = get_args(kind)
+    if type(None) in args:
+        return value is None or _json_has_type(value, args[0])
+    if get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_json_has_type(v, args[0]) for v in value)
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
+_INPUT_KINDS = {
+    "cutoff": int, "entries_real": tuple[tuple[float, ...], ...],
+    "entries_imag": tuple[tuple[float, ...], ...], "nbar_target": float,
+    "amplitudes": tuple[float, ...], "phases": tuple[float, ...],
+    "weights": tuple[tuple[float, ...], ...], "scheme": str, "seed": int | None,
+}
+
+
+@pytest.mark.parametrize(
+    "parse, layout, kind",
+    [(_parse_matrix, _MATRIX, fock.FockDensityMatrix),
+     (_parse_codebook, {**_CODEBOOK, "seed": None}, Codebook)],
+    ids=["matrix", "codebook"],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_input_parser_returns_a_value_or_config_error(tmp_path_factory, parse, layout, kind,
+                                                       data):
+    # a valid file with up to two of its keys given other JSON values, lists
+    # of lists among them, so that some files stay valid; a file that parses
+    # holds values of its fields' types only
+    values = _JSON_VALUES | st.lists(st.lists(_JSON_LEAVES, max_size=3), max_size=3)
+    changes = data.draw(st.dictionaries(st.sampled_from(sorted(layout)), values, max_size=2))
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{kind.__name__}.json"
+    path.write_text(json.dumps({**layout, **changes}))
+    try:
+        value = _load_json(str(path), "input file", parse)
+    except ConfigError:
+        return
+    assert isinstance(value, kind)
+    for key, item in changes.items():
+        assert _json_has_type(item, _INPUT_KINDS[key]), key
 
 
 def test_readme_examples_resolve():

@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import warnings
 
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import poisson
 
-from _states import random_density
 from thermalmimic import fock
 from thermalmimic.mimic import Scheme, build_codebook
 from thermalmimic.fock import (
@@ -321,15 +319,3 @@ def test_density_matrix_entries_are_immutable():
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.0
 
-
-# ---------------------------------------------------------------------------
-# serialization round trips
-# ---------------------------------------------------------------------------
-
-
-def test_json_round_trip_is_bit_exact():
-    rho = random_density(np.random.default_rng(11), cutoff=7)
-    payload = json.dumps(fock.density_to_json(rho))
-    back = fock.density_from_json(json.loads(payload))
-    assert np.array_equal(back.entries, rho.entries)
-    assert back.cutoff == rho.cutoff

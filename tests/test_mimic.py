@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,12 +10,9 @@ from thermalmimic.mimic import (
     Scheme,
     assemble,
     build_codebook,
-    codebook_from_json,
-    codebook_to_json,
     optimize_weights,
     rayleigh_quantile,
     sweep_fidelity,
-    sweep_to_csv,
 )
 
 # Frozen regression value: nonnegative-least-squares refit of the random
@@ -248,33 +244,8 @@ def test_random_sweep_mean_within_three_sigma_of_stratified():
 
 def test_optimized_sweep_never_trails_stratified():
     strat, _ = sweep_fidelity([1.0], [16])
-    opt, opt_std = sweep_fidelity([1.0], [16], Scheme.OPTIMIZED)
+    opt, _ = sweep_fidelity([1.0], [16], Scheme.OPTIMIZED)
     assert opt[0, 0] >= strat[0, 0] - 1e-12
-    row = sweep_to_csv([1.0], [16], Scheme.OPTIMIZED, opt, opt_std).splitlines()[1]
-    assert row.split(",")[2] == "optimized"
-
-
-def test_sweep_csv_shape():
-    text = sweep_to_csv([1.0], [4, 16], Scheme.STRATIFIED, *sweep_fidelity([1.0], [4, 16]))
-    lines = text.strip().splitlines()
-    assert lines[0] == "nbar,M,scheme,fidelity_mean,fidelity_std"
-    assert len(lines) == 3
-    assert lines[1].startswith("1,4,stratified,")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_codebook_json_round_trip():
-    cb = build_codebook(1.5, 8, 8, Scheme.RANDOM, seed=7)
-    back = codebook_from_json(json.loads(json.dumps(codebook_to_json(cb))))
-    assert np.array_equal(back.amplitudes, cb.amplitudes)
-    assert np.array_equal(back.phases, cb.phases)
-    assert np.array_equal(back.weights, cb.weights)
-    assert back.scheme == cb.scheme
-    assert back.seed == cb.seed
 
 
 def test_codebook_validation():

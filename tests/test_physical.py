@@ -7,12 +7,10 @@ from thermalmimic.mimic import Codebook, Scheme, build_codebook
 from thermalmimic.physical import (
     PLANCK,
     SPEED_OF_LIGHT,
-    DriveTable,
     ExtinctionRangeError,
     ModePhysics,
     ModulatorSpec,
     codebook_to_drive,
-    drive_to_csv,
     nbar_to_power,
 )
 
@@ -140,24 +138,6 @@ def test_drive_levels_round_trip_to_photon_numbers():
         assert photons == pytest.approx(table.alpha_sq[i], rel=1e-12)
         assert table.phase_rad[i] == pytest.approx(cb.phases[i % 8])
         assert table.alpha_sq[i] == pytest.approx(cb.amplitudes[i // 8] ** 2)
-
-
-def test_drive_csv_header_and_rows():
-    table = codebook_to_drive(build_codebook(1.0, 2, 2), TELECOM, ModulatorSpec(25.0))
-    lines = drive_to_csv(table).strip().splitlines()
-    assert lines[0] == "index,alpha_sq,power_w,intensity_level,phase_rad"
-    assert len(lines) == 5
-    assert isinstance(table, DriveTable)
-    # L != Q: every row equals a scalar oracle built from Python floats
-    cb = build_codebook(1.0, 3, 2, Scheme.RANDOM, seed=5)
-    lines = drive_to_csv(codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))).splitlines()
-    symbols = [(a, q) for a in cb.amplitudes.tolist() for q in cb.phases.tolist()]
-    frequency = SPEED_OF_LIGHT / TELECOM.wavelength
-    powers = [a * a * PLANCK * frequency / TELECOM.tau for a, _ in symbols]
-    assert lines[1:] == [
-        f"{i},{a * a:.17g},{power:.17g},{power / max(powers):.17g},{q:.17g}"
-        for i, ((a, q), power) in enumerate(zip(symbols, powers))
-    ]
 
 
 def test_points_order_matches_weights_and_drive_table():

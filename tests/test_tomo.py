@@ -26,15 +26,12 @@ from thermalmimic.metrics import fidelity
 from thermalmimic.tomo import (
     LIKELIHOOD_FLOOR,
     MleConfig,
-    ReconstructionEnsemble,
     _gradient,
     _record_probabilities,
     average,
-    ensemble_report,
     log_likelihood,
     measurement_matrix,
     mle_reconstruct,
-    reconstruction_report,
 )
 
 PHASES_50 = 2.0 * math.pi * np.arange(50) / 50
@@ -240,12 +237,11 @@ def test_thermal_ensemble_recovers_the_source():
         mle_reconstruct(sample(truth, PHASES_50, 40, seed=10_000 + r), MleConfig(cutoff=12))
         for r in range(10)
     ]
-    ensemble = average([r.rho for r in runs])
+    mean, spread = average([r.rho for r in runs])
     reference = thermal(1.35, 12, tail_tol=1e-3)
-    assert fidelity(ensemble.mean, reference) > 0.98
-    assert mean_photon(ensemble.mean) == pytest.approx(1.35, abs=0.1)
-    assert ensemble.elementwise_std[0, 0] < 0.03
-    assert ensemble.n_runs == 10
+    assert fidelity(mean, reference) > 0.98
+    assert mean_photon(mean) == pytest.approx(1.35, abs=0.1)
+    assert spread[0, 0] < 0.03
 
 
 def test_fidelity_improves_with_sample_size():
@@ -272,17 +268,16 @@ def test_fidelity_improves_with_sample_size():
 def test_average_of_identical_runs_has_zero_spread():
     rho = thermal(1.0, 12, tail_tol=1e-3)
     normalized = FockDensityMatrix(12, rho.entries / rho.trace, trace_tol=1e-9)
-    ensemble = average([normalized] * 10)
-    assert np.allclose(ensemble.mean.entries, normalized.entries, rtol=0.0, atol=1e-15)
-    assert np.max(ensemble.elementwise_std) < 1e-15
+    mean, spread = average([normalized] * 10)
+    assert np.allclose(mean.entries, normalized.entries, rtol=0.0, atol=1e-15)
+    assert np.max(spread) < 1e-15
 
 
 def test_average_two_point_statistics():
-    ensemble = average([fock_projector(0, 4), fock_projector(1, 4)])
-    assert ensemble.mean.entries[0, 0] == pytest.approx(0.5)
-    assert ensemble.mean.entries[1, 1] == pytest.approx(0.5)
-    assert ensemble.elementwise_std[0, 0] == pytest.approx(0.5)
-    assert ensemble.n_runs == 2
+    mean, spread = average([fock_projector(0, 4), fock_projector(1, 4)])
+    assert mean.entries[0, 0] == pytest.approx(0.5)
+    assert mean.entries[1, 1] == pytest.approx(0.5)
+    assert spread[0, 0] == pytest.approx(0.5)
 
 
 def test_average_rejects_mixed_cutoffs_and_empty_input():
@@ -293,7 +288,7 @@ def test_average_rejects_mixed_cutoffs_and_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# config validation and reports
+# config validation
 # ---------------------------------------------------------------------------
 
 
@@ -303,17 +298,3 @@ def test_mle_config_validation():
     with pytest.raises(ValueError):
         MleConfig(stop_tol=0.0)
 
-
-def test_reports_carry_the_contracted_fields():
-    data = sample(thermal(0.0, 5), [0.0, 1.0], 50, seed=9)
-    result = mle_reconstruct(data, MleConfig(cutoff=4, max_iterations=200))
-    report = reconstruction_report(result)
-    assert set(report) == {"converged", "iterations", "final_log_likelihood", "optimality_gap"}
-    assert report["iterations"] == result.iterations
-    assert report["final_log_likelihood"] == pytest.approx(result.log_likelihoods[-1])
-    assert report["optimality_gap"] == result.optimality_gap
-
-    ensemble = average([result.rho, result.rho])
-    ens_report = ensemble_report(ensemble)
-    assert set(ens_report) == {"cutoff", "matrix", "elementwise_std", "n_runs", "mean_photon"}
-    assert ens_report["n_runs"] == 2

@@ -5,9 +5,13 @@ Usage: python3 tools/output_digest.py OUT_DIR
 Runs the source tree this script sits in (``src/`` and ``perfbench/`` next to
 ``tools/``): every command of ``perfbench/workloads.py``, full and tiny, at
 seed 3, then raw-path, coherent, random-sweep, codebook re-export and
-``metrics`` runs. Each command writes under its own directory of OUT_DIR,
-which must be empty or absent. Prints one ``sha256  relative/path`` line per
-output file, sorted by path, and exits 1 naming the first command that fails.
+``metrics`` runs. It then cuts three input files from outputs already written
+(a bare density matrix, a matrix wrapped as ``{"matrix": ...}`` and a bare
+codebook) and feeds them to ``metrics`` and ``codebook-export
+--codebook-file``, so every input layout the CLI parses is covered. Each
+command writes under its own directory of OUT_DIR, which must be empty or
+absent. Prints one ``sha256  relative/path`` line per file under OUT_DIR,
+sorted by path, and exits 1 naming the first command that fails.
 
 Run it in two trees with the same OUT_DIR (the config hash every output
 carries includes ``out_dir``), emptying OUT_DIR between the runs, and
@@ -17,6 +21,7 @@ carries includes ``out_dir``), emptying OUT_DIR between the runs, and
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -27,6 +32,14 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 from thermalmimic.cli import main  # noqa: E402
 
 SEED = 3
+
+#: Input files cut from outputs: (input, the output it is cut from, the keys
+#: leading to it there), relative to OUT_DIR.
+DERIVED = (
+    ("inputs/matrix.json", "tomo-coherent/ensemble.json", ("ensemble", "matrix")),
+    ("inputs/wrapped-matrix.json", "tomo-vacuum-raw/ensemble.json", ("ensemble",)),
+    ("inputs/codebook.json", "codebook/codebook.json", ("codebook",)),
+)
 
 
 def commands(out: str) -> list[list[str]]:
@@ -53,16 +66,44 @@ def commands(out: str) -> list[list[str]]:
     return argvs
 
 
+def derived_commands(out: str) -> list[list[str]]:
+    """The commands that read the ``DERIVED`` inputs."""
+    return [
+        ["metrics", f"{out}/inputs/matrix.json", f"{out}/inputs/wrapped-matrix.json",
+         "--out", f"{out}/metrics-derived/metrics.json"],
+        ["codebook-export", "--codebook-file", f"{out}/inputs/codebook.json",
+         "--out-dir", f"{out}/codebook-bare"],
+    ]
+
+
+def write_derived(out: Path) -> None:
+    for name, source, keys in DERIVED:
+        value = json.loads((out / source).read_text())
+        for key in keys:
+            value = value[key]
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(json.dumps(value) + "\n")
+
+
+def run_all(argvs: list[list[str]]) -> bool:
+    for argv in argvs:
+        code = main(argv)
+        if code != 0:
+            print(f"exit {code}: thermalmimic {' '.join(argv)}", file=sys.stderr)
+            return False
+    return True
+
+
 def run(out_dir: str) -> int:
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         print(f"{out_dir} is not empty; give an empty or absent directory", file=sys.stderr)
         return 2
-    for argv in commands(out_dir):
-        code = main(argv)
-        if code != 0:
-            print(f"exit {code}: thermalmimic {' '.join(argv)}", file=sys.stderr)
-            return 1
+    if not run_all(commands(out_dir)):
+        return 1
+    write_derived(out)
+    if not run_all(derived_commands(out_dir)):
+        return 1
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
