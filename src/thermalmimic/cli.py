@@ -10,11 +10,12 @@ metrics          metric report between two serialized density matrices
 Each command's knobs are the fields of one frozen dataclass, whose name, type
 and default make the long-form flag and the config-file key. The config is
 resolved from the defaults, an optional JSON config file, and flag overrides
-(in that order); each value must have its field's type, and the dataclass
-checks ranges. Outputs are deterministic and stamped with the toolkit version
-and a hash of the resolved config. Exit codes: 0 ok, 2 config error, 3
-numerical failure, 4 physical infeasibility. Any ``ValueError`` raised while a
-config, or a library type it builds, is constructed exits 2;
+(in that order); each value must have its field's type, an int field's a
+non-negative int, and the dataclass checks the other ranges. Outputs are
+deterministic and stamped with the toolkit version and a hash of the
+resolved config. Exit codes: 0 ok, 2 config error, 3 numerical failure, 4
+physical infeasibility. Any ``ValueError`` raised while a config, or a
+library type it builds, is constructed exits 2;
 ``physical.ExtinctionRangeError`` exits 4; any other ``ValueError`` exits 3.
 
 This module owns every file layout: it writes each output and parses each
@@ -48,6 +49,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _codebook_args(cfg: TomoConfig | CodebookConfig) -> tuple:
+    """``build_codebook``'s arguments from a config's codebook knobs."""
+    return cfg.nbar, cfg.codebook_amplitudes, cfg.codebook_phases, cfg.scheme, cfg.seed
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Fidelity over a (nbar, constellation size) grid.
@@ -64,18 +70,7 @@ class SweepConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if not self.nbars or any(nb <= 0 for nb in self.nbars):
-            raise ConfigError("nbars must be a non-empty list of positive values")
-        if not self.samples:
-            raise ConfigError("samples must be a non-empty list of perfect squares")
-        for m in self.samples:
-            if m < 1 or math.isqrt(m) ** 2 != m:
-                raise ConfigError(f"sample count {m} is not a perfect square")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        for key in ("cutoff", "seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0")
+        mimic.check_sweep_args(self.nbars, self.samples, self.trials)
 
 
 @dataclass(frozen=True)
@@ -113,25 +108,17 @@ class TomoConfig:
         for key in ("phases", "samples_per_phase", "runs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        for key in ("source_cutoff", "seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0")
         if self.gain is not None and self.gain <= 0:
             raise ConfigError("gain must be > 0")
         if self.gain is not None and self.phases * self.samples_per_phase < 2:
             raise ConfigError("the raw path's vacuum trace needs phases * samples_per_phase >= 2")
         self.mle  # tomo.MleConfig checks the MLE knobs
         if self.source == "artificial":
-            mimic.check_codebook_args(*self.codebook_args)
+            mimic.check_codebook_args(*_codebook_args(self))
 
     @property
     def mle(self) -> tomo.MleConfig:
         return tomo.MleConfig(self.cutoff, self.max_iterations, self.stop_tol)
-
-    @property
-    def codebook_args(self) -> tuple:
-        """``build_codebook``'s arguments for the artificial source."""
-        return self.nbar, self.codebook_amplitudes, self.codebook_phases, self.scheme, self.seed
 
 
 @dataclass(frozen=True)
@@ -156,16 +143,9 @@ class CodebookConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         self.mode, self.modulator  # the physical types check their own knobs
         if self.codebook_file is None:
-            mimic.check_codebook_args(*self.codebook_args)
-
-    @property
-    def codebook_args(self) -> tuple:
-        """``build_codebook``'s arguments when no ``codebook_file`` is given."""
-        return self.nbar, self.codebook_amplitudes, self.codebook_phases, self.scheme, self.seed
+            mimic.check_codebook_args(*_codebook_args(self))
 
     @property
     def mode(self) -> physical.ModePhysics:
@@ -192,7 +172,8 @@ class MetricsConfig:
 
 def _typed(key: str, value, kind):
     """``value`` as a ``kind`` field takes it; a value of another JSON type is a
-    config error. An int field takes no bool or float, a float field takes a
+    config error. An int field takes a non-negative int, and no bool or float:
+    every int knob is a count, a cutoff or a seed. A float field takes a
     finite int or float, a list field a list, an optional field also null."""
     args = get_args(kind)
     if get_origin(kind) is Literal:
@@ -209,6 +190,8 @@ def _typed(key: str, value, kind):
         if abs(value) <= sys.float_info.max:  # false for nan, inf and ints past float range
             return float(value)
     elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        if kind is int and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
         return value
     raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
 
@@ -249,28 +232,40 @@ def _stamp(cfg) -> dict:
     return {"version": __version__, "config_hash": digest}
 
 
-def _write(path: Path, text: str) -> None:
-    """``text`` into ``path``, its directories made first. Every output goes
-    through here; a path that cannot be written is a config error."""
+def _write(files: dict[Path, str]) -> None:
+    """Each text into its path, directories made first, all files or none: each
+    text goes to a temporary file beside its target, and the temporaries are
+    renamed into place once every write has succeeded. Every output goes
+    through here; a path that cannot be written, or is a directory, is a
+    config error that leaves no file behind."""
+    staged = {}
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        for path, text in files.items():
+            if path.is_dir():
+                raise IsADirectoryError("is a directory")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged[path] = path.with_name(f".{path.name}.tmp")
+            staged[path].write_text(text)
+        for path, temporary in staged.items():
+            temporary.replace(path)
     except OSError as exc:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc!r}") from exc
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, cfg, columns: tuple[str, ...], rows) -> None:
+def _csv_text(cfg, columns: tuple[str, ...], rows) -> str:
     """The stamp as a comment line, the ``columns`` header, then one line per
     row: a float cell as ``.17g``, any other cell with ``str``."""
     header = " ".join(f"{key}={value}" for key, value in _stamp(cfg).items())
     lines = [f"# {header}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +284,15 @@ def cmd_mimic_sweep(cfg: SweepConfig) -> None:
         for m, mu, sigma in zip(cfg.samples, means, stds)
     )
     columns = ("nbar", "M", "scheme", "fidelity_mean", "fidelity_std")
-    _write_csv(out_dir / "sweep.csv", cfg, columns, rows)
-    _write_json(
-        out_dir / "sweep_summary.json",
-        {
-            **_stamp(cfg),
-            "config": asdict(cfg),
-            "n_rows": mean.size,
-            "fidelity_min": float(mean.min()),
-            "fidelity_max": float(mean.max()),
-        },
-    )
+    summary = {
+        **_stamp(cfg),
+        "config": asdict(cfg),
+        "n_rows": mean.size,
+        "fidelity_min": float(mean.min()),
+        "fidelity_max": float(mean.max()),
+    }
+    _write({out_dir / "sweep.csv": _csv_text(cfg, columns, rows),
+            out_dir / "sweep_summary.json": _json_text(summary)})
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +339,7 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
     # Every state is built before any sampling, so a cutoff too small for
     # nbar fails before the reconstructions rather than after them.
     if cfg.source == "artificial":
-        source = mimic.assemble(mimic.build_codebook(*cfg.codebook_args), cfg.source_cutoff)
+        source = mimic.assemble(mimic.build_codebook(*_codebook_args(cfg)), cfg.source_cutoff)
         # the thermal source of the independent hat-vs-hat reconstruction
         thermal_source = fock.thermal(cfg.nbar, cfg.source_cutoff)
     else:
@@ -375,11 +368,11 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
     }
     run_keys = ("converged", "iterations", "final_log_likelihood", "optimality_gap")
     runs = [{key: getattr(r, key) for key in run_keys} for r in results]  # hat-vs-hat runs last
-    _write_json(
-        out_dir / "ensemble.json",
-        {**_stamp(cfg), "config": asdict(cfg), "ensemble": ensemble, "runs": runs},
-    )
-    _write_json(out_dir / "metrics.json", {**_stamp(cfg), "metrics": report})
+    _write({
+        out_dir / "ensemble.json": _json_text(
+            {**_stamp(cfg), "config": asdict(cfg), "ensemble": ensemble, "runs": runs}),
+        out_dir / "metrics.json": _json_text({**_stamp(cfg), "metrics": report}),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +397,27 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
     if cfg.codebook_file is not None:
         codebook = _load_json(cfg.codebook_file, "codebook file", _parse_codebook)
     else:
-        codebook = mimic.build_codebook(*cfg.codebook_args)
+        codebook = mimic.build_codebook(*_codebook_args(cfg))
     table = physical.codebook_to_drive(codebook, cfg.mode, cfg.modulator)
     out_dir = Path(cfg.out_dir)
-    _write_json(
-        out_dir / "codebook.json",
-        {
-            **_stamp(cfg),
-            "config": asdict(cfg),
-            "required_db": table.required_db,
-            "codebook": {
-                "nbar_target": codebook.nbar_target,
-                "amplitudes": codebook.amplitudes.tolist(),
-                "phases": codebook.phases.tolist(),
-                "weights": codebook.weights.tolist(),
-                "scheme": codebook.scheme.value,
-                "seed": codebook.seed,
-            },
+    payload = {
+        **_stamp(cfg),
+        "config": asdict(cfg),
+        "required_db": table.required_db,
+        "codebook": {
+            "nbar_target": codebook.nbar_target,
+            "amplitudes": codebook.amplitudes.tolist(),
+            "phases": codebook.phases.tolist(),
+            "weights": codebook.weights.tolist(),
+            "scheme": codebook.scheme.value,
+            "seed": codebook.seed,
         },
-    )
+    }
     columns = ("alpha_sq", "power_w", "intensity_level", "phase_rad")  # DriveTable's fields
     symbols = enumerate(zip(*(getattr(table, c).tolist() for c in columns)))  # row i is symbol i
-    _write_csv(out_dir / "drive.csv", cfg, ("index", *columns), ((i, *row) for i, row in symbols))
+    rows = ((i, *row) for i, row in symbols)
+    _write({out_dir / "codebook.json": _json_text(payload),
+            out_dir / "drive.csv": _csv_text(cfg, ("index", *columns), rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +443,9 @@ def cmd_metrics(cfg: MetricsConfig) -> None:
         raise ConfigError(f"cutoff {a.cutoff} of {cfg.matrix_a} != {b.cutoff} of {cfg.matrix_b}")
     payload = {**_stamp(cfg), "metrics": metrics.compare(a, b)}
     if cfg.out:
-        _write_json(Path(cfg.out), payload)
+        _write({Path(cfg.out): _json_text(payload)})
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload), end="")
 
 
 # ---------------------------------------------------------------------------

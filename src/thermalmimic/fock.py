@@ -37,10 +37,10 @@ TRACE_EXCESS_TOL = 1e-12
 class FockDensityMatrix:
     """Complex matrix of number-basis elements ``<m|rho|n>`` up to ``cutoff``.
 
-    ``trace_tol`` is the truncation-mass budget the matrix was built under:
-    the trace must lie in [1 - trace_tol, 1 + 1e-12]. Construction validates
-    finiteness, Hermiticity and positive semidefiniteness; traces are never
-    silently renormalized.
+    ``trace_tol`` is the truncation-mass budget the matrix was built under, and
+    this is the one truncation check: a trace outside [1 - trace_tol, 1 + 1e-12]
+    raises ``ValueError``. Construction also validates finiteness, Hermiticity
+    and positive semidefiniteness; traces are never silently renormalized.
     """
 
     cutoff: int
@@ -63,10 +63,11 @@ class FockDensityMatrix:
         if min_eig < PSD_EIGVAL_FLOOR:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
         tr = float(rho.trace().real)
-        if tr > 1.0 + TRACE_EXCESS_TOL or tr < 1.0 - self.trace_tol:
-            raise ValueError(
-                f"trace {tr} outside [1 - {self.trace_tol}, 1 + {TRACE_EXCESS_TOL}]"
-            )
+        if tr > 1.0 + TRACE_EXCESS_TOL:
+            raise ValueError(f"trace {tr} exceeds 1 + {TRACE_EXCESS_TOL}")
+        if tr < 1.0 - self.trace_tol:
+            raise ValueError(f"state loses mass {1.0 - tr:.3e} beyond cutoff {self.cutoff} "
+                             f"(trace {tr}, budget {self.trace_tol:.1e})")
         rho.setflags(write=False)
         object.__setattr__(self, "entries", rho)
 
@@ -114,8 +115,8 @@ def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Foc
     entries are exactly zero.
 
     Raises:
-        ValueError: if the geometric tail ``(nbar/(nbar+1))^(cutoff+1)``
-            exceeds ``tail_tol`` ("has tail mass ... beyond cutoff ...").
+        ValueError: if the geometric tail ``(nbar/(nbar+1))^(cutoff+1)`` exceeds
+            ``tail_tol``, the matrix's ``trace_tol`` ("state loses mass ...").
     """
     if nbar < 0.0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
@@ -124,17 +125,10 @@ def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Foc
     diag = np.zeros(cutoff + 1)
     if nbar == 0.0:
         diag[0] = 1.0
-        tail = 0.0
     else:
         n = np.arange(cutoff + 1)
         diag = np.exp(n * math.log(nbar) - (n + 1) * math.log(nbar + 1.0))
-        tail = (nbar / (nbar + 1.0)) ** (cutoff + 1)
-        if tail > tail_tol:
-            raise ValueError(
-                f"thermal state nbar = {nbar} has tail mass {tail:.3e} beyond "
-                f"cutoff {cutoff} (budget {tail_tol:.1e})"
-            )
-    return FockDensityMatrix(cutoff, np.diag(diag).astype(np.complex128), trace_tol=tail + 1e-12)
+    return FockDensityMatrix(cutoff, np.diag(diag).astype(np.complex128), trace_tol=tail_tol)
 
 
 def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatrix:
@@ -148,8 +142,8 @@ def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatri
 
     Raises:
         ValueError: if the weighted tail ``1 - sum_i p_i |psi_i|^2`` exceeds
-            ``tail_tol`` ("loses mass ... beyond cutoff ..."). A rare row may
-            lose more, if its weight keeps the sum in budget.
+            ``tail_tol``, the matrix's ``trace_tol`` ("state loses mass ..."). A
+            rare row may lose more, if its weight keeps the sum in budget.
     """
     weights = np.asarray(weights, dtype=float)
     if not np.all(weights >= 0.0):  # false for nan
@@ -166,15 +160,11 @@ def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatri
     norms = np.einsum("ij,ij->i", stacked.conj(), stacked).real
     if np.any(norms > 1.0 + TRACE_EXCESS_TOL):
         raise ValueError(f"state squared norm {norms.max()} exceeds 1")
-    deficit = 1.0 - float(np.sum(weights * norms))
-    if deficit > tail_tol:
-        raise ValueError(f"mixture loses mass {deficit:.3e} beyond cutoff "
-                         f"{stacked.shape[1] - 1} (budget {tail_tol:.1e})")
     # rho = A^T conj(A) with rows sqrt(p_i) psi_i, PSD by construction
     scaled = np.sqrt(weights)[:, None] * stacked
     rho = scaled.T @ scaled.conj()
     rho = 0.5 * (rho + rho.conj().T)
-    return FockDensityMatrix(stacked.shape[1] - 1, rho, trace_tol=max(deficit, 0.0) + 1e-9)
+    return FockDensityMatrix(stacked.shape[1] - 1, rho, trace_tol=tail_tol)
 
 
 @cache

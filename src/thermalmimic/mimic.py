@@ -178,6 +178,22 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Cod
     return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED), refit
 
 
+def check_sweep_args(nbars, sample_counts, trials: int) -> list[int]:
+    """Check :func:`sweep_fidelity`'s grid without computing a cell: raise the
+    ``ValueError`` it would, else return the sides sqrt(M) of the sample counts."""
+    if not nbars or any(not nb > 0 for nb in nbars):
+        raise ValueError("nbars must be a non-empty list of positive values")
+    if not sample_counts:
+        raise ValueError("samples must be a non-empty list of perfect squares")
+    sides = [math.isqrt(max(int(m), 0)) for m in sample_counts]
+    for m, side in zip(sample_counts, sides):
+        if m < 1 or side * side != m:
+            raise ValueError(f"sample count {m} is not a perfect square")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return sides
+
+
 def sweep_fidelity(
     nbars: list[float],
     sample_counts: list[int],
@@ -188,19 +204,15 @@ def sweep_fidelity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity of the mimicked state versus constellation size M = L * Q.
 
-    Each M must be a perfect square (L = Q = sqrt(M)). Returns the mean and
-    standard deviation over trials, each of shape (len(nbars), len(sample_counts)).
+    Each M must be a perfect square (L = Q = sqrt(M)), as :func:`check_sweep_args`
+    checks first. Returns the mean and standard deviation over trials, each of
+    shape (len(nbars), len(sample_counts)).
     Random-scheme cells are averaged over ``trials`` independent codebooks with
     per-trial seeds ``seed + trial_index``; deterministic schemes report a
     single evaluation with zero spread.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    sides = check_sweep_args(nbars, sample_counts, trials)
     scheme = Scheme(scheme)
-    sides = [math.isqrt(int(m)) for m in sample_counts]
-    for m, side in zip(sample_counts, sides):
-        if side * side != m:
-            raise ValueError(f"sample count {m} is not a perfect square")
     base = Scheme.STRATIFIED if scheme == Scheme.OPTIMIZED else scheme  # the grid it refits
     fids = np.empty((len(nbars), len(sides), trials if scheme == Scheme.RANDOM else 1))
     for i, nbar in enumerate(nbars):

@@ -289,7 +289,7 @@ def test_tomo_truncation_fails_before_sampling(tmp_path, capsys, monkeypatch, ar
     monkeypatch.setattr(homodyne, "sample", counting_sample)
     out = tmp_path / "out"
     assert main(["tomo-end2end", *argv, "--out-dir", str(out)]) == 3
-    assert "thermal state nbar = 2" in capsys.readouterr().err
+    assert "loses mass" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -539,14 +539,20 @@ def test_metrics_command_missing_file_exits_config(tmp_path):
         (["codebook-export"], "file/out"),
         # a metrics --out that is a directory
         (["metrics", "a.json", "a.json", "--out"], "dir"),
+        # an --out-dir whose second output is a directory: the first is not written either
+        (["codebook-export"], "blocked"),
+        (["tomo-end2end", "--source", "vacuum", "--runs", "1", "--cutoff", "2", "--phases", "4",
+          "--samples-per-phase", "10"], "blocked"),
     ],
     ids=["mimic-sweep", "tomo-end2end", "codebook-export", "codebook-export-under-file",
-         "metrics"],
+         "metrics", "codebook-export-second-file", "tomo-end2end-second-file"],
 )
 def test_unwritable_output_path_exits_config(tmp_path, monkeypatch, capsys, argv, out):
     monkeypatch.chdir(tmp_path)
     Path("file").write_text("kept\n")
     Path("dir").mkdir()
+    for blocker in ("drive.csv", "metrics.json"):
+        Path("blocked", blocker).mkdir(parents=True)
     Path("a.json").write_text(json.dumps(_MATRIX))
     if argv[0] == "metrics":
         argv = [*argv, out]
@@ -557,6 +563,8 @@ def test_unwritable_output_path_exits_config(tmp_path, monkeypatch, capsys, argv
     assert err.startswith(f"config error: cannot write {out}")
     assert Path("file").read_text() == "kept\n"
     assert not any(Path("dir").iterdir())
+    assert sorted(p.name for p in Path("blocked").iterdir()) == ["drive.csv", "metrics.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "blocked", "dir", "file"]
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +604,27 @@ def test_wrong_shape_config_value_exits_config(tmp_path, capsys, command, config
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _int_knobs():
+    """Every int field of every config, as (command, key, a value of -1 or [-1])."""
+    for command, (cls, _) in _COMMANDS.items():
+        kinds = get_type_hints(cls)
+        for f in fields(cls):
+            kind = kinds[f.name]
+            if int in (kind, *get_args(kind)):
+                value = [-1] if get_origin(kind) is tuple else -1
+                yield pytest.param(command, f.name, value, id=f"{command}-{f.name}")
+
+
+@pytest.mark.parametrize("command, key, value", list(_int_knobs()))
+def test_negative_int_knob_exits_config(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -163,7 +163,7 @@ def test_thermal_entry_values_and_diagonality():
 
 def test_thermal_truncation_error_when_cutoff_too_small():
     # tail (2/3)^11 ~ 1.2e-2 blows the default 1e-5 budget
-    with pytest.raises(ValueError, match="has tail mass"):
+    with pytest.raises(ValueError, match="loses mass"):
         thermal(2.0, 10)
     # an explicit budget allows it, and the lost mass stays visible in the trace
     assert thermal(2.0, 10, tail_tol=0.05).trace < 1.0 - 1e-3
@@ -312,6 +312,20 @@ def test_density_matrix_rejects_bad_trace():
         FockDensityMatrix(2, 0.7 * np.diag([0.5, 0.3, 0.2]).astype(complex), trace_tol=1e-6)
     with pytest.raises(ValueError, match="trace"):
         FockDensityMatrix(2, 1.1 * np.diag([0.5, 0.3, 0.2]).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "build, lost",
+    [(lambda budget: thermal(1.0, 9, budget), 2.0**-10),
+     (lambda budget: mix([1.0], coherent_states([1.0], [0.0], 9), budget), poisson.sf(9, 1.0))],
+    ids=["thermal", "mix"],
+)
+def test_builders_pass_their_budget_to_the_density_matrix(build, lost):
+    # the lost mass is the thermal tail 2^-10, or the Poisson tail P(N > 9) of |alpha|^2 = 1
+    message = rf"^state loses mass {lost:.3e} beyond cutoff 9 \(trace \S+, budget \S+\)$"
+    with pytest.raises(ValueError, match=message):
+        build(lost * (1.0 - 1e-6))
+    assert build(lost * (1.0 + 1e-6)).trace_tol == lost * (1.0 + 1e-6)
 
 
 def test_density_matrix_entries_are_immutable():

@@ -1,5 +1,5 @@
-"""Cold-start guard: the package loads nothing, and its numpy-only commands
-load no scipy.
+"""Import guards: the package loads nothing, its numpy-only commands load no
+scipy, and no module imports a name it never uses.
 
 A bare ``import thermalmimic`` holds only ``__version__``: it loads no numpy
 and no submodule, and gives no name a second, package-level home. Importing
@@ -10,13 +10,15 @@ call. Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Records, for the first scipy module the child imports, the first frame
 # outside importlib and scipy: the module (and line) that pulled scipy in.
@@ -91,3 +93,27 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
             f"{s['stage']} loaded {len(s['scipy'])} scipy modules, first pulled in by "
             f"{s['importer']}: {s['scipy'][:5]}"
         )
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that ``path``'s module-level imports bind and nothing in it reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [(alias.asname or alias.name.split(".")[0], alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [(alias.asname or alias.name, alias.name) for alias in node.names]
+        else:
+            continue
+        for name, imported in names:
+            bound[name] = f"{path.relative_to(ROOT)}:{node.lineno} imports {imported}"
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [where for name, where in bound.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for top in ("src", "tests", "tools") for p in (ROOT / top).rglob("*.py"))
+    assert modules
+    unused = [where for path in modules for where in _unused_imports(path)]
+    assert not unused, unused

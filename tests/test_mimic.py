@@ -234,6 +234,14 @@ def test_sweep_rejects_non_square_sample_counts():
         sweep_fidelity([1.0], [50])
     with pytest.raises(ValueError, match="trials must be >= 1"):
         sweep_fidelity([1.0], [4], Scheme.RANDOM, trials=0)
+    # the grid is checked before any cell: M = 0, empty lists and nbar 0
+    with pytest.raises(ValueError, match="sample count 0 is not a perfect square"):
+        sweep_fidelity([1.0], [0])
+    with pytest.raises(ValueError, match="samples must be a non-empty list"):
+        sweep_fidelity([1.0], [])
+    for nbars in ([], [0.0]):
+        with pytest.raises(ValueError, match="nbars must be a non-empty list of positive"):
+            sweep_fidelity(nbars, [4])
 
 
 def test_random_sweep_mean_within_three_sigma_of_stratified():

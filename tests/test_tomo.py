@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _states import fock_projector
-from thermalmimic import mimic
 from thermalmimic.fock import (
     FockDensityMatrix,
     coherent_states,
