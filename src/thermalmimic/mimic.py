@@ -8,6 +8,14 @@ thermal state. Weights default to uniform over a stratified (quantile-midpoint)
 grid, which already mimics well; :func:`optimize_weights` refits them by
 nonnegative least squares when the uniform mixture is not faithful enough, and
 returns the refit codebook with its fidelity to the target.
+
+The refit fits one weight per amplitude ring when the problem is symmetric
+under rotation by 2*pi/Q: the Q phases form a uniform grid (every gap within
+``PHASE_GAP_TOL`` of 2*pi/Q, as on the stratified grid) and the target has no
+Fock harmonic ``rho[m, m+k]`` with ``k % Q != 0`` (thermal light is diagonal).
+That rotation then permutes the design's columns and fixes the target, so the
+convex fit has an optimum that is uniform over each ring, found from L
+unknowns instead of L*Q. Any other codebook or target is fit point by point.
 """
 
 from __future__ import annotations
@@ -21,6 +29,11 @@ import numpy as np
 from . import fock
 from .fock import FockDensityMatrix, coherent_states
 from .metrics import fidelity
+
+
+#: How far (rad) each gap of a Q-phase grid may stray from 2*pi/Q for
+#: :func:`optimize_weights` to fit one weight per amplitude ring.
+PHASE_GAP_TOL = 1e-12
 
 
 class Scheme(str, Enum):
@@ -143,6 +156,16 @@ def assemble(codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF) -> FockDensi
     return fock.mix(codebook.weights.ravel(), coherent_states(*codebook.points(), cutoff))
 
 
+def _ring_size(phases: np.ndarray, packed_target: np.ndarray, harmonic: np.ndarray) -> int:
+    """Q if the Q ``phases`` form a uniform grid and every target slot of a
+    harmonic ``k % Q != 0`` is zero, else 1 (no symmetry: one point per ring)."""
+    q = phases.size
+    ordered = np.sort(phases)
+    gaps = np.diff(ordered, append=ordered[0] + fock.TWO_PI)
+    uniform = np.all(np.abs(gaps - fock.TWO_PI / q) <= PHASE_GAP_TOL)
+    return q if uniform and np.all(packed_target[harmonic % q != 0] == 0.0) else 1
+
+
 def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Codebook, float]:
     """Refit the codebook weights to a target state by nonnegative least squares;
     return the refit codebook and the fidelity of its mixture to ``target``.
@@ -154,6 +177,20 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Cod
     weights are kept. The NNLS design is the (dim^2, M) :func:`fock.projector_map`
     of the coherent states against the packed target, off-diagonal slots
     weighted so the residual 2-norm is the Frobenius distance.
+
+    If the Q phases are a uniform grid (each gap within ``PHASE_GAP_TOL`` of
+    2*pi/Q) and the target has no harmonic ``rho[m, m+k]`` with ``k % Q != 0``,
+    the fit has one unknown per amplitude ring. Rotating every point by 2*pi/Q
+    then permutes the design's columns and acts on the packed space as an
+    orthogonal map that fixes the target, so averaging any optimum over the Q
+    rotations gives an optimum uniform on each ring; the optimal mixture itself
+    is unique (the point of a convex cone nearest the target). A ring's mean
+    column is its column at any one grid phase with every slot of a harmonic
+    not divisible by Q zeroed, and ring weight ``u_l`` spreads as ``u_l / Q``
+    over the ring. So a stratified codebook's refit weights are ring-uniform,
+    which may be a different member of the optimal set than the per-point fit
+    would pick. Without the symmetry each point is its own ring, and the fit is
+    the per-point one.
     """
     from scipy.optimize import nnls  # the package's one scipy use; kept off the import path
 
@@ -163,10 +200,16 @@ def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Cod
         raise ValueError("all constellation points coincide; weights are unidentifiable")
 
     states = coherent_states(magnitudes, phases, target.cutoff)
-    frobenius = np.where(np.eye(target.dim, dtype=bool), 1.0, math.sqrt(2.0)).ravel()
-    design = fock.projector_map(np.abs(states).T, phases)
+    n = np.arange(target.dim)
+    harmonic = np.abs(n[:, None] - n).ravel()  # k of slot (m, m + k) and (m + k, m)
+    frobenius = np.where(harmonic == 0, 1.0, math.sqrt(2.0))
+    packed = fock._pack(target.entries)
+    size = _ring_size(codebook.phases, packed, harmonic)
+    design = fock.projector_map(np.abs(states[::size]).T, phases[::size])  # each ring's first point
     design /= frobenius[:, None]
-    solution, _ = nnls(design, fock._pack(target.entries) * frobenius)
+    design[harmonic % size != 0] = 0.0
+    rings, _ = nnls(design, packed * frobenius)
+    solution = np.repeat(rings / size, size)
     total = float(solution.sum())
     if total <= 0.0:
         raise ValueError("nonnegative least squares returned an all-zero weight vector")

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from thermalmimic import fock, metrics
 from thermalmimic.fock import coherent_states, thermal
 from thermalmimic.mimic import (
+    PHASE_GAP_TOL,
     Codebook,
     Scheme,
     assemble,
@@ -204,6 +206,121 @@ def test_optimize_weights_rejects_degenerate_constellation():
     )
     with pytest.raises(ValueError, match="coincide"):
         optimize_weights(cb, thermal(1.0, 30))[0]
+
+
+def _per_point_problem(codebook, target):
+    """The full (dim^2, M) Frobenius NNLS design and packed target, one column
+    per constellation point, built with the one projector kernel."""
+    magnitudes, phases = codebook.points()
+    states = coherent_states(magnitudes, phases, target.cutoff)
+    scale = np.where(np.eye(target.dim, dtype=bool), 1.0, math.sqrt(2.0)).ravel()
+    design = fock.projector_map(np.abs(states).T, phases)
+    design /= scale[:, None]
+    return design, fock._pack(target.entries) * scale
+
+
+def _per_point_weights(codebook, target):
+    solution, _ = nnls(*_per_point_problem(codebook, target))
+    return (solution / solution.sum()).reshape(codebook.weights.shape)
+
+
+def _residual_along_ray(design, packed, weights):
+    """min over c >= 0 of ||c A w - b||: an NNLS optimum is optimal along its
+    own ray, so this is the residual of the unnormalized fit ``w`` rescales."""
+    fit = design @ weights.ravel()
+    return float(np.linalg.norm(max(0.0, fit @ packed / (fit @ fit)) * fit - packed))
+
+
+def _assert_reaches_per_point_optimum(codebook, target, weights):
+    design, packed = _per_point_problem(codebook, target)
+    assert _residual_along_ray(design, packed, weights) <= nnls(design, packed)[1] * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "nbar, n_amp, n_phase, cutoff",
+    [
+        (1.0, 4, 1, 30),  # Q = 1: rings are points
+        (1.0, 1, 8, 30),  # L = 1: one unknown
+        (0.3, 3, 12, 8),  # Q > cutoff: only the diagonal survives the mask
+        (2.0, 2, 2, 30),
+        (2.0, 4, 4, 30),
+        (0.5, 5, 31, 30),
+        (1.5, 6, 40, 30),
+        (2.0, 20, 20, 30),
+    ],
+)
+def test_ring_fit_reaches_per_point_nnls_optimum(nbar, n_amp, n_phase, cutoff):
+    cb = build_codebook(nbar, n_amp, n_phase)
+    target = thermal(nbar, cutoff)
+    opt = optimize_weights(cb, target)[0]
+    assert np.all(opt.weights == opt.weights[:, :1])  # ring-uniform
+    _assert_reaches_per_point_optimum(cb, target, opt.weights)
+
+
+def _stratified_with_phases(phases):
+    cb = build_codebook(2.0, 4, len(phases))
+    return Codebook(2.0, cb.amplitudes, np.asarray(phases), cb.weights, Scheme.STRATIFIED)
+
+
+@pytest.mark.parametrize(
+    "codebook, target",
+    [
+        (build_codebook(1.5, 8, 8, Scheme.RANDOM, seed=3), thermal(1.5, 30)),
+        # harmonics 1, 2, 3 of a coherent target are not divisible by Q = 4
+        (build_codebook(1.0, 3, 4), fock.mix([1.0], coherent_states([0.8], [0.4], 30))),
+        # one gap of a 4-phase grid off by ten times the tolerance
+        (_stratified_with_phases(np.pi * np.array([0.25, 0.75, 1.25, 1.75])
+                                 + [0.0, 10 * PHASE_GAP_TOL, 0.0, 0.0]), thermal(2.0, 30)),
+    ],
+    ids=["random-seed3", "coherent-target", "gap-off-grid"],
+)
+def test_refit_without_rotation_symmetry_is_the_per_point_fit(codebook, target):
+    opt = optimize_weights(codebook, target)[0]
+    assert np.array_equal(opt.weights, _per_point_weights(codebook, target))
+
+
+def test_offset_grid_wrapping_past_two_pi_takes_ring_fit():
+    phases = (5.5 + np.arange(4) * math.pi / 2) % (2 * math.pi)  # [5.5, 0.79, 2.36, 3.93]
+    cb = _stratified_with_phases(phases)
+    target = thermal(2.0, 30)
+    opt = optimize_weights(cb, target)[0]
+    assert np.all(opt.weights == opt.weights[:, :1])
+    assert not np.array_equal(opt.weights, _per_point_weights(cb, target))
+    _assert_reaches_per_point_optimum(cb, target, opt.weights)
+
+
+def test_ring_fit_keeps_harmonics_divisible_by_q():
+    # A ring-uniform mixture of two amplitudes on a 3-phase grid has nonzero
+    # rho[m, m+3] (and rho[m, m+6]); rounding leaves ~1e-17 at the other
+    # harmonics, which the target zeroes so the rotation symmetry is exact.
+    amps, cutoff = np.array([0.3, 0.7]), 8
+    phases = math.pi * np.array([1.0, 3.0, 5.0]) / 3
+    rings = np.array([0.4, 0.6])
+    true_weights = np.repeat(rings / 3, 3).reshape(2, 3)
+    mixture = assemble(Codebook(1.0, amps, phases, true_weights, Scheme.STRATIFIED), cutoff)
+    n = np.arange(cutoff + 1)
+    harmonic = np.abs(n[:, None] - n)
+    entries = np.where(harmonic % 3 == 0, mixture.entries, 0.0)
+    assert np.all(np.abs(entries[harmonic == 3]) > 1e-7)
+    target = fock.FockDensityMatrix(cutoff, entries, mixture.trace_tol)
+
+    uniform = Codebook(1.0, amps, phases, np.full((2, 3), 1 / 6), Scheme.STRATIFIED)
+    opt = optimize_weights(uniform, target)[0]
+    assert np.all(opt.weights == opt.weights[:, :1])
+    assert np.allclose(opt.weights.sum(axis=1), rings, rtol=0.0, atol=1e-10)
+
+    # On the grid turned by pi/3 the ring columns carry -rho[m, m+3]: the fit
+    # must trade the diagonal against the third harmonic. The diagonal alone
+    # would return the true ring weights, short of the per-point optimum.
+    # (Start from weights the fit beats, so the guard does not keep them.)
+    turned = Codebook(1.0, amps, math.pi * np.array([2.0, 4.0, 0.0]) / 3,
+                      np.repeat([0.3, 0.1 / 3], 3).reshape(2, 3), Scheme.STRATIFIED)
+    opt = optimize_weights(turned, target)[0]
+    assert np.all(opt.weights == opt.weights[:, :1])
+    design, packed = _per_point_problem(turned, target)
+    best = nnls(design, packed)[1]
+    assert _residual_along_ray(design, packed, opt.weights) <= best * (1.0 + 1e-12)
+    assert _residual_along_ray(design, packed, true_weights) > best * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
