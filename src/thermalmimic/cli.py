@@ -319,19 +319,22 @@ def _density_json(rho: fock.FockDensityMatrix) -> dict:
 def _reconstruct_ensemble(
     source: fock.FockDensityMatrix, cfg: TomoConfig, seed_base: int
 ) -> tuple[list[tomo.MleResult], fock.FockDensityMatrix, np.ndarray]:
-    """``cfg.runs`` reconstructions of ``source``, their mean state and elementwise spread."""
+    """``cfg.runs`` reconstructions of ``source``, their mean state and elementwise spread.
+
+    Run r is seeded ``seed_base + r``. All runs' records are drawn in one
+    sampling pass (with ``cfg.gain``, one raw acquisition pass then one
+    calibration per run), and each run is then reconstructed on its own.
+    """
     grid = fock.TWO_PI * np.arange(cfg.phases) / cfg.phases
+    seeds = range(seed_base, seed_base + cfg.runs)
+    if cfg.gain is not None:
+        raws = homodyne.simulate_raw(source, grid, cfg.samples_per_phase, cfg.gain, cfg.offset,
+                                     seeds)
+        datasets = [homodyne.calibrate(raw, cfg.convention) for raw in raws]
+    else:
+        datasets = homodyne.sample(source, grid, cfg.samples_per_phase, seeds)
     mle_config = cfg.mle
-    results = []
-    for run in range(cfg.runs):
-        run_seed = seed_base + run
-        if cfg.gain is not None:
-            raw = homodyne.simulate_raw(source, grid, cfg.samples_per_phase, cfg.gain,
-                                        cfg.offset, run_seed)
-            dataset = homodyne.calibrate(raw, cfg.convention)
-        else:
-            dataset = homodyne.sample(source, grid, cfg.samples_per_phase, run_seed)
-        results.append(tomo.mle_reconstruct(dataset, mle_config))
+    results = [tomo.mle_reconstruct(dataset, mle_config) for dataset in datasets]
     return results, *tomo.average([r.rho for r in results])
 
 

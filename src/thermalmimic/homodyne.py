@@ -19,11 +19,20 @@ photon number). Every dataset therefore carries an explicit convention tag,
 whose :attr:`Convention.vacuum_variance` is the one place the scale is
 written: :func:`calibrate` maps a raw record's vacuum trace onto it, and the
 tomography module reads each dataset on the ``half`` axis its tag implies.
+
+Sampling
+--------
+:func:`sample` and :func:`simulate_raw` draw every run of an ensemble in one
+pass over the LO phases. Each phase's pdf row and CDF are built once and
+shared by the runs; each run draws from generators of its own seed only, so
+its records are the same whether it is drawn alone or with other runs. One
+pdf row and one CDF are live at a time, beside the ensemble's records.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -163,42 +172,45 @@ def _sampling_grid(rho: FockDensityMatrix) -> np.ndarray:
     return np.linspace(-half_width, half_width, SAMPLER_GRID_POINTS)
 
 
-def _inverse_cdf_draw(grid: np.ndarray, pdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    dx = np.diff(grid)
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
-    cdf /= cdf[-1]
-    return np.interp(u, cdf, grid)
-
-
 def sample(
-    rho: FockDensityMatrix, phases, n_per_phase: int, seed: int | np.random.SeedSequence
-) -> QuadratureDataset:
-    """Draw quadrature samples at each LO phase by tabulated inverse-CDF lookup.
+    rho: FockDensityMatrix,
+    phases,
+    n_per_phase: int,
+    seeds: Sequence[int | np.random.SeedSequence],
+) -> list[QuadratureDataset]:
+    """Draw quadrature samples at each LO phase by tabulated inverse-CDF lookup,
+    one dataset per seed in ``seeds`` (integers or ``SeedSequence`` objects).
 
-    The generator of phase i is seeded by the child of ``seed`` (an integer or
-    a ``SeedSequence``) with ``i`` appended to its spawn key, as
-    ``SeedSequence.spawn`` makes it, so the output is reproducible and
-    independent of how phases might be distributed over workers. Records are
-    concatenated in phase order.
+    The runs share one pass over the phases: each phase's pdf row and CDF are
+    built once, and every run draws its block from them. A run's records
+    depend on its own seed only, not on the other seeds or their number.
+    The generator of phase i of a run is seeded by the child of its seed with
+    ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it, so
+    the output is reproducible and independent of how phases might be
+    distributed over workers. Records are concatenated in phase order.
     """
     if n_per_phase < 1:
         raise ValueError(f"n_per_phase must be >= 1, got {n_per_phase}")
+    roots = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+             for s in seeds]
+    if not roots:
+        raise ValueError("seeds must hold at least one seed")
     thetas = np.atleast_1d(np.asarray(phases, dtype=float))
     if not np.all(np.isfinite(thetas)):
         raise ValueError("phases must be finite")
     thetas = np.mod(thetas, fock.TWO_PI)
     thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
     grid = _sampling_grid(rho)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = [
-        np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
-        for i in range(thetas.size)
-    ]
-    xs = [
-        _inverse_cdf_draw(grid, pdf, np.random.default_rng(child).random(n_per_phase))
-        for child, pdf in zip(children, _pdf_rows(rho, thetas, grid))
-    ]
-    return QuadratureDataset(np.concatenate(xs), np.repeat(thetas, n_per_phase), Convention.HALF)
+    dx = np.diff(grid)
+    xs = np.empty((len(roots), thetas.size, n_per_phase))
+    for i, pdf in enumerate(_pdf_rows(rho, thetas, grid)):
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))  # trapezoid
+        cdf /= cdf[-1]
+        for x, root in zip(xs, roots):
+            child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
+            x[i] = np.interp(np.random.default_rng(child).random(n_per_phase), cdf, grid)
+    theta = np.repeat(thetas, n_per_phase)
+    return [QuadratureDataset(x.ravel(), theta, Convention.HALF) for x in xs]
 
 
 def simulate_raw(
@@ -207,12 +219,14 @@ def simulate_raw(
     n_per_phase: int,
     gain: float,
     offset: float,
-    seed: int,
-) -> RawDataset:
-    """One raw acquisition: uncalibrated values ``V = offset + gain * x`` of the
-    signal ``x = sample(rho, phases, n_per_phase, seed)``, and the vacuum trace
-    that :func:`calibrate` reads, ``|0>`` recorded at the same phases, gain and
-    offset. The vacuum's phase-i generator is seeded by
+    seeds: Sequence[int],
+) -> list[RawDataset]:
+    """Raw acquisitions, one per integer seed in ``seeds``: uncalibrated values
+    ``V = offset + gain * x`` of the signal ``x = sample(rho, phases,
+    n_per_phase, seeds)[r]``, and the vacuum trace that :func:`calibrate`
+    reads, ``|0>`` recorded at the same phases, gain and offset. The signals
+    and the vacuum traces each take one :func:`sample` pass for all runs. The
+    vacuum's phase-i generator of the run seeded ``seed`` is seeded by
     ``SeedSequence(seed, spawn_key=(0, i))``: every generator of an
     integer-seeded :func:`sample` has a spawn key of length one, so the vacuum
     reuses no uniform of any such call (as it would if it were seeded at
@@ -220,10 +234,14 @@ def simulate_raw(
     """
     if gain <= 0.0:
         raise ValueError(f"gain must be > 0, got {gain}")
-    signal = sample(rho, phases, n_per_phase, seed)
-    vacuum_seed = np.random.SeedSequence(seed, spawn_key=(0,))
-    vacuum = sample(fock.thermal(0.0, 0), phases, n_per_phase, vacuum_seed)
-    return RawDataset(offset + gain * signal.x, signal.theta, offset + gain * vacuum.x)
+    seeds = list(seeds)
+    signals = sample(rho, phases, n_per_phase, seeds)
+    vacuum_seeds = [np.random.SeedSequence(seed, spawn_key=(0,)) for seed in seeds]
+    vacua = sample(fock.thermal(0.0, 0), phases, n_per_phase, vacuum_seeds)
+    return [
+        RawDataset(offset + gain * signal.x, signal.theta, offset + gain * vacuum.x)
+        for signal, vacuum in zip(signals, vacua)
+    ]
 
 
 def calibrate(raw: RawDataset, convention: Convention | str) -> QuadratureDataset:

@@ -29,13 +29,8 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def reconstruct_ensemble(source, seed_base):
-    runs = [
-        tomo.mle_reconstruct(
-            homodyne.sample(source, PHASES_50, 40, seed=seed_base + r),
-            tomo.MleConfig(cutoff=RECON_CUTOFF),
-        ).rho
-        for r in range(10)
-    ]
+    datasets = homodyne.sample(source, PHASES_50, 40, range(seed_base, seed_base + 10))
+    runs = [tomo.mle_reconstruct(d, tomo.MleConfig(cutoff=RECON_CUTOFF)).rho for d in datasets]
     return tomo.average(runs)[0]
 
 
@@ -201,7 +196,7 @@ def test_criterion_7_property_battery():
         assert total == pytest.approx(rho.trace, abs=1e-6)
 
     # MLE monotone likelihood and per-iteration trace preservation
-    data = homodyne.sample(fock.thermal(1.0, 30), PHASES_50, 10, seed=55)
+    data = homodyne.sample(fock.thermal(1.0, 30), PHASES_50, 10, [55])[0]
     result = tomo.mle_reconstruct(data, tomo.MleConfig(cutoff=8))
     assert np.diff(result.log_likelihoods).min() >= -1e-8
     for cap in (1, 2, 5):
@@ -210,8 +205,8 @@ def test_criterion_7_property_battery():
 
     # vacuum calibration variance under both conventions
     raw = homodyne.simulate_raw(
-        fock.thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seed=60
-    )
+        fock.thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seeds=[60]
+    )[0]
     var_quarter = homodyne.calibrate(raw, homodyne.Convention.QUARTER).x.var()
     var_half = homodyne.calibrate(raw, homodyne.Convention.HALF).x.var()
     assert var_quarter == pytest.approx(0.25, abs=0.03)

@@ -226,6 +226,21 @@ def test_tomo_raw_convention_changes_no_reconstruction(tmp_path, seed):
     assert iterations["half"] == iterations["quarter"]
 
 
+@pytest.mark.parametrize("raw", [[], ["--gain", "2.5", "--offset", "0.3"]], ids=["direct", "raw"])
+def test_tomo_run_records_do_not_depend_on_the_number_of_runs(tmp_path, raw):
+    # an ensemble's runs are drawn in one pass; each run's records come from
+    # its own seed, so adding a third run leaves the first two as they were
+    runs = {}
+    for n_runs in ("2", "3"):
+        out = tmp_path / n_runs
+        assert main(["tomo-end2end", "--source", "thermal", "--runs", n_runs, "--seed", "5",
+                     "--cutoff", "6", "--phases", "8", "--samples-per-phase", "25", *raw,
+                     "--out-dir", str(out)]) == 0
+        runs[n_runs] = read_json(out / "ensemble.json")["runs"]
+    assert len(runs["3"]) == 3
+    assert runs["3"][:2] == runs["2"]
+
+
 def test_reports_carry_the_contracted_fields(tmp_path):
     assert main(["tomo-end2end", "--source", "vacuum", "--runs", "2", "--phases", "2",
                  "--samples-per-phase", "50", "--cutoff", "4", "--max-iterations", "200",
@@ -233,9 +248,8 @@ def test_reports_carry_the_contracted_fields(tmp_path):
     payload = read_json(tmp_path / "ensemble.json")
     config = tomo.MleConfig(cutoff=4, max_iterations=200)
     results = [
-        tomo.mle_reconstruct(homodyne.sample(fock.thermal(0.0, 30), [0.0, math.pi], 50, seed),
-                             config)
-        for seed in (9, 10)
+        tomo.mle_reconstruct(dataset, config)
+        for dataset in homodyne.sample(fock.thermal(0.0, 30), [0.0, math.pi], 50, [9, 10])
     ]
     assert payload["runs"] == [
         {"converged": r.converged, "iterations": r.iterations,

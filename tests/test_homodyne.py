@@ -13,7 +13,6 @@ from thermalmimic.homodyne import (
     Convention,
     QuadratureDataset,
     RawDataset,
-    _inverse_cdf_draw,
     _sampling_grid,
     calibrate,
     fock_wavefunctions,
@@ -126,44 +125,83 @@ def test_fock_wavefunctions_are_orthonormal():
 
 
 def test_vacuum_samples_have_half_variance():
-    ds = sample(thermal(0.0, 10), PHASES_50, 40, seed=42)
+    ds = sample(thermal(0.0, 10), PHASES_50, 40, [42])[0]
     assert ds.count == 2000
     assert ds.convention == Convention.HALF
     assert ds.x.var() == pytest.approx(0.5, abs=0.05)
 
 
 def test_thermal_samples_have_scaled_variance():
-    ds = sample(thermal(1.0, 30), PHASES_50, 40, seed=43)
+    ds = sample(thermal(1.0, 30), PHASES_50, 40, [43])[0]
     assert ds.x.var() == pytest.approx(1.5, abs=0.15)
 
 
 def test_sampling_is_deterministic_per_seed():
-    a = sample(thermal(1.0, 30), PHASES_50, 40, seed=7)
-    b = sample(thermal(1.0, 30), PHASES_50, 40, seed=7)
+    a = sample(thermal(1.0, 30), PHASES_50, 40, [7])[0]
+    b = sample(thermal(1.0, 30), PHASES_50, 40, [7])[0]
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.theta, b.theta)
-    c = sample(thermal(1.0, 30), PHASES_50, 40, seed=8)
+    c = sample(thermal(1.0, 30), PHASES_50, 40, [8])[0]
     assert not np.array_equal(a.x, c.x)
+
+
+def reference_draw(rho, theta, u):
+    """Inverse-CDF lookup of the uniforms ``u`` in the trapezoid CDF of
+    ``quadrature_pdf`` on the sampling grid."""
+    grid = _sampling_grid(rho)
+    pdf = quadrature_pdf(rho, theta, grid)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+    return np.interp(u, cdf / cdf[-1], grid)
 
 
 def test_sample_blocks_follow_phase_order_and_spawned_generators():
     rho = coherent_state(1.1, 0.8, cutoff=20)
     phases = 2.0 * math.pi * np.arange(7) / 7
     n = 30
-    ds = sample(rho, phases, n, seed=19)
-    grid = _sampling_grid(rho)
+    ds = sample(rho, phases, n, [19])[0]
     children = np.random.SeedSequence(19).spawn(phases.size)
     for j, (theta, child) in enumerate(zip(phases, children)):
-        u = np.random.default_rng(child).random(n)
-        expected = _inverse_cdf_draw(grid, quadrature_pdf(rho, theta, grid), u)
+        expected = reference_draw(rho, theta, np.random.default_rng(child).random(n))
         block = slice(j * n, (j + 1) * n)
         assert np.all(ds.theta[block] == theta)
         assert np.allclose(ds.x[block], expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_per_phase", [1, 6])
+@pytest.mark.parametrize(
+    "phases", [[2.2], [-0.4, 3.0, 2.0 * math.pi, 9.5, -1e-20]], ids=["one-phase", "wrapped"]
+)
+def test_multi_seed_draw_is_a_set_of_one_seed_draws(phases, n_per_phase):
+    # the runs share each phase's pdf row and CDF, never a generator: run r of
+    # a pass is bit for bit the pass of its seed alone
+    rho = random_density(np.random.default_rng(8), cutoff=6)
+    seeds = [5, np.random.SeedSequence(5, spawn_key=(3,)), 6, np.random.SeedSequence(77), 5]
+    runs = sample(rho, phases, n_per_phase, seeds)
+    assert len(runs) == len(seeds)
+    for run, seed in zip(runs, seeds):
+        alone = sample(rho, phases, n_per_phase, [seed])[0]
+        assert np.array_equal(run.x, alone.x)
+        assert np.array_equal(run.theta, alone.theta)
+    assert not np.array_equal(runs[0].x, runs[2].x)
+    int_seeds = [3, 11, 4]
+    raws = simulate_raw(rho, phases, n_per_phase, 2.5, 0.3, int_seeds)
+    assert len(raws) == len(int_seeds)
+    for raw, seed in zip(raws, int_seeds):
+        alone = simulate_raw(rho, phases, n_per_phase, 2.5, 0.3, [seed])[0]
+        for key in ("voltages", "theta", "vacuum"):
+            assert np.array_equal(getattr(raw, key), getattr(alone, key)), key
+
+
+def test_sampling_rejects_an_empty_seed_list():
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample(thermal(0.0, 5), [0.0], 3, [])
+    with pytest.raises(ValueError, match="at least one seed"):
+        simulate_raw(thermal(0.0, 5), [0.0], 3, 2.5, 0.3, [])
+
+
 def test_phase_symmetric_states_have_zero_pooled_mean():
     for rho in (thermal(1.0, 30), mimic.assemble(mimic.build_codebook(1.0, 4, 4), 30)):
-        ds = sample(rho, PHASES_50, 40, seed=11)
+        ds = sample(rho, PHASES_50, 40, [11])[0]
         sigma_mc = math.sqrt(ds.x.var() / ds.count)
         assert abs(ds.x.mean()) <= 3.0 * sigma_mc
 
@@ -179,7 +217,7 @@ def test_phase_symmetric_states_have_zero_pooled_mean():
 )
 def test_sample_variance_matches_pdf_moments(rho, theta):
     n = 4000
-    ds = sample(rho, [theta], n, seed=3)
+    ds = sample(rho, [theta], n, [3])[0]
     mean = pdf_moment(rho, theta, 1)
     var = pdf_moment(rho, theta, 2) - mean**2
     fourth_central, _ = quad(
@@ -191,18 +229,18 @@ def test_sample_variance_matches_pdf_moments(rho, theta):
 
 def test_sample_rejects_empty_request():
     with pytest.raises(ValueError):
-        sample(thermal(0.0, 5), [0.0], 0, seed=1)
+        sample(thermal(0.0, 5), [0.0], 0, [1])
 
 
 def test_sample_wraps_phases_into_the_period_and_rejects_non_finite_ones():
-    ds = sample(thermal(0.0, 5), [-1e-20, -3.0, 100.0, 2.0 * math.pi], 3, seed=1)
+    ds = sample(thermal(0.0, 5), [-1e-20, -3.0, 100.0, 2.0 * math.pi], 3, [1])[0]
     wrapped = [0.0, 2.0 * math.pi - 3.0, math.fmod(100.0, 2.0 * math.pi), 0.0]
     assert np.array_equal(ds.theta, np.repeat(wrapped, 3))
     for bad in (np.inf, -np.inf, np.nan):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="phases must be finite"):
-                sample(thermal(0.0, 5), [0.0, bad], 3, seed=1)
+                sample(thermal(0.0, 5), [0.0, bad], 3, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +250,8 @@ def test_sample_wraps_phases_into_the_period_and_rejects_non_finite_ones():
 
 def test_simulate_raw_identity_gain_reproduces_samples():
     rho = thermal(1.0, 30)
-    raw = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seed=5)
-    direct = sample(rho, PHASES_50, 40, seed=5)
+    raw = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seeds=[5])[0]
+    direct = sample(rho, PHASES_50, 40, [5])[0]
     assert np.array_equal(raw.voltages, direct.x)
     assert np.array_equal(raw.theta, direct.theta)
 
@@ -223,38 +261,39 @@ def test_simulate_raw_vacuum_draws_no_integer_seeded_sample_stream():
     # reused stream shows as an equal trace
     vacuum = thermal(0.0, 10)
     for seed in (5, 6, 40):
-        raw = simulate_raw(vacuum, PHASES_50, 40, gain=1.0, offset=0.0, seed=seed)
+        raw = simulate_raw(vacuum, PHASES_50, 40, gain=1.0, offset=0.0, seeds=[seed])[0]
         for t in range(seed - 2, seed + 3):
-            assert not np.array_equal(raw.vacuum, sample(vacuum, PHASES_50, 40, seed=t).x), t
+            assert not np.array_equal(raw.vacuum, sample(vacuum, PHASES_50, 40, [t])[0].x), t
 
 
 def test_simulate_raw_vacuum_reference_is_the_one_level_vacuum_stream():
     phases, n, gain, offset, seed = PHASES_50[:10], 20, 2.5, 0.3, 7
-    raw = simulate_raw(thermal(1.0, 30), phases, n, gain, offset, seed)
-    vacuum = sample(thermal(0.0, 0), phases, n, np.random.SeedSequence(seed, spawn_key=(0,)))
+    raw = simulate_raw(thermal(1.0, 30), phases, n, gain, offset, [seed])[0]
+    vacuum = sample(thermal(0.0, 0), phases, n, [np.random.SeedSequence(seed, spawn_key=(0,))])[0]
     assert np.array_equal(raw.vacuum, offset + gain * vacuum.x)
     assert np.array_equal(raw.theta, vacuum.theta)
 
 
 def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():
     rho = thermal(1.0, 20)
-    by_int = sample(rho, PHASES_50, 10, seed=3).x
-    by_sequence = sample(rho, PHASES_50, 10, seed=np.random.SeedSequence(3)).x
+    by_int = sample(rho, PHASES_50, 10, [3])[0].x
+    by_sequence = sample(rho, PHASES_50, 10, [np.random.SeedSequence(3)])[0].x
     assert np.array_equal(by_sequence, by_int)
     child = np.random.SeedSequence(3, spawn_key=(0,))
-    first = sample(rho, PHASES_50, 10, seed=child).x
-    assert np.array_equal(sample(rho, PHASES_50, 10, seed=child).x, first)
+    first = sample(rho, PHASES_50, 10, [child])[0].x
+    assert np.array_equal(sample(rho, PHASES_50, 10, [child])[0].x, first)
     assert child.n_children_spawned == 0
     assert not np.array_equal(first, by_int)
 
 
 def test_simulate_raw_vacuum_statistics_follow_gain_and_offset():
-    vacuum = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seed=9).vacuum
+    raw = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seeds=[9])[0]
+    vacuum = raw.vacuum
     sigma = 2.5 * math.sqrt(0.5)
     assert vacuum.mean() == pytest.approx(0.3, abs=3.0 * sigma / math.sqrt(2000))
     assert vacuum.std(ddof=1) == pytest.approx(sigma, abs=3.0 * sigma / math.sqrt(2 * 2000))
     with pytest.raises(ValueError, match="gain must be > 0"):
-        simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=0.0, offset=0.3, seed=9)
+        simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=0.0, offset=0.3, seeds=[9])
 
 
 def test_calibrate_centers_the_vacuum_mean():
@@ -268,22 +307,22 @@ def test_calibrate_centers_the_vacuum_mean():
     "convention,target", [(Convention.QUARTER, 0.25), (Convention.HALF, 0.5)]
 )
 def test_calibrated_vacuum_variance_matches_convention(convention, target):
-    raw = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=3.0, offset=-0.7, seed=21)
+    raw = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=3.0, offset=-0.7, seeds=[21])[0]
     ds = calibrate(raw, convention)
     assert ds.convention == convention
     assert ds.x.var() == pytest.approx(target, abs=0.1 * target)
 
 
 def test_calibration_round_trip_recovers_thermal_variance():
-    raw = simulate_raw(thermal(1.0, 30), PHASES_50, 40, gain=2.5, offset=0.3, seed=13)
+    raw = simulate_raw(thermal(1.0, 30), PHASES_50, 40, gain=2.5, offset=0.3, seeds=[13])[0]
     ds = calibrate(raw, Convention.HALF)
     assert ds.x.var() == pytest.approx(1.5, abs=0.15)
 
 
 def test_calibration_is_gain_and_offset_invariant():
     rho = thermal(1.0, 30)
-    raw_a = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seed=17)
-    raw_b = simulate_raw(rho, PHASES_50, 40, gain=2.5, offset=0.3, seed=17)
+    raw_a = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seeds=[17])[0]
+    raw_b = simulate_raw(rho, PHASES_50, 40, gain=2.5, offset=0.3, seeds=[17])[0]
     a = calibrate(raw_a, Convention.HALF)
     b = calibrate(raw_b, Convention.HALF)
     # With a shared seed the calibration cancels gain and offset exactly.

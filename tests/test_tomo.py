@@ -81,7 +81,7 @@ def complex_reference_mle(data, cutoff, stop_gap):
 
 
 def test_likelihood_prefers_the_true_state():
-    data = sample(thermal(0.0, 10), PHASES_50, 40, seed=1)
+    data = sample(thermal(0.0, 10), PHASES_50, 40, [1])[0]
     assert log_likelihood(fock_projector(0, 8), data) > log_likelihood(fock_projector(1, 8), data)
 
 
@@ -94,7 +94,7 @@ def test_single_record_at_origin_against_vacuum():
 
 def test_likelihood_of_diagonal_state_ignores_global_phase_shift():
     rho = thermal(1.0, 12, tail_tol=1e-3)
-    data = sample(thermal(1.0, 30), PHASES_50, 20, seed=2)
+    data = sample(thermal(1.0, 30), PHASES_50, 20, [2])[0]
     shifted = QuadratureDataset(
         data.x, np.mod(data.theta + 0.77, 2.0 * math.pi), Convention.HALF
     )
@@ -102,7 +102,7 @@ def test_likelihood_of_diagonal_state_ignores_global_phase_shift():
 
 
 def test_quarter_dataset_reads_like_its_half_twin():
-    raw = simulate_raw(thermal(1.0, 30), PHASES_50[::5], 20, 2.5, 0.3, seed=3)
+    raw = simulate_raw(thermal(1.0, 30), PHASES_50[::5], 20, 2.5, 0.3, [3])[0]
     quarter = calibrate(raw, Convention.QUARTER)
     half = QuadratureDataset(quarter.x * math.sqrt(2.0), quarter.theta, Convention.HALF)
     rho = thermal(1.0, 6, tail_tol=0.05)
@@ -122,14 +122,14 @@ def test_vacuum_reconstruction_is_nearly_pure():
     # The converged estimate tracks the draw's sample-variance fluctuation, so
     # a ~1% mass leak to n >= 1 is inherent at K = 2000 (median F over seeds
     # is 0.993); 0.99 is the verified floor for this seed.
-    data = sample(thermal(0.0, 10), PHASES_50, 40, seed=4)
+    data = sample(thermal(0.0, 10), PHASES_50, 40, [4])[0]
     result = mle_reconstruct(data, MleConfig(cutoff=8))
     assert result.converged
     assert fidelity(result.rho, fock_projector(0, 8)) >= 0.99
 
 
 def test_every_iterate_is_a_valid_density_matrix():
-    data = sample(thermal(1.0, 30), PHASES_50, 12, seed=5)
+    data = sample(thermal(1.0, 30), PHASES_50, 12, [5])[0]
     for cap in (1, 3, 10):
         partial = mle_reconstruct(data, MleConfig(cutoff=10, max_iterations=cap))
         rho = partial.rho  # construction itself validates Hermiticity and PSD
@@ -141,7 +141,7 @@ def test_every_iterate_is_a_valid_density_matrix():
 
 
 def test_log_likelihood_is_monotone_along_the_iteration():
-    data = sample(thermal(1.0, 30), PHASES_50, 20, seed=6)
+    data = sample(thermal(1.0, 30), PHASES_50, 20, [6])[0]
     result = mle_reconstruct(data, MleConfig(cutoff=10))
     steps = np.diff(result.log_likelihoods)
     assert steps.min() >= -1e-8
@@ -172,7 +172,7 @@ def test_mle_invariants_hold_on_random_sources(
         size=(source_cutoff + 1, rank))
     entries = factor @ factor.conj().T
     source = FockDensityMatrix(source_cutoff, entries / entries.trace().real, trace_tol=1e-9)
-    data = sample(source, 2.0 * math.pi * np.arange(phases) / phases, per_phase, seed=seed)
+    data = sample(source, 2.0 * math.pi * np.arange(phases) / phases, per_phase, [seed])[0]
     config = MleConfig(cutoff=cutoff, max_iterations=max_iterations, stop_tol=stop_tol)
     result = mle_reconstruct(data, config)
     rho = result.rho  # construction itself validates trace, Hermiticity and PSD
@@ -183,7 +183,7 @@ def test_mle_invariants_hold_on_random_sources(
 
 
 def test_optimality_gap_bounds_the_likelihood_distance():
-    data = sample(thermal(1.0, 30), PHASES_50, 20, seed=12)
+    data = sample(thermal(1.0, 30), PHASES_50, 20, [12])[0]
     default = mle_reconstruct(data, MleConfig(cutoff=10))
     tight = mle_reconstruct(data, MleConfig(cutoff=10, stop_tol=1e-9))
     assert default.converged and tight.converged
@@ -198,7 +198,7 @@ def test_coherent_state_at_nonzero_phase_is_recovered():
     # (theta -> -theta) reconstructs the conjugate amplitude, at fidelity
     # exp(-|alpha - conj(alpha)|^2) = exp(-3) for this alpha.
     alpha = [1.0], [math.pi / 3]  # magnitude, phase
-    data = sample(mix([1.0], coherent_states(*alpha, 30)), PHASES_50, 40, seed=7)
+    data = sample(mix([1.0], coherent_states(*alpha, 30)), PHASES_50, 40, [7])[0]
     result = mle_reconstruct(data, MleConfig(cutoff=10))
     assert result.converged
     assert fidelity(result.rho, mix([1.0], coherent_states(*alpha, 10))) >= 0.99
@@ -211,7 +211,7 @@ def test_mle_gradient_and_optimum_match_the_complex_reference():
     coherent = mix([1.0], coherent_states([1.0], [math.pi / 3], 30)).entries
     source = FockDensityMatrix(30, 0.6 * coherent + 0.4 * thermal(0.5, 30).entries,
                                trace_tol=1e-9)
-    data = sample(source, PHASES_50, 20, seed=11)
+    data = sample(source, PHASES_50, 20, [11])[0]
     config = MleConfig(cutoff=10)
     result = mle_reconstruct(data, config)
     assert result.converged
@@ -233,7 +233,7 @@ def test_mle_gradient_and_optimum_match_the_complex_reference():
 def test_thermal_ensemble_recovers_the_source():
     truth = thermal(1.35, 30)
     runs = [
-        mle_reconstruct(sample(truth, PHASES_50, 40, seed=10_000 + r), MleConfig(cutoff=12))
+        mle_reconstruct(sample(truth, PHASES_50, 40, [10_000 + r])[0], MleConfig(cutoff=12))
         for r in range(10)
     ]
     mean, spread = average([r.rho for r in runs])
@@ -251,7 +251,7 @@ def test_fidelity_improves_with_sample_size():
     for seed in (31, 32, 33):
         fids = {}
         for n_per_phase in (10, 40, 160):
-            data = sample(truth, PHASES_50, n_per_phase, seed=seed)
+            data = sample(truth, PHASES_50, n_per_phase, [seed])[0]
             fids[50 * n_per_phase] = fidelity(mle_reconstruct(data, config).rho, reference)
         for low, high in improvements:
             if fids[high] >= fids[low] - 0.002:
