@@ -25,8 +25,11 @@ Sampling
 :func:`sample` and :func:`simulate_raw` draw every run of an ensemble in one
 pass over the LO phases. Each phase's pdf row and CDF are built once and
 shared by the runs; each run draws from generators of its own seed only, so
-its records are the same whether it is drawn alone or with other runs. One
-pdf row and one CDF are live at a time, beside the ensemble's records.
+its records are the same whether it is drawn alone or with other runs. A
+phase-invariant state, one with no nonzero entry off the diagonal (thermal
+light, the vacuum), has the same pdf at every phase, so its pass builds one
+row and one CDF for all phases. One pdf row and one CDF are live at a time,
+beside the ensemble's records.
 """
 
 from __future__ import annotations
@@ -182,8 +185,10 @@ def sample(
     one dataset per seed in ``seeds`` (integers or ``SeedSequence`` objects).
 
     The runs share one pass over the phases: each phase's pdf row and CDF are
-    built once, and every run draws its block from them. A run's records
-    depend on its own seed only, not on the other seeds or their number.
+    built once, and every run draws its block from them. If every entry of
+    ``rho`` off the diagonal is exactly zero, the pdf is the same at every
+    phase and the pass builds one row and one CDF for all phases. A run's
+    records depend on its own seed only, not on the other seeds or their number.
     The generator of phase i of a run is seeded by the child of its seed with
     ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it, so
     the output is reproducible and independent of how phases might be
@@ -202,10 +207,16 @@ def sample(
     thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
     grid = _sampling_grid(rho)
     dx = np.diff(grid)
+    # exactly zero off the diagonal: every harmonic k >= 1 is zero, and each
+    # phase's row would be the same g_0 bit for bit
+    invariant = np.array_equal(rho.entries, np.diag(np.diagonal(rho.entries)))
+    rows = _pdf_rows(rho, thetas[:1] if invariant else thetas, grid)
     xs = np.empty((len(roots), thetas.size, n_per_phase))
-    for i, pdf in enumerate(_pdf_rows(rho, thetas, grid)):
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))  # trapezoid
-        cdf /= cdf[-1]
+    for i in range(thetas.size):
+        if i == 0 or not invariant:
+            pdf = next(rows)
+            cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))  # trapezoid
+            cdf /= cdf[-1]
         for x, root in zip(xs, roots):
             child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
             x[i] = np.interp(np.random.default_rng(child).random(n_per_phase), cdf, grid)

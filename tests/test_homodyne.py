@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from _states import random_density
-from thermalmimic import mimic, tomo
+from thermalmimic import homodyne, mimic, tomo
 from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.homodyne import (
     Convention,
@@ -154,17 +154,63 @@ def reference_draw(rho, theta, u):
     return np.interp(u, cdf / cdf[-1], grid)
 
 
+def nearly_diagonal_state():
+    """``thermal(1.0, 30)`` with ``rho[0,1] = rho[1,0] = 1e-15``: its pdf rows
+    differ from phase to phase in their last bits."""
+    entries = thermal(1.0, 30).entries.copy()
+    entries[0, 1] = entries[1, 0] = 1e-15
+    return FockDensityMatrix(30, entries)
+
+
+def sampling_states():
+    """States whose pdf turns with the LO phase, and phase-invariant ones."""
+    return {
+        "coherent": coherent_state(1.1, 0.8, cutoff=20),
+        "thermal": thermal(1.35, 30),
+        "vacuum": thermal(0.0, 0),
+        "nearly-diagonal": nearly_diagonal_state(),
+    }
+
+
 def test_sample_blocks_follow_phase_order_and_spawned_generators():
-    rho = coherent_state(1.1, 0.8, cutoff=20)
-    phases = 2.0 * math.pi * np.arange(7) / 7
+    # bit for bit: a phase-invariant state's shared row and CDF draw what a row
+    # built at each phase draws, and the nearly diagonal state, whose rows
+    # differ in their last bits, pins sharing to exactly zero off the diagonal
+    phases = [0.4, 2.5, 2.5 + 2.0 * math.pi, 5.9, 0.4, -1.3]  # a repeated phase, two wrapped ones
+    wrapped = np.mod(phases, 2.0 * math.pi)
     n = 30
-    ds = sample(rho, phases, n, [19])[0]
-    children = np.random.SeedSequence(19).spawn(phases.size)
-    for j, (theta, child) in enumerate(zip(phases, children)):
-        expected = reference_draw(rho, theta, np.random.default_rng(child).random(n))
-        block = slice(j * n, (j + 1) * n)
-        assert np.all(ds.theta[block] == theta)
-        assert np.allclose(ds.x[block], expected, rtol=0, atol=1e-12)
+    children = np.random.SeedSequence(19).spawn(len(phases))
+    for name, rho in sampling_states().items():
+        ds = sample(rho, phases, n, [19])[0]
+        for j, (theta, child) in enumerate(zip(wrapped, children)):
+            expected = reference_draw(rho, theta, np.random.default_rng(child).random(n))
+            block = slice(j * n, (j + 1) * n)
+            assert np.all(ds.theta[block] == theta), name
+            assert np.array_equal(ds.x[block], expected), (name, j)
+
+
+@pytest.mark.parametrize("n_phases", [1, 2, 7])
+def test_a_pass_builds_one_pdf_row_per_phase_unless_the_state_is_phase_invariant(
+    monkeypatch, n_phases
+):
+    built = []
+    pdf_rows = homodyne._pdf_rows
+
+    def counted_rows(rho, thetas, xs):
+        for row in pdf_rows(rho, thetas, xs):
+            built.append(row.size)
+            yield row
+
+    monkeypatch.setattr(homodyne, "_pdf_rows", counted_rows)
+    phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
+    for name, rho in sampling_states().items():
+        built.clear()
+        sample(rho, phases, 5, [3, 4, 5])
+        rows = n_phases if name in ("coherent", "nearly-diagonal") else 1
+        assert built == [homodyne.SAMPLER_GRID_POINTS] * rows, name
+    built.clear()
+    simulate_raw(coherent_state(1.1, 0.8, cutoff=20), phases, 5, 2.5, 0.3, [3, 4])
+    assert len(built) == n_phases + 1  # the signal's rows and the vacuum's one row
 
 
 @pytest.mark.parametrize("n_per_phase", [1, 6])
@@ -172,24 +218,25 @@ def test_sample_blocks_follow_phase_order_and_spawned_generators():
     "phases", [[2.2], [-0.4, 3.0, 2.0 * math.pi, 9.5, -1e-20]], ids=["one-phase", "wrapped"]
 )
 def test_multi_seed_draw_is_a_set_of_one_seed_draws(phases, n_per_phase):
-    # the runs share each phase's pdf row and CDF, never a generator: run r of
-    # a pass is bit for bit the pass of its seed alone
-    rho = random_density(np.random.default_rng(8), cutoff=6)
+    # the runs share each phase's pdf row and CDF (a diagonal state's one row
+    # and CDF), never a generator: run r of a pass is bit for bit the pass of
+    # its seed alone
     seeds = [5, np.random.SeedSequence(5, spawn_key=(3,)), 6, np.random.SeedSequence(77), 5]
-    runs = sample(rho, phases, n_per_phase, seeds)
-    assert len(runs) == len(seeds)
-    for run, seed in zip(runs, seeds):
-        alone = sample(rho, phases, n_per_phase, [seed])[0]
-        assert np.array_equal(run.x, alone.x)
-        assert np.array_equal(run.theta, alone.theta)
-    assert not np.array_equal(runs[0].x, runs[2].x)
     int_seeds = [3, 11, 4]
-    raws = simulate_raw(rho, phases, n_per_phase, 2.5, 0.3, int_seeds)
-    assert len(raws) == len(int_seeds)
-    for raw, seed in zip(raws, int_seeds):
-        alone = simulate_raw(rho, phases, n_per_phase, 2.5, 0.3, [seed])[0]
-        for key in ("voltages", "theta", "vacuum"):
-            assert np.array_equal(getattr(raw, key), getattr(alone, key)), key
+    for rho in (random_density(np.random.default_rng(8), cutoff=6), thermal(1.35, 30)):
+        runs = sample(rho, phases, n_per_phase, seeds)
+        assert len(runs) == len(seeds)
+        for run, seed in zip(runs, seeds):
+            alone = sample(rho, phases, n_per_phase, [seed])[0]
+            assert np.array_equal(run.x, alone.x)
+            assert np.array_equal(run.theta, alone.theta)
+        assert not np.array_equal(runs[0].x, runs[2].x)
+        raws = simulate_raw(rho, phases, n_per_phase, 2.5, 0.3, int_seeds)
+        assert len(raws) == len(int_seeds)
+        for raw, seed in zip(raws, int_seeds):
+            alone = simulate_raw(rho, phases, n_per_phase, 2.5, 0.3, [seed])[0]
+            for key in ("voltages", "theta", "vacuum"):
+                assert np.array_equal(getattr(raw, key), getattr(alone, key)), key
 
 
 def test_sampling_rejects_an_empty_seed_list():
