@@ -44,6 +44,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 
+#: ``tomo-end2end --source artificial`` seeds run r of its hat-vs-hat thermal
+#: ensemble ``seed + THERMAL_SEED_OFFSET + r``, and run r of the artificial
+#: ensemble ``seed + r``; the two share no seed while ``runs`` is at most this.
+THERMAL_SEED_OFFSET = 10_000
+
 
 class ConfigError(ValueError):
     pass
@@ -114,6 +119,9 @@ class TomoConfig:
             raise ConfigError("the raw path's vacuum trace needs phases * samples_per_phase >= 2")
         self.mle  # tomo.MleConfig checks the MLE knobs
         if self.source == "artificial":
+            if self.runs > THERMAL_SEED_OFFSET:
+                raise ConfigError(f"runs must be <= {THERMAL_SEED_OFFSET} for the artificial "
+                                  "source, whose thermal ensemble is seeded that far on")
             mimic.check_codebook_args(*_codebook_args(self))
 
     @property
@@ -356,7 +364,7 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
     report["entropy_ceiling"] = metrics.thermal_entropy(mean_photon)
     if cfg.source == "artificial":
         thermal_runs, thermal_mean, _ = _reconstruct_ensemble(thermal_source, cfg,
-                                                              cfg.seed + 10_000)
+                                                              cfg.seed + THERMAL_SEED_OFFSET)
         results += thermal_runs
         report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(thermal_mean, mean)
         report["helstrom_vs_thermal_reconstruction"] = metrics.helstrom_error(thermal_mean, mean)

@@ -65,7 +65,7 @@ class FockDensityMatrix:
         tr = float(rho.trace().real)
         if tr > 1.0 + TRACE_EXCESS_TOL:
             raise ValueError(f"trace {tr} exceeds 1 + {TRACE_EXCESS_TOL}")
-        if tr < 1.0 - self.trace_tol:
+        if not tr >= 1.0 - self.trace_tol:  # false for a nan budget
             raise ValueError(f"state loses mass {1.0 - tr:.3e} beyond cutoff {self.cutoff} "
                              f"(trace {tr}, budget {self.trace_tol:.1e})")
         rho.setflags(write=False)

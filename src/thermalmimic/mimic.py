@@ -5,17 +5,9 @@ amplitudes follow a Rayleigh law. This module discretizes that picture into a
 finite codebook of L amplitudes x Q phases with mixing weights, builds the
 resulting density matrix, and measures how faithfully it reproduces the target
 thermal state. Weights default to uniform over a stratified (quantile-midpoint)
-grid, which already mimics well; :func:`optimize_weights` refits them by
-nonnegative least squares when the uniform mixture is not faithful enough, and
-returns the refit codebook with its fidelity to the target.
-
-The refit fits one weight per amplitude ring when the problem is symmetric
-under rotation by 2*pi/Q: the Q phases form a uniform grid (every gap within
-``PHASE_GAP_TOL`` of 2*pi/Q, as on the stratified grid) and the target has no
-Fock harmonic ``rho[m, m+k]`` with ``k % Q != 0`` (thermal light is diagonal).
-That rotation then permutes the design's columns and fixes the target, so the
-convex fit has an optimum that is uniform over each ring, found from L
-unknowns instead of L*Q. Any other codebook or target is fit point by point.
+grid, which already mimics well; :func:`optimize_weights` refits that grid's
+weights to the thermal state by nonnegative least squares, one weight per
+amplitude ring.
 """
 
 from __future__ import annotations
@@ -29,11 +21,6 @@ import numpy as np
 from . import fock
 from .fock import FockDensityMatrix, coherent_states
 from .metrics import fidelity
-
-
-#: How far (rad) each gap of a Q-phase grid may stray from 2*pi/Q for
-#: :func:`optimize_weights` to fit one weight per amplitude ring.
-PHASE_GAP_TOL = 1e-12
 
 
 class Scheme(str, Enum):
@@ -156,60 +143,44 @@ def assemble(codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF) -> FockDensi
     return fock.mix(codebook.weights.ravel(), coherent_states(*codebook.points(), cutoff))
 
 
-def _ring_size(phases: np.ndarray, packed_target: np.ndarray, harmonic: np.ndarray) -> int:
-    """Q if the Q ``phases`` form a uniform grid and every target slot of a
-    harmonic ``k % Q != 0`` is zero, else 1 (no symmetry: one point per ring)."""
-    q = phases.size
-    ordered = np.sort(phases)
-    gaps = np.diff(ordered, append=ordered[0] + fock.TWO_PI)
-    uniform = np.all(np.abs(gaps - fock.TWO_PI / q) <= PHASE_GAP_TOL)
-    return q if uniform and np.all(packed_target[harmonic % q != 0] == 0.0) else 1
-
-
-def optimize_weights(codebook: Codebook, target: FockDensityMatrix) -> tuple[Codebook, float]:
-    """Refit the codebook weights to a target state by nonnegative least squares;
-    return the refit codebook and the fidelity of its mixture to ``target``.
+def optimize_weights(
+    nbar: float, n_amplitudes: int, n_phases: int, cutoff: int = fock.DEFAULT_CUTOFF
+) -> tuple[Codebook, float]:
+    """Refit the stratified L x Q codebook's weights to ``thermal(nbar, cutoff)``
+    by nonnegative least squares; return the refit codebook and the fidelity of
+    its mixture to that thermal state.
 
     Minimizes the Frobenius distance between the mixture and the target over
     nonnegative weights, then renormalizes to sum 1. The returned codebook is
-    never less faithful than the input: if the refit loses fidelity (possible
-    since Frobenius distance is only a surrogate for fidelity), the original
-    weights are kept. The NNLS design is the (dim^2, M) :func:`fock.projector_map`
-    of the coherent states against the packed target, off-diagonal slots
-    weighted so the residual 2-norm is the Frobenius distance.
+    never less faithful than the uniform one: if the refit loses fidelity
+    (Frobenius distance is only a surrogate for it), the uniform weights are
+    kept. The NNLS design is :func:`fock.projector_map` of the coherent states
+    against the packed target, off-diagonal slots weighted so the residual
+    2-norm is the Frobenius distance.
 
-    If the Q phases are a uniform grid (each gap within ``PHASE_GAP_TOL`` of
-    2*pi/Q) and the target has no harmonic ``rho[m, m+k]`` with ``k % Q != 0``,
-    the fit has one unknown per amplitude ring. Rotating every point by 2*pi/Q
-    then permutes the design's columns and acts on the packed space as an
-    orthogonal map that fixes the target, so averaging any optimum over the Q
-    rotations gives an optimum uniform on each ring; the optimal mixture itself
-    is unique (the point of a convex cone nearest the target). A ring's mean
-    column is its column at any one grid phase with every slot of a harmonic
-    not divisible by Q zeroed, and ring weight ``u_l`` spreads as ``u_l / Q``
-    over the ring. So a stratified codebook's refit weights are ring-uniform,
-    which may be a different member of the optimal set than the per-point fit
-    would pick. Without the symmetry each point is its own ring, and the fit is
-    the per-point one.
+    The phase grid is uniform and thermal light is diagonal, so rotating every
+    point by 2*pi/Q permutes the design's columns and fixes the target:
+    averaging any optimum over the Q rotations gives one uniform on each
+    amplitude ring. So the fit solves for L ring weights. A ring's mean column
+    is its column at any one grid phase with every slot of a harmonic
+    ``rho[m, m+k]``, ``k % Q != 0``, zeroed, and ring weight ``u_l`` spreads as
+    ``u_l / Q`` over the ring.
     """
     from scipy.optimize import nnls  # the package's one scipy use; kept off the import path
 
+    codebook = build_codebook(nbar, n_amplitudes, n_phases)
+    target = fock.thermal(nbar, cutoff)
     magnitudes, phases = codebook.points()
-    alphas = magnitudes * np.exp(1j * phases)
-    if alphas.size > 1 and np.all(np.abs(alphas - alphas[0]) < 1e-15):
-        raise ValueError("all constellation points coincide; weights are unidentifiable")
-
-    states = coherent_states(magnitudes, phases, target.cutoff)
+    states = coherent_states(magnitudes, phases, cutoff)
     n = np.arange(target.dim)
     harmonic = np.abs(n[:, None] - n).ravel()  # k of slot (m, m + k) and (m + k, m)
     frobenius = np.where(harmonic == 0, 1.0, math.sqrt(2.0))
-    packed = fock._pack(target.entries)
-    size = _ring_size(codebook.phases, packed, harmonic)
-    design = fock.projector_map(np.abs(states[::size]).T, phases[::size])  # each ring's first point
+    # one column per ring, from its first point
+    design = fock.projector_map(np.abs(states[::n_phases]).T, phases[::n_phases])
     design /= frobenius[:, None]
-    design[harmonic % size != 0] = 0.0
-    rings, _ = nnls(design, packed * frobenius)
-    solution = np.repeat(rings / size, size)
+    design[harmonic % n_phases != 0] = 0.0
+    rings, _ = nnls(design, fock._pack(target.entries) * frobenius)
+    solution = np.repeat(rings / n_phases, n_phases)
     total = float(solution.sum())
     if total <= 0.0:
         raise ValueError("nonnegative least squares returned an all-zero weight vector")
@@ -256,16 +227,15 @@ def sweep_fidelity(
     """
     sides = check_sweep_args(nbars, sample_counts, trials)
     scheme = Scheme(scheme)
-    base = Scheme.STRATIFIED if scheme == Scheme.OPTIMIZED else scheme  # the grid it refits
     fids = np.empty((len(nbars), len(sides), trials if scheme == Scheme.RANDOM else 1))
     for i, nbar in enumerate(nbars):
         reference = fock.thermal(nbar, cutoff)
         for j, side in enumerate(sides):
             for trial in range(fids.shape[2]):
-                cb = build_codebook(nbar, side, side, base, seed + trial)
                 if scheme == Scheme.OPTIMIZED:
-                    fids[i, j, trial] = optimize_weights(cb, reference)[1]
+                    fids[i, j, trial] = optimize_weights(nbar, side, side, cutoff)[1]
                 else:
+                    cb = build_codebook(nbar, side, side, scheme, seed + trial)
                     fids[i, j, trial] = fidelity(assemble(cb, cutoff), reference)
     return fids.mean(axis=2), fids.std(axis=2)
 

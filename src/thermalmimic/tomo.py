@@ -61,7 +61,7 @@ class MleConfig:
             raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.stop_tol <= 0.0:
+        if not self.stop_tol > 0.0:  # false for nan
             raise ValueError(f"stop_tol must be > 0, got {self.stop_tol}")
 
 

@@ -22,6 +22,7 @@ from thermalmimic.cli import (
     ConfigError,
     MetricsConfig,
     SweepConfig,
+    THERMAL_SEED_OFFSET,
     TomoConfig,
     _build_parser,
     _COMMANDS,
@@ -324,6 +325,19 @@ def test_tomo_bad_source_exits_config(tmp_path):
 def test_empty_codebook_exits_config(tmp_path, capsys, argv):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "at least one amplitude and one phase" in capsys.readouterr().err
+
+
+def test_artificial_runs_past_the_thermal_seed_offset_exit_config(tmp_path, capsys):
+    # run THERMAL_SEED_OFFSET of the artificial ensemble would take the seed of
+    # the thermal ensemble's first run
+    out = tmp_path / "out"
+    runs = str(THERMAL_SEED_OFFSET + 1)
+    assert main(["tomo-end2end", "--source", "artificial", "--runs", runs,
+                 "--out-dir", str(out)]) == 2
+    assert f"runs must be <= {THERMAL_SEED_OFFSET}" in capsys.readouterr().err
+    assert not out.exists()
+    TomoConfig(source="artificial", runs=THERMAL_SEED_OFFSET)
+    TomoConfig(source="thermal", runs=THERMAL_SEED_OFFSET + 1)  # one ensemble, no second seed range
 
 
 @pytest.mark.parametrize(

@@ -312,6 +312,8 @@ def test_density_matrix_rejects_bad_trace():
         FockDensityMatrix(2, 0.7 * np.diag([0.5, 0.3, 0.2]).astype(complex), trace_tol=1e-6)
     with pytest.raises(ValueError, match="trace"):
         FockDensityMatrix(2, 1.1 * np.diag([0.5, 0.3, 0.2]).astype(complex))
+    with pytest.raises(ValueError, match="trace 0.3"):
+        FockDensityMatrix(2, np.diag([0.1, 0.1, 0.1]).astype(complex), trace_tol=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -326,6 +328,9 @@ def test_builders_pass_their_budget_to_the_density_matrix(build, lost):
     with pytest.raises(ValueError, match=message):
         build(lost * (1.0 - 1e-6))
     assert build(lost * (1.0 + 1e-6)).trace_tol == lost * (1.0 + 1e-6)
+    # tr < 1 - nan is false, so a nan budget must fail the check, not pass it
+    with pytest.raises(ValueError, match=r"^state loses mass .* budget nan\)$"):
+        build(math.nan)
 
 
 def test_density_matrix_entries_are_immutable():

@@ -296,4 +296,7 @@ def test_mle_config_validation():
         MleConfig(max_iterations=0)
     with pytest.raises(ValueError):
         MleConfig(stop_tol=0.0)
+    # nan > 0 is false, as nan <= 0 is: a nan tolerance would stop every run at once
+    with pytest.raises(ValueError, match="stop_tol must be > 0, got nan"):
+        MleConfig(stop_tol=math.nan)
 
