@@ -175,11 +175,23 @@ def _upper_triangle(dim: int) -> np.ndarray:
     return mask
 
 
+@cache
+def _pack_index(dim: int) -> np.ndarray:
+    """Read-only positions of ``packed(h)``'s slots in the interleaved float view
+    of a C-ordered complex ``h``: ``2s`` (real part) for slot s on or above the
+    diagonal, ``2s + 1`` (imaginary part) below it."""
+    index = 2 * np.arange(dim * dim) + ~_upper_triangle(dim).ravel()
+    index.setflags(write=False)
+    return index
+
+
 def _pack(h: np.ndarray) -> np.ndarray:
     """``packed(h)``, the real coordinates of a Hermitian ``h``: its real upper
     triangle, diagonal included, and its imaginary strict lower triangle, in
-    one row-major dim x dim block."""
-    return np.where(_upper_triangle(h.shape[0]), h.real, h.imag).ravel()
+    one row-major dim x dim block. One gather from the real and imaginary
+    parts of a C-ordered copy of ``h`` (``h`` itself when it already is one)."""
+    floats = np.ascontiguousarray(h, dtype=np.complex128).view(np.float64).ravel()
+    return floats.take(_pack_index(h.shape[0]))
 
 
 def _unpack(g: np.ndarray, dim: int) -> np.ndarray:

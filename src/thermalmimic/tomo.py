@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -95,7 +96,8 @@ def measurement_matrix(data: QuadratureDataset, cutoff: int) -> np.ndarray:
 
 
 def _record_probabilities(rho_entries: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.clip(_pack(rho_entries) @ a, LIKELIHOOD_FLOOR, None)
+    p = _pack(rho_entries) @ a
+    return np.maximum(p, LIKELIHOOD_FLOOR, out=p)
 
 
 def log_likelihood(rho: FockDensityMatrix, data: QuadratureDataset) -> float:
@@ -110,14 +112,31 @@ def _gradient(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _unpack(a @ (1.0 / p) / a.shape[1], math.isqrt(a.shape[0]))
 
 
+@cache
+def _counts(dim: int) -> np.ndarray:
+    """Read-only ``1.0, 2.0, ..., dim``."""
+    counts = np.arange(1.0, dim + 1)
+    counts.setflags(write=False)
+    return counts
+
+
 def _project(h: np.ndarray) -> np.ndarray:
     """The density matrix nearest to the Hermitian ``h`` in Frobenius norm: its
     eigenvalues projected onto the unit simplex, its eigenvectors kept."""
     w, v = np.linalg.eigh(h)
     descending = w[::-1]
-    shifts = (np.cumsum(descending) - 1.0) / np.arange(1, w.size + 1)
-    tau = shifts[np.flatnonzero(descending > shifts)[-1]]
-    return (v * np.maximum(w - tau, 0.0)) @ v.conj().T
+    shifts = descending.cumsum()
+    shifts -= 1.0
+    shifts /= _counts(w.size)
+    tau = shifts[(descending > shifts).nonzero()[0][-1]]
+    w -= tau
+    return (v * np.maximum(w, 0.0, out=w)) @ v.conj().T
+
+
+def _relative_change(new: np.ndarray, old: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(new - old) / old``, written into ``out``."""
+    np.subtract(new, old, out=out)
+    return np.divide(out, old, out=out)
 
 
 def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) -> MleResult:
@@ -144,7 +163,9 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     # the state, so extrapolating sigma extrapolates p_sigma without the map.
     p = _record_probabilities(rho, a)
     sigma, p_sigma, theta, step = rho, p, 1.0, 1.0
-    history = [float(np.sum(np.log(p)))]
+    # record-length work buffers for the tests and the history entry below
+    u, work = np.empty(n_records), np.empty(n_records)
+    history = [float(np.log(p, out=work).sum())]
     r = _gradient(a, p)
     bound = gap(r)
     iterations = 0
@@ -153,13 +174,16 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
         while True:  # backtrack until the quadratic model of the step holds
             new = _project(sigma + step * r)
             p_new = _record_probabilities(new, a)
-            u = (p_new - p_sigma) / p_sigma
+            _relative_change(p_new, p_sigma, out=u)
             # ll/K(new) - ll/K(sigma) - <R, new - sigma>, and the model's bound on it
-            curvature = float(np.mean(np.log1p(u) - u))
-            if curvature >= -np.sum(np.abs(new - sigma) ** 2) / (2.0 * step):
+            np.log1p(u, out=work)
+            work -= u
+            curvature = float(work.sum() / n_records)
+            distance = np.abs(new - sigma)
+            if curvature >= -(distance * distance).sum() / (2.0 * step):
                 break
             step *= 0.5
-        if sigma is not rho and np.sum(np.log1p((p_new - p) / p)) < 0.0:
+        if sigma is not rho and np.log1p(_relative_change(p_new, p, out=u), out=u).sum() < 0.0:
             sigma, p_sigma, theta = rho, p, 1.0  # adaptive restart, iterate kept
         else:
             step *= STEP_GROWTH
@@ -171,7 +195,7 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
             else:  # no momentum, or a momentum point outside the likelihood's domain
                 sigma, p_sigma = new, p_new
             rho, p, theta = new, p_new, theta_next
-        history.append(float(np.sum(np.log(p))))
+        history.append(float(np.log(p, out=work).sum()))
         r = _gradient(a, p_sigma)
         if sigma is rho:
             bound = gap(r)

@@ -255,6 +255,12 @@ def test_projector_map_is_the_packed_projector(data):
     mixture = np.einsum("k,km,kn->mn", weights, d, d.conj())
     assert np.allclose(fock._pack(h) @ m, expectations, rtol=0, atol=1e-12)
     assert np.allclose(fock._unpack(m @ weights, dim), mixture, rtol=0, atol=1e-12)
+    # the gather packs any memory layout like a masked select of the parts
+    selected = np.where(fock._upper_triangle(dim), h.real, h.imag).ravel()
+    read_only = h.view()
+    read_only.setflags(write=False)
+    for layout in (h, np.asfortranarray(h), read_only):
+        assert np.array_equal(fock._pack(layout).view(np.int64), selected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
