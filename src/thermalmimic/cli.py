@@ -8,14 +8,16 @@ codebook-export  codebook JSON plus modulator drive table with feasibility check
 metrics          metric report between two serialized density matrices
 
 Each command's knobs are the fields of one frozen dataclass, whose name, type
-and default make the long-form flag and the config-file key. The config is
-resolved from the defaults, an optional JSON config file, and flag overrides
-(in that order); each value must have its field's type, an int field's a
-non-negative int, and the dataclass checks the other ranges. Outputs are
-deterministic and stamped with the toolkit version and a hash of the
-resolved config. Exit codes: 0 ok, 2 config error, 3 numerical failure, 4
-physical infeasibility. Any ``ValueError`` raised while a config, or a
-library type it builds, is constructed exits 2;
+and default make the long-form flag and the config-file key. A command's
+config extends the library config it feeds (``tomo.MleConfig``,
+``physical.Transmitter``), so a knob of that library type is declared and
+checked there alone. The config is resolved from the defaults, an optional
+JSON config file, and flag overrides (in that order); each value must have
+its field's type, an int field's a non-negative int, and the dataclass checks
+the other ranges. Outputs are deterministic and stamped with the toolkit
+version and a hash of the resolved config. Exit codes: 0 ok, 2 config
+error, 3 numerical failure, 4 physical infeasibility. Any ``ValueError``
+raised while a config is constructed exits 2;
 ``physical.ExtinctionRangeError`` exits 4; any other ``ValueError`` exits 3.
 
 This module owns every file layout: it writes each output and parses each
@@ -79,14 +81,15 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class TomoConfig:
+class TomoConfig(tomo.MleConfig):
     """Sample, reconstruct, average, score.
 
     ``phases`` LO phases x ``samples_per_phase`` quadratures per run. A
     ``gain`` enables the raw-voltage calibration path; ``convention`` sets only
     the scale of its intermediate calibrated records, not the reconstruction.
-    ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap, in
-    nats, at which a run stops) are the MLE's.
+    The config is the ``tomo.MleConfig`` each run is reconstructed with, so
+    its ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap,
+    in nats, at which a run stops) are inherited, and checked there.
     """
 
     source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"
@@ -95,7 +98,6 @@ class TomoConfig:
     codebook_phases: int = 8
     scheme: Literal["stratified", "random"] = "stratified"
     source_cutoff: int = fock.DEFAULT_CUTOFF
-    cutoff: int = tomo.MleConfig.cutoff
     phases: int = 50
     samples_per_phase: int = 40
     runs: int = 10
@@ -103,8 +105,6 @@ class TomoConfig:
     convention: Literal["half", "quarter"] = "half"
     gain: float | None = None
     offset: float = 0.0
-    max_iterations: int = tomo.MleConfig.max_iterations
-    stop_tol: float = tomo.MleConfig.stop_tol
     out_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -117,25 +117,23 @@ class TomoConfig:
             raise ConfigError("gain must be > 0")
         if self.gain is not None and self.phases * self.samples_per_phase < 2:
             raise ConfigError("the raw path's vacuum trace needs phases * samples_per_phase >= 2")
-        self.mle  # tomo.MleConfig checks the MLE knobs
+        super().__post_init__()
         if self.source == "artificial":
             if self.runs > THERMAL_SEED_OFFSET:
                 raise ConfigError(f"runs must be <= {THERMAL_SEED_OFFSET} for the artificial "
                                   "source, whose thermal ensemble is seeded that far on")
             mimic.check_codebook_args(*_codebook_args(self))
 
-    @property
-    def mle(self) -> tomo.MleConfig:
-        return tomo.MleConfig(self.cutoff, self.max_iterations, self.stop_tol)
-
 
 @dataclass(frozen=True)
-class CodebookConfig:
+class CodebookConfig(physical.Transmitter):
     """Codebook JSON + modulator drive table.
 
     A ``codebook_file`` exports an existing codebook JSON in place of building
     one from ``nbar``, ``codebook_amplitudes``, ``codebook_phases``, ``scheme``
-    and ``seed``.
+    and ``seed``. The config is the ``physical.Transmitter`` that drives the
+    codebook, so its ``wavelength``, ``tau``, ``extinction_db`` and ``ideal``
+    are inherited, and checked there.
     """
 
     nbar: float = 1.5
@@ -144,24 +142,12 @@ class CodebookConfig:
     scheme: Literal["stratified", "random"] = "stratified"
     seed: int | None = None
     codebook_file: str | None = None
-    wavelength: float = 1560.625e-9
-    tau: float = 13e-9
-    extinction_db: float = 25.0
-    ideal: bool = False
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        self.mode, self.modulator  # the physical types check their own knobs
+        super().__post_init__()
         if self.codebook_file is None:
             mimic.check_codebook_args(*_codebook_args(self))
-
-    @property
-    def mode(self) -> physical.ModePhysics:
-        return physical.ModePhysics(self.wavelength, self.tau)
-
-    @property
-    def modulator(self) -> physical.ModulatorSpec:
-        return physical.ModulatorSpec(self.extinction_db, ideal=self.ideal)
 
 
 @dataclass(frozen=True)
@@ -216,8 +202,8 @@ def _load_json(path: str, what: str, parse=lambda obj: obj):
 def _resolve_config(cls: type, config_path: str | None, overrides: dict):
     """``cls`` from its defaults, then the JSON config file, then the flags
     given (those not None), each value checked against its field's type. A
-    ``ValueError`` raised while ``cls``, or a library type it builds to check
-    its knobs, is constructed is a config error."""
+    ``ValueError`` raised while ``cls`` is constructed, by its own checks or
+    those of the library config it extends, is a config error."""
     values = {} if config_path is None else _load_json(config_path, "config file")
     if not isinstance(values, dict):
         raise ConfigError(f"config file {config_path} must hold a JSON object")
@@ -341,8 +327,7 @@ def _reconstruct_ensemble(
         datasets = [homodyne.calibrate(raw, cfg.convention) for raw in raws]
     else:
         datasets = homodyne.sample(source, grid, cfg.samples_per_phase, seeds)
-    mle_config = cfg.mle
-    results = [tomo.mle_reconstruct(dataset, mle_config) for dataset in datasets]
+    results = [tomo.mle_reconstruct(dataset, cfg) for dataset in datasets]
     return results, *tomo.average([r.rho for r in results])
 
 
@@ -409,7 +394,7 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
         codebook = _load_json(cfg.codebook_file, "codebook file", _parse_codebook)
     else:
         codebook = mimic.build_codebook(*_codebook_args(cfg))
-    table = physical.codebook_to_drive(codebook, cfg.mode, cfg.modulator)
+    table = physical.codebook_to_drive(codebook, cfg)
     out_dir = Path(cfg.out_dir)
     payload = {
         **_stamp(cfg),
@@ -484,8 +469,8 @@ def _flag_options(kind) -> dict:
     if get_origin(kind) is tuple:
         item = args[0]
 
-        def comma_list(text: str) -> tuple:
-            return tuple(item(tok) for tok in text.split(",") if tok.strip())
+        def comma_list(text: str) -> tuple:  # "" is the empty list; an empty item is malformed
+            return tuple(item(tok) for tok in text.split(",")) if text.strip() else ()
 
         return {"type": comma_list}
     return {"type": kind}

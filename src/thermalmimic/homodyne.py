@@ -191,8 +191,9 @@ def sample(
     records depend on its own seed only, not on the other seeds or their number.
     The generator of phase i of a run is seeded by the child of its seed with
     ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it, so
-    the output is reproducible and independent of how phases might be
-    distributed over workers. Records are concatenated in phase order.
+    the block drawn at phase i depends on the run's seed, ``i`` and that
+    phase's CDF only: appending phases leaves the blocks of the phases before
+    them as they were. Records are concatenated in phase order.
     """
     if n_per_phase < 1:
         raise ValueError(f"n_per_phase must be >= 1, got {n_per_phase}")

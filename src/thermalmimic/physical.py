@@ -36,43 +36,36 @@ def _require_positive(spec, *names: str) -> None:
 
 
 @dataclass(frozen=True)
-class ModePhysics:
-    """Wavelength and temporal-mode duration defining the photon energy scale."""
+class Transmitter:
+    """The temporal mode (``wavelength``, duration ``tau``), which sets the
+    photon energy scale, and the intensity modulator's dynamic range
+    (``extinction_db``); an ``ideal`` modulator permits fully dark symbols."""
 
-    wavelength: float
-    tau: float
+    wavelength: float = 1560.625e-9
+    tau: float = 13e-9
+    extinction_db: float = 25.0
+    ideal: bool = False
 
     def __post_init__(self) -> None:
-        _require_positive(self, "wavelength", "tau")
+        _require_positive(self, "wavelength", "tau", "extinction_db")
 
     @property
     def frequency(self) -> float:
         return SPEED_OF_LIGHT / self.wavelength
 
 
-@dataclass(frozen=True)
-class ModulatorSpec:
-    """Intensity-modulator dynamic range; ``ideal`` permits fully dark symbols."""
-
-    extinction_db: float
-    ideal: bool = False
-
-    def __post_init__(self) -> None:
-        _require_positive(self, "extinction_db")
-
-
-def nbar_to_power(nbar: float | np.ndarray, physics: ModePhysics) -> float | np.ndarray:
+def nbar_to_power(nbar: float | np.ndarray, transmitter: Transmitter) -> float | np.ndarray:
     """Optical power in watts carrying ``nbar`` photons per temporal mode;
     elementwise over an array of photon numbers. Raises if a power is not
     finite."""
     if np.any(np.asarray(nbar) < 0.0):
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     with np.errstate(over="ignore", invalid="ignore"):
-        power = nbar * PLANCK * physics.frequency / physics.tau
+        power = nbar * PLANCK * transmitter.frequency / transmitter.tau
     if not np.all(np.isfinite(power)):
         raise ValueError(
-            f"optical power is not finite at wavelength {physics.wavelength} m, "
-            f"tau {physics.tau} s"
+            f"optical power is not finite at wavelength {transmitter.wavelength} m, "
+            f"tau {transmitter.tau} s"
         )
     return power
 
@@ -88,9 +81,7 @@ class DriveTable:
     required_db: float
 
 
-def codebook_to_drive(
-    codebook: Codebook, physics: ModePhysics, spec: ModulatorSpec
-) -> DriveTable:
+def codebook_to_drive(codebook: Codebook, transmitter: Transmitter) -> DriveTable:
     """Per-symbol power and normalized drive level, gated on modulator feasibility.
 
     Symbols are indexed row-major over (amplitude, phase). Raises if no symbol
@@ -100,12 +91,12 @@ def codebook_to_drive(
     """
     magnitudes, phases = codebook.points()
     alpha_sq = magnitudes * magnitudes
-    powers = nbar_to_power(alpha_sq, physics)
+    powers = nbar_to_power(alpha_sq, transmitter)
     nonzero = powers[powers > 0.0]
     if nonzero.size == 0:
         raise ValueError("codebook has no symbol of nonzero power")
     dark = powers == 0.0
-    if not spec.ideal and dark.any():
+    if not transmitter.ideal and dark.any():
         raise ExtinctionRangeError(
             f"symbol {dark.argmax()} has zero power and needs infinite extinction; "
             "only an ideal modulator spec permits dark symbols"
@@ -113,10 +104,10 @@ def codebook_to_drive(
 
     p_max = nonzero.max()
     required_db = 10.0 * math.log10(p_max / nonzero.min())
-    if required_db > spec.extinction_db:
+    if required_db > transmitter.extinction_db:
         raise ExtinctionRangeError(
             f"codebook needs {required_db:.2f} dB of intensity range but the "
-            f"modulator provides {spec.extinction_db:.2f} dB"
+            f"modulator provides {transmitter.extinction_db:.2f} dB"
         )
     return DriveTable(alpha_sq, powers, powers / p_max, phases, required_db)
 

@@ -221,11 +221,9 @@ def test_criterion_7_property_battery():
 
 def test_criterion_8_physical_layer():
     t0 = time.perf_counter()
-    telecom = physical.ModePhysics(wavelength=1560.625e-9, tau=13e-9)
+    telecom = physical.Transmitter(wavelength=1560.625e-9, tau=13e-9, extinction_db=25.0)
     power = physical.nbar_to_power(1.5, telecom)
-    table = physical.codebook_to_drive(
-        mimic.build_codebook(1.5, 8, 8), telecom, physical.ModulatorSpec(25.0)
-    )
+    table = physical.codebook_to_drive(mimic.build_codebook(1.5, 8, 8), telecom)
     elapsed = time.perf_counter() - t0
     ok = abs(power - 1.47e-11) / 1.47e-11 <= 0.01 and table.required_db < 25.0 and elapsed < 1.0
     report(8, ok, f"power(nbar=1.5) = {power:.4e} W (target 1.47e-11 +/- 1%), "

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import thermalmimic
 from _states import random_density
-from thermalmimic import __version__, fock, homodyne, tomo
+from thermalmimic import __version__, fock, homodyne, physical, tomo
 from thermalmimic.cli import (
     CodebookConfig,
     ConfigError,
@@ -209,22 +209,24 @@ def test_tomo_calibrated_quarter_path(tmp_path):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tomo_raw_convention_changes_no_reconstruction(tmp_path, seed):
     # calibrate scales the records to the chosen vacuum variance and tomo
-    # scales them back, so the convention sets only the intermediate scale
-    outputs = {}
-    for convention in ("half", "quarter"):
-        out = tmp_path / convention
+    # scales them back, so the convention sets only the intermediate scale;
+    # calibrate also subtracts the vacuum trace's mean and divides by its
+    # spread, which removes the gain and the offset
+    raw_knobs = [("half", "2.5", "0.3"), ("quarter", "2.5", "0.3"),
+                 ("half", "0.7", "-5.0"), ("half", "40.0", "3.0")]
+    outputs = []
+    for i, (convention, gain, offset) in enumerate(raw_knobs):
+        out = tmp_path / str(i)
         assert main(["tomo-end2end", "--source", "thermal", "--runs", "2", "--seed", str(seed),
                      "--cutoff", "6", "--phases", "8", "--samples-per-phase", "25",
-                     "--gain", "2.5", "--offset", "0.3", "--convention", convention,
+                     "--gain", gain, "--offset", offset, "--convention", convention,
                      "--out-dir", str(out)]) == 0
-        outputs[convention] = read_json(out / "ensemble.json")
-    rho = {convention: _parse_matrix(output).entries for convention, output in outputs.items()}
-    assert np.max(np.abs(rho["half"] - rho["quarter"])) <= 1e-12
-    iterations = {
-        convention: [run["iterations"] for run in output["runs"]]
-        for convention, output in outputs.items()
-    }
-    assert iterations["half"] == iterations["quarter"]
+        outputs.append(read_json(out / "ensemble.json"))
+    first, *others = outputs
+    for output in others:
+        assert np.max(np.abs(_parse_matrix(output).entries
+                             - _parse_matrix(first).entries)) <= 1e-12
+        assert [r["iterations"] for r in output["runs"]] == [r["iterations"] for r in first["runs"]]
 
 
 @pytest.mark.parametrize("raw", [[], ["--gain", "2.5", "--offset", "0.3"]], ids=["direct", "raw"])
@@ -347,10 +349,11 @@ def test_artificial_runs_past_the_thermal_seed_offset_exit_config(tmp_path, caps
         (["tomo-end2end", "--max-iterations", "0"], "max_iterations"),
         (["codebook-export", "--tau", "0"], "tau"),
         (["codebook-export", "--extinction-db", "0"], "extinction_db"),
+        (["codebook-export", "--wavelength", "0"], "wavelength"),
     ],
 )
 def test_library_type_rejecting_a_knob_exits_config(tmp_path, capsys, argv, knob):
-    # tomo.MleConfig and the physical types check these knobs; the config
+    # tomo.MleConfig and physical.Transmitter check these knobs; the config
     # loader makes their ValueError a config error
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
@@ -742,6 +745,9 @@ def test_malformed_input_file_exits_config(tmp_path, capsys, command, text):
         ["tomo-end2end", "--phases", "2.5"],
         ["codebook-export", "--ideal", "false"],
         ["tomo-end2end", "--dilution", "0.5"],
+        # an empty item is malformed, not skipped; only "" is the empty list
+        ["mimic-sweep", "--nbars", "0.5,,1.0"],
+        ["mimic-sweep", "--samples", "4,,16,"],
     ],
 )
 def test_malformed_flag_exits_config(tmp_path, argv):
@@ -750,8 +756,26 @@ def test_malformed_flag_exits_config(tmp_path, argv):
     assert exc.value.code == 2
 
 
-def test_tomo_config_takes_the_mle_defaults_from_mle_config():
-    assert TomoConfig().mle == tomo.MleConfig()
+@pytest.mark.parametrize("cls, library", [(TomoConfig, tomo.MleConfig),
+                                          (CodebookConfig, physical.Transmitter)],
+                         ids=["TomoConfig-MleConfig", "CodebookConfig-Transmitter"])
+def test_command_config_extends_the_library_config_it_feeds(tmp_path, cls, library):
+    # a library knob is declared once, in the library type, and the command
+    # takes it as a flag and as a config key, with the library's default
+    assert issubclass(cls, library)
+    command = next(name for name, (c, _) in _COMMANDS.items() if c is cls)
+    defaults = {f.name: f.default for f in fields(cls)}
+    kinds = get_type_hints(library)
+    for f in fields(library):
+        assert defaults[f.name] == f.default
+        value = True if kinds[f.name] is bool else f.default  # a bool flag sets True
+        flag = ["--" + f.name.replace("_", "-")] + ([] if value is True else [str(value)])
+        args = vars(_build_parser().parse_args([command, *flag]))
+        del args["command"]
+        assert getattr(_resolve_config(cls, args.pop("config"), args), f.name) == value
+        config = tmp_path / f"{f.name}.json"
+        config.write_text(json.dumps({f.name: f.default}))
+        assert getattr(_resolve_config(cls, str(config), {}), f.name) == f.default
 
 
 def test_each_exception_type_has_its_own_exit_code():

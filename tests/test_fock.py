@@ -69,6 +69,8 @@ def test_coherent_truncation_error_when_tail_too_large():
 def test_coherent_states_rejects_negative_magnitude():
     with pytest.raises(ValueError, match="magnitudes must be >= 0"):
         coherent_states([0.5, -0.1], [0.0, 1.0], cutoff=10)
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        coherent_states([0.5], [0.0], cutoff=-1)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +169,11 @@ def test_thermal_truncation_error_when_cutoff_too_small():
         thermal(2.0, 10)
     # an explicit budget allows it, and the lost mass stays visible in the trace
     assert thermal(2.0, 10, tail_tol=0.05).trace < 1.0 - 1e-3
+    # a negative nbar or cutoff is named before any truncation is weighed
+    with pytest.raises(ValueError, match="nbar must be >= 0, got -0.5"):
+        thermal(-0.5, 10)
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        thermal(1.0, -1)
 
 
 @pytest.mark.parametrize("nbar", [0.25, 0.5, 1.0, 2.0, 3.5, 5.0])
@@ -303,6 +310,8 @@ def test_density_matrix_rejects_non_hermitian():
     bad[0, 1] = bad[1, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         FockDensityMatrix(1, bad)
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        FockDensityMatrix(-1, np.ones((0, 0), dtype=complex))
 
 
 def test_density_matrix_rejects_negative_eigenvalues():

@@ -117,6 +117,10 @@ def test_fuchs_van_de_graaff_sandwich():
 def test_entropy_of_pure_coherent_state_is_zero():
     rho = mix([1.0], coherent_states([1.2], [0.4], 30))
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+    # the closed form at nbar = 0 is the vacuum's, exactly 0, and ends there
+    assert thermal_entropy(0.0) == 0.0
+    with pytest.raises(ValueError, match="nbar must be >= 0, got -0.5"):
+        thermal_entropy(-0.5)
 
 
 def test_entropy_of_unit_thermal_is_two_bits():

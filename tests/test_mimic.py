@@ -280,5 +280,7 @@ def test_codebook_validation():
         weights = np.full((len(amps), len(phases)), 1.0 / max(len(amps) * len(phases), 1))
         with pytest.raises(ValueError, match=match):
             Codebook(1.0, np.array(amps), np.array(phases), weights, Scheme.STRATIFIED)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[1.0]]), Scheme.RANDOM, seed=-1)
     with pytest.raises(ValueError, match="optimized codebooks come from optimize_weights"):
         build_codebook(1.0, 2, 2, Scheme.OPTIMIZED)

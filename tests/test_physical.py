@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from thermalmimic.physical import (
     PLANCK,
     SPEED_OF_LIGHT,
     ExtinctionRangeError,
-    ModePhysics,
-    ModulatorSpec,
+    Transmitter,
     codebook_to_drive,
     nbar_to_power,
 )
 
-TELECOM = ModePhysics(wavelength=1560.625e-9, tau=13e-9)
+TELECOM = Transmitter(wavelength=1560.625e-9, tau=13e-9, extinction_db=25.0)
+IDEAL = replace(TELECOM, ideal=True)
 
 
 def test_zero_photons_is_zero_power():
@@ -34,27 +35,27 @@ def test_power_is_linear_in_nbar():
 
 def test_power_increases_with_nbar_and_shorter_mode():
     assert nbar_to_power(2.0, TELECOM) > nbar_to_power(1.0, TELECOM)
-    shorter = ModePhysics(wavelength=1560.625e-9, tau=6.5e-9)
+    shorter = replace(TELECOM, tau=6.5e-9)
     assert nbar_to_power(1.0, shorter) > nbar_to_power(1.0, TELECOM)
 
 
 def test_physics_validation():
     with pytest.raises(ValueError):
-        ModePhysics(wavelength=0.0, tau=1e-9)
+        Transmitter(wavelength=0.0, tau=1e-9)
     with pytest.raises(ValueError):
-        ModePhysics(wavelength=1e-6, tau=0.0)
+        Transmitter(wavelength=1e-6, tau=0.0)
     with pytest.raises(ValueError):
-        ModulatorSpec(extinction_db=0.0)
+        Transmitter(extinction_db=0.0)
     with pytest.raises(ValueError):
         nbar_to_power(-1.0, TELECOM)
     # NaN fails every comparison, so a "<= 0" check alone would let it through
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="wavelength must be finite"):
-            ModePhysics(wavelength=bad, tau=1e-9)
+            Transmitter(wavelength=bad, tau=1e-9)
         with pytest.raises(ValueError, match="tau must be finite"):
-            ModePhysics(wavelength=1e-6, tau=bad)
+            Transmitter(wavelength=1e-6, tau=bad)
         with pytest.raises(ValueError, match="extinction_db must be finite"):
-            ModulatorSpec(extinction_db=bad)
+            Transmitter(extinction_db=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +71,14 @@ def stratified_required_db(n_amplitudes: int) -> float:
 
 
 def test_stratified_l8_fits_in_25_db():
-    table = codebook_to_drive(build_codebook(1.5, 8, 8), TELECOM, ModulatorSpec(25.0))
+    table = codebook_to_drive(build_codebook(1.5, 8, 8), TELECOM)
     assert table.required_db == pytest.approx(stratified_required_db(8), abs=1e-9)
     assert table.required_db < 25.0
     assert table.power_w.shape == (64,)
 
 
 def test_single_symbol_codebook_is_trivially_feasible():
-    table = codebook_to_drive(build_codebook(1.5, 1, 1), TELECOM, ModulatorSpec(25.0))
+    table = codebook_to_drive(build_codebook(1.5, 1, 1), TELECOM)
     assert table.required_db == 0.0
     assert table.intensity_level.tolist() == [1.0]
 
@@ -85,7 +86,7 @@ def test_single_symbol_codebook_is_trivially_feasible():
 def test_stratified_l64_exceeds_25_db():
     assert stratified_required_db(64) > 25.0  # oracle first
     with pytest.raises(ExtinctionRangeError, match="dB"):
-        codebook_to_drive(build_codebook(1.5, 64, 1), TELECOM, ModulatorSpec(25.0))
+        codebook_to_drive(build_codebook(1.5, 64, 1), TELECOM)
 
 
 def test_extinction_acceptance_is_monotone_in_budget():
@@ -93,8 +94,8 @@ def test_extinction_acceptance_is_monotone_in_budget():
     for n_amp in (2, 8, 12):
         assert stratified_required_db(n_amp) < 20.0
         cb = build_codebook(1.0, n_amp, 2)
-        codebook_to_drive(cb, TELECOM, ModulatorSpec(20.0))
-        codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))  # must also pass
+        codebook_to_drive(cb, replace(TELECOM, extinction_db=20.0))
+        codebook_to_drive(cb, TELECOM)  # must also pass
 
 
 def test_zero_amplitude_symbol_requires_ideal_modulator():
@@ -105,8 +106,8 @@ def test_zero_amplitude_symbol_requires_ideal_modulator():
             np.array([[0.5], [0.5]]), Scheme.STRATIFIED,
         )
         with pytest.raises(ExtinctionRangeError, match="symbol 0 has zero power"):
-            codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
-        table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0, ideal=True))
+            codebook_to_drive(cb, TELECOM)
+        table = codebook_to_drive(cb, IDEAL)
         assert table.intensity_level.tolist() == [0.0, 1.0]
     # L != Q: the error names the row-major symbol index, not the amplitude index
     cb = Codebook(
@@ -114,23 +115,23 @@ def test_zero_amplitude_symbol_requires_ideal_modulator():
         np.full((2, 2), 0.25), Scheme.STRATIFIED,
     )
     with pytest.raises(ExtinctionRangeError, match="symbol 2 has zero power"):
-        codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
-    table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0, ideal=True))
+        codebook_to_drive(cb, TELECOM)
+    table = codebook_to_drive(cb, IDEAL)
     assert table.intensity_level.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_all_dark_codebook_is_rejected():
     for dark in (0.0, 1e-170):
         cb = Codebook(1.0, np.array([dark]), np.array([0.0]), np.array([[1.0]]), Scheme.STRATIFIED)
-        for spec in (ModulatorSpec(25.0), ModulatorSpec(25.0, ideal=True)):
+        for transmitter in (TELECOM, IDEAL):
             with pytest.raises(ValueError, match="no symbol of nonzero power") as excinfo:
-                codebook_to_drive(cb, TELECOM, spec)
+                codebook_to_drive(cb, transmitter)
             assert not isinstance(excinfo.value, ExtinctionRangeError)
 
 
 def test_drive_levels_round_trip_to_photon_numbers():
     cb = build_codebook(1.5, 8, 8)
-    table = codebook_to_drive(cb, TELECOM, ModulatorSpec(25.0))
+    table = codebook_to_drive(cb, TELECOM)
     p_max = table.power_w.max()
     quantum = PLANCK * TELECOM.frequency / TELECOM.tau
     for i in range(64):
@@ -151,6 +152,6 @@ def test_points_order_matches_weights_and_drive_table():
     assert np.array_equal(magnitudes, amplitudes[l])
     assert np.array_equal(point_phases, phases[q])
     assert np.array_equal(cb.weights.ravel(), weights[l, q])
-    table = codebook_to_drive(cb, TELECOM, ModulatorSpec(30.0))
+    table = codebook_to_drive(cb, replace(TELECOM, extinction_db=30.0))
     assert table.phase_rad.tolist() == phases[q].tolist()
     assert table.alpha_sq.tolist() == (amplitudes[l] ** 2).tolist()

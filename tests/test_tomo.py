@@ -395,6 +395,8 @@ def test_average_rejects_mixed_cutoffs_and_empty_input():
 
 
 def test_mle_config_validation():
+    with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+        MleConfig(cutoff=-1)
     with pytest.raises(ValueError):
         MleConfig(max_iterations=0)
     with pytest.raises(ValueError):
