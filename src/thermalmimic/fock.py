@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -165,63 +164,6 @@ def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatri
     rho = scaled.T @ scaled.conj()
     rho = 0.5 * (rho + rho.conj().T)
     return FockDensityMatrix(stacked.shape[1] - 1, rho, trace_tol=tail_tol)
-
-
-@cache
-def _upper_triangle(dim: int) -> np.ndarray:
-    """Read-only mask of the packed slots holding real parts (m <= n)."""
-    mask = np.tri(dim, dtype=bool).T
-    mask.setflags(write=False)
-    return mask
-
-
-@cache
-def _pack_index(dim: int) -> np.ndarray:
-    """Read-only positions of ``packed(h)``'s slots in the interleaved float view
-    of a C-ordered complex ``h``: ``2s`` (real part) for slot s on or above the
-    diagonal, ``2s + 1`` (imaginary part) below it."""
-    index = 2 * np.arange(dim * dim) + ~_upper_triangle(dim).ravel()
-    index.setflags(write=False)
-    return index
-
-
-def _pack(h: np.ndarray) -> np.ndarray:
-    """``packed(h)``, the real coordinates of a Hermitian ``h``: its real upper
-    triangle, diagonal included, and its imaginary strict lower triangle, in
-    one row-major dim x dim block. One gather from the real and imaginary
-    parts of a C-ordered copy of ``h`` (``h`` itself when it already is one)."""
-    floats = np.ascontiguousarray(h, dtype=np.complex128).view(np.float64).ravel()
-    return floats.take(_pack_index(h.shape[0]))
-
-
-def _unpack(g: np.ndarray, dim: int) -> np.ndarray:
-    """The Hermitian ``S`` with ``S_mm = g_mm``, ``Re S_mn = g_mn / 2`` (m < n) and
-    ``Im S_mn = g_mn / 2`` (m > n): ``sum_k w_k d_k d_k^H`` if ``g = projector_map(...) @ w``."""
-    half = 0.5 * g.reshape(dim, dim)
-    r = np.where(_upper_triangle(dim), half, 1j * half)
-    return r + r.conj().T
-
-
-def projector_map(radial: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The real C-contiguous (dim^2, K) array whose column k is ``packed(d_k d_k^H)``
-    with its off-diagonal slots doubled, ``d_kn = radial[n, k] e^{i n phases[k]}``:
-    ``radial_m^2`` in slot (m, m), ``2 cos((n - m) theta) radial_m radial_n`` in
-    slot (m, n) for m < n and ``2 sin((m - n) theta) radial_m radial_n`` for m > n.
-    So ``_pack(h) @ M`` is ``Tr(h d_k d_k^H)`` and ``_unpack(M @ w, dim)`` is
-    ``sum_k w_k d_k d_k^H``. Filled one diagonal at a time, so every write is a
-    contiguous row of K values.
-    """
-    dim, count = radial.shape
-    out = np.empty((dim, dim, count))
-    for k in range(dim):
-        m = np.arange(dim - k)
-        products = radial[:dim - k] * radial[k:]
-        if k == 0:
-            out[m, m] = products
-        else:
-            out[m, m + k] = 2.0 * np.cos(k * phases) * products
-            out[m + k, m] = 2.0 * np.sin(k * phases) * products
-    return out.reshape(dim * dim, count)
 
 
 def mean_photon(rho: FockDensityMatrix) -> float:

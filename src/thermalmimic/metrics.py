@@ -70,8 +70,8 @@ def thermal_entropy(nbar: float) -> float:
     ``(nbar+1) log2(nbar+1) - nbar log2(nbar)``; the maximum entropy of any
     state with the given mean photon number.
     """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     if nbar == 0.0:
         return 0.0
     return (nbar + 1.0) * math.log2(nbar + 1.0) - nbar * math.log2(nbar)

@@ -6,8 +6,8 @@ finite codebook of L amplitudes x Q phases with mixing weights, builds the
 resulting density matrix, and measures how faithfully it reproduces the target
 thermal state. Weights default to uniform over a stratified (quantile-midpoint)
 grid, which already mimics well; :func:`optimize_weights` refits that grid's
-weights to the thermal state by nonnegative least squares, one weight per
-amplitude ring.
+weights to the thermal state by nonnegative least squares over the mixtures
+of its L amplitude rings, one weight per ring.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def rayleigh_quantile(nbar: float, u):
     Returns ``|alpha| = sqrt(-nbar * ln(1 - u))`` for ``u`` in [0, 1);
     accepts scalars or arrays.
     """
-    if nbar <= 0.0:
-        raise ValueError(f"nbar must be > 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar > 0.0):
+        raise ValueError(f"nbar must be finite and > 0, got {nbar}")
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("quantile argument must lie in [0, 1)")
@@ -100,8 +100,8 @@ def check_codebook_args(nbar: float, n_amplitudes: int, n_phases: int, scheme, s
     the L x Q codebook: raise the ``ValueError`` it would, else return the scheme."""
     if n_amplitudes < 1 or n_phases < 1:
         raise ValueError("need at least one amplitude and one phase")
-    if nbar <= 0.0:
-        raise ValueError(f"nbar must be > 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar > 0.0):
+        raise ValueError(f"nbar must be finite and > 0, got {nbar}")
     scheme = Scheme(scheme)
     if scheme == Scheme.RANDOM and seed is None:
         raise ValueError("random scheme requires a seed")
@@ -154,32 +154,30 @@ def optimize_weights(
     nonnegative weights, then renormalizes to sum 1. The returned codebook is
     never less faithful than the uniform one: if the refit loses fidelity
     (Frobenius distance is only a surrogate for it), the uniform weights are
-    kept. The NNLS design is :func:`fock.projector_map` of the coherent states
-    against the packed target, off-diagonal slots weighted so the residual
-    2-norm is the Frobenius distance.
+    kept.
 
     The phase grid is uniform and thermal light is diagonal, so rotating every
-    point by 2*pi/Q permutes the design's columns and fixes the target:
-    averaging any optimum over the Q rotations gives one uniform on each
-    amplitude ring. So the fit solves for L ring weights. A ring's mean column
-    is its column at any one grid phase with every slot of a harmonic
-    ``rho[m, m+k]``, ``k % Q != 0``, zeroed, and ring weight ``u_l`` spreads as
-    ``u_l / Q`` over the ring.
+    point by 2*pi/Q permutes the grid and fixes the target: averaging any
+    optimum over the Q rotations gives one uniform on each amplitude ring. So
+    the fit solves for L ring weights, ring weight ``u_l`` spread as ``u_l / Q``
+    over the ring. A ring's mixture fills only the slots ``(m - n) % Q == 0``,
+    where it equals the projector ``psi_m conj(psi_n)`` of any one of its
+    points; every other slot is zero, as in thermal light. The NNLS design
+    holds those entries of one point per ring, real and imaginary parts
+    stacked, against the target's, so its residual 2-norm is the Frobenius
+    distance.
     """
     from scipy.optimize import nnls  # the package's one scipy use; kept off the import path
 
     codebook = build_codebook(nbar, n_amplitudes, n_phases)
     target = fock.thermal(nbar, cutoff)
-    magnitudes, phases = codebook.points()
-    states = coherent_states(magnitudes, phases, cutoff)
+    states = coherent_states(*codebook.points(), cutoff)
     n = np.arange(target.dim)
-    harmonic = np.abs(n[:, None] - n).ravel()  # k of slot (m, m + k) and (m + k, m)
-    frobenius = np.where(harmonic == 0, 1.0, math.sqrt(2.0))
-    # one column per ring, from its first point
-    design = fock.projector_map(np.abs(states[::n_phases]).T, phases[::n_phases])
-    design /= frobenius[:, None]
-    design[harmonic % n_phases != 0] = 0.0
-    rings, _ = nnls(design, fock._pack(target.entries) * frobenius)
+    rows, cols = np.nonzero((n[:, None] - n) % n_phases == 0)  # the slots a ring fills
+    psi = states[::n_phases].T  # one point per ring, one column each
+    entries = psi[rows] * psi[cols].conj()
+    goal = target.entries[rows, cols]
+    rings, _ = nnls(np.vstack((entries.real, entries.imag)), np.concatenate((goal.real, goal.imag)))
     solution = np.repeat(rings / n_phases, n_phases)
     total = float(solution.sum())
     if total <= 0.0:

@@ -5,9 +5,11 @@ matrices by accelerated projected-gradient ascent with adaptive restart
 (Shang, Zhang & Ng, PRA 95, 062336 (2017)). The record probability
 ``p_k = Tr(rho Pi_k)`` is real-linear in rho, where ``Pi_k`` is the rank-1
 projector onto the quadrature eigenstate of record k: the records make one
-real (dim^2, K) map ``A`` of packed projectors (:func:`fock.projector_map`)
+real (dim^2, K) map ``A`` of packed projectors (:func:`measurement_matrix`)
 with ``p = packed(rho) @ A``. The gradient of ``ll / K`` is
-``R(rho) = (1/K) sum_k Pi_k / p_k``, unpacked from ``A @ (1/(K p))``.
+``R(rho) = (1/K) sum_k Pi_k / p_k``, unpacked from ``A @ (1/(K p))``. The
+packed layout, the real coordinates of a Hermitian matrix, is this module's
+alone.
 
 Each step projects ``sigma + t R(sigma)`` onto the density matrices
 (eigendecomposition, then the eigenvalues onto the unit simplex; Smolin,
@@ -35,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .fock import FockDensityMatrix, _pack, _unpack, projector_map
+from .fock import FockDensityMatrix
 from .homodyne import QuadratureDataset, fock_wavefunctions
 
 #: Density floor guarding log(0) in the likelihood.
@@ -91,15 +93,65 @@ class MleResult:
         return float(self.log_likelihoods[-1])
 
 
+@cache
+def _upper_triangle(dim: int) -> np.ndarray:
+    """Read-only mask of the packed slots holding real parts (m <= n)."""
+    mask = np.tri(dim, dtype=bool).T
+    mask.setflags(write=False)
+    return mask
+
+
+@cache
+def _pack_index(dim: int) -> np.ndarray:
+    """Read-only positions of ``packed(h)``'s slots in the interleaved float view
+    of a C-ordered complex ``h``: ``2s`` (real part) for slot s on or above the
+    diagonal, ``2s + 1`` (imaginary part) below it."""
+    index = 2 * np.arange(dim * dim) + ~_upper_triangle(dim).ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _pack(h: np.ndarray) -> np.ndarray:
+    """``packed(h)``, the real coordinates of a Hermitian ``h``: its real upper
+    triangle, diagonal included, and its imaginary strict lower triangle, in
+    one row-major dim x dim block. One gather from the real and imaginary
+    parts of a C-ordered copy of ``h`` (``h`` itself when it already is one)."""
+    floats = np.ascontiguousarray(h, dtype=np.complex128).view(np.float64).ravel()
+    return floats.take(_pack_index(h.shape[0]))
+
+
+def _unpack(g: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian ``S`` with ``S_mm = g_mm``, ``Re S_mn = g_mn / 2`` (m < n) and
+    ``Im S_mn = g_mn / 2`` (m > n): ``sum_k w_k Pi_k`` if ``g = A @ w`` for the
+    :func:`measurement_matrix` ``A``."""
+    half = 0.5 * g.reshape(dim, dim)
+    r = np.where(_upper_triangle(dim), half, 1j * half)
+    return r + r.conj().T
+
+
 def measurement_matrix(data: QuadratureDataset, cutoff: int) -> np.ndarray:
-    """The real (dim^2, K) map ``A`` with ``p_k = packed(rho) @ A[:, k]``: the
-    :func:`fock.projector_map` of the records' quadrature eigenstates
-    ``d_kn = f_n(x_k) e^{i n theta_k}``, so ``_unpack(A @ w, dim)`` is
-    ``sum_k w_k Pi_k``. ``x_k`` is read on the ``half`` axis of the kernel
-    ``f_n``: a record tagged with vacuum variance ``v`` is scaled by
-    ``sqrt(0.5 / v)``."""
+    """The real C-contiguous (dim^2, K) map ``A`` with ``p_k = packed(rho) @ A[:, k]``,
+    so ``_unpack(A @ w, dim)`` is ``sum_k w_k Pi_k``. Column k is ``packed(Pi_k)``
+    with its off-diagonal slots doubled, ``Pi_k = d_k d_k^H`` for the record's
+    quadrature eigenstate ``d_kn = f_n(x_k) e^{i n theta_k}``: ``f_m^2`` in slot
+    (m, m), ``2 cos((n - m) theta_k) f_m f_n`` in slot (m, n) for m < n and
+    ``2 sin((m - n) theta_k) f_m f_n`` for m > n. ``x_k`` is read on the ``half``
+    axis of the kernel ``f_n``: a record tagged with vacuum variance ``v`` is
+    scaled by ``sqrt(0.5 / v)``. Filled one diagonal at a time, so every write
+    is a contiguous row of K values."""
     x = data.x * math.sqrt(0.5 / data.convention.vacuum_variance)
-    return projector_map(fock_wavefunctions(x, cutoff), data.theta)
+    radial = fock_wavefunctions(x, cutoff)
+    dim, count = radial.shape
+    out = np.empty((dim, dim, count))
+    for k in range(dim):
+        m = np.arange(dim - k)
+        products = radial[:dim - k] * radial[k:]
+        if k == 0:
+            out[m, m] = products
+        else:
+            out[m, m + k] = 2.0 * np.cos(k * data.theta) * products
+            out[m + k, m] = 2.0 * np.sin(k * data.theta) * products
+    return out.reshape(dim * dim, count)
 
 
 def _record_probabilities(rho_entries: np.ndarray, a: np.ndarray) -> np.ndarray:

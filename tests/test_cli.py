@@ -910,6 +910,6 @@ def test_readme_module_names_resolve():
         for module, name in re.findall(r"\b(\w+)\.(\w+)", span)
         if module in modules
     ]
-    assert ("fock", "projector_map") in names
+    assert ("tomo", "measurement_matrix") in names
     for module, name in names:
         assert hasattr(modules[module], name), f"{module}.{name}"

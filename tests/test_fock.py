@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.stats import poisson
 
 from thermalmimic import fock
@@ -235,39 +234,6 @@ def test_mix_rejects_rows_above_unit_norm_and_miscounted_weights():
         mix([0.5, 0.5], [psi, 1.01 * psi])
     with pytest.raises(ValueError, match="3 weights for 2 states"):
         mix([0.5, 0.25, 0.25], [psi, psi])
-
-
-# ---------------------------------------------------------------------------
-# projector_map
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_projector_map_is_the_packed_projector(data):
-    dim = data.draw(st.integers(1, 8), label="dim")
-    count = data.draw(st.integers(1, 6), label="K")
-    radial = data.draw(arrays(float, (dim, count), elements=st.floats(-1.0, 1.0)), label="radial")
-    phases = data.draw(arrays(float, count, elements=st.floats(0.0, fock.TWO_PI)), label="phases")
-    raw = data.draw(arrays(complex, (dim, dim), elements=st.complex_numbers(max_magnitude=1.0)),
-                    label="raw")
-    weights = data.draw(arrays(float, count, elements=st.floats(0.0, 1.0)), label="w")
-    h = raw + raw.conj().T
-
-    m = fock.projector_map(radial, phases)
-    assert m.shape == (dim * dim, count) and m.flags.c_contiguous
-    # complex oracle: d_kn = radial[n, k] e^{i n phases[k]}, projector d_k d_k^H
-    d = radial.T * np.exp(1j * np.outer(phases, np.arange(dim)))
-    expectations = np.einsum("km,mn,kn->k", d.conj(), h, d).real
-    mixture = np.einsum("k,km,kn->mn", weights, d, d.conj())
-    assert np.allclose(fock._pack(h) @ m, expectations, rtol=0, atol=1e-12)
-    assert np.allclose(fock._unpack(m @ weights, dim), mixture, rtol=0, atol=1e-12)
-    # the gather packs any memory layout like a masked select of the parts
-    selected = np.where(fock._upper_triangle(dim), h.real, h.imag).ravel()
-    read_only = h.view()
-    read_only.setflags(write=False)
-    for layout in (h, np.asfortranarray(h), read_only):
-        assert np.array_equal(fock._pack(layout).view(np.int64), selected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ process, more than a small ``tomo-end2end`` run spends on its MLE. Only
 ``mimic.optimize_weights`` needs scipy (for ``nnls``) and imports it on first
 call. Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
+
+A ``_``-prefixed name is its module's own: no module of the package imports
+one from a sibling or reads one as a sibling module's attribute.
 """
 
 import ast
@@ -117,3 +120,42 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = [where for path in modules for where in _unused_imports(path)]
     assert not unused, unused
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """The package module ``node`` imports from ("" for the package itself),
+    or None for an import from outside the package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "thermalmimic":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _private_reaches(path: Path, siblings: set[str]) -> list[str]:
+    """Where ``path`` imports a private name from a sibling module, or reads one
+    as an attribute of a sibling module it imported."""
+    tree = ast.parse(path.read_text())
+    where = path.relative_to(ROOT)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or (source := _sibling(node)) is None:
+            continue
+        for alias in node.names:
+            if source == "" and alias.name in siblings:
+                modules.add(alias.asname or alias.name)
+            elif source in siblings and alias.name.startswith("_"):
+                found.append(f"{where}:{node.lineno} imports {source}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{where}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reaches_a_private_name_of_a_sibling():
+    package = sorted((SRC / "thermalmimic").glob("*.py"))
+    siblings = {path.stem for path in package} - {"__init__"}
+    assert {"fock", "mimic", "tomo"} <= siblings
+    reaches = [where for path in package for where in _private_reaches(path, siblings)]
+    assert not reaches, reaches

@@ -119,8 +119,9 @@ def test_entropy_of_pure_coherent_state_is_zero():
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
     # the closed form at nbar = 0 is the vacuum's, exactly 0, and ends there
     assert thermal_entropy(0.0) == 0.0
-    with pytest.raises(ValueError, match="nbar must be >= 0, got -0.5"):
-        thermal_entropy(-0.5)
+    for nbar in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"nbar must be finite and >= 0, got {nbar}"):
+            thermal_entropy(nbar)
 
 
 def test_entropy_of_unit_thermal_is_two_bits():

@@ -11,6 +11,7 @@ from thermalmimic.mimic import (
     Scheme,
     assemble,
     build_codebook,
+    check_codebook_args,
     optimize_weights,
     rayleigh_quantile,
     sweep_fidelity,
@@ -33,8 +34,9 @@ def test_rayleigh_quantile_rejects_bad_arguments():
         rayleigh_quantile(1.0, 1.0)
     with pytest.raises(ValueError):
         rayleigh_quantile(1.0, -0.1)
-    with pytest.raises(ValueError):
-        rayleigh_quantile(0.0, 0.5)
+    for nbar in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"nbar must be finite and > 0, got {nbar}"):
+            rayleigh_quantile(nbar, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +169,21 @@ def test_optimize_weights_never_hurts_fidelity():
 
 
 def _per_point_problem(codebook, target):
-    """The full (dim^2, M) Frobenius NNLS design and packed target, one column
-    per constellation point, built with the one projector kernel."""
+    """The (2 dim^2, M) Frobenius NNLS design and target, one column per
+    constellation point: the real and imaginary parts of every entry of the
+    point's projector, stacked, against those of the target's entries."""
     magnitudes, phases = codebook.points()
     states = coherent_states(magnitudes, phases, target.cutoff)
-    scale = np.where(np.eye(target.dim, dtype=bool), 1.0, math.sqrt(2.0)).ravel()
-    design = fock.projector_map(np.abs(states).T, phases)
-    design /= scale[:, None]
-    return design, fock._pack(target.entries) * scale
+    projectors = np.einsum("km,kn->mnk", states, states.conj()).reshape(-1, len(states))
+    goal = target.entries.ravel()
+    return np.vstack((projectors.real, projectors.imag)), np.concatenate((goal.real, goal.imag))
 
 
-def _residual_along_ray(design, packed, weights):
+def _residual_along_ray(design, goal, weights):
     """min over c >= 0 of ||c A w - b||: an NNLS optimum is optimal along its
     own ray, so this is the residual of the unnormalized fit ``w`` rescales."""
     fit = design @ weights.ravel()
-    return float(np.linalg.norm(max(0.0, fit @ packed / (fit @ fit)) * fit - packed))
+    return float(np.linalg.norm(max(0.0, fit @ goal / (fit @ fit)) * fit - goal))
 
 
 @pytest.mark.parametrize(
@@ -189,7 +191,7 @@ def _residual_along_ray(design, packed, weights):
     [
         (1.0, 4, 1, 30),  # Q = 1: rings are points
         (1.0, 1, 8, 30),  # L = 1: one unknown
-        (0.3, 3, 12, 8),  # Q > cutoff: only the diagonal survives the mask
+        (0.3, 3, 12, 8),  # Q > cutoff: a ring fills only the diagonal
         (2.0, 2, 2, 30),
         (2.0, 4, 4, 30),
         (0.5, 5, 31, 30),
@@ -201,9 +203,9 @@ def test_ring_fit_reaches_per_point_nnls_optimum(nbar, n_amp, n_phase, cutoff):
     # scipy's per-point fit over all L * Q columns is the oracle
     opt = optimize_weights(nbar, n_amp, n_phase, cutoff)[0]
     assert np.all(opt.weights == opt.weights[:, :1])  # ring-uniform
-    design, packed = _per_point_problem(opt, thermal(nbar, cutoff))
-    best = nnls(design, packed)[1]
-    assert _residual_along_ray(design, packed, opt.weights) <= best * (1.0 + 1e-12)
+    design, goal = _per_point_problem(opt, thermal(nbar, cutoff))
+    best = nnls(design, goal)[1]
+    assert _residual_along_ray(design, goal, opt.weights) <= best * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +286,6 @@ def test_codebook_validation():
         Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[1.0]]), Scheme.RANDOM, seed=-1)
     with pytest.raises(ValueError, match="optimized codebooks come from optimize_weights"):
         build_codebook(1.0, 2, 2, Scheme.OPTIMIZED)
+    for nbar in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"nbar must be finite and > 0, got {nbar}"):
+            check_codebook_args(nbar, 2, 2, "stratified", None)

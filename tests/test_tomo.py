@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _states import fock_projector
 from thermalmimic.fock import (
@@ -29,7 +30,9 @@ from thermalmimic.tomo import (
     STEP_GROWTH,
     MleConfig,
     _gradient,
+    _pack,
     _record_probabilities,
+    _unpack,
     average,
     log_likelihood,
     measurement_matrix,
@@ -142,6 +145,44 @@ def reference_apg(data, config):
     if math.isinf(bound):
         bound = gap(_gradient(a, p))
     return 0.5 * (rho + rho.conj().T), iterations, bound, np.asarray(history)
+
+
+# ---------------------------------------------------------------------------
+# measurement_matrix
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_measurement_matrix_is_the_packed_projector(data):
+    cutoff = data.draw(st.integers(0, 7), label="cutoff")
+    count = data.draw(st.integers(1, 6), label="K")
+    x = data.draw(arrays(float, count, elements=st.floats(-4.0, 4.0)), label="x")
+    theta = data.draw(arrays(float, count, elements=st.floats(0.0, 2.0 * math.pi,
+                                                              exclude_max=True)), label="theta")
+    convention = data.draw(st.sampled_from(Convention), label="convention")
+    dim = cutoff + 1
+    raw = data.draw(arrays(complex, (dim, dim), elements=st.complex_numbers(max_magnitude=1.0)),
+                    label="raw")
+    weights = data.draw(arrays(float, count, elements=st.floats(0.0, 1.0)), label="w")
+    h = raw + raw.conj().T
+
+    a = measurement_matrix(QuadratureDataset(x, theta, convention), cutoff)
+    assert a.shape == (dim * dim, count) and a.flags.c_contiguous
+    # complex oracle: d_kn = f_n(x_k) e^{i n theta_k}, x_k read on the half
+    # axis (vacuum variance 1/2), projector Pi_k = d_k d_k^H
+    half = x * math.sqrt(0.5 / convention.vacuum_variance)
+    d = fock_wavefunctions(half, cutoff).T * np.exp(1j * np.outer(theta, np.arange(dim)))
+    expectations = np.einsum("km,mn,kn->k", d.conj(), h, d).real
+    mixture = np.einsum("k,km,kn->mn", weights, d, d.conj())
+    assert np.allclose(_pack(h) @ a, expectations, rtol=0, atol=1e-12)
+    assert np.allclose(_unpack(a @ weights, dim), mixture, rtol=0, atol=1e-12)
+    # the gather packs any memory layout like a masked select of the parts
+    selected = np.where(np.tri(dim, dtype=bool).T, h.real, h.imag).ravel()
+    read_only = h.view()
+    read_only.setflags(write=False)
+    for layout in (h, np.asfortranarray(h), read_only):
+        assert np.array_equal(_pack(layout).view(np.int64), selected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
