@@ -91,8 +91,8 @@ class TomoConfig(tomo.MleConfig):
     its ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap,
     in nats, at which a run stops) are inherited, and checked there. The
     default gap of 0.1 nats is below the 0.5 nat that one standard deviation
-    along one parameter costs, so a run's state moves by about 3e-4 in trace
-    distance if fitted to the optimum, against about 0.34 between runs.
+    along one parameter costs, so a run's state moves by up to about 6e-4 in
+    trace distance if fitted to the optimum, against about 0.33 between runs.
     """
 
     source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"

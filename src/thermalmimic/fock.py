@@ -117,8 +117,8 @@ def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> Foc
         ValueError: if the geometric tail ``(nbar/(nbar+1))^(cutoff+1)`` exceeds
             ``tail_tol``, the matrix's ``trace_tol`` ("state loses mass ...").
     """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     diag = np.zeros(cutoff + 1)

@@ -244,8 +244,10 @@ def simulate_raw(
     reuses no uniform of any such call (as it would if it were seeded at
     ``seed + 1``, the next run's signal seed).
     """
-    if gain <= 0.0:
-        raise ValueError(f"gain must be > 0, got {gain}")
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise ValueError(f"gain must be finite and > 0, got {gain}")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset}")
     seeds = list(seeds)
     signals = sample(rho, phases, n_per_phase, seeds)
     vacuum_seeds = [np.random.SeedSequence(seed, spawn_key=(0,)) for seed in seeds]

@@ -193,8 +193,8 @@ def optimize_weights(
 def check_sweep_args(nbars, sample_counts, trials: int) -> list[int]:
     """Check :func:`sweep_fidelity`'s grid without computing a cell: raise the
     ``ValueError`` it would, else return the sides sqrt(M) of the sample counts."""
-    if not nbars or any(not nb > 0 for nb in nbars):
-        raise ValueError("nbars must be a non-empty list of positive values")
+    if not nbars or any(not (math.isfinite(nb) and nb > 0) for nb in nbars):
+        raise ValueError("nbars must be a non-empty list of finite positive values")
     if not sample_counts:
         raise ValueError("samples must be a non-empty list of perfect squares")
     sides = [math.isqrt(max(int(m), 0)) for m in sample_counts]

@@ -20,9 +20,11 @@ current iterate, so every accepted iterate is a density matrix and the
 likelihood history never decreases.
 
 The stopping rule bounds the distance to the optimum (Glancy, Knill &
-Girard, NJP 14, 095017 (2012)): ``Tr(R(rho) rho) = 1`` and ``ll`` is
-concave, so ``ll* - ll(rho) <= K (lambda_max(R(rho)) - 1)``, the
-*optimality gap* in nats.
+Girard, NJP 14, 095017 (2012)): ``ll`` is concave on ``{p > 0}`` and
+``Tr(R(sigma) sigma) = 1`` at a unit-trace ``sigma`` there, so ``ll* - ll(rho)
+<= ll(sigma) - ll(rho) + K (lambda_max(R(sigma)) - 1)``, the *optimality gap*
+in nats, taken at the momentum point whose gradient the next step needs
+anyway; at ``sigma = rho`` it is ``K (lambda_max(R(rho)) - 1)``.
 
 :func:`average` gives the mean state and elementwise spread of repeated
 reconstructions; the records a ``tomo-end2end`` run writes are laid out by
@@ -43,10 +45,6 @@ from .homodyne import QuadratureDataset, fock_wavefunctions
 #: Density floor guarding log(0) in the likelihood.
 LIKELIHOOD_FLOOR = 1e-300
 
-#: Iterations between optimality-gap checks while momentum is on; a step
-#: taken from the iterate itself gives the gap for free.
-GAP_EVERY = 10
-
 #: Step-size growth per accepted step; backtracking halves it.
 STEP_GROWTH = 1.2
 
@@ -58,8 +56,8 @@ class MleConfig:
     The default ``stop_tol`` of 0.1 nats sits below the statistical scale of
     the data: one standard deviation along one parameter costs about 0.5 nat
     of log-likelihood (``2 delta ll ~ chi2_1``), whatever the record count.
-    On 10 runs of 2000 records at cutoff 12 a run stopped there lies about
-    3e-4 in trace distance from the optimum, against about 0.34 between runs.
+    On 10 runs of 2000 records at cutoff 12 a run stopped there lies within
+    about 6e-4 in trace distance of the optimum, against about 0.33 between runs.
     """
 
     cutoff: int = 12
@@ -79,7 +77,8 @@ class MleConfig:
 class MleResult:
     """Reconstructed state plus convergence record.
 
-    ``optimality_gap`` bounds ``ll* - ll(rho)`` for the returned state, in nats.
+    ``optimality_gap`` bounds ``ll* - ll(rho)`` in nats, taken at the last momentum
+    point: ``K (lambda_max(R(rho)) - 1)`` when that point is ``rho`` itself.
     """
 
     rho: FockDensityMatrix
@@ -202,13 +201,12 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     """Accelerated projected-gradient ascent of ``ll / K`` from the maximally
     mixed state.
 
-    Stops once the optimality gap of the current iterate is at most
+    Stops at the first iterate whose optimality gap, taken after every
+    iteration at the momentum point (module docstring), is at most
     ``config.stop_tol`` nats, or at the iteration cap (the result is then
-    flagged non-converged). The gap is checked whenever a step starts from
-    the iterate itself and every ``GAP_EVERY`` iterations otherwise; the
-    returned gap always belongs to the returned state. ``log_likelihoods``
-    holds the likelihood after each iteration (an iteration that restarts
-    the momentum keeps the iterate), so its monotonicity is checkable per step.
+    flagged non-converged). ``log_likelihoods`` holds the likelihood after
+    each iteration (an iteration that restarts the momentum keeps the
+    iterate), so its monotonicity is checkable per step.
     """
     dim = config.cutoff + 1
     a = measurement_matrix(data, config.cutoff)
@@ -256,14 +254,9 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
             rho, p, theta = new, p_new, theta_next
         history.append(float(np.log(p, out=work).sum()))
         r = _gradient(a, p_sigma)
-        if sigma is rho:
-            bound = gap(r)
-        elif iterations % GAP_EVERY == 0:
-            bound = gap(_gradient(a, p))
-        else:
-            bound = math.inf  # the last gap belongs to an earlier iterate
-    if math.isinf(bound):
-        bound = gap(_gradient(a, p))
+        # ll* - ll(rho) <= ll(sigma) - ll(rho) + K (lambda_max(R(sigma)) - 1);
+        # the log term is exactly 0 when sigma is rho, whose p_sigma is p
+        bound = gap(r) + float(np.log(np.divide(p_sigma, p, out=work), out=work).sum())
 
     return MleResult(
         rho=FockDensityMatrix(config.cutoff, 0.5 * (rho + rho.conj().T), trace_tol=1e-9),

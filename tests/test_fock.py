@@ -168,9 +168,10 @@ def test_thermal_truncation_error_when_cutoff_too_small():
         thermal(2.0, 10)
     # an explicit budget allows it, and the lost mass stays visible in the trace
     assert thermal(2.0, 10, tail_tol=0.05).trace < 1.0 - 1e-3
-    # a negative nbar or cutoff is named before any truncation is weighed
-    with pytest.raises(ValueError, match="nbar must be >= 0, got -0.5"):
-        thermal(-0.5, 10)
+    # a negative or non-finite nbar or cutoff is named before any truncation is weighed
+    for nbar in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"nbar must be finite and >= 0, got {nbar}"):
+            thermal(nbar, 10)
     with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
         thermal(1.0, -1)
 

@@ -339,8 +339,12 @@ def test_simulate_raw_vacuum_statistics_follow_gain_and_offset():
     sigma = 2.5 * math.sqrt(0.5)
     assert vacuum.mean() == pytest.approx(0.3, abs=3.0 * sigma / math.sqrt(2000))
     assert vacuum.std(ddof=1) == pytest.approx(sigma, abs=3.0 * sigma / math.sqrt(2 * 2000))
-    with pytest.raises(ValueError, match="gain must be > 0"):
-        simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=0.0, offset=0.3, seeds=[9])
+    for gain in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"gain must be finite and > 0, got {gain}"):
+            simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=gain, offset=0.3, seeds=[9])
+    for offset in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"offset must be finite, got {offset}"):
+            simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=offset, seeds=[9])
 
 
 def test_calibrate_centers_the_vacuum_mean():

@@ -241,8 +241,8 @@ def test_sweep_rejects_non_square_sample_counts():
         sweep_fidelity([1.0], [0])
     with pytest.raises(ValueError, match="samples must be a non-empty list"):
         sweep_fidelity([1.0], [])
-    for nbars in ([], [0.0]):
-        with pytest.raises(ValueError, match="nbars must be a non-empty list of positive"):
+    for nbars in ([], [0.0], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="nbars must be a non-empty list of finite positive"):
             sweep_fidelity(nbars, [4])
 
 

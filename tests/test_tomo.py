@@ -25,7 +25,6 @@ from thermalmimic.homodyne import (
 from thermalmimic.metrics import fidelity, trace_distance
 from thermalmimic.mimic import assemble, build_codebook
 from thermalmimic.tomo import (
-    GAP_EVERY,
     LIKELIHOOD_FLOOR,
     STEP_GROWTH,
     MleConfig,
@@ -136,14 +135,7 @@ def reference_apg(data, config):
             rho, p, theta = new, p_new, theta_next
         history.append(float(np.sum(np.log(p))))
         r = _gradient(a, p_sigma)
-        if sigma is rho:
-            bound = gap(r)
-        elif iterations % GAP_EVERY == 0:
-            bound = gap(_gradient(a, p))
-        else:
-            bound = math.inf
-    if math.isinf(bound):
-        bound = gap(_gradient(a, p))
+        bound = gap(r) + float(np.sum(np.log(p_sigma / p)))
     return 0.5 * (rho + rho.conj().T), iterations, bound, np.asarray(history)
 
 
@@ -327,15 +319,22 @@ def test_mle_gradient_and_optimum_match_the_complex_reference():
     assert result.converged
     d = complex_record_vectors(data, config.cutoff)
     a = measurement_matrix(data, config.cutoff)
-    for cap in (1, result.iterations // 2, result.iterations):
-        rho = mle_reconstruct(data, MleConfig(cutoff=10, max_iterations=cap)).rho.entries
-        r = _gradient(a, _record_probabilities(rho, a))
-        assert np.max(np.abs(r - complex_gradient(rho, d))) <= 1e-12
-    assert result.optimality_gap == pytest.approx(
-        complex_gap(complex_gradient(result.rho.entries, d), d), rel=0.0, abs=1e-8)
+    # before any step the momentum point is the iterate, so the gap is the
+    # complex reference's K (lambda_max(R(rho)) - 1) at the maximally mixed state
+    start = mle_reconstruct(data, MleConfig(cutoff=10, stop_tol=1e12))
+    assert start.iterations == 0
+    assert np.array_equal(start.rho.entries, np.eye(11) / 11)
+    assert start.optimality_gap == pytest.approx(
+        complex_gap(complex_gradient(start.rho.entries, d), d), rel=0.0, abs=1e-8)
+    # every returned gap, taken at a momentum point or not, bounds ll* - ll(rho)
     oracle = np.sum(np.log(complex_probabilities(
         complex_reference_mle(data, config.cutoff, stop_gap=1e-6), d)))
-    assert oracle - result.final_log_likelihood <= result.optimality_gap + 1e-9
+    for cap in (1, result.iterations // 2, result.iterations):
+        partial = mle_reconstruct(data, MleConfig(cutoff=10, max_iterations=cap))
+        rho = partial.rho.entries
+        r = _gradient(a, _record_probabilities(rho, a))
+        assert np.max(np.abs(r - complex_gradient(rho, d))) <= 1e-12
+        assert oracle - partial.final_log_likelihood <= partial.optimality_gap + 1e-9
     assert log_likelihood(result.rho, data) == pytest.approx(
         np.sum(np.log(complex_probabilities(result.rho.entries, d))), rel=0.0, abs=1e-9)
 
@@ -372,6 +371,20 @@ def test_mle_iterates_match_the_reference_loop_bit_for_bit(records):
     assert np.array_equal(result.log_likelihoods, history)
     assert result.iterations == iterations
     assert result.optimality_gap == bound
+
+
+@pytest.mark.parametrize("records", [thermal_records, artificial_raw_records, coherent_records],
+                         ids=["thermal", "artificial-raw", "coherent"])
+def test_no_iteration_runs_past_the_certificate(records):
+    # The gap is checked after every iteration, so the run one iteration
+    # shorter than the converged one has not yet certified stop_tol.
+    data, config = records()
+    result = mle_reconstruct(data, config)
+    assert result.converged and result.iterations >= 1
+    short = mle_reconstruct(data, MleConfig(cutoff=config.cutoff, stop_tol=config.stop_tol,
+                                            max_iterations=result.iterations - 1))
+    assert not short.converged
+    assert short.optimality_gap > config.stop_tol
 
 
 def test_thermal_ensemble_recovers_the_source():
