@@ -9,16 +9,17 @@ metrics          metric report between two serialized density matrices
 
 Each command's knobs are the fields of one frozen dataclass, whose name, type
 and default make the long-form flag and the config-file key. A command's
-config extends the library config it feeds (``tomo.MleConfig``,
-``physical.Transmitter``), so a knob of that library type is declared and
-checked there alone. The config is resolved from the defaults, an optional
-JSON config file, and flag overrides (in that order); each value must have
-its field's type, an int field's a non-negative int, and the dataclass checks
-the other ranges. Outputs are deterministic and stamped with the toolkit
-version and a hash of the resolved config. Exit codes: 0 ok, 2 config
-error, 3 numerical failure, 4 physical infeasibility. Any ``ValueError``
-raised while a config is constructed exits 2;
-``physical.ExtinctionRangeError`` exits 4; any other ``ValueError`` exits 3.
+config extends the library configs it feeds (``tomo.MleConfig``,
+``physical.Transmitter``, ``mimic.CodebookSpec``, ``mimic.SweepSpec``), so a
+knob of a library type is declared and checked there alone. The config is
+resolved from the defaults, an optional JSON config file, and flag overrides
+(in that order); each value must have its field's type, an int field's a
+non-negative int, and the dataclass checks the other ranges. Outputs are
+deterministic and stamped with the toolkit version and a hash of the
+resolved config. Exit codes: 0 ok, 2 config error, 3 numerical failure, 4
+physical infeasibility. Any ``ValueError`` raised while a config is
+constructed exits 2; ``physical.ExtinctionRangeError`` exits 4; any other
+``ValueError`` exits 3.
 
 This module owns every file layout: it writes each output and parses each
 input file, so the library modules compute on value types only. An input
@@ -56,32 +57,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _codebook_args(cfg: TomoConfig | CodebookConfig) -> tuple:
-    """``build_codebook``'s arguments from a config's codebook knobs."""
-    return cfg.nbar, cfg.codebook_amplitudes, cfg.codebook_phases, cfg.scheme, cfg.seed
-
-
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(mimic.SweepSpec):
     """Fidelity over a (nbar, constellation size) grid.
 
     Each sample count M is a perfect square, the constellation sqrt(M) x sqrt(M).
+    The config is the ``mimic.SweepSpec`` the sweep runs, so every knob but
+    ``out_dir`` is inherited, and checked there.
     """
 
-    nbars: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
-    samples: tuple[int, ...] = (4, 16, 36, 64, 100)
-    scheme: Literal["stratified", "random", "optimized"] = "stratified"
-    cutoff: int = fock.DEFAULT_CUTOFF
-    trials: int = 1
-    seed: int = 0
     out_dir: str = "."
-
-    def __post_init__(self) -> None:
-        mimic.check_sweep_args(self.nbars, self.samples, self.trials)
 
 
 @dataclass(frozen=True)
-class TomoConfig(tomo.MleConfig):
+class TomoConfig(tomo.MleConfig, mimic.CodebookSpec):
     """Sample, reconstruct, average, score.
 
     ``phases`` LO phases x ``samples_per_phase`` quadratures per run. A
@@ -93,64 +82,61 @@ class TomoConfig(tomo.MleConfig):
     default gap of 0.1 nats is below the 0.5 nat that one standard deviation
     along one parameter costs, so a run's state moves by up to about 6e-4 in
     trace distance if fitted to the optimum, against about 0.33 between runs.
+    It is also the ``mimic.CodebookSpec`` the artificial source is built
+    from, checked there for that source; ``seed`` also seeds the data.
     """
 
     source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"
-    nbar: float = 1.35
-    codebook_amplitudes: int = 8
-    codebook_phases: int = 8
-    scheme: Literal["stratified", "random"] = "stratified"
+    seed: int = 1
     source_cutoff: int = fock.DEFAULT_CUTOFF
     phases: int = 50
     samples_per_phase: int = 40
     runs: int = 10
-    seed: int = 1
     convention: Literal["half", "quarter"] = "half"
     gain: float | None = None
     offset: float = 0.0
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if self.source != "vacuum" and self.nbar <= 0:
+        if self.source != "vacuum" and not (math.isfinite(self.nbar) and self.nbar > 0):
             raise ConfigError("nbar must be > 0")
         for key in ("phases", "samples_per_phase", "runs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self.gain is not None and self.gain <= 0:
+        if self.gain is not None and not (math.isfinite(self.gain) and self.gain > 0):
             raise ConfigError("gain must be > 0")
+        if not math.isfinite(self.offset):
+            raise ConfigError(f"offset must be finite, got {self.offset}")
         if self.gain is not None and self.phases * self.samples_per_phase < 2:
             raise ConfigError("the raw path's vacuum trace needs phases * samples_per_phase >= 2")
-        super().__post_init__()
+        tomo.MleConfig.__post_init__(self)
         if self.source == "artificial":
             if self.runs > THERMAL_SEED_OFFSET:
                 raise ConfigError(f"runs must be <= {THERMAL_SEED_OFFSET} for the artificial "
                                   "source, whose thermal ensemble is seeded that far on")
-            mimic.check_codebook_args(*_codebook_args(self))
+            mimic.CodebookSpec.__post_init__(self)
 
 
 @dataclass(frozen=True)
-class CodebookConfig(physical.Transmitter):
+class CodebookConfig(physical.Transmitter, mimic.CodebookSpec):
     """Codebook JSON + modulator drive table.
 
     A ``codebook_file`` exports an existing codebook JSON in place of building
     one from ``nbar``, ``codebook_amplitudes``, ``codebook_phases``, ``scheme``
-    and ``seed``. The config is the ``physical.Transmitter`` that drives the
-    codebook, so its ``wavelength``, ``tau``, ``extinction_db`` and ``ideal``
-    are inherited, and checked there.
+    and ``seed``. The config is the ``mimic.CodebookSpec`` it builds from,
+    and the ``physical.Transmitter`` that drives the codebook, so its
+    ``wavelength``, ``tau``, ``extinction_db`` and ``ideal`` are inherited,
+    and checked there, as are the codebook knobs when no file is given.
     """
 
     nbar: float = 1.5
-    codebook_amplitudes: int = 8
-    codebook_phases: int = 8
-    scheme: Literal["stratified", "random"] = "stratified"
-    seed: int | None = None
     codebook_file: str | None = None
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        physical.Transmitter.__post_init__(self)
         if self.codebook_file is None:
-            mimic.check_codebook_args(*_codebook_args(self))
+            mimic.CodebookSpec.__post_init__(self)
 
 
 @dataclass(frozen=True)
@@ -271,9 +257,7 @@ def _csv_text(cfg, columns: tuple[str, ...], rows) -> str:
 
 
 def cmd_mimic_sweep(cfg: SweepConfig) -> None:
-    mean, std = mimic.sweep_fidelity(
-        cfg.nbars, cfg.samples, mimic.Scheme(cfg.scheme), cfg.cutoff, cfg.trials, cfg.seed
-    )
+    mean, std = mimic.sweep_fidelity(cfg)
     out_dir = Path(cfg.out_dir)
     rows = (
         (nbar, m, cfg.scheme, mu, sigma)  # one row per cell, nbar-major
@@ -338,7 +322,7 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
     # Every state is built before any sampling, so a cutoff too small for
     # nbar fails before the reconstructions rather than after them.
     if cfg.source == "artificial":
-        source = mimic.assemble(mimic.build_codebook(*_codebook_args(cfg)), cfg.source_cutoff)
+        source = mimic.assemble(mimic.build_codebook(cfg), cfg.source_cutoff)
         # the thermal source of the independent hat-vs-hat reconstruction
         thermal_source = fock.thermal(cfg.nbar, cfg.source_cutoff)
     else:
@@ -396,7 +380,7 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
     if cfg.codebook_file is not None:
         codebook = _load_json(cfg.codebook_file, "codebook file", _parse_codebook)
     else:
-        codebook = mimic.build_codebook(*_codebook_args(cfg))
+        codebook = mimic.build_codebook(cfg)
     table = physical.codebook_to_drive(codebook, cfg)
     out_dir = Path(cfg.out_dir)
     payload = {

@@ -91,12 +91,17 @@ def coherent_states(magnitudes, phases, cutoff: int):
     taken as 0 at n = 0, so |alpha| = 0 gives exactly the vacuum row.
 
     Raises:
-        ValueError: if a magnitude is negative.
+        ValueError: if ``magnitudes`` and ``phases`` are not 1-D arrays of one
+            length, or a magnitude is negative.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    r = np.asarray(magnitudes, dtype=float)[:, None]
-    theta = np.asarray(phases, dtype=float)[:, None]
+    r = np.asarray(magnitudes, dtype=float)
+    theta = np.asarray(phases, dtype=float)
+    if r.ndim != 1 or r.shape != theta.shape:
+        raise ValueError(f"magnitudes and phases must be 1-D arrays of one length, got shapes "
+                         f"{r.shape} and {theta.shape}")
+    r, theta = r[:, None], theta[:, None]
     if not np.all(r >= 0.0):
         raise ValueError("magnitudes must be >= 0")
     n = np.arange(cutoff + 1)

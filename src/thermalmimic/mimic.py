@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Literal
 
 import numpy as np
 
@@ -89,44 +90,49 @@ def rayleigh_quantile(nbar: float, u):
     if not (math.isfinite(nbar) and nbar > 0.0):
         raise ValueError(f"nbar must be finite and > 0, got {nbar}")
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((u_arr >= 0.0) & (u_arr < 1.0)):  # false for nan, unlike "u < 0 or u >= 1"
         raise ValueError("quantile argument must lie in [0, 1)")
     out = np.sqrt(-nbar * np.log1p(-u_arr))
     return float(out) if np.isscalar(u) else out
 
 
-def check_codebook_args(nbar: float, n_amplitudes: int, n_phases: int, scheme, seed) -> Scheme:
-    """Check :func:`build_codebook`'s arguments at O(1) cost, without building
-    the L x Q codebook: raise the ``ValueError`` it would, else return the scheme."""
-    if n_amplitudes < 1 or n_phases < 1:
-        raise ValueError("need at least one amplitude and one phase")
-    if not (math.isfinite(nbar) and nbar > 0.0):
-        raise ValueError(f"nbar must be finite and > 0, got {nbar}")
-    scheme = Scheme(scheme)
-    if scheme == Scheme.RANDOM and seed is None:
-        raise ValueError("random scheme requires a seed")
-    if scheme == Scheme.OPTIMIZED:
-        raise ValueError("optimized codebooks come from optimize_weights, not build_codebook")
-    return scheme
+@dataclass(frozen=True)
+class CodebookSpec:
+    """The knobs :func:`build_codebook` builds an L x Q codebook from: target
+    mean photon number, L amplitudes, Q phases, scheme and the random scheme's
+    seed. Checked at O(1) cost, without building the codebook."""
+
+    nbar: float = 1.35
+    codebook_amplitudes: int = 8
+    codebook_phases: int = 8
+    scheme: Literal["stratified", "random"] = "stratified"
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.codebook_amplitudes < 1 or self.codebook_phases < 1:
+            raise ValueError("need at least one amplitude and one phase")
+        if not (math.isfinite(self.nbar) and self.nbar > 0.0):
+            raise ValueError(f"nbar must be finite and > 0, got {self.nbar}")
+        scheme = Scheme(self.scheme)
+        if scheme == Scheme.RANDOM and self.seed is None:
+            raise ValueError("random scheme requires a seed")
+        if scheme == Scheme.OPTIMIZED:
+            raise ValueError("optimized codebooks come from optimize_weights, not build_codebook")
 
 
-def build_codebook(
-    nbar: float,
-    n_amplitudes: int,
-    n_phases: int,
-    scheme: Scheme = Scheme.STRATIFIED,
-    seed: int | None = None,
-) -> Codebook:
-    """Construct an L x Q codebook targeting a thermal state of mean ``nbar``.
+def build_codebook(spec: CodebookSpec) -> Codebook:
+    """Construct the L x Q codebook ``spec`` names, targeting a thermal state of
+    mean ``spec.nbar``.
 
     Stratified: amplitudes at the Rayleigh quantile midpoints (2l-1)/(2L) and
     phases at the uniform midpoints pi(2q-1)/Q, uniform weights. Random:
     amplitudes drawn i.i.d. from the Rayleigh law and phases i.i.d. uniform,
-    fully determined by ``seed``.
+    fully determined by ``spec.seed``.
     """
-    scheme = check_codebook_args(nbar, n_amplitudes, n_phases, scheme, seed)
+    nbar, n_amplitudes, n_phases = spec.nbar, spec.codebook_amplitudes, spec.codebook_phases
+    scheme = Scheme(spec.scheme)
     if scheme == Scheme.RANDOM:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(spec.seed)
         amps = rayleigh_quantile(nbar, rng.random(n_amplitudes))
         phases = rng.uniform(0.0, fock.TWO_PI, n_phases)
     else:
@@ -135,7 +141,7 @@ def build_codebook(
         q = np.arange(1, n_phases + 1)
         phases = math.pi * (2 * q - 1) / n_phases
     weights = np.full((n_amplitudes, n_phases), 1.0 / (n_amplitudes * n_phases))
-    return Codebook(nbar, amps, phases, weights, scheme, seed)
+    return Codebook(nbar, amps, phases, weights, scheme, spec.seed)
 
 
 def assemble(codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF) -> FockDensityMatrix:
@@ -169,7 +175,7 @@ def optimize_weights(
     """
     from scipy.optimize import nnls  # the package's one scipy use; kept off the import path
 
-    codebook = build_codebook(nbar, n_amplitudes, n_phases)
+    codebook = build_codebook(CodebookSpec(nbar, n_amplitudes, n_phases))
     target = fock.thermal(nbar, cutoff)
     states = coherent_states(*codebook.points(), cutoff)
     n = np.arange(target.dim)
@@ -190,50 +196,51 @@ def optimize_weights(
     return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED), refit
 
 
-def check_sweep_args(nbars, sample_counts, trials: int) -> list[int]:
-    """Check :func:`sweep_fidelity`'s grid without computing a cell: raise the
-    ``ValueError`` it would, else return the sides sqrt(M) of the sample counts."""
-    if not nbars or any(not (math.isfinite(nb) and nb > 0) for nb in nbars):
-        raise ValueError("nbars must be a non-empty list of finite positive values")
-    if not sample_counts:
-        raise ValueError("samples must be a non-empty list of perfect squares")
-    sides = [math.isqrt(max(int(m), 0)) for m in sample_counts]
-    for m, side in zip(sample_counts, sides):
-        if m < 1 or side * side != m:
-            raise ValueError(f"sample count {m} is not a perfect square")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return sides
+@dataclass(frozen=True)
+class SweepSpec:
+    """A (nbar, constellation size) grid for :func:`sweep_fidelity`.
 
-
-def sweep_fidelity(
-    nbars: list[float],
-    sample_counts: list[int],
-    scheme: Scheme = Scheme.STRATIFIED,
-    cutoff: int = fock.DEFAULT_CUTOFF,
-    trials: int = 1,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fidelity of the mimicked state versus constellation size M = L * Q.
-
-    Each M must be a perfect square (L = Q = sqrt(M)), as :func:`check_sweep_args`
-    checks first. Returns the mean and standard deviation over trials, each of
-    shape (len(nbars), len(sample_counts)).
-    Random-scheme cells are averaged over ``trials`` independent codebooks with
-    per-trial seeds ``seed + trial_index``; deterministic schemes report a
-    single evaluation with zero spread.
+    Each sample count M is a perfect square, the constellation sqrt(M) x sqrt(M).
+    Random-scheme cells average ``trials`` codebooks seeded ``seed + trial_index``.
     """
-    sides = check_sweep_args(nbars, sample_counts, trials)
-    scheme = Scheme(scheme)
-    fids = np.empty((len(nbars), len(sides), trials if scheme == Scheme.RANDOM else 1))
-    for i, nbar in enumerate(nbars):
-        reference = fock.thermal(nbar, cutoff)
-        for j, side in enumerate(sides):
+
+    nbars: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
+    samples: tuple[int, ...] = (4, 16, 36, 64, 100)
+    scheme: Literal["stratified", "random", "optimized"] = "stratified"
+    cutoff: int = fock.DEFAULT_CUTOFF
+    trials: int = 1
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.nbars or any(not (math.isfinite(nb) and nb > 0) for nb in self.nbars):
+            raise ValueError("nbars must be a non-empty list of finite positive values")
+        if not self.samples:
+            raise ValueError("samples must be a non-empty list of perfect squares")
+        for m in self.samples:
+            if m < 1 or math.isqrt(m) ** 2 != m:
+                raise ValueError(f"sample count {m} is not a perfect square")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+
+
+def sweep_fidelity(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelity of the mimicked state versus constellation size M = L * Q,
+    with L = Q = sqrt(M), over the grid ``spec`` names.
+
+    Returns the mean and standard deviation over trials, each of shape
+    (len(nbars), len(samples)). Deterministic schemes report a single
+    evaluation with zero spread.
+    """
+    scheme = Scheme(spec.scheme)
+    fids = np.empty((len(spec.nbars), len(spec.samples),
+                     spec.trials if scheme == Scheme.RANDOM else 1))
+    for i, nbar in enumerate(spec.nbars):
+        reference = fock.thermal(nbar, spec.cutoff)
+        for j, side in enumerate(map(math.isqrt, spec.samples)):
             for trial in range(fids.shape[2]):
                 if scheme == Scheme.OPTIMIZED:
-                    fids[i, j, trial] = optimize_weights(nbar, side, side, cutoff)[1]
+                    fids[i, j, trial] = optimize_weights(nbar, side, side, spec.cutoff)[1]
                 else:
-                    cb = build_codebook(nbar, side, side, scheme, seed + trial)
-                    fids[i, j, trial] = fidelity(assemble(cb, cutoff), reference)
+                    cb = build_codebook(CodebookSpec(nbar, side, side, scheme, spec.seed + trial))
+                    fids[i, j, trial] = fidelity(assemble(cb, spec.cutoff), reference)
     return fids.mean(axis=2), fids.std(axis=2)
-

@@ -56,10 +56,11 @@ class Transmitter:
 
 def nbar_to_power(nbar: float | np.ndarray, transmitter: Transmitter) -> float | np.ndarray:
     """Optical power in watts carrying ``nbar`` photons per temporal mode;
-    elementwise over an array of photon numbers. Raises if a power is not
-    finite."""
-    if np.any(np.asarray(nbar) < 0.0):
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    elementwise over an array of photon numbers. Raises if a photon number is
+    not finite, or if a power overflows to infinity."""
+    arr = np.asarray(nbar)
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     with np.errstate(over="ignore", invalid="ignore"):
         power = nbar * PLANCK * transmitter.frequency / transmitter.tau
     if not np.all(np.isfinite(power)):

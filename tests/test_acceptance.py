@@ -38,7 +38,7 @@ def reconstruct_ensemble(source, seed_base):
 def pipelines():
     """Thermal and artificial reconstructions for three a-priori seeds."""
     thermal_source = fock.thermal(NBAR, 30)
-    artificial_source = mimic.assemble(mimic.build_codebook(NBAR, 8, 8), 30)
+    artificial_source = mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(NBAR, 8, 8)), 30)
     reference = fock.thermal(NBAR, RECON_CUTOFF, tail_tol=1e-3)
 
     t0 = time.perf_counter()
@@ -66,7 +66,7 @@ def test_criterion_1_constellation_fidelity_grid():
     t0 = time.perf_counter()
     fidelities = {}
     for nbar in (0.5, 1.0, 1.5, 2.0):
-        rho_art = mimic.assemble(mimic.build_codebook(nbar, 8, 8), 30)
+        rho_art = mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(nbar, 8, 8)), 30)
         fidelities[nbar] = metrics.fidelity(rho_art, fock.thermal(nbar, 30))
     elapsed = time.perf_counter() - t0
     ok = all(f >= 0.99 for f in fidelities.values()) and elapsed < 10.0
@@ -172,7 +172,7 @@ def test_criterion_7_property_battery():
     # density-matrix invariants on engineered states
     for rho in (
         fock.thermal(1.35, 30),
-        mimic.assemble(mimic.build_codebook(1.0, 4, 4), 30),
+        mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(1.0, 4, 4)), 30),
         fock.mix([0.5, 0.5], fock.coherent_states([1.0, 1.0], [0.0, math.pi], 30)),
     ):
         assert np.max(np.abs(rho.entries - rho.entries.conj().T)) <= 1e-12
@@ -223,7 +223,7 @@ def test_criterion_8_physical_layer():
     t0 = time.perf_counter()
     telecom = physical.Transmitter(wavelength=1560.625e-9, tau=13e-9, extinction_db=25.0)
     power = physical.nbar_to_power(1.5, telecom)
-    table = physical.codebook_to_drive(mimic.build_codebook(1.5, 8, 8), telecom)
+    table = physical.codebook_to_drive(mimic.build_codebook(mimic.CodebookSpec(1.5, 8, 8)), telecom)
     elapsed = time.perf_counter() - t0
     ok = abs(power - 1.47e-11) / 1.47e-11 <= 0.01 and table.required_db < 25.0 and elapsed < 1.0
     report(8, ok, f"power(nbar=1.5) = {power:.4e} W (target 1.47e-11 +/- 1%), "

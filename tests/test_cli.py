@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import thermalmimic
 from _states import random_density
-from thermalmimic import __version__, fock, homodyne, physical, tomo
+from thermalmimic import __version__, fock, homodyne, mimic, physical, tomo
 from thermalmimic.cli import (
     CodebookConfig,
     ConfigError,
@@ -33,7 +33,7 @@ from thermalmimic.cli import (
     _resolve_config,
     main,
 )
-from thermalmimic.mimic import Codebook, Scheme, build_codebook
+from thermalmimic.mimic import Codebook, CodebookSpec, Scheme, build_codebook
 from thermalmimic.physical import PLANCK, SPEED_OF_LIGHT
 
 
@@ -342,6 +342,18 @@ def test_artificial_runs_past_the_thermal_seed_offset_exit_config(tmp_path, caps
     TomoConfig(source="thermal", runs=THERMAL_SEED_OFFSET + 1)  # one ensemble, no second seed range
 
 
+def test_tomo_config_rejects_non_finite_knobs():
+    # the CLI's typing rule rejects nan and inf before a config is built; a
+    # config built in Python meets these checks instead of failing mid-run
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="nbar must be > 0"):
+            TomoConfig(nbar=bad)
+        with pytest.raises(ConfigError, match="gain must be > 0"):
+            TomoConfig(gain=bad)
+        with pytest.raises(ConfigError, match=f"offset must be finite, got {bad}"):
+            TomoConfig(offset=bad)
+
+
 @pytest.mark.parametrize(
     "argv, knob",
     [
@@ -350,11 +362,14 @@ def test_artificial_runs_past_the_thermal_seed_offset_exit_config(tmp_path, caps
         (["codebook-export", "--tau", "0"], "tau"),
         (["codebook-export", "--extinction-db", "0"], "extinction_db"),
         (["codebook-export", "--wavelength", "0"], "wavelength"),
+        (["mimic-sweep", "--trials", "0"], "trials"),
+        (["codebook-export", "--nbar", "0"], "nbar"),
     ],
 )
 def test_library_type_rejecting_a_knob_exits_config(tmp_path, capsys, argv, knob):
-    # tomo.MleConfig and physical.Transmitter check these knobs; the config
-    # loader makes their ValueError a config error
+    # tomo.MleConfig, physical.Transmitter, mimic.SweepSpec and
+    # mimic.CodebookSpec check these knobs; the config loader makes their
+    # ValueError a config error
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
@@ -407,7 +422,7 @@ def test_codebook_export_round_trip(tmp_path):
     assert payload["version"] == __version__
     assert payload["required_db"] < 25.0
     reloaded = _parse_codebook(payload)
-    original = build_codebook(1.5, 8, 8)
+    original = build_codebook(CodebookSpec(1.5, 8, 8))
     assert np.array_equal(reloaded.amplitudes, original.amplitudes)
     assert np.array_equal(reloaded.weights, original.weights)
 
@@ -420,7 +435,7 @@ def test_codebook_json_round_trip(tmp_path):
     assert main(["codebook-export", "--scheme", "random", "--seed", "7", "--nbar", "1.5",
                  "--extinction-db", "40", "--out-dir", str(tmp_path)]) == 0
     back = _parse_codebook(read_json(tmp_path / "codebook.json"))
-    cb = build_codebook(1.5, 8, 8, Scheme.RANDOM, seed=7)
+    cb = build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=7))
     assert np.array_equal(back.amplitudes, cb.amplitudes)
     assert np.array_equal(back.phases, cb.phases)
     assert np.array_equal(back.weights, cb.weights)
@@ -435,7 +450,7 @@ def test_drive_csv_header_and_rows(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "drive.csv").read_text().splitlines()
     assert lines[1] == "index,alpha_sq,power_w,intensity_level,phase_rad"
-    cb = build_codebook(1.0, 3, 2, Scheme.RANDOM, seed=5)
+    cb = build_codebook(CodebookSpec(1.0, 3, 2, Scheme.RANDOM, seed=5))
     symbols = [(a, q) for a in cb.amplitudes.tolist() for q in cb.phases.tolist()]
     frequency = SPEED_OF_LIGHT / CodebookConfig.wavelength
     powers = [a * a * PLANCK * frequency / CodebookConfig.tau for a, _ in symbols]
@@ -756,26 +771,41 @@ def test_malformed_flag_exits_config(tmp_path, argv):
     assert exc.value.code == 2
 
 
+#: The library defaults a command overrides: the codebook export's own target,
+#: and the seed of a tomography run, which also seeds its data.
+_OVERRIDES = {(CodebookConfig, "nbar"): 1.5, (TomoConfig, "seed"): 1}
+
+
 @pytest.mark.parametrize("cls, library", [(TomoConfig, tomo.MleConfig),
-                                          (CodebookConfig, physical.Transmitter)],
-                         ids=["TomoConfig-MleConfig", "CodebookConfig-Transmitter"])
+                                          (CodebookConfig, physical.Transmitter),
+                                          (SweepConfig, mimic.SweepSpec),
+                                          (TomoConfig, mimic.CodebookSpec),
+                                          (CodebookConfig, mimic.CodebookSpec)],
+                         ids=["TomoConfig-MleConfig", "CodebookConfig-Transmitter",
+                              "SweepConfig-SweepSpec", "TomoConfig-CodebookSpec",
+                              "CodebookConfig-CodebookSpec"])
 def test_command_config_extends_the_library_config_it_feeds(tmp_path, cls, library):
     # a library knob is declared once, in the library type, and the command
     # takes it as a flag and as a config key, with the library's default
+    # unless the command overrides it
     assert issubclass(cls, library)
     command = next(name for name, (c, _) in _COMMANDS.items() if c is cls)
     defaults = {f.name: f.default for f in fields(cls)}
     kinds = get_type_hints(library)
     for f in fields(library):
-        assert defaults[f.name] == f.default
-        value = True if kinds[f.name] is bool else f.default  # a bool flag sets True
-        flag = ["--" + f.name.replace("_", "-")] + ([] if value is True else [str(value)])
+        default = _OVERRIDES.get((cls, f.name), f.default)
+        assert defaults[f.name] == default
+        config = tmp_path / f"{f.name}.json"
+        config.write_text(json.dumps({f.name: default}))
+        assert getattr(_resolve_config(cls, str(config), {}), f.name) == default
+        if default is None:  # no flag value spells None
+            continue
+        value = True if kinds[f.name] is bool else default  # a bool flag sets True
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        flag = ["--" + f.name.replace("_", "-")] + ([] if value is True else [text])
         args = vars(_build_parser().parse_args([command, *flag]))
         del args["command"]
         assert getattr(_resolve_config(cls, args.pop("config"), args), f.name) == value
-        config = tmp_path / f"{f.name}.json"
-        config.write_text(json.dumps({f.name: f.default}))
-        assert getattr(_resolve_config(cls, str(config), {}), f.name) == f.default
 
 
 def test_each_exception_type_has_its_own_exit_code():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from thermalmimic import fock
-from thermalmimic.mimic import Scheme, build_codebook
+from thermalmimic.mimic import CodebookSpec, Scheme, build_codebook
 from thermalmimic.fock import (
     FockDensityMatrix,
     coherent_states,
@@ -70,13 +70,19 @@ def test_coherent_states_rejects_negative_magnitude():
         coherent_states([0.5, -0.1], [0.0, 1.0], cutoff=10)
     with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
         coherent_states([0.5], [0.0], cutoff=-1)
+    # one phase per magnitude, neither broadcast nor of another rank
+    for magnitudes, phases in [([1.0], [0.0, 1.0]), ([1.0, 0.5], [0.0, 1.0, 2.0]),
+                               ([[1.0, 0.5]], [[0.0, 1.0]]), (1.0, 0.0)]:
+        with pytest.raises(ValueError, match="magnitudes and phases must be 1-D arrays of one "
+                                             "length"):
+            coherent_states(magnitudes, phases, cutoff=10)
 
 
 @pytest.mark.parametrize(
     "magnitudes, phases",
     [
-        build_codebook(1.5, 6, 5).points(),
-        build_codebook(1.5, 6, 5, Scheme.RANDOM, seed=3).points(),
+        build_codebook(CodebookSpec(1.5, 6, 5)).points(),
+        build_codebook(CodebookSpec(1.5, 6, 5, Scheme.RANDOM, seed=3)).points(),
         ([0.0, 1.2, 0.0], [0.0, 0.4, 2.5]),
     ],
     ids=["stratified", "random", "zero-amplitude"],

@@ -247,7 +247,8 @@ def test_sampling_rejects_an_empty_seed_list():
 
 
 def test_phase_symmetric_states_have_zero_pooled_mean():
-    for rho in (thermal(1.0, 30), mimic.assemble(mimic.build_codebook(1.0, 4, 4), 30)):
+    artificial = mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(1.0, 4, 4)), 30)
+    for rho in (thermal(1.0, 30), artificial):
         ds = sample(rho, PHASES_50, 40, [11])[0]
         sigma_mc = math.sqrt(ds.x.var() / ds.count)
         assert abs(ds.x.mean()) <= 3.0 * sigma_mc
@@ -258,7 +259,7 @@ def test_phase_symmetric_states_have_zero_pooled_mean():
     [
         (thermal(1.0, 30), 0.0),
         (coherent_state(1.2, 0.9), 0.9),
-        (mimic.assemble(mimic.build_codebook(1.0, 4, 4), 30), 1.3),
+        (mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(1.0, 4, 4)), 30), 1.3),
     ],
     ids=["thermal", "coherent", "artificial"],
 )

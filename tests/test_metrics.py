@@ -38,7 +38,7 @@ def test_fidelity_vacuum_vs_thermal_is_ground_population():
 
 def test_fidelity_of_stratified_mimic_exceeds_target():
     rho_th = thermal(1.0, 30)
-    rho_art = mimic.assemble(mimic.build_codebook(1.0, 8, 8), 30)
+    rho_art = mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(1.0, 8, 8)), 30)
     assert fidelity(rho_th, rho_art) >= 0.99
 
 
@@ -145,7 +145,7 @@ def test_entropy_matches_closed_form(nbar):
 
 @pytest.mark.parametrize("nbar,n_amp,n_ph", [(0.5, 4, 4), (1.0, 8, 8), (1.5, 8, 4), (2.0, 16, 8)])
 def test_thermal_state_maximizes_entropy_at_fixed_mean(nbar, n_amp, n_ph):
-    rho_art = mimic.assemble(mimic.build_codebook(nbar, n_amp, n_ph), 30)
+    rho_art = mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(nbar, n_amp, n_ph)), 30)
     ceiling = thermal_entropy(fock.mean_photon(rho_art))
     assert von_neumann_entropy(rho_art) <= ceiling + 1e-9
 

@@ -8,10 +8,11 @@ from thermalmimic import fock, metrics
 from thermalmimic.fock import coherent_states, thermal
 from thermalmimic.mimic import (
     Codebook,
+    CodebookSpec,
     Scheme,
+    SweepSpec,
     assemble,
     build_codebook,
-    check_codebook_args,
     optimize_weights,
     rayleigh_quantile,
     sweep_fidelity,
@@ -34,6 +35,10 @@ def test_rayleigh_quantile_rejects_bad_arguments():
         rayleigh_quantile(1.0, 1.0)
     with pytest.raises(ValueError):
         rayleigh_quantile(1.0, -0.1)
+    # nan fails every comparison, so "u < 0 or u >= 1" alone would let it through
+    for u in (math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(ValueError, match=r"quantile argument must lie in \[0, 1\)"):
+            rayleigh_quantile(1.0, u)
     for nbar in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"nbar must be finite and > 0, got {nbar}"):
             rayleigh_quantile(nbar, 0.5)
@@ -45,43 +50,43 @@ def test_rayleigh_quantile_rejects_bad_arguments():
 
 
 def test_single_point_stratified_codebook():
-    cb = build_codebook(1.0, 1, 1)
+    cb = build_codebook(CodebookSpec(1.0, 1, 1))
     assert cb.amplitudes[0] == pytest.approx(math.sqrt(math.log(2.0)), abs=1e-12)
     assert cb.phases[0] == pytest.approx(math.pi)
     assert cb.weights[0, 0] == 1.0
 
 
 def test_stratified_phase_grid_is_uniform_midpoints():
-    cb = build_codebook(1.0, 2, 4)
+    cb = build_codebook(CodebookSpec(1.0, 2, 4))
     assert np.allclose(cb.phases, [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4])
     assert np.all(cb.weights == 1.0 / 8.0)
 
 
 def test_random_codebook_is_seed_deterministic():
-    cb1 = build_codebook(1.5, 8, 8, Scheme.RANDOM, seed=7)
-    cb2 = build_codebook(1.5, 8, 8, Scheme.RANDOM, seed=7)
+    cb1 = build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=7))
+    cb2 = build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=7))
     assert np.array_equal(cb1.amplitudes, cb2.amplitudes)
     assert np.array_equal(cb1.phases, cb2.phases)
     assert np.array_equal(cb1.weights, cb2.weights)
     assert not np.array_equal(
-        cb1.amplitudes, build_codebook(1.5, 8, 8, Scheme.RANDOM, seed=8).amplitudes
+        cb1.amplitudes, build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=8)).amplitudes
     )
 
 
 def test_random_codebook_requires_seed():
     with pytest.raises(ValueError, match="seed"):
-        build_codebook(1.5, 8, 8, Scheme.RANDOM)
+        build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM))
 
 
 def test_stratified_amplitudes_strictly_increasing():
     for n_amp in (2, 8, 32):
-        cb = build_codebook(1.2, n_amp, 4)
+        cb = build_codebook(CodebookSpec(1.2, n_amp, 4))
         assert np.all(np.diff(cb.amplitudes) > 0.0)
 
 
 @pytest.mark.parametrize("nbar", [0.5, 1.0, 2.0])
 def test_stratified_amplitudes_reproduce_rayleigh_mean(nbar):
-    cb = build_codebook(nbar, 32, 1)
+    cb = build_codebook(CodebookSpec(nbar, 32, 1))
     weighted_mean = float(cb.amplitudes.mean())
     expected = math.sqrt(math.pi * nbar) / 2.0
     assert abs(weighted_mean - expected) / expected < 0.02
@@ -114,14 +119,14 @@ def test_assemble_pairs_each_weight_with_its_point():
 
 
 def test_assemble_stratified_mimics_thermal():
-    rho = assemble(build_codebook(1.0, 8, 8), 30)
+    rho = assemble(build_codebook(CodebookSpec(1.0, 8, 8)), 30)
     assert metrics.fidelity(rho, thermal(1.0, 30)) >= 0.99
 
 
 def test_assemble_phase_grid_orthogonality():
     # Q equispaced phases with uniform weights cancel every coherence whose
     # order is not a multiple of Q.
-    rho = assemble(build_codebook(1.0, 2, 4), 30)
+    rho = assemble(build_codebook(CodebookSpec(1.0, 2, 4)), 30)
     m, n = np.indices(rho.entries.shape)
     off_grid = (m - n) % 4 != 0
     assert np.max(np.abs(rho.entries[off_grid])) < 1e-10
@@ -130,7 +135,7 @@ def test_assemble_phase_grid_orthogonality():
 
 @pytest.mark.parametrize("nbar", [0.5, 1.0, 1.5, 2.0])
 def test_assemble_output_invariants(nbar):
-    cb = build_codebook(nbar, 4, 4)
+    cb = build_codebook(CodebookSpec(nbar, 4, 4))
     rho = assemble(cb, 30)
     assert np.max(np.abs(rho.entries - rho.entries.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-10
@@ -142,7 +147,7 @@ def test_fidelity_non_decreasing_in_grid_size(nbar):
     sizes = [2, 4, 8, 16]
     ref = thermal(nbar, 30)
     grid = {
-        (la, q): metrics.fidelity(assemble(build_codebook(nbar, la, q), 30), ref)
+        (la, q): metrics.fidelity(assemble(build_codebook(CodebookSpec(nbar, la, q)), 30), ref)
         for la in sizes
         for q in sizes
     }
@@ -161,7 +166,7 @@ def test_fidelity_non_decreasing_in_grid_size(nbar):
 
 def test_optimize_weights_never_hurts_fidelity():
     target = thermal(1.0, 30)
-    f_uniform = metrics.fidelity(assemble(build_codebook(1.0, 4, 4), 30), target)
+    f_uniform = metrics.fidelity(assemble(build_codebook(CodebookSpec(1.0, 4, 4)), 30), target)
     opt, f_opt = optimize_weights(1.0, 4, 4, 30)
     assert opt.scheme == Scheme.OPTIMIZED
     assert metrics.fidelity(assemble(opt, 30), target) == f_opt
@@ -214,41 +219,41 @@ def test_ring_fit_reaches_per_point_nnls_optimum(nbar, n_amp, n_phase, cutoff):
 
 
 def test_sweep_hits_fig2_threshold_at_64_samples():
-    mean, std = sweep_fidelity([1.0], [64])
+    mean, std = sweep_fidelity(SweepSpec([1.0], [64]))
     assert mean.shape == std.shape == (1, 1)
     assert mean[0, 0] >= 0.99
     assert std[0, 0] == 0.0
 
 
 def test_sweep_fidelity_grows_with_samples():
-    mean, _ = sweep_fidelity([0.5], [4, 64])
+    mean, _ = sweep_fidelity(SweepSpec([0.5], [4, 64]))
     assert mean[0, 0] < mean[0, 1]
 
 
 def test_sweep_higher_nbar_needs_more_samples():
-    mean, _ = sweep_fidelity([0.5, 2.0], [4, 64])  # mean[nbar index, sample-count index]
+    mean, _ = sweep_fidelity(SweepSpec([0.5, 2.0], [4, 64]))  # mean[nbar index, sample-count index]
     assert mean[1, 0] < mean[0, 0]
     assert mean[1, 1] >= 0.99
 
 
 def test_sweep_rejects_non_square_sample_counts():
     with pytest.raises(ValueError, match="perfect square"):
-        sweep_fidelity([1.0], [50])
+        sweep_fidelity(SweepSpec([1.0], [50]))
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        sweep_fidelity([1.0], [4], Scheme.RANDOM, trials=0)
+        sweep_fidelity(SweepSpec([1.0], [4], Scheme.RANDOM, trials=0))
     # the grid is checked before any cell: M = 0, empty lists and nbar 0
     with pytest.raises(ValueError, match="sample count 0 is not a perfect square"):
-        sweep_fidelity([1.0], [0])
+        sweep_fidelity(SweepSpec([1.0], [0]))
     with pytest.raises(ValueError, match="samples must be a non-empty list"):
-        sweep_fidelity([1.0], [])
+        sweep_fidelity(SweepSpec([1.0], []))
     for nbars in ([], [0.0], [math.nan], [math.inf]):
         with pytest.raises(ValueError, match="nbars must be a non-empty list of finite positive"):
-            sweep_fidelity(nbars, [4])
+            sweep_fidelity(SweepSpec(nbars, [4]))
 
 
 def test_random_sweep_mean_within_three_sigma_of_stratified():
-    strat, _ = sweep_fidelity([1.0], [64])
-    rand, rand_std = sweep_fidelity([1.0], [64], Scheme.RANDOM, trials=20, seed=10)
+    strat, _ = sweep_fidelity(SweepSpec([1.0], [64]))
+    rand, rand_std = sweep_fidelity(SweepSpec([1.0], [64], Scheme.RANDOM, trials=20, seed=10))
     assert abs(rand[0, 0] - strat[0, 0]) <= 3.0 * rand_std[0, 0]
 
 
@@ -256,8 +261,8 @@ def test_optimized_sweep_never_trails_stratified():
     # the design-sweep grid: the refit wins in some cells (M = 16), and the
     # uniform weights are kept in others (nbar 2.0, M = 64)
     grid = ([0.5, 1.0, 1.5, 2.0], [16, 64, 144, 256, 400])
-    strat, _ = sweep_fidelity(*grid, cutoff=30)
-    opt, _ = sweep_fidelity(*grid, Scheme.OPTIMIZED, cutoff=30)
+    strat, _ = sweep_fidelity(SweepSpec(*grid, cutoff=30))
+    opt, _ = sweep_fidelity(SweepSpec(*grid, Scheme.OPTIMIZED, cutoff=30))
     assert np.all(opt >= strat)
     assert np.any(opt > strat)
     assert np.any(opt == strat)
@@ -285,7 +290,7 @@ def test_codebook_validation():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[1.0]]), Scheme.RANDOM, seed=-1)
     with pytest.raises(ValueError, match="optimized codebooks come from optimize_weights"):
-        build_codebook(1.0, 2, 2, Scheme.OPTIMIZED)
+        build_codebook(CodebookSpec(1.0, 2, 2, Scheme.OPTIMIZED))
     for nbar in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"nbar must be finite and > 0, got {nbar}"):
-            check_codebook_args(nbar, 2, 2, "stratified", None)
+            CodebookSpec(nbar, 2, 2, "stratified", None)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermalmimic.mimic import Codebook, Scheme, build_codebook
+from thermalmimic.mimic import Codebook, CodebookSpec, Scheme, build_codebook
 from thermalmimic.physical import (
     PLANCK,
     SPEED_OF_LIGHT,
@@ -46,8 +46,15 @@ def test_physics_validation():
         Transmitter(wavelength=1e-6, tau=0.0)
     with pytest.raises(ValueError):
         Transmitter(extinction_db=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nbar must be finite and >= 0, got -1.0"):
         nbar_to_power(-1.0, TELECOM)
+    # a non-finite photon number is the argument's fault, not the transmitter's
+    for nbar in (math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="nbar must be finite and >= 0"):
+            nbar_to_power(nbar, TELECOM)
+    # a finite photon number whose power overflows names the transmitter
+    with pytest.raises(ValueError, match="optical power is not finite at wavelength 1e-300 m"):
+        nbar_to_power(1.0, Transmitter(wavelength=1e-300, tau=1e-9))
     # NaN fails every comparison, so a "<= 0" check alone would let it through
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="wavelength must be finite"):
@@ -71,14 +78,14 @@ def stratified_required_db(n_amplitudes: int) -> float:
 
 
 def test_stratified_l8_fits_in_25_db():
-    table = codebook_to_drive(build_codebook(1.5, 8, 8), TELECOM)
+    table = codebook_to_drive(build_codebook(CodebookSpec(1.5, 8, 8)), TELECOM)
     assert table.required_db == pytest.approx(stratified_required_db(8), abs=1e-9)
     assert table.required_db < 25.0
     assert table.power_w.shape == (64,)
 
 
 def test_single_symbol_codebook_is_trivially_feasible():
-    table = codebook_to_drive(build_codebook(1.5, 1, 1), TELECOM)
+    table = codebook_to_drive(build_codebook(CodebookSpec(1.5, 1, 1)), TELECOM)
     assert table.required_db == 0.0
     assert table.intensity_level.tolist() == [1.0]
 
@@ -86,14 +93,14 @@ def test_single_symbol_codebook_is_trivially_feasible():
 def test_stratified_l64_exceeds_25_db():
     assert stratified_required_db(64) > 25.0  # oracle first
     with pytest.raises(ExtinctionRangeError, match="dB"):
-        codebook_to_drive(build_codebook(1.5, 64, 1), TELECOM)
+        codebook_to_drive(build_codebook(CodebookSpec(1.5, 64, 1)), TELECOM)
 
 
 def test_extinction_acceptance_is_monotone_in_budget():
     # every codebook below the 20 dB budget must also clear the 25 dB one
     for n_amp in (2, 8, 12):
         assert stratified_required_db(n_amp) < 20.0
-        cb = build_codebook(1.0, n_amp, 2)
+        cb = build_codebook(CodebookSpec(1.0, n_amp, 2))
         codebook_to_drive(cb, replace(TELECOM, extinction_db=20.0))
         codebook_to_drive(cb, TELECOM)  # must also pass
 
@@ -130,7 +137,7 @@ def test_all_dark_codebook_is_rejected():
 
 
 def test_drive_levels_round_trip_to_photon_numbers():
-    cb = build_codebook(1.5, 8, 8)
+    cb = build_codebook(CodebookSpec(1.5, 8, 8))
     table = codebook_to_drive(cb, TELECOM)
     p_max = table.power_w.max()
     quantum = PLANCK * TELECOM.frequency / TELECOM.tau

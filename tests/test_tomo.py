@@ -23,7 +23,7 @@ from thermalmimic.homodyne import (
     simulate_raw,
 )
 from thermalmimic.metrics import fidelity, trace_distance
-from thermalmimic.mimic import assemble, build_codebook
+from thermalmimic.mimic import CodebookSpec, assemble, build_codebook
 from thermalmimic.tomo import (
     LIKELIHOOD_FLOOR,
     STEP_GROWTH,
@@ -346,7 +346,7 @@ def thermal_records():
 
 def artificial_raw_records():
     # the raw path of the artificial 8 x 8 source: 100 phases x 10, quarter units
-    source = assemble(build_codebook(1.35, 8, 8), 20)
+    source = assemble(build_codebook(CodebookSpec(1.35, 8, 8)), 20)
     grid = 2.0 * math.pi * np.arange(100) / 100
     raw = simulate_raw(source, grid, 10, 2.5, 0.3, [1])[0]
     return calibrate(raw, Convention.QUARTER), MleConfig(cutoff=12)
@@ -403,7 +403,7 @@ def test_thermal_ensemble_recovers_the_source():
 @pytest.mark.parametrize(
     "source, seed_base",
     [(lambda: thermal(1.35, 30), 50_000),
-     (lambda: assemble(build_codebook(1.35, 8, 8), 30), 55_000)],
+     (lambda: assemble(build_codebook(CodebookSpec(1.35, 8, 8)), 30), 55_000)],
     ids=["thermal", "artificial"],
 )
 def test_default_stop_is_far_below_the_run_to_run_scatter(source, seed_base):
