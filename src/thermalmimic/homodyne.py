@@ -25,11 +25,12 @@ Sampling
 :func:`sample` and :func:`simulate_raw` draw every run of an ensemble in one
 pass over the LO phases. Each phase's pdf row and CDF are built once and
 shared by the runs; each run draws from generators of its own seed only, so
-its records are the same whether it is drawn alone or with other runs. A
-phase-invariant state, one with no nonzero entry off the diagonal (thermal
-light, the vacuum), has the same pdf at every phase, so its pass builds one
-row and one CDF for all phases. One pdf row and one CDF are live at a time,
-beside the ensemble's records.
+its records are the same whether it is drawn alone or with other runs. The
+pdf's harmonics are built only for the diagonals of rho that are not exactly
+zero. A phase-invariant state, one with no nonzero entry off the diagonal
+(thermal light, the vacuum), keeps only ``g_0`` and has the same pdf at every
+phase, so its pass builds one row and one CDF for all phases. One pdf row and
+one CDF are live at a time, beside the ensemble's records.
 """
 
 from __future__ import annotations
@@ -123,25 +124,32 @@ def fock_wavefunctions(x, n_max: int) -> np.ndarray:
     return f
 
 
-def _pdf_harmonics(rho: FockDensityMatrix, xs: np.ndarray) -> np.ndarray:
+def _harmonic_orders(rho: FockDensityMatrix) -> np.ndarray:
+    """The orders k whose diagonal ``rho_{m,m+k}`` holds an entry that is not
+    exactly zero: the pdf's harmonic ``g_k`` is exactly zero at every other k."""
+    return np.flatnonzero([np.diagonal(rho.entries, k).any() for k in range(rho.cutoff + 1)])
+
+
+def _pdf_harmonics(rho: FockDensityMatrix, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-independent harmonics of the quadrature pdf on the points ``xs``.
 
     ``p(x|theta) = Re sum_k exp(i k theta) g_k(x)`` with
     ``g_0 = sum_m rho_mm f_m^2`` and ``g_k = 2 sum_m rho_{m,m+k} f_m f_{m+k}``
-    for ``k >= 1`` (Lvovsky & Raymer, RMP 81, 299 (2009)). Returns the real
-    array ``[Re g, Im g]`` of shape (2, dim, len(xs)); row k of both halves
-    comes from one real matrix product over the k-th diagonal of ``rho``.
+    for ``k >= 1`` (Lvovsky & Raymer, RMP 81, 299 (2009)). Returns the
+    :func:`_harmonic_orders` of ``rho`` and the real array ``[Re g, Im g]`` of
+    those orders, shape (2, orders, len(xs)); the rows of order k in both
+    halves come from one real matrix product over the k-th diagonal of ``rho``.
     """
-    dim = rho.cutoff + 1
+    orders = _harmonic_orders(rho)
     f = fock_wavefunctions(xs, rho.cutoff)
     products = np.empty_like(f)
-    harmonics = np.empty((2, dim, xs.size))
-    for k in range(dim):
-        rows = dim - k
+    harmonics = np.empty((2, orders.size, xs.size))
+    for i, k in enumerate(orders):
+        rows = rho.cutoff + 1 - k
         np.multiply(f[:rows], f[k:], out=products[:rows])
         diagonal = np.diagonal(rho.entries, k) * (1.0 if k == 0 else 2.0)
-        harmonics[:, k] = np.stack([diagonal.real, diagonal.imag]) @ products[:rows]
-    return harmonics
+        harmonics[:, i] = np.stack([diagonal.real, diagonal.imag]) @ products[:rows]
+    return orders, harmonics
 
 
 def _pdf_rows(rho: FockDensityMatrix, thetas, xs: np.ndarray):
@@ -150,8 +158,8 @@ def _pdf_rows(rho: FockDensityMatrix, thetas, xs: np.ndarray):
     The dim^2 work is done once in :func:`_pdf_harmonics`; each row is then
     ``sum_k cos(k theta) Re g_k - sin(k theta) Im g_k``, clipped at zero.
     """
-    harmonics = _pdf_harmonics(rho, xs).reshape(-1, xs.size)
-    k = np.arange(rho.cutoff + 1)
+    k, harmonics = _pdf_harmonics(rho, xs)
+    harmonics = harmonics.reshape(-1, xs.size)
     for theta in thetas:
         weights = np.concatenate((np.cos(k * theta), -np.sin(k * theta)))
         row = weights @ harmonics
@@ -185,10 +193,11 @@ def sample(
     one dataset per seed in ``seeds`` (integers or ``SeedSequence`` objects).
 
     The runs share one pass over the phases: each phase's pdf row and CDF are
-    built once, and every run draws its block from them. If every entry of
-    ``rho`` off the diagonal is exactly zero, the pdf is the same at every
-    phase and the pass builds one row and one CDF for all phases. A run's
-    records depend on its own seed only, not on the other seeds or their number.
+    built once, and every run draws its block from them. If ``g_0`` is the
+    one harmonic ``rho`` keeps (every entry off its diagonal is exactly zero),
+    the pdf is the same at every phase and the pass builds one row and one CDF
+    for all phases. A run's records depend on its own seed only, not on the
+    other seeds or their number.
     The generator of phase i of a run is seeded by the child of its seed with
     ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it, so
     the block drawn at phase i depends on the run's seed, ``i`` and that
@@ -208,9 +217,8 @@ def sample(
     thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
     grid = _sampling_grid(rho)
     dx = np.diff(grid)
-    # exactly zero off the diagonal: every harmonic k >= 1 is zero, and each
-    # phase's row would be the same g_0 bit for bit
-    invariant = np.array_equal(rho.entries, np.diag(np.diagonal(rho.entries)))
+    # only g_0 kept: each phase's row would be the same g_0 bit for bit
+    invariant = _harmonic_orders(rho).tolist() == [0]
     rows = _pdf_rows(rho, thetas[:1] if invariant else thetas, grid)
     xs = np.empty((len(roots), thetas.size, n_per_phase))
     for i in range(thetas.size):

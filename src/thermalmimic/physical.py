@@ -85,13 +85,20 @@ class DriveTable:
 def codebook_to_drive(codebook: Codebook, transmitter: Transmitter) -> DriveTable:
     """Per-symbol power and normalized drive level, gated on modulator feasibility.
 
-    Symbols are indexed row-major over (amplitude, phase). Raises if no symbol
-    has power (one that underflows counts as zero), if the span of nonzero
-    symbol powers exceeds the extinction ratio, or if a zero-power symbol
-    appears on a non-ideal modulator (it would need infinite extinction).
+    Symbols are indexed row-major over (amplitude, phase). Raises if a
+    symbol's ``|alpha|^2`` overflows, if no symbol has power (one that
+    underflows counts as zero), if the span of nonzero symbol powers exceeds
+    the extinction ratio, or if a zero-power symbol appears on a non-ideal
+    modulator (it would need infinite extinction).
     """
     magnitudes, phases = codebook.points()
-    alpha_sq = magnitudes * magnitudes
+    with np.errstate(over="ignore"):  # the check below names the symbol
+        alpha_sq = magnitudes * magnitudes
+    overflow = np.isinf(alpha_sq)
+    if overflow.any():
+        index = int(overflow.argmax())
+        raise ValueError(f"symbol {index} has amplitude {magnitudes[index]}, "
+                         "whose square |alpha|^2 overflows")
     powers = nbar_to_power(alpha_sq, transmitter)
     nonzero = powers[powers > 0.0]
     if nonzero.size == 0:

@@ -504,6 +504,20 @@ def test_codebook_export_overflowing_powers_exit_numeric(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_codebook_export_overflowing_amplitude_exits_numeric(tmp_path, capsys):
+    # 1e200 is finite, so Codebook takes it, but its square is not: the first
+    # symbol on that ring (symbol 2 of the 2 x 2 grid) is named, and numpy
+    # warns of no overflow (the suite turns warnings into errors)
+    cb_file = tmp_path / "huge.json"
+    cb_file.write_text(json.dumps(codebook_json(amplitudes=[1.0, 1e200])))
+    out = tmp_path / "out"
+    assert main(["codebook-export", "--codebook-file", str(cb_file),
+                 "--out-dir", str(out)]) == 3
+    assert "symbol 2 has amplitude 1e+200, whose square |alpha|^2 overflows" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, index", [("amplitudes", 0), ("phases", 1), ("weights", 0), ("nbar_target", None)]
 )

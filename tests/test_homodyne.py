@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from _states import random_density
+from _states import fock_projector, random_density
 from thermalmimic import homodyne, mimic, tomo
 from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.homodyne import (
@@ -145,11 +145,11 @@ def test_sampling_is_deterministic_per_seed():
     assert not np.array_equal(a.x, c.x)
 
 
-def reference_draw(rho, theta, u):
-    """Inverse-CDF lookup of the uniforms ``u`` in the trapezoid CDF of
-    ``quadrature_pdf`` on the sampling grid."""
+def reference_draw(rho, theta, u, pdf=None):
+    """Inverse-CDF lookup of the uniforms ``u`` in the trapezoid CDF of ``pdf``,
+    by default ``quadrature_pdf``, on the sampling grid."""
     grid = _sampling_grid(rho)
-    pdf = quadrature_pdf(rho, theta, grid)
+    pdf = quadrature_pdf(rho, theta, grid) if pdf is None else pdf
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
     return np.interp(u, cdf / cdf[-1], grid)
 
@@ -187,6 +187,37 @@ def test_sample_blocks_follow_phase_order_and_spawned_generators():
             block = slice(j * n, (j + 1) * n)
             assert np.all(ds.theta[block] == theta), name
             assert np.array_equal(ds.x[block], expected), (name, j)
+
+
+def full_pdf_row(rho, theta, xs):
+    """The pdf row from every harmonic g_0 .. g_cutoff, zero or not."""
+    dim = rho.cutoff + 1
+    f = fock_wavefunctions(xs, rho.cutoff)
+    harmonics = np.empty((2, dim, xs.size))
+    for k in range(dim):
+        diagonal = np.diagonal(rho.entries, k) * (1.0 if k == 0 else 2.0)
+        harmonics[:, k] = np.stack([diagonal.real, diagonal.imag]) @ (f[:dim - k] * f[k:])
+    k = np.arange(dim)
+    row = np.concatenate((np.cos(k * theta), -np.sin(k * theta))) @ harmonics.reshape(-1, xs.size)
+    return np.clip(row, 0.0, None)
+
+
+@pytest.mark.parametrize("name, kept", [
+    ("thermal", [0]), ("vacuum", [0]), ("fock", [0]), ("coherent", list(range(21))),
+])
+def test_skipping_zero_harmonics_keeps_rows_and_records_bit_for_bit(name, kept):
+    rho = {"thermal": thermal(1.35, 30), "vacuum": thermal(0.0, 10),
+           "fock": fock_projector(3, 12), "coherent": coherent_state(1.1, 0.8, cutoff=20)}[name]
+    assert homodyne._harmonic_orders(rho).tolist() == kept
+    grid = _sampling_grid(rho)
+    phases = [0.0, 0.4, 2.5, 5.9]
+    full = [full_pdf_row(rho, theta, grid) for theta in phases]
+    for row, expected in zip(homodyne._pdf_rows(rho, phases, grid), full):
+        assert np.array_equal(row, expected)
+    records = sample(rho, phases, 30, [19])[0].x.reshape(len(phases), 30)
+    for block, pdf, child in zip(records, full, np.random.SeedSequence(19).spawn(len(phases))):
+        assert np.array_equal(block, reference_draw(rho, None, np.random.default_rng(child)
+                                                    .random(30), pdf))
 
 
 @pytest.mark.parametrize("n_phases", [1, 2, 7])

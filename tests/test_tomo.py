@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _states import fock_projector
+from thermalmimic import tomo
 from thermalmimic.fock import (
     FockDensityMatrix,
     coherent_states,
@@ -28,8 +29,9 @@ from thermalmimic.tomo import (
     LIKELIHOOD_FLOOR,
     STEP_GROWTH,
     MleConfig,
-    _gradient,
     _pack,
+    _PackedMap,
+    _PhaseBlocks,
     _record_probabilities,
     _unpack,
     average,
@@ -80,10 +82,8 @@ def complex_reference_mle(data, cutoff, stop_gap):
     raise AssertionError(f"the reference iteration stopped short of a {stop_gap}-nat gap")
 
 
-def reference_probabilities(rho, a):
-    # packed(rho) @ A, packed by a masked select rather than a gather
-    upper = np.tri(rho.shape[0], dtype=bool).T
-    return np.clip(np.where(upper, rho.real, rho.imag).ravel() @ a, LIKELIHOOD_FLOOR, None)
+def reference_probabilities(rho, records):
+    return np.clip(records.probabilities(rho), LIKELIHOOD_FLOOR, None)
 
 
 def reference_project(h):
@@ -96,26 +96,27 @@ def reference_project(h):
 
 def reference_apg(data, config):
     """The accelerated projected-gradient loop of ``mle_reconstruct`` written
-    with a fresh array for every temporary: (entries, iterations, gap, history)."""
+    with a fresh array for every temporary, on the record map production
+    builds: (entries, iterations, gap, history)."""
     dim = config.cutoff + 1
-    a = measurement_matrix(data, config.cutoff)
-    n_records = a.shape[1]
+    records = measurement_matrix(data, config.cutoff)
+    n_records = data.count
 
     def gap(r):
         return n_records * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
 
     rho = np.eye(dim, dtype=np.complex128) / dim
-    p = reference_probabilities(rho, a)
+    p = reference_probabilities(rho, records)
     sigma, p_sigma, theta, step = rho, p, 1.0, 1.0
     history = [float(np.sum(np.log(p)))]
-    r = _gradient(a, p)
+    r = records.gradient(p)
     bound = gap(r)
     iterations = 0
     while bound > config.stop_tol and iterations < config.max_iterations:
         iterations += 1
         while True:
             new = reference_project(sigma + step * r)
-            p_new = reference_probabilities(new, a)
+            p_new = reference_probabilities(new, records)
             u = (p_new - p_sigma) / p_sigma
             curvature = float(np.mean(np.log1p(u) - u))
             if curvature >= -np.sum(np.abs(new - sigma) ** 2) / (2.0 * step):
@@ -134,7 +135,7 @@ def reference_apg(data, config):
                 sigma, p_sigma = new, p_new
             rho, p, theta = new, p_new, theta_next
         history.append(float(np.sum(np.log(p))))
-        r = _gradient(a, p_sigma)
+        r = records.gradient(p_sigma)
         bound = gap(r) + float(np.sum(np.log(p_sigma / p)))
     return 0.5 * (rho + rho.conj().T), iterations, bound, np.asarray(history)
 
@@ -159,7 +160,9 @@ def test_measurement_matrix_is_the_packed_projector(data):
     weights = data.draw(arrays(float, count, elements=st.floats(0.0, 1.0)), label="w")
     h = raw + raw.conj().T
 
-    a = measurement_matrix(QuadratureDataset(x, theta, convention), cutoff)
+    records = measurement_matrix(QuadratureDataset(x, theta, convention), cutoff)
+    assert isinstance(records, _PackedMap)  # far fewer slots than BLOCKED_MIN_SLOTS
+    a = records.a
     assert a.shape == (dim * dim, count) and a.flags.c_contiguous
     # complex oracle: d_kn = f_n(x_k) e^{i n theta_k}, x_k read on the half
     # axis (vacuum variance 1/2), projector Pi_k = d_k d_k^H
@@ -318,7 +321,7 @@ def test_mle_gradient_and_optimum_match_the_complex_reference():
     result = mle_reconstruct(data, config)
     assert result.converged
     d = complex_record_vectors(data, config.cutoff)
-    a = measurement_matrix(data, config.cutoff)
+    records = measurement_matrix(data, config.cutoff)
     # before any step the momentum point is the iterate, so the gap is the
     # complex reference's K (lambda_max(R(rho)) - 1) at the maximally mixed state
     start = mle_reconstruct(data, MleConfig(cutoff=10, stop_tol=1e12))
@@ -332,7 +335,7 @@ def test_mle_gradient_and_optimum_match_the_complex_reference():
     for cap in (1, result.iterations // 2, result.iterations):
         partial = mle_reconstruct(data, MleConfig(cutoff=10, max_iterations=cap))
         rho = partial.rho.entries
-        r = _gradient(a, _record_probabilities(rho, a))
+        r = records.gradient(_record_probabilities(rho, records))
         assert np.max(np.abs(r - complex_gradient(rho, d))) <= 1e-12
         assert oracle - partial.final_log_likelihood <= partial.optimality_gap + 1e-9
     assert log_likelihood(result.rho, data) == pytest.approx(
@@ -358,19 +361,98 @@ def coherent_records():
     return sample(state, PHASES_50, 40, [7])[0], MleConfig(cutoff=10)
 
 
-@pytest.mark.parametrize("records", [thermal_records, artificial_raw_records, coherent_records],
-                         ids=["thermal", "artificial-raw", "coherent"])
-def test_mle_iterates_match_the_reference_loop_bit_for_bit(records):
+@pytest.mark.parametrize("records, layout", [
+    (thermal_records, _PhaseBlocks), (thermal_records, _PackedMap),
+    (artificial_raw_records, _PackedMap), (coherent_records, _PhaseBlocks),
+], ids=["thermal", "thermal-packed", "artificial-raw", "coherent"])
+def test_mle_iterates_match_the_reference_loop_bit_for_bit(records, layout, monkeypatch):
     # The solver writes its temporaries into reused buffers; every floating-point
     # operation must stay the reference's, so a buffer read after it is
     # overwritten changes an iterate, the history or the iteration count.
     data, config = records()
+    if layout is _PackedMap:
+        monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
+    assert isinstance(measurement_matrix(data, config.cutoff), layout)
     entries, iterations, bound, history = reference_apg(data, config)
     result = mle_reconstruct(data, config)
     assert np.array_equal(result.rho.entries, entries)
     assert np.array_equal(result.log_likelihoods, history)
     assert result.iterations == iterations
     assert result.optimality_gap == bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_phase_blocks_match_the_packed_map_and_the_complex_oracle(data):
+    cutoff = data.draw(st.integers(0, 7), label="cutoff")
+    dim = cutoff + 1
+    runs = data.draw(st.integers(1, 5), label="J")
+    size = data.draw(st.integers(dim, dim + 5), label="S")
+    count = runs * size
+    x = data.draw(arrays(float, count, elements=st.floats(-4.0, 4.0)), label="x")
+    phases = data.draw(arrays(float, runs, elements=st.floats(0.0, 2.0 * math.pi,
+                                                              exclude_max=True), unique=True),
+                       label="phases")  # a run is all the records at one phase in a row
+    convention = data.draw(st.sampled_from(Convention), label="convention")
+    raw = data.draw(arrays(complex, (dim, dim), elements=st.complex_numbers(max_magnitude=1.0)),
+                    label="raw")
+    p = data.draw(arrays(float, count, elements=st.floats(0.1, 2.0)), label="p")
+    h = raw + raw.conj().T
+    records = QuadratureDataset(x, np.repeat(phases, size), convention)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomo, "BLOCKED_MIN_SLOTS", 0)
+        blocks = measurement_matrix(records, cutoff)
+        patch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
+        packed = measurement_matrix(records, cutoff)
+    assert isinstance(blocks, _PhaseBlocks) and isinstance(packed, _PackedMap)
+    half = x * math.sqrt(0.5 / convention.vacuum_variance)
+    d = fock_wavefunctions(half, cutoff).T * np.exp(1j * np.outer(records.theta, np.arange(dim)))
+    expectations = np.einsum("km,mn,kn->k", d.conj(), h, d).real
+    gradient = np.einsum("k,km,kn->mn", 1.0 / p, d, d.conj()) / count
+    for oracle in (expectations, packed.probabilities(h)):
+        assert np.allclose(blocks.probabilities(h), oracle, rtol=0, atol=1e-12)
+    for oracle in (gradient, packed.gradient(p)):
+        assert np.allclose(blocks.gradient(p), oracle, rtol=0, atol=1e-12)
+
+
+def test_record_layout_follows_the_phase_runs():
+    def layout(x, theta, cutoff):
+        return type(measurement_matrix(QuadratureDataset(x, theta, Convention.HALF), cutoff))
+
+    thermal, config = thermal_records()
+    artificial, _ = artificial_raw_records()
+    assert layout(thermal.x, thermal.theta, config.cutoff) is _PhaseBlocks  # 50 x 40
+    assert layout(artificial.x, artificial.theta, config.cutoff) is _PackedMap  # 100 x 10
+    # the phase order shuffled, one record short, and runs of 40, 30 and 50
+    # (48 runs, as many records as 48 runs of 40)
+    order = np.random.default_rng(0).permutation(thermal.count)
+    assert layout(thermal.x[order], thermal.theta[order], 12) is _PackedMap
+    assert layout(thermal.x[:-1], thermal.theta[:-1], 12) is _PackedMap
+    uneven = np.repeat(PHASES_50[:48], [40, 30, 50] * 16)
+    assert layout(np.zeros(uneven.size), uneven, 12) is _PackedMap
+    # blocks need runs of S >= dim and K dim^2 >= BLOCKED_MIN_SLOTS
+    for size, cutoff, expected in ((12, 12, _PackedMap), (13, 12, _PhaseBlocks),
+                                   (7, 7, _PackedMap), (8, 7, _PhaseBlocks)):
+        theta = np.repeat(2.0 * math.pi * np.arange(400) / 400, size)
+        assert layout(np.zeros(theta.size), theta, cutoff) is expected
+    runs = -(-tomo.BLOCKED_MIN_SLOTS // (40 * 13 * 13))  # fewest 40-record runs at cutoff 12
+    for count, expected in ((runs - 1, _PackedMap), (runs, _PhaseBlocks)):
+        theta = np.repeat(2.0 * math.pi * np.arange(count) / count, 40)
+        assert layout(np.zeros(theta.size), theta, 12) is expected
+
+
+def test_both_layouts_take_the_same_iterations(monkeypatch):
+    # the two layouts sum the same products in another order: the iterates
+    # agree to rounding, and the stop comes at the same iteration
+    data, config = thermal_records()
+    blocked = mle_reconstruct(data, config)
+    monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
+    packed = mle_reconstruct(data, config)
+    assert blocked.iterations == packed.iterations
+    assert trace_distance(blocked.rho, packed.rho) <= 1e-12
+    assert log_likelihood(blocked.rho, data) == pytest.approx(
+        packed.final_log_likelihood, rel=0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("records", [thermal_records, artificial_raw_records, coherent_records],
