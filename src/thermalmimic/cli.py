@@ -35,6 +35,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -463,6 +464,7 @@ def _flag_options(kind) -> dict:
     return {"type": kind}
 
 
+@cache  # one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermalmimic",

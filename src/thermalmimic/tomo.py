@@ -1,13 +1,14 @@
 """Maximum-likelihood density-matrix reconstruction from quadrature data.
 
 Maximizes the log-likelihood ``ll(rho) = sum_k ln p_k(rho)`` over density
-matrices by accelerated projected-gradient ascent with adaptive restart
-(Shang, Zhang & Ng, PRA 95, 062336 (2017)). The record probability
-``p_k = Tr(rho Pi_k)`` is real-linear in rho, where ``Pi_k`` is the rank-1
-projector onto the quadrature eigenstate of record k, and the gradient of
-``ll / K`` is ``R(rho) = (1/K) sum_k Pi_k / p_k``. The solver reads the
-records only through these two operations of the record map that
-:func:`measurement_matrix` builds in one of two layouts, chosen from the
+matrices by L-BFGS ascent (Liu & Nocedal, Math. Prog. 45, 503 (1989)) over a
+complex dim x dim factor ``T`` of ``rho = T T^H / Tr(T T^H)``, the
+parameterization of James et al. (PRA 64, 052312 (2001)). The record
+probability ``p_k = Tr(rho Pi_k)`` is real-linear in rho, where ``Pi_k`` is
+the rank-1 projector onto the quadrature eigenstate of record k, and the
+gradient of ``ll / K`` in rho is ``R(rho) = (1/K) sum_k Pi_k / p_k``. The
+solver reads the records only through these two operations of the record map
+that :func:`measurement_matrix` builds in one of two layouts, chosen from the
 records and the cutoff:
 
 * Phase blocks, for records that come as J runs of S >= dim records at one
@@ -22,27 +23,37 @@ records and the cutoff:
   ``A @ (1/(K p))``. The packed layout, the real coordinates of a Hermitian
   matrix, is this module's alone.
 
-An iteration takes about 1.3 ``p`` and one ``R``: 2.3 passes over the map,
-which holds ``K dim^2`` slots packed and about half that in blocks. On one
-core with a 2 MB L2 cache at dim 13, that is 81 us in blocks against 175 us
-packed for 50 runs of 40 records, where the 2.7 MB packed map spills the
-cache. Blocks lose where each run's product call costs more than its work
-(runs of S ~ dim) and where the packed map fits in the cache.
+An iteration takes one ``p`` and one ``R``, plus one ``p`` per halving of
+its step (1.01 ``p`` per iteration on 50 runs of 40 records). On one core
+with a 2 MB L2 cache at dim 13, one ``p`` and one ``R`` take 69 us in blocks
+against 147 us packed for 50 runs of 40 records, where the 2.7 MB packed map
+spills the cache. Blocks lose where each run's product call costs more than
+its work (runs of S ~ dim) and where the packed map fits in the cache.
 
-Each step projects ``sigma + t R(sigma)`` onto the density matrices
-(eigendecomposition, then the eigenvalues onto the unit simplex; Smolin,
-Gambetta & Smith, PRL 108, 070502 (2012)), halving ``t`` until the
-quadratic model of the step holds. ``sigma`` carries Nesterov momentum, and
-a candidate that would lower the likelihood restarts the momentum from the
-current iterate, so every accepted iterate is a density matrix and the
-likelihood history never decreases.
+Every ``T`` gives a density matrix, so no step projects. The gradient of ``ll
+/ K`` in ``T`` is ``2 (R - Tr(R rho) I) T / ||T||^2`` in the inner product ``Re
+Tr(X^H Y)``. The direction is the two-loop recursion over the last
+:data:`MEMORY` pairs with ``s.y > 0``, or steepest ascent at unit Frobenius
+norm, clearing the memory, for the first step and for a direction that does
+not ascend. The step halves from 1 until it gains :data:`ARMIJO` times its
+first-order gain; after :data:`MAX_HALVINGS` halvings the search is retried
+once from steepest ascent, and a second failure ends the run unconverged.
+
+The gain is read without cancellation: ``ll/K(rho') - ll/K(rho) = Tr(R (rho'
+- rho)) + mean(log1p(u) - u)``, ``u = (p' - p) / p``, with ``rho' - rho = (a (B
+- rho Tr B) + a^2 (C - rho Tr C)) / ||T + a d||^2``, ``B = d T^H + T d^H`` and
+``C = d d^H``, for direction ``d`` and step ``a``. A difference of
+log-likelihood sums cannot resolve the last steps' gains, nor can ``rho' -
+rho`` as a difference of matrices: on rho's null space at a rank-deficient
+optimum, its entries are about 1e-17 where ``R - I`` is about 0.1. On 1000
+thermal records at cutoff 10 those shortcuts stall at gaps of 1.4e-5 and
+1.1e-6 nats; this form certifies 1e-9 in 69 iterations.
 
 The stopping rule bounds the distance to the optimum (Glancy, Knill &
-Girard, NJP 14, 095017 (2012)): ``ll`` is concave on ``{p > 0}`` and
-``Tr(R(sigma) sigma) = 1`` at a unit-trace ``sigma`` there, so ``ll* - ll(rho)
-<= ll(sigma) - ll(rho) + K (lambda_max(R(sigma)) - 1)``, the *optimality gap*
-in nats, taken at the momentum point whose gradient the next step needs
-anyway; at ``sigma = rho`` it is ``K (lambda_max(R(rho)) - 1)``.
+Girard, NJP 14, 095017 (2012)): ``ll`` is concave in rho on ``{p > 0}`` and
+``Tr(R(rho) rho) = 1`` at a unit-trace rho there, so ``ll* - ll(rho) <= K
+(lambda_max(R(rho)) - 1)``, the *optimality gap* in nats, taken at every
+iterate.
 
 :func:`average` gives the mean state and elementwise spread of repeated
 reconstructions; the records a ``tomo-end2end`` run writes are laid out by
@@ -52,6 +63,7 @@ the CLI.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -63,8 +75,10 @@ from .homodyne import QuadratureDataset, fock_wavefunctions
 #: Density floor guarding log(0) in the likelihood.
 LIKELIHOOD_FLOOR = 1e-300
 
-#: Step-size growth per accepted step; backtracking halves it.
-STEP_GROWTH = 1.2
+#: L-BFGS memory (pairs of step and gradient change kept), Armijo constant
+#: (the share of its first-order gain a step must gain) and step halvings
+#: after which a line search gives up.
+MEMORY, ARMIJO, MAX_HALVINGS = 10, 1e-4, 60
 
 #: Fewest packed-map slots ``K dim^2`` at which phase-blocked records take
 #: the block layout. Measured at cutoffs 6-12 on a 2 MB L2 cache, blocks beat
@@ -81,7 +95,8 @@ class MleConfig:
     the data: one standard deviation along one parameter costs about 0.5 nat
     of log-likelihood (``2 delta ll ~ chi2_1``), whatever the record count.
     On 10 runs of 2000 records at cutoff 12 a run stopped there lies within
-    about 6e-4 in trace distance of the optimum, against about 0.33 between runs.
+    6.5e-4 in trace distance of its 1e-9-nat fit (median 2.7e-4, thermal
+    and 8x8 artificial sources), against about 0.33 between runs.
     """
 
     cutoff: int = 12
@@ -101,8 +116,8 @@ class MleConfig:
 class MleResult:
     """Reconstructed state plus convergence record.
 
-    ``optimality_gap`` bounds ``ll* - ll(rho)`` in nats, taken at the last momentum
-    point: ``K (lambda_max(R(rho)) - 1)`` when that point is ``rho`` itself.
+    ``optimality_gap`` bounds ``ll* - ll(rho)`` in nats: ``K (lambda_max(R(rho)) - 1)``,
+    taken at ``rho`` itself.
     """
 
     rho: FockDensityMatrix
@@ -243,93 +258,90 @@ def log_likelihood(rho: FockDensityMatrix, data: QuadratureDataset) -> float:
     return float(np.sum(np.log(_record_probabilities(rho.entries, records))))
 
 
-@cache
-def _counts(dim: int) -> np.ndarray:
-    """Read-only ``1.0, 2.0, ..., dim``."""
-    counts = np.arange(1.0, dim + 1)
-    counts.setflags(write=False)
-    return counts
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re Tr(a^H b)``, the real inner product of complex matrices."""
+    return np.vdot(a, b).real
 
 
-def _project(h: np.ndarray) -> np.ndarray:
-    """The density matrix nearest to the Hermitian ``h`` in Frobenius norm: its
-    eigenvalues projected onto the unit simplex, its eigenvectors kept."""
-    w, v = np.linalg.eigh(h)
-    descending = w[::-1]
-    shifts = descending.cumsum()
-    shifts -= 1.0
-    shifts /= _counts(w.size)
-    tau = shifts[(descending > shifts).nonzero()[0][-1]]
-    w -= tau
-    return (v * np.maximum(w, 0.0, out=w)) @ v.conj().T
+def _direction(g: np.ndarray, memory: deque) -> np.ndarray:
+    """The L-BFGS ascent direction ``H g`` by the two-loop recursion over the
+    stored ``(s, y, 1 / s.y)`` pairs, oldest first."""
+    q = g.copy()
+    alphas = []
+    for s, y, inv_sy in reversed(memory):
+        alphas.append(inv_sy * _inner(s, q))
+        q -= alphas[-1] * y
+    s, y, inv_sy = memory[-1]
+    q *= 1.0 / (inv_sy * _inner(y, y))
+    for (s, y, inv_sy), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - inv_sy * _inner(y, q)) * s
+    return q
 
 
-def _relative_change(new: np.ndarray, old: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``(new - old) / old``, written into ``out``."""
-    np.subtract(new, old, out=out)
-    return np.divide(out, old, out=out)
+def _trial(records: _PackedMap | _PhaseBlocks, t: np.ndarray, rho: np.ndarray, p: np.ndarray,
+           r: np.ndarray, d: np.ndarray, step: float) -> tuple:
+    """``(gain, T', rho', p')`` at ``T' = T + step d`` from ``rho = T T^H / ||T||^2``,
+    with the gain ``ll/K(rho') - ll/K(rho)`` taken without cancellation."""
+    t_new = t + step * d
+    tau = _inner(t_new, t_new)
+    rho_new = (t_new @ t_new.conj().T) / tau
+    p_new = _record_probabilities(rho_new, records)
+    # Tr(R (rho' - rho)) with rho' - rho taken from T, d and the step (module docstring)
+    traced = _inner(rho, r)
+    linear = 2.0 * (_inner(r @ t, d) - traced * _inner(t, d))
+    quadratic = _inner(r @ d, d) - traced * _inner(d, d)
+    u = (p_new - p) / p
+    gain = (step * linear + step * step * quadratic) / tau + float(np.mean(np.log1p(u) - u))
+    return gain, t_new, rho_new, p_new
 
 
 def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) -> MleResult:
-    """Accelerated projected-gradient ascent of ``ll / K`` from the maximally
-    mixed state.
-
-    Stops at the first iterate whose optimality gap, taken after every
-    iteration at the momentum point (module docstring), is at most
-    ``config.stop_tol`` nats, or at the iteration cap (the result is then
-    flagged non-converged). ``log_likelihoods`` holds the likelihood after
-    each iteration (an iteration that restarts the momentum keeps the
-    iterate), so its monotonicity is checkable per step.
+    """L-BFGS ascent of ``ll / K`` over the factor ``T`` of ``rho = T T^H / Tr(T
+    T^H)`` from the maximally mixed state (module docstring), to the first
+    iterate whose optimality gap is at most ``config.stop_tol`` nats or,
+    flagged non-converged, to the iteration cap or a line search that fails
+    from steepest ascent. ``log_likelihoods`` holds the likelihood after each
+    iteration, so its monotonicity is checkable per step.
     """
     dim = config.cutoff + 1
     records = measurement_matrix(data, config.cutoff)
-    n_records = data.count
 
-    def gap(r: np.ndarray) -> float:
-        return n_records * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
+    def evaluate(t: np.ndarray, rho: np.ndarray, p: np.ndarray) -> tuple:
+        # R, the gradient 2 (R - Tr(R rho) I) T / ||T||^2 of ll/K in T, and the gap
+        r = records.gradient(p)
+        g = (2.0 / _inner(t, t)) * (r @ t - _inner(rho, r) * t)
+        return r, g, data.count * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
 
+    t = np.eye(dim, dtype=np.complex128) / math.sqrt(dim)
     rho = np.eye(dim, dtype=np.complex128) / dim
-    # p belongs to rho and p_sigma to the momentum point sigma; p is linear in
-    # the state, so extrapolating sigma extrapolates p_sigma without the map.
     p = _record_probabilities(rho, records)
-    sigma, p_sigma, theta, step = rho, p, 1.0, 1.0
-    # record-length work buffers for the tests and the history entry below
-    u, work = np.empty(n_records), np.empty(n_records)
-    history = [float(np.log(p, out=work).sum())]
-    r = records.gradient(p)
-    bound = gap(r)
+    history = [float(np.log(p).sum())]
+    r, g, bound = evaluate(t, rho, p)
+    memory: deque = deque(maxlen=MEMORY)
     iterations = 0
     while bound > config.stop_tol and iterations < config.max_iterations:
-        iterations += 1
-        while True:  # backtrack until the quadratic model of the step holds
-            new = _project(sigma + step * r)
-            p_new = _record_probabilities(new, records)
-            _relative_change(p_new, p_sigma, out=u)
-            # ll/K(new) - ll/K(sigma) - <R, new - sigma>, and the model's bound on it
-            np.log1p(u, out=work)
-            work -= u
-            curvature = float(work.sum() / n_records)
-            distance = np.abs(new - sigma)
-            if curvature >= -(distance * distance).sum() / (2.0 * step):
+        d = _direction(g, memory) if memory else g
+        if not memory or not _inner(g, d) > 0.0:  # steepest ascent at unit norm
+            memory.clear()
+            d = g / math.sqrt(_inner(g, g))
+        step = 1.0
+        for _ in range(MAX_HALVINGS + 1):  # Armijo backtracking
+            gain, t_new, rho_new, p_new = _trial(records, t, rho, p, r, d, step)
+            if gain >= ARMIJO * step * _inner(g, d):
                 break
             step *= 0.5
-        if sigma is not rho and np.log1p(_relative_change(p_new, p, out=u), out=u).sum() < 0.0:
-            sigma, p_sigma, theta = rho, p, 1.0  # adaptive restart, iterate kept
         else:
-            step *= STEP_GROWTH
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            beta = (theta - 1.0) / theta_next
-            p_sigma = p_new + beta * (p_new - p)
-            if beta > 0.0 and p_sigma.min() > 0.0:
-                sigma = new + beta * (new - rho)
-            else:  # no momentum, or a momentum point outside the likelihood's domain
-                sigma, p_sigma = new, p_new
-            rho, p, theta = new, p_new, theta_next
-        history.append(float(np.log(p, out=work).sum()))
-        r = records.gradient(p_sigma)
-        # ll* - ll(rho) <= ll(sigma) - ll(rho) + K (lambda_max(R(sigma)) - 1);
-        # the log term is exactly 0 when sigma is rho, whose p_sigma is p
-        bound = gap(r) + float(np.log(np.divide(p_sigma, p, out=work), out=work).sum())
+            if memory:  # retry once from steepest ascent
+                memory.clear()
+                continue
+            break
+        iterations += 1
+        r, g_new, bound = evaluate(t_new, rho_new, p_new)
+        s, y = step * d, g - g_new
+        if _inner(s, y) > 0.0:
+            memory.append((s, y, 1.0 / _inner(s, y)))
+        t, rho, p, g = t_new, rho_new, p_new, g_new
+        history.append(float(np.log(p).sum()))
 
     return MleResult(
         rho=FockDensityMatrix(config.cutoff, 0.5 * (rho + rho.conj().T), trace_tol=1e-9),

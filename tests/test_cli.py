@@ -785,6 +785,20 @@ def test_malformed_flag_exits_config(tmp_path, argv):
     assert exc.value.code == 2
 
 
+def test_the_parser_built_once_parses_each_call_afresh(tmp_path):
+    # the parser is built once per process: a malformed flag after a valid
+    # call still exits 2, and a repeated call writes the same bytes
+    args = ["mimic-sweep", "--nbars", "0.5", "--samples", "4,16", "--seed", "3",
+            "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        main(["mimic-sweep", "--nbars", "1.0,x", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert main(args) == 0
+    assert first == {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
 #: The library defaults a command overrides: the codebook export's own target,
 #: and the seed of a tomography run, which also seeds its data.
 _OVERRIDES = {(CodebookConfig, "nbar"): 1.5, (TomoConfig, "seed"): 1}

@@ -27,12 +27,12 @@ from thermalmimic.metrics import fidelity, trace_distance
 from thermalmimic.mimic import CodebookSpec, assemble, build_codebook
 from thermalmimic.tomo import (
     LIKELIHOOD_FLOOR,
-    STEP_GROWTH,
     MleConfig,
     _pack,
     _PackedMap,
     _PhaseBlocks,
     _record_probabilities,
+    _trial,
     _unpack,
     average,
     log_likelihood,
@@ -80,64 +80,6 @@ def complex_reference_mle(data, cutoff, stop_gap):
         rho = r @ rho @ r
         rho = 0.5 * (rho + rho.conj().T) / rho.trace().real
     raise AssertionError(f"the reference iteration stopped short of a {stop_gap}-nat gap")
-
-
-def reference_probabilities(rho, records):
-    return np.clip(records.probabilities(rho), LIKELIHOOD_FLOOR, None)
-
-
-def reference_project(h):
-    w, v = np.linalg.eigh(h)
-    descending = w[::-1]
-    shifts = (np.cumsum(descending) - 1.0) / np.arange(1, w.size + 1)
-    tau = shifts[np.flatnonzero(descending > shifts)[-1]]
-    return (v * np.maximum(w - tau, 0.0)) @ v.conj().T
-
-
-def reference_apg(data, config):
-    """The accelerated projected-gradient loop of ``mle_reconstruct`` written
-    with a fresh array for every temporary, on the record map production
-    builds: (entries, iterations, gap, history)."""
-    dim = config.cutoff + 1
-    records = measurement_matrix(data, config.cutoff)
-    n_records = data.count
-
-    def gap(r):
-        return n_records * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
-
-    rho = np.eye(dim, dtype=np.complex128) / dim
-    p = reference_probabilities(rho, records)
-    sigma, p_sigma, theta, step = rho, p, 1.0, 1.0
-    history = [float(np.sum(np.log(p)))]
-    r = records.gradient(p)
-    bound = gap(r)
-    iterations = 0
-    while bound > config.stop_tol and iterations < config.max_iterations:
-        iterations += 1
-        while True:
-            new = reference_project(sigma + step * r)
-            p_new = reference_probabilities(new, records)
-            u = (p_new - p_sigma) / p_sigma
-            curvature = float(np.mean(np.log1p(u) - u))
-            if curvature >= -np.sum(np.abs(new - sigma) ** 2) / (2.0 * step):
-                break
-            step *= 0.5
-        if sigma is not rho and np.sum(np.log1p((p_new - p) / p)) < 0.0:
-            sigma, p_sigma, theta = rho, p, 1.0
-        else:
-            step *= STEP_GROWTH
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            beta = (theta - 1.0) / theta_next
-            p_sigma = p_new + beta * (p_new - p)
-            if beta > 0.0 and p_sigma.min() > 0.0:
-                sigma = new + beta * (new - rho)
-            else:
-                sigma, p_sigma = new, p_new
-            rho, p, theta = new, p_new, theta_next
-        history.append(float(np.sum(np.log(p))))
-        r = records.gradient(p_sigma)
-        bound = gap(r) + float(np.sum(np.log(p_sigma / p)))
-    return 0.5 * (rho + rho.conj().T), iterations, bound, np.asarray(history)
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +303,54 @@ def coherent_records():
     return sample(state, PHASES_50, 40, [7])[0], MleConfig(cutoff=10)
 
 
-@pytest.mark.parametrize("records, layout", [
-    (thermal_records, _PhaseBlocks), (thermal_records, _PackedMap),
-    (artificial_raw_records, _PackedMap), (coherent_records, _PhaseBlocks),
-], ids=["thermal", "thermal-packed", "artificial-raw", "coherent"])
-def test_mle_iterates_match_the_reference_loop_bit_for_bit(records, layout, monkeypatch):
-    # The solver writes its temporaries into reused buffers; every floating-point
-    # operation must stay the reference's, so a buffer read after it is
-    # overwritten changes an iterate, the history or the iteration count.
-    data, config = records()
+@pytest.mark.parametrize("layout", [_PhaseBlocks, _PackedMap], ids=["blocks", "packed"])
+def test_step_gain_is_the_log_likelihood_change(layout, monkeypatch):
+    # The line search reads ll/K(rho') - ll/K(rho) as Tr(R (rho' - rho)) plus
+    # mean(log1p(u) - u), with rho' - rho taken from T, d and the step; at
+    # coarse steps, where a difference of log sums has no cancellation to
+    # lose, it must equal that difference.
+    data, config = thermal_records()
     if layout is _PackedMap:
         monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
-    assert isinstance(measurement_matrix(data, config.cutoff), layout)
-    entries, iterations, bound, history = reference_apg(data, config)
-    result = mle_reconstruct(data, config)
-    assert np.array_equal(result.rho.entries, entries)
-    assert np.array_equal(result.log_likelihoods, history)
-    assert result.iterations == iterations
-    assert result.optimality_gap == bound
+    records = measurement_matrix(data, config.cutoff)
+    assert isinstance(records, layout)
+    rng = np.random.default_rng(3)
+    dim = config.cutoff + 1
+    for _ in range(3):
+        t, d = (rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))) / dim
+        rho = t @ t.conj().T / np.vdot(t, t).real
+        p = _record_probabilities(rho, records)
+        r = records.gradient(p)
+        for step in (2.0, 1.0, 0.3, 0.05):
+            gain, t_new, rho_new, p_new = _trial(records, t, rho, p, r, d, step)
+            assert np.array_equal(t_new, t + step * d)
+            assert np.allclose(rho_new, t_new @ t_new.conj().T / np.vdot(t_new, t_new).real,
+                               rtol=0, atol=1e-15)
+            assert np.array_equal(p_new, _record_probabilities(rho_new, records))
+            assert gain == pytest.approx(np.sum(np.log(p_new / p)) / data.count,
+                                         rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("records", [thermal_records, artificial_raw_records, coherent_records],
+                         ids=["thermal", "artificial-raw", "coherent"])
+def test_every_accepted_step_raises_the_likelihood(records):
+    # the Armijo test reads the cancellation-free gain, so no accepted step
+    # lowers the history beyond rounding, down to a 1e-9-nat certificate
+    data, config = records()
+    result = mle_reconstruct(data, MleConfig(cutoff=config.cutoff, stop_tol=1e-9))
+    assert result.converged and result.optimality_gap <= 1e-9
+    assert len(result.log_likelihoods) == result.iterations + 1
+    assert np.diff(result.log_likelihoods).min() >= -1e-8
+
+
+def test_both_layouts_reach_the_same_optimum(monkeypatch):
+    data, config = thermal_records()
+    tight = MleConfig(cutoff=config.cutoff, stop_tol=1e-9)
+    blocked = mle_reconstruct(data, tight)
+    monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
+    packed = mle_reconstruct(data, tight)
+    assert blocked.converged and packed.converged
+    assert trace_distance(blocked.rho, packed.rho) <= 1e-10
 
 
 @settings(max_examples=100, deadline=None)
