@@ -8,27 +8,29 @@ probability ``p_k = Tr(rho Pi_k)`` is real-linear in rho, where ``Pi_k`` is
 the rank-1 projector onto the quadrature eigenstate of record k, and the
 gradient of ``ll / K`` in rho is ``R(rho) = (1/K) sum_k Pi_k / p_k``. The
 solver reads the records only through these two operations of the record map
-that :func:`measurement_matrix` builds in one of two layouts, chosen from the
-records and the cutoff:
+that :func:`measurement_matrix` builds. The map holds the records in J blocks
+of S, with real products over T slots of a dim x dim matrix and one phase per
+block and slot: ``p`` takes one coefficient vector ``Re(phase * rho_slot)``
+per block and J small matrix-vector products, and ``R`` J more, summed over
+the blocks onto the slots. Its layout is data, chosen from the records and the
+cutoff:
 
-* Phase blocks, for records that come as J runs of S >= dim records at one
-  LO phase each, as the CLI samples them, with ``K dim^2`` at least
-  :data:`BLOCKED_MIN_SLOTS`. Each record keeps the dim(dim+1)/2 products
-  ``f_m f_n`` of its upper triangle. ``p`` takes one coefficient vector
-  ``c_j = Re(rho_mn e^{i (n - m) theta_j})`` per phase and J small
-  matrix-vector products; ``R_mn = sum_j e^{-i (n - m) theta_j} sum_{k in j}
-  f_m f_n / (K p_k)`` takes J more.
-* The packed map, for any other record set: one real (dim^2, K) map ``A`` of
-  packed projectors with ``p = packed(rho) @ A``, ``R`` unpacked from
-  ``A @ (1/(K p))``. The packed layout, the real coordinates of a Hermitian
-  matrix, is this module's alone.
+* Phase blocks, for records that come as J runs of S >= max(dim, 20) records
+  at one LO phase each, as the CLI samples them, with ``K dim^2`` at least
+  :data:`BLOCKED_MIN_SLOTS`: one block per run over the dim(dim+1)/2 slots of
+  the upper triangle, with products ``f_m f_n`` and phases ``e^{i (n - m)
+  theta_j}``.
+* The packed map, for any other record set: one block over all dim^2 slots,
+  whose products are the coefficients of ``Re rho_mn`` (m <= n) and ``Im
+  rho_mn`` (m > n) in each ``p_k``, with phases 1 and ``-i``.
 
 An iteration takes one ``p`` and one ``R``, plus one ``p`` per halving of
 its step (1.01 ``p`` per iteration on 50 runs of 40 records). On one core
 with a 2 MB L2 cache at dim 13, one ``p`` and one ``R`` take 69 us in blocks
 against 147 us packed for 50 runs of 40 records, where the 2.7 MB packed map
 spills the cache. Blocks lose where each run's product call costs more than
-its work (runs of S ~ dim) and where the packed map fits in the cache.
+its work (runs shorter than about 20) and where the packed map fits in the
+cache.
 
 Every ``T`` gives a density matrix, so no step projects. The gradient of ``ll
 / K`` in ``T`` is ``2 (R - Tr(R rho) I) T / ||T||^2`` in the inner product ``Re
@@ -65,7 +67,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -83,7 +84,8 @@ MEMORY, ARMIJO, MAX_HALVINGS = 10, 1e-4, 60
 #: Fewest packed-map slots ``K dim^2`` at which phase-blocked records take
 #: the block layout. Measured at cutoffs 6-12 on a 2 MB L2 cache, blocks beat
 #: the packed map at every S >= 20 from 242 000 slots (1.9 MB) up, and lose
-#: or tie at some S >= 20 at 169 000-196 000.
+#: or tie at some S >= 20 at 169 000-196 000; runs of S < 20 lose or tie up to
+#: 250 000 slots.
 BLOCKED_MIN_SLOTS = 200_000
 
 
@@ -131,70 +133,19 @@ class MleResult:
         return float(self.log_likelihoods[-1])
 
 
-@cache
-def _upper_triangle(dim: int) -> np.ndarray:
-    """Read-only mask of the packed slots holding real parts (m <= n)."""
-    mask = np.tri(dim, dtype=bool).T
-    mask.setflags(write=False)
-    return mask
-
-
-@cache
-def _pack_index(dim: int) -> np.ndarray:
-    """Read-only positions of ``packed(h)``'s slots in the interleaved float view
-    of a C-ordered complex ``h``: ``2s`` (real part) for slot s on or above the
-    diagonal, ``2s + 1`` (imaginary part) below it."""
-    index = 2 * np.arange(dim * dim) + ~_upper_triangle(dim).ravel()
-    index.setflags(write=False)
-    return index
-
-
-def _pack(h: np.ndarray) -> np.ndarray:
-    """``packed(h)``, the real coordinates of a Hermitian ``h``: its real upper
-    triangle, diagonal included, and its imaginary strict lower triangle, in
-    one row-major dim x dim block. One gather from the real and imaginary
-    parts of a C-ordered copy of ``h`` (``h`` itself when it already is one)."""
-    floats = np.ascontiguousarray(h, dtype=np.complex128).view(np.float64).ravel()
-    return floats.take(_pack_index(h.shape[0]))
-
-
-def _unpack(g: np.ndarray, dim: int) -> np.ndarray:
-    """The Hermitian ``S`` with ``S_mm = g_mm``, ``Re S_mn = g_mn / 2`` (m < n) and
-    ``Im S_mn = g_mn / 2`` (m > n): ``sum_k w_k Pi_k`` if ``g = A @ w`` for the
-    :func:`measurement_matrix` ``A``."""
-    half = 0.5 * g.reshape(dim, dim)
-    r = np.where(_upper_triangle(dim), half, 1j * half)
-    return r + r.conj().T
-
-
-class _PackedMap:
-    """The real C-contiguous (dim^2, K) map ``a`` with ``p = packed(rho) @ a``;
-    ``_unpack(a @ w, dim)`` is ``sum_k w_k Pi_k``."""
-
-    def __init__(self, a: np.ndarray) -> None:
-        self.a = a
-
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return _pack(rho) @ self.a
-
-    def gradient(self, p: np.ndarray) -> np.ndarray:
-        return _unpack(self.a @ (1.0 / p) / self.a.shape[1], math.isqrt(self.a.shape[0]))
-
-
-class _PhaseBlocks:
-    """Records in J runs of S at one LO phase each: ``products[j, t, s]`` is
-    ``f_m f_n`` of record s of run j for the slot ``t = (m, n)``, m <= n, of
-    the upper triangle (doubled off the diagonal), ``phases[j, t]`` is
-    ``e^{i (n - m) theta_j}`` and ``slots[t]`` is ``m dim + n``."""
+class _RecordMap:
+    """Records in J blocks of S over T slots of a dim x dim matrix: record s of
+    block j has ``p = sum_t Re(phases[j, t] rho.flat[slots[t]]) products[j, t,
+    s]``, and ``R`` is the matrix whose entry ``slots[t]`` is ``sum_j
+    conj(phases[j, t]) sum_s products[j, t, s] / (2 K p)``, plus its adjoint.
+    :func:`measurement_matrix` lays out phase blocks and the packed map."""
 
     def __init__(self, products: np.ndarray, phases: np.ndarray, slots: np.ndarray,
                  dim: int) -> None:
         self.products, self.phases, self.slots, self.dim = products, phases, slots, dim
-        # e^{-i (n - m) theta_j} / (2K): R is this triangle plus its adjoint
         self.back = phases.conj() / (2 * products.shape[0] * products.shape[2])
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        # c_j = Re(rho_mn e^{i (n - m) theta_j}), then one product per run
         c = (self.phases * rho.take(self.slots)).real
         return np.matmul(c[:, None, :], self.products).ravel()
 
@@ -206,21 +157,21 @@ class _PhaseBlocks:
         return r + r.conj().T
 
 
-def measurement_matrix(data: QuadratureDataset, cutoff: int) -> _PackedMap | _PhaseBlocks:
+def measurement_matrix(data: QuadratureDataset, cutoff: int) -> _RecordMap:
     """The record map: ``probabilities(rho)`` gives the records' ``p_k = Tr(rho
     Pi_k)`` and ``gradient(p)`` gives ``(1/K) sum_k Pi_k / p_k``, for the
     projector ``Pi_k = d_k d_k^H`` onto record k's quadrature eigenstate
     ``d_kn = f_n(x_k) e^{i n theta_k}``. ``x_k`` is read on the ``half`` axis
     of the kernel ``f_n``: a record tagged with vacuum variance ``v`` is scaled
-    by ``sqrt(0.5 / v)``. Records in equal runs of S >= dim at one phase each,
-    with a packed map of at least :data:`BLOCKED_MIN_SLOTS` slots, get phase
-    blocks; any other record set gets the packed map (module docstring)."""
+    by ``sqrt(0.5 / v)``. Records in equal runs of S >= max(dim, 20) at one
+    phase each, with at least :data:`BLOCKED_MIN_SLOTS` slots ``K dim^2``, get
+    phase blocks; any other record set gets the packed map (module docstring)."""
     x = data.x * math.sqrt(0.5 / data.convention.vacuum_variance)
     radial = fock_wavefunctions(x, cutoff)
     dim, count = radial.shape
     theta = data.theta
     size = int(np.argmax(theta != theta[0])) or count  # the first run's length
-    if (size >= dim and count % size == 0 and count * dim * dim >= BLOCKED_MIN_SLOTS
+    if (size >= max(dim, 20) and count % size == 0 and count * dim * dim >= BLOCKED_MIN_SLOTS
             and (theta.reshape(-1, size) == theta[::size, None]).all()):
         m, n = np.triu_indices(dim)
         runs = radial.reshape(dim, -1, size)
@@ -229,11 +180,11 @@ def measurement_matrix(data: QuadratureDataset, cutoff: int) -> _PackedMap | _Ph
         for t, (row, col) in enumerate(zip(m, n)):
             np.multiply(runs[row], (runs if row == col else doubled)[col], out=products[:, t])
         phases = np.exp(1j * np.outer(theta[::size], np.arange(dim)))[:, n - m]
-        return _PhaseBlocks(products, phases, m * dim + n, dim)
-    # column k is packed(Pi_k), off-diagonal slots doubled: f_m^2 in slot (m, m),
-    # 2 cos((n - m) theta_k) f_m f_n in slot (m, n) for m < n and
-    # 2 sin((m - n) theta_k) f_m f_n for m > n; filled one diagonal at a time,
-    # so every write is a contiguous row of K values
+        return _RecordMap(products, phases, m * dim + n, dim)
+    # slot (m, n) of record k holds f_m^2 for m = n, 2 cos((n - m) theta_k) f_m f_n
+    # for m < n and 2 sin((m - n) theta_k) f_m f_n for m > n, the coefficients of
+    # Re rho_mn and Im rho_mn in p_k; filled one diagonal at a time, so every
+    # write is a contiguous row of K values
     out = np.empty((dim, dim, count))
     for k in range(dim):
         m = np.arange(dim - k)
@@ -243,11 +194,11 @@ def measurement_matrix(data: QuadratureDataset, cutoff: int) -> _PackedMap | _Ph
         else:
             out[m, m + k] = 2.0 * np.cos(k * theta) * products
             out[m + k, m] = 2.0 * np.sin(k * theta) * products
-    return _PackedMap(out.reshape(dim * dim, count))
+    phases = np.where(np.tri(dim, dtype=bool).T, 1.0, -1j).reshape(1, -1)
+    return _RecordMap(out.reshape(1, dim * dim, count), phases, np.arange(dim * dim), dim)
 
 
-def _record_probabilities(rho_entries: np.ndarray,
-                          records: _PackedMap | _PhaseBlocks) -> np.ndarray:
+def _record_probabilities(rho_entries: np.ndarray, records: _RecordMap) -> np.ndarray:
     p = records.probabilities(rho_entries)
     return np.maximum(p, LIKELIHOOD_FLOOR, out=p)
 
@@ -278,7 +229,7 @@ def _direction(g: np.ndarray, memory: deque) -> np.ndarray:
     return q
 
 
-def _trial(records: _PackedMap | _PhaseBlocks, t: np.ndarray, rho: np.ndarray, p: np.ndarray,
+def _trial(records: _RecordMap, t: np.ndarray, rho: np.ndarray, p: np.ndarray,
            r: np.ndarray, d: np.ndarray, step: float) -> tuple:
     """``(gain, T', rho', p')`` at ``T' = T + step d`` from ``rho = T T^H / ||T||^2``,
     with the gain ``ll/K(rho') - ll/K(rho)`` taken without cancellation."""

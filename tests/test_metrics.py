@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _states import fock_projector, random_density
+from _states import fock_projector, random_density, rotated, states, unitaries
 from thermalmimic import fock, mimic
 from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.metrics import (
@@ -18,6 +20,14 @@ from thermalmimic.metrics import (
 
 RNG = np.random.default_rng(2024)
 RANDOM_PAIRS = [(random_density(RNG), random_density(RNG)) for _ in range(50)]
+
+#: Rounding of 1e-15 on an eigenvalue at zero moves F by up to about dim
+#: sqrt(1e-15): the fidelity of rank-deficient states is sensitive at sqrt(e).
+FIDELITY_ATOL = 1e-6
+
+
+#: Two states at one cutoff, each from full rank down to pure.
+STATE_PAIRS = st.integers(0, 8).flatmap(lambda cutoff: st.tuples(states(cutoff), states(cutoff)))
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +58,29 @@ def test_fidelity_symmetric_and_bounded_on_random_pairs():
         f_ba = fidelity(b, a)
         assert abs(f_ab - f_ba) <= 1e-9
         assert -1e-12 <= f_ab <= 1.0 + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=STATE_PAIRS)
+def test_metrics_are_symmetric_and_bounded_down_to_pure_states(pair):
+    a, b = pair
+    f_ab = fidelity(a, b)
+    assert abs(f_ab - fidelity(b, a)) <= FIDELITY_ATOL
+    assert 0.0 <= f_ab <= 1.0
+    assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), rel=0.0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=STATE_PAIRS, data=st.data())
+def test_metrics_are_unitarily_invariant(pair, data):
+    # a phase rotation diag(e^{i n phi}) or any unitary U leaves every metric of
+    # U a U^H and U b U^H as it was
+    a, b = pair
+    u = data.draw(unitaries(a.cutoff), label="U")
+    ua, ub = rotated(u, a), rotated(u, b)
+    assert fidelity(ua, ub) == pytest.approx(fidelity(a, b), rel=0.0, abs=FIDELITY_ATOL)
+    assert trace_distance(ua, ub) == pytest.approx(trace_distance(a, b), rel=0.0, abs=1e-12)
+    assert von_neumann_entropy(ua) == pytest.approx(von_neumann_entropy(a), rel=0.0, abs=1e-10)
 
 
 def test_fidelity_is_one_only_for_identical_matrices():
@@ -96,9 +129,11 @@ def test_helstrom_thermal_vs_laser_near_point_14():
     assert 0.5 - trace_distance(rho_th, laser) / 2.0 == pytest.approx(p_err, abs=1e-12)
 
 
-def test_helstrom_definition_identity():
-    for a, b in RANDOM_PAIRS[:20]:
-        assert helstrom_error(a, b) + 0.5 * trace_distance(a, b) == pytest.approx(0.5, abs=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(pair=STATE_PAIRS)
+def test_helstrom_definition_identity(pair):
+    a, b = pair
+    assert helstrom_error(a, b) + 0.5 * trace_distance(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fuchs_van_de_graaff_sandwich():
@@ -107,6 +142,17 @@ def test_fuchs_van_de_graaff_sandwich():
         t = trace_distance(a, b)
         assert 1.0 - math.sqrt(f) <= t + 1e-8
         assert t <= math.sqrt(max(1.0 - f, 0.0)) + 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=STATE_PAIRS)
+def test_fuchs_van_de_graaff_sandwich_down_to_pure_states(pair):
+    # 1 - sqrt(F) <= T <= sqrt(1 - F), squared so that F's tolerance applies:
+    # (1 - T)^2 <= F <= 1 - T^2
+    a, b = pair
+    f, t = fidelity(a, b), trace_distance(a, b)
+    assert (1.0 - t) ** 2 <= f + FIDELITY_ATOL
+    assert f <= 1.0 - t * t + FIDELITY_ATOL
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +194,13 @@ def test_thermal_state_maximizes_entropy_at_fixed_mean(nbar, n_amp, n_ph):
     rho_art = mimic.assemble(mimic.build_codebook(mimic.CodebookSpec(nbar, n_amp, n_ph)), 30)
     ceiling = thermal_entropy(fock.mean_photon(rho_art))
     assert von_neumann_entropy(rho_art) <= ceiling + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=st.integers(0, 8).flatmap(states))
+def test_entropy_is_at_most_the_thermal_entropy_at_its_mean(rho):
+    ceiling = thermal_entropy(max(fock.mean_photon(rho), 0.0))
+    assert von_neumann_entropy(rho) <= ceiling + 1e-9
 
 
 def test_compare_report_fields():

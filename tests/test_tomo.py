@@ -28,12 +28,8 @@ from thermalmimic.mimic import CodebookSpec, assemble, build_codebook
 from thermalmimic.tomo import (
     LIKELIHOOD_FLOOR,
     MleConfig,
-    _pack,
-    _PackedMap,
-    _PhaseBlocks,
     _record_probabilities,
     _trial,
-    _unpack,
     average,
     log_likelihood,
     measurement_matrix,
@@ -99,27 +95,28 @@ def test_measurement_matrix_is_the_packed_projector(data):
     dim = cutoff + 1
     raw = data.draw(arrays(complex, (dim, dim), elements=st.complex_numbers(max_magnitude=1.0)),
                     label="raw")
-    weights = data.draw(arrays(float, count, elements=st.floats(0.0, 1.0)), label="w")
+    p = data.draw(arrays(float, count, elements=st.floats(0.1, 2.0)), label="p")
     h = raw + raw.conj().T
 
     records = measurement_matrix(QuadratureDataset(x, theta, convention), cutoff)
-    assert isinstance(records, _PackedMap)  # far fewer slots than BLOCKED_MIN_SLOTS
-    a = records.a
-    assert a.shape == (dim * dim, count) and a.flags.c_contiguous
+    # far fewer slots than BLOCKED_MIN_SLOTS: the packed map, one block over all dim^2 slots
+    assert records.products.shape == (1, dim * dim, count)
+    assert records.products.flags.c_contiguous
+    assert np.array_equal(records.slots, np.arange(dim * dim))
     # complex oracle: d_kn = f_n(x_k) e^{i n theta_k}, x_k read on the half
     # axis (vacuum variance 1/2), projector Pi_k = d_k d_k^H
     half = x * math.sqrt(0.5 / convention.vacuum_variance)
     d = fock_wavefunctions(half, cutoff).T * np.exp(1j * np.outer(theta, np.arange(dim)))
     expectations = np.einsum("km,mn,kn->k", d.conj(), h, d).real
-    mixture = np.einsum("k,km,kn->mn", weights, d, d.conj())
-    assert np.allclose(_pack(h) @ a, expectations, rtol=0, atol=1e-12)
-    assert np.allclose(_unpack(a @ weights, dim), mixture, rtol=0, atol=1e-12)
-    # the gather packs any memory layout like a masked select of the parts
-    selected = np.where(np.tri(dim, dtype=bool).T, h.real, h.imag).ravel()
+    gradient = np.einsum("k,km,kn->mn", 1.0 / p, d, d.conj()) / count
+    assert np.allclose(records.probabilities(h), expectations, rtol=0, atol=1e-12)
+    assert np.allclose(records.gradient(p), gradient, rtol=0, atol=1e-12)
+    # any memory layout of h reads the same slots, bit for bit
     read_only = h.view()
     read_only.setflags(write=False)
-    for layout in (h, np.asfortranarray(h), read_only):
-        assert np.array_equal(_pack(layout).view(np.int64), selected.view(np.int64))
+    for layout in (np.asfortranarray(h), read_only):
+        assert np.array_equal(records.probabilities(layout).view(np.int64),
+                              records.probabilities(h).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +300,17 @@ def coherent_records():
     return sample(state, PHASES_50, 40, [7])[0], MleConfig(cutoff=10)
 
 
-@pytest.mark.parametrize("layout", [_PhaseBlocks, _PackedMap], ids=["blocks", "packed"])
-def test_step_gain_is_the_log_likelihood_change(layout, monkeypatch):
+@pytest.mark.parametrize("min_slots, blocks", [(tomo.BLOCKED_MIN_SLOTS, 50), (math.inf, 1)],
+                         ids=["blocks", "packed"])
+def test_step_gain_is_the_log_likelihood_change(min_slots, blocks, monkeypatch):
     # The line search reads ll/K(rho') - ll/K(rho) as Tr(R (rho' - rho)) plus
     # mean(log1p(u) - u), with rho' - rho taken from T, d and the step; at
     # coarse steps, where a difference of log sums has no cancellation to
     # lose, it must equal that difference.
     data, config = thermal_records()
-    if layout is _PackedMap:
-        monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
+    monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", min_slots)
     records = measurement_matrix(data, config.cutoff)
-    assert isinstance(records, layout)
+    assert records.products.shape[0] == blocks
     rng = np.random.default_rng(3)
     dim = config.cutoff + 1
     for _ in range(3):
@@ -359,7 +356,7 @@ def test_phase_blocks_match_the_packed_map_and_the_complex_oracle(data):
     cutoff = data.draw(st.integers(0, 7), label="cutoff")
     dim = cutoff + 1
     runs = data.draw(st.integers(1, 5), label="J")
-    size = data.draw(st.integers(dim, dim + 5), label="S")
+    size = data.draw(st.integers(20, 25), label="S")
     count = runs * size
     x = data.draw(arrays(float, count, elements=st.floats(-4.0, 4.0)), label="x")
     phases = data.draw(arrays(float, runs, elements=st.floats(0.0, 2.0 * math.pi,
@@ -377,7 +374,8 @@ def test_phase_blocks_match_the_packed_map_and_the_complex_oracle(data):
         blocks = measurement_matrix(records, cutoff)
         patch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
         packed = measurement_matrix(records, cutoff)
-    assert isinstance(blocks, _PhaseBlocks) and isinstance(packed, _PackedMap)
+    assert blocks.products.shape == (runs, dim * (dim + 1) // 2, size)
+    assert packed.products.shape == (1, dim * dim, count)
     half = x * math.sqrt(0.5 / convention.vacuum_variance)
     d = fock_wavefunctions(half, cutoff).T * np.exp(1j * np.outer(records.theta, np.arange(dim)))
     expectations = np.einsum("km,mn,kn->k", d.conj(), h, d).real
@@ -390,28 +388,33 @@ def test_phase_blocks_match_the_packed_map_and_the_complex_oracle(data):
 
 def test_record_layout_follows_the_phase_runs():
     def layout(x, theta, cutoff):
-        return type(measurement_matrix(QuadratureDataset(x, theta, Convention.HALF), cutoff))
+        records = measurement_matrix(QuadratureDataset(x, theta, Convention.HALF), cutoff)
+        return "packed" if records.slots.size == (cutoff + 1) ** 2 else "blocks"
 
     thermal, config = thermal_records()
     artificial, _ = artificial_raw_records()
-    assert layout(thermal.x, thermal.theta, config.cutoff) is _PhaseBlocks  # 50 x 40
-    assert layout(artificial.x, artificial.theta, config.cutoff) is _PackedMap  # 100 x 10
+    assert layout(thermal.x, thermal.theta, config.cutoff) == "blocks"  # 50 x 40
+    assert layout(artificial.x, artificial.theta, config.cutoff) == "packed"  # 100 x 10
     # the phase order shuffled, one record short, and runs of 40, 30 and 50
     # (48 runs, as many records as 48 runs of 40)
     order = np.random.default_rng(0).permutation(thermal.count)
-    assert layout(thermal.x[order], thermal.theta[order], 12) is _PackedMap
-    assert layout(thermal.x[:-1], thermal.theta[:-1], 12) is _PackedMap
+    assert layout(thermal.x[order], thermal.theta[order], 12) == "packed"
+    assert layout(thermal.x[:-1], thermal.theta[:-1], 12) == "packed"
     uneven = np.repeat(PHASES_50[:48], [40, 30, 50] * 16)
-    assert layout(np.zeros(uneven.size), uneven, 12) is _PackedMap
-    # blocks need runs of S >= dim and K dim^2 >= BLOCKED_MIN_SLOTS
-    for size, cutoff, expected in ((12, 12, _PackedMap), (13, 12, _PhaseBlocks),
-                                   (7, 7, _PackedMap), (8, 7, _PhaseBlocks)):
-        theta = np.repeat(2.0 * math.pi * np.arange(400) / 400, size)
-        assert layout(np.zeros(theta.size), theta, cutoff) is expected
+    assert layout(np.zeros(uneven.size), uneven, 12) == "packed"
+    # blocks need runs of S >= max(dim, 20) and K dim^2 >= BLOCKED_MIN_SLOTS; the
+    # first two cases are runs of S = dim that cost more in blocks (dim 11 at
+    # K = 2002, dim 13 at K = 1495)
+    for size, cutoff, runs, expected in (
+            (11, 10, 182, "packed"), (13, 12, 115, "packed"), (19, 12, 400, "packed"),
+            (20, 12, 400, "blocks"), (19, 7, 400, "packed"), (20, 7, 400, "blocks"),
+            (25, 25, 40, "packed"), (26, 25, 40, "blocks")):
+        theta = np.repeat(2.0 * math.pi * np.arange(runs) / runs, size)
+        assert layout(np.zeros(theta.size), theta, cutoff) == expected
     runs = -(-tomo.BLOCKED_MIN_SLOTS // (40 * 13 * 13))  # fewest 40-record runs at cutoff 12
-    for count, expected in ((runs - 1, _PackedMap), (runs, _PhaseBlocks)):
+    for count, expected in ((runs - 1, "packed"), (runs, "blocks")):
         theta = np.repeat(2.0 * math.pi * np.arange(count) / count, 40)
-        assert layout(np.zeros(theta.size), theta, 12) is expected
+        assert layout(np.zeros(theta.size), theta, 12) == expected
 
 
 def test_both_layouts_take_the_same_iterations(monkeypatch):
@@ -425,6 +428,51 @@ def test_both_layouts_take_the_same_iterations(monkeypatch):
     assert trace_distance(blocked.rho, packed.rho) <= 1e-12
     assert log_likelihood(blocked.rho, data) == pytest.approx(
         packed.final_log_likelihood, rel=0.0, abs=1e-9)
+
+
+def covariance_records(source, phases, per_phase):
+    # 50 x 40 takes phase blocks and 100 x 10 the packed map, at cutoff 12
+    state = (assemble(build_codebook(CodebookSpec(1.35, 8, 8)), 20) if source == "8x8"
+             else mix([1.0], coherent_states([1.0], [math.pi / 3], 30)))
+    data = sample(state, 2.0 * math.pi * np.arange(phases) / phases, per_phase, [8])[0]
+    records = measurement_matrix(data, 12)
+    assert records.products.shape[0] == (phases if per_phase == 40 else 1)
+    return data
+
+
+COVARIANCE_CASES = pytest.mark.parametrize(
+    "source, phases, per_phase",
+    [("8x8", 50, 40), ("8x8", 100, 10), ("coherent", 50, 40), ("coherent", 100, 10)],
+    ids=["8x8-blocks", "8x8-packed", "coherent-blocks", "coherent-packed"])
+
+
+@COVARIANCE_CASES
+@pytest.mark.parametrize("phi", [0.3, 2.0 * math.pi * 7 / 50], ids=["0.3", "2pi-7/50"])
+def test_rotating_every_lo_phase_rotates_the_reconstruction(source, phases, per_phase, phi):
+    # Pi_k at theta_k + phi is U Pi_k U^H with U = diag(e^{i n phi}), and the
+    # maximally mixed start is invariant, so the fit of the rotated records is
+    # U rho U^H, step for step
+    data = covariance_records(source, phases, per_phase)
+    turned = QuadratureDataset(data.x, np.mod(data.theta + phi, 2.0 * math.pi), data.convention)
+    config = MleConfig(cutoff=12)
+    result, rotated = mle_reconstruct(data, config), mle_reconstruct(turned, config)
+    u = np.exp(1j * phi * np.arange(13))
+    expected = u[:, None] * result.rho.entries * u.conj()
+    assert rotated.iterations == result.iterations
+    assert np.max(np.abs(rotated.rho.entries - expected)) <= 1e-12
+
+
+@COVARIANCE_CASES
+def test_record_order_within_a_phase_run_changes_no_reconstruction(source, phases, per_phase):
+    data = covariance_records(source, phases, per_phase)
+    rng = np.random.default_rng(9)
+    order = np.concatenate([run * per_phase + rng.permutation(per_phase)
+                            for run in range(phases)])
+    shuffled = QuadratureDataset(data.x[order], data.theta[order], data.convention)
+    config = MleConfig(cutoff=12)
+    result, reordered = mle_reconstruct(data, config), mle_reconstruct(shuffled, config)
+    assert reordered.iterations == result.iterations
+    assert np.max(np.abs(reordered.rho.entries - result.rho.entries)) <= 1e-12
 
 
 @pytest.mark.parametrize("records", [thermal_records, artificial_raw_records, coherent_records],

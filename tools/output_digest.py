@@ -5,12 +5,13 @@ Usage: python3 tools/output_digest.py OUT_DIR
 Runs the source tree this script sits in (``src/`` and ``perfbench/`` next to
 ``tools/``): every command of ``perfbench/workloads.py``, full and tiny, at
 seed 3, then raw-path, coherent (one of them a three-run ensemble, so that a
-run that is neither first nor last is digested), random-sweep, codebook
-re-export and ``metrics`` runs. It then cuts three input files from outputs
-already written (a bare density matrix, a matrix wrapped as ``{"matrix":
-...}`` and a bare codebook) and feeds them to ``metrics`` and
-``codebook-export --codebook-file``, so every input layout the CLI parses is
-covered. Each command writes under its own directory of OUT_DIR, which must
+run that is neither first nor last is digested), artificial at the CLI
+defaults (so that the artificial source and its thermal ensemble take phase
+blocks), random-sweep, codebook re-export and ``metrics`` runs. It then cuts
+three input files from outputs already written (a bare density matrix, a
+matrix wrapped as ``{"matrix": ...}`` and a bare codebook) and feeds them to
+``metrics`` and ``codebook-export --codebook-file``, so every input layout
+the CLI parses is covered. Each command writes under its own directory of OUT_DIR, which must
 be empty or absent. Prints one ``sha256  relative/path`` line per file under
 OUT_DIR, sorted by path, and exits 1 naming the first command that fails.
 
@@ -59,6 +60,7 @@ def commands(out: str) -> list[list[str]]:
         ["tomo-end2end", "--source", "coherent", "--runs", "1", "--out-dir", f"{out}/tomo-coherent"],
         ["tomo-end2end", "--source", "coherent", "--runs", "3", "--phases", "10",
          "--samples-per-phase", "20", "--cutoff", "6", "--out-dir", f"{out}/tomo-coherent-3runs"],
+        ["tomo-end2end", "--source", "artificial", "--runs", "2", "--out-dir", f"{out}/tomo-artificial"],
         ["mimic-sweep", "--scheme", "random", "--trials", "3", "--out-dir", f"{out}/sweep-random"],
         ["codebook-export", "--scheme", "random", "--seed", "5", "--out-dir", f"{out}/codebook"],
         ["codebook-export", "--codebook-file", f"{out}/codebook/codebook.json",
