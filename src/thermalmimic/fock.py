@@ -40,6 +40,10 @@ class FockDensityMatrix:
     this is the one truncation check: a trace outside [1 - trace_tol, 1 + 1e-12]
     raises ``ValueError``. Construction also validates finiteness, Hermiticity
     and positive semidefiniteness; traces are never silently renormalized.
+    Positive semidefinite means ``rho - PSD_EIGVAL_FLOOR * I`` has a Cholesky
+    factor: it has one when the least eigenvalue lies above the floor and none
+    when it lies below. Only a rejected matrix has its eigenvalues computed, to
+    name the least one in the error.
     """
 
     cutoff: int
@@ -58,9 +62,13 @@ class FockDensityMatrix:
         asym = float(np.max(np.abs(rho - rho.conj().T)))
         if asym > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |rho - rho^dag| = {asym:.3e}")
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < PSD_EIGVAL_FLOOR:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        # both LAPACK calls read only the lower triangle, as the Hermiticity check allows
+        try:
+            np.linalg.cholesky(rho - PSD_EIGVAL_FLOOR * np.eye(dim))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}"
+                             ) from None
         tr = float(rho.trace().real)
         if tr > 1.0 + TRACE_EXCESS_TOL:
             raise ValueError(f"trace {tr} exceeds 1 + {TRACE_EXCESS_TOL}")
@@ -90,6 +98,12 @@ def coherent_states(magnitudes, phases, cutoff: int):
     is the running sum of ``log k`` for k = 1..n, and ``n log |alpha|`` is
     taken as 0 at n = 0, so |alpha| = 0 gives exactly the vacuum row.
 
+    The coefficient factors into a magnitude part and a phase part ``e^{i n theta}``;
+    each is evaluated once per distinct magnitude or phase and gathered back to the
+    points, so an L x Q grid costs L + Q factor rows. Every row is bit for bit the
+    row a one-point call gives: a repeated value takes the same operations on the
+    same operands, and -0.0 and 0.0, which count as one value, have the same factors.
+
     Raises:
         ValueError: if ``magnitudes`` and ``phases`` are not 1-D arrays of one
             length, or a magnitude is negative.
@@ -101,15 +115,17 @@ def coherent_states(magnitudes, phases, cutoff: int):
     if r.ndim != 1 or r.shape != theta.shape:
         raise ValueError(f"magnitudes and phases must be 1-D arrays of one length, got shapes "
                          f"{r.shape} and {theta.shape}")
-    r, theta = r[:, None], theta[:, None]
     if not np.all(r >= 0.0):
         raise ValueError("magnitudes must be >= 0")
+    r, r_index = np.unique(r, return_inverse=True)
+    theta, theta_index = np.unique(theta, return_inverse=True)
+    r, theta = r[:, None], theta[:, None]
     n = np.arange(cutoff + 1)
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff + 1)))))
     with np.errstate(divide="ignore", invalid="ignore"):  # |alpha| = 0: log 0, then 0 * -inf
         n_log_r = np.where(n == 0, 0.0, n * np.log(r))
-    log_mag = n_log_r - 0.5 * r**2 - 0.5 * log_factorial
-    return np.exp(log_mag) * np.exp(1j * theta * n)
+    magnitude = np.exp(n_log_r - 0.5 * r**2 - 0.5 * log_factorial)
+    return magnitude[r_index] * np.exp(1j * theta * n)[theta_index]
 
 
 def thermal(nbar: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatrix:
@@ -139,9 +155,9 @@ def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatri
     """Statistical mixture ``sum_i p_i |psi_i><psi_i|`` of pure states.
 
     ``states`` holds one Fock coefficient row ``psi_i`` per weight ``p_i``, as
-    :func:`coherent_states` returns them. Weights must be nonnegative and sum
-    to 1 within 1e-12; all rows must share one length (one cutoff), and no
-    row's squared norm may exceed 1. The result is Hermitian and PSD by
+    :func:`coherent_states` returns them: a 2-D (M, dim) array or M rows of one
+    length (one cutoff). Weights must be nonnegative and sum to 1 within 1e-12,
+    and no row's squared norm may exceed 1. The result is Hermitian and PSD by
     construction, and its trace equals the weighted sum of the row norms.
 
     Raises:
@@ -155,10 +171,17 @@ def mix(weights, states, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDensityMatri
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {total!r}")
-    lengths = {len(row) for row in states}
-    if len(lengths) > 1:
-        raise ValueError(f"all states must share one cutoff, got row lengths {lengths}")
-    stacked = np.asarray(states, dtype=np.complex128)
+    try:
+        stacked = np.asarray(states, dtype=np.complex128)
+    except ValueError:
+        lengths = {len(row) for row in states}
+        if len(lengths) > 1:
+            raise ValueError(f"all states must share one cutoff, got row lengths {lengths}"
+                             ) from None
+        raise
+    if stacked.ndim != 2:
+        raise ValueError(f"states must be a 2-D (M, dim) array of Fock rows, got shape "
+                         f"{stacked.shape}")
     if stacked.shape[:1] != weights.shape:
         raise ValueError(f"{weights.size} weights for {len(stacked)} states")
     norms = np.einsum("ij,ij->i", stacked.conj(), stacked).real

@@ -84,13 +84,18 @@ def test_coherent_states_rejects_negative_magnitude():
         build_codebook(CodebookSpec(1.5, 6, 5)).points(),
         build_codebook(CodebookSpec(1.5, 6, 5, Scheme.RANDOM, seed=3)).points(),
         ([0.0, 1.2, 0.0], [0.0, 0.4, 2.5]),
+        ([0.7, 1.2, 0.7, 0.7, 1.2], [2.5, 0.4, 2.5, 0.4, 2.5]),
+        # np.unique takes -0.0 and 0.0 for one value; a signed zero's factors are the same bits
+        ([-0.0, 0.0, 0.9, 0.9, -0.0], [0.0, -0.0, -0.0, 0.0, 1.0]),
     ],
-    ids=["stratified", "random", "zero-amplitude"],
+    ids=["stratified", "random", "zero-amplitude", "repeated", "signed-zeros"],
 )
 def test_coherent_states_rows_match_the_direct_formula(magnitudes, phases):
     states = coherent_states(magnitudes, phases, 30)
     assert states.shape == (len(magnitudes), 31)
     for row, mag, phase in zip(states, magnitudes, phases):
+        # each row depends on its own point only, bit for bit, signs of zeros included
+        assert row.tobytes() == coherent_states([mag], [phase], 30)[0].tobytes()
         # term by term: |a|^n e^{i n p} e^{-|a|^2/2} / sqrt(n!)
         direct = [
             mag**n * complex(math.cos(n * phase), math.sin(n * phase))
@@ -233,6 +238,8 @@ def test_mix_rejects_bad_weights_and_cutoffs():
             mix(weights, [psi, psi])
     with pytest.raises(ValueError, match="share one cutoff"):
         mix([0.5, 0.5], [psi, coherent(1.0, 0.0, cutoff=20)])
+    with pytest.raises(ValueError, match=r"2-D \(M, dim\) array of Fock rows, got shape \(31,\)"):
+        mix([1.0], psi)
 
 
 def test_mix_rejects_rows_above_unit_norm_and_miscounted_weights():
@@ -293,6 +300,25 @@ def test_density_matrix_rejects_negative_eigenvalues():
         FockDensityMatrix(2, bad)
     with pytest.raises(ValueError, match="finite"):
         FockDensityMatrix(1, np.diag([np.nan, 0.5]).astype(complex))
+
+
+def test_density_matrix_positivity_floor_boundary():
+    # U diag(lam) U^H with a random unitary U: the least eigenvalue sits on either side of
+    # the -1e-10 floor
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+
+    def state(least):
+        lam = np.array([least, 0.1, 0.2, 0.3, 0.15, 0.0])
+        lam[-1] = 1.0 - lam.sum()
+        rho = (u * lam) @ u.conj().T
+        return 0.5 * (rho + rho.conj().T)
+
+    with pytest.raises(ValueError, match=r"not positive semidefinite: min eigenvalue -2\.000e-10$"):
+        FockDensityMatrix(5, state(-2e-10))
+    assert FockDensityMatrix(5, state(-5e-11)).trace == pytest.approx(1.0, abs=1e-14)
+    projector = np.outer(u[:, 2], u[:, 2].conj())  # rank 1: five zero eigenvalues
+    assert np.array_equal(FockDensityMatrix(5, projector).entries, projector)
 
 
 def test_density_matrix_rejects_bad_trace():
