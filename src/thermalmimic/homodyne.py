@@ -27,10 +27,12 @@ pass over the LO phases. Each phase's pdf row and CDF are built once and
 shared by the runs; each run draws from generators of its own seed only, so
 its records are the same whether it is drawn alone or with other runs. The
 pdf's harmonics are built only for the diagonals of rho that are not exactly
-zero. A phase-invariant state, one with no nonzero entry off the diagonal
-(thermal light, the vacuum), keeps only ``g_0`` and has the same pdf at every
-phase, so its pass builds one row and one CDF for all phases. One pdf row and
-one CDF are live at a time, beside the ensemble's records.
+zero, and the rows of ``SAMPLER_PHASE_BLOCK`` consecutive phases come from one
+matrix product. A phase-invariant state, one with no nonzero entry off the
+diagonal (thermal light, the vacuum), keeps only ``g_0`` and has the same pdf
+at every phase, so its pass builds one row and one CDF for all phases. One
+block of pdf rows and one CDF are live at a time, beside the ensemble's
+uniforms and records.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ from .fock import FockDensityMatrix, mean_photon
 
 #: Grid resolution for the tabulated inverse-CDF sampler.
 SAMPLER_GRID_POINTS = 4096
+
+#: LO phases whose pdf rows one matrix product builds. On one core with one
+#: BLAS thread, the 100 rows of the 8x8 codebook's source (42 harmonic rows of
+#: 4096 points) take 0.88 ms in blocks of 16 against 2.76 ms one phase at a
+#: time, and 0.9-1.1 ms in blocks of 4 to 32; a block of 16 rows is 0.5 MB.
+SAMPLER_PHASE_BLOCK = 16
 
 
 class Convention(str, Enum):
@@ -156,14 +164,17 @@ def _pdf_rows(rho: FockDensityMatrix, thetas, xs: np.ndarray):
     """Yield the pdf on ``xs`` at each LO phase in ``thetas``, in order.
 
     The dim^2 work is done once in :func:`_pdf_harmonics`; each row is then
-    ``sum_k cos(k theta) Re g_k - sin(k theta) Im g_k``, clipped at zero.
+    ``sum_k cos(k theta) Re g_k - sin(k theta) Im g_k``, clipped at zero. The
+    rows of up to ``SAMPLER_PHASE_BLOCK`` consecutive phases come from one
+    matrix product, so a row equals the one-phase row up to rounding.
     """
     k, harmonics = _pdf_harmonics(rho, xs)
     harmonics = harmonics.reshape(-1, xs.size)
-    for theta in thetas:
-        weights = np.concatenate((np.cos(k * theta), -np.sin(k * theta)))
-        row = weights @ harmonics
-        yield np.clip(row, 0.0, None, out=row)
+    thetas = np.asarray(thetas, dtype=float)
+    for start in range(0, thetas.size, SAMPLER_PHASE_BLOCK):
+        angles = np.multiply.outer(thetas[start:start + SAMPLER_PHASE_BLOCK], k)
+        rows = np.concatenate((np.cos(angles), -np.sin(angles)), axis=1) @ harmonics
+        yield from np.clip(rows, 0.0, None, out=rows)
 
 
 def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
@@ -192,43 +203,61 @@ def sample(
     """Draw quadrature samples at each LO phase by tabulated inverse-CDF lookup,
     one dataset per seed in ``seeds`` (integers or ``SeedSequence`` objects).
 
-    The runs share one pass over the phases: each phase's pdf row and CDF are
-    built once, and every run draws its block from them. If ``g_0`` is the
-    one harmonic ``rho`` keeps (every entry off its diagonal is exactly zero),
-    the pdf is the same at every phase and the pass builds one row and one CDF
-    for all phases. A run's records depend on its own seed only, not on the
-    other seeds or their number.
     The generator of phase i of a run is seeded by the child of its seed with
-    ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it, so
-    the block drawn at phase i depends on the run's seed, ``i`` and that
-    phase's CDF only: appending phases leaves the blocks of the phases before
-    them as they were. Records are concatenated in phase order.
+    ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it, and
+    every run's uniforms are drawn before any pdf row is built. The runs then
+    share one pass over the phases: :func:`_pdf_rows` builds the rows one
+    block of phases at a time, each phase's CDF is built once, and one
+    ``np.interp`` draws every run's block at that phase. If ``g_0`` is the one
+    harmonic ``rho`` keeps (every entry off its diagonal is exactly zero), the
+    pdf is the same at every phase and the pass builds one row and one CDF and
+    draws every record with one ``np.interp``. A run's records depend on its
+    own seed only, not on the other seeds or their number. The block drawn at
+    phase i depends on the run's seed, ``i`` and that phase's CDF only:
+    appending phases leaves the blocks of the phases before them the same up
+    to rounding (a row's last bits may depend on the phases that share its
+    matrix product). Records are concatenated in phase order.
+
+    Raises:
+        ValueError: before any generator is seeded, if ``phases`` is not a
+            non-empty 1-D sequence of finite numbers, ``n_per_phase`` is not an
+            integer >= 1 (a ``bool`` is not one), or ``seeds`` is empty.
     """
+    if isinstance(n_per_phase, bool) or not isinstance(n_per_phase, (int, np.integer)):
+        raise ValueError(f"n_per_phase must be an integer, got {n_per_phase!r}")
     if n_per_phase < 1:
         raise ValueError(f"n_per_phase must be >= 1, got {n_per_phase}")
-    roots = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-             for s in seeds]
-    if not roots:
-        raise ValueError("seeds must hold at least one seed")
     thetas = np.atleast_1d(np.asarray(phases, dtype=float))
+    if thetas.ndim != 1 or thetas.size < 1:
+        raise ValueError(f"phases must be a non-empty 1-D sequence, got shape {thetas.shape}")
     if not np.all(np.isfinite(thetas)):
         raise ValueError("phases must be finite")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed")
+    roots = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+             for s in seeds]
     thetas = np.mod(thetas, fock.TWO_PI)
     thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
+    uniforms = np.empty((len(roots), thetas.size, n_per_phase))
+    for i in range(thetas.size):
+        for u, root in zip(uniforms, roots):
+            child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
+            u[i] = np.random.default_rng(child).random(n_per_phase)
     grid = _sampling_grid(rho)
     dx = np.diff(grid)
-    # only g_0 kept: each phase's row would be the same g_0 bit for bit
-    invariant = _harmonic_orders(rho).tolist() == [0]
-    rows = _pdf_rows(rho, thetas[:1] if invariant else thetas, grid)
-    xs = np.empty((len(roots), thetas.size, n_per_phase))
-    for i in range(thetas.size):
-        if i == 0 or not invariant:
-            pdf = next(rows)
-            cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))  # trapezoid
-            cdf /= cdf[-1]
-        for x, root in zip(xs, roots):
-            child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
-            x[i] = np.interp(np.random.default_rng(child).random(n_per_phase), cdf, grid)
+
+    def inverse_cdf(pdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))  # trapezoid
+        cdf /= cdf[-1]
+        return np.interp(u, cdf, grid)
+
+    if _harmonic_orders(rho).tolist() == [0]:  # only g_0 kept: every phase's row is that g_0
+        xs = inverse_cdf(next(_pdf_rows(rho, thetas[:1], grid)), uniforms)
+    else:
+        xs = uniforms  # overwritten phase by phase with the records
+        for i, pdf in enumerate(_pdf_rows(rho, thetas, grid)):
+            xs[:, i] = inverse_cdf(pdf, uniforms[:, i])
     theta = np.repeat(thetas, n_per_phase)
     return [QuadratureDataset(x.ravel(), theta, Convention.HALF) for x in xs]
 

@@ -139,6 +139,25 @@ def test_coherent_states_match_a_scalar_log_space_oracle(cutoff, points):
             assert np.array_equal(row, np.eye(cutoff + 1)[0])
 
 
+@given(
+    cutoff=st.integers(0, 40),
+    points=st.lists(
+        st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+        min_size=1, max_size=6,
+    ),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+@settings(max_examples=200, deadline=None)
+def test_coherent_states_are_covariant_under_phase_rotation(cutoff, points, phi):
+    # U |alpha> = |alpha e^{i phi}> for U = diag(e^{i n phi}): the row of the
+    # turned amplitude is the row of the amplitude times e^{i n phi}
+    magnitudes, phases = (np.array(col) for col in zip(*points))
+    rows = coherent_states(magnitudes, phases, cutoff)
+    turned = coherent_states(magnitudes, np.mod(phases + phi, 2 * math.pi), cutoff)
+    u = np.exp(1j * phi * np.arange(cutoff + 1))
+    assert np.max(np.abs(turned - rows * u)) <= 1e-12
+
+
 def test_mix_budget_bounds_the_weighted_tail():
     # at cutoff 30, |alpha|^2 = 0.25 loses nothing and |alpha|^2 = 31 loses 0.524
     rows = coherent_states([0.5, math.sqrt(31.0)], [0.0, 1.0], 30)
@@ -187,6 +206,18 @@ def test_thermal_truncation_error_when_cutoff_too_small():
         thermal(1.0, -1)
 
 
+@given(nbar=st.floats(0.0, 3.0), cutoff=st.integers(0, 40), phi=st.floats(0.0, 2 * math.pi))
+@settings(max_examples=200, deadline=None)
+def test_thermal_is_invariant_under_phase_rotation(nbar, cutoff, phi):
+    # U rho U^H for U = diag(e^{i n phi}) turns entry (m, n) by e^{i (m - n) phi},
+    # so a diagonal state keeps its zeros exactly and its diagonal to rounding
+    rho = thermal(nbar, cutoff, tail_tol=1.0)
+    u = np.diag(np.exp(1j * phi * np.arange(cutoff + 1)))
+    turned = u @ rho.entries @ u.conj().T
+    assert np.count_nonzero(turned - np.diag(np.diagonal(turned))) == 0
+    assert np.max(np.abs(turned - rho.entries)) <= 1e-15
+
+
 @pytest.mark.parametrize("nbar", [0.25, 0.5, 1.0, 2.0, 3.5, 5.0])
 def test_thermal_diagonal_decreasing_and_exact(nbar):
     cutoff = 90  # adequate for nbar up to 5 at the default tail budget
@@ -224,6 +255,33 @@ def test_mix_trace_is_weighted_norm_sum():
     rho = mix(weights, states)
     expected = sum(w * norm_sq(s) for w, s in zip(weights, states))
     assert rho.trace == pytest.approx(expected, abs=1e-9)
+
+
+@given(
+    cutoff=st.integers(0, 30),
+    points=st.lists(
+        st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi, exclude_max=True),
+                  st.floats(0.0, 1.0)),
+        min_size=1, max_size=8,
+    ),
+    generic=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_mix_is_psd_with_trace_the_weighted_row_norms(cutoff, points, generic, seed):
+    # coherent rows and generic rows of squared norm up to 1, at any weights
+    magnitudes, phases, coherent_weights = (np.array(col) for col in zip(*points))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(generic, cutoff + 1)) + 1j * rng.normal(size=(generic, cutoff + 1))
+    rows *= rng.uniform(0.0, 1.0, (generic, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = np.vstack((coherent_states(magnitudes, phases, cutoff), rows))
+    weights = np.concatenate((coherent_weights, rng.uniform(0.0, 1.0, generic))) + 1e-3
+    weights /= weights.sum()
+    rho = mix(weights, rows, tail_tol=1.0)
+    assert np.array_equal(rho.entries, rho.entries.conj().T)
+    assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-14
+    norms = np.sum(np.abs(rows) ** 2, axis=1)
+    assert rho.trace == pytest.approx(float(weights @ norms), rel=0.0, abs=1e-14)
 
 
 def test_mix_rejects_bad_weights_and_cutoffs():

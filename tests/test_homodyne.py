@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _states import fock_projector, random_density
+from _states import fock_projector, random_density, rotated, states
 from thermalmimic import homodyne, mimic, tomo
 from thermalmimic.fock import FockDensityMatrix, coherent_states, mix, thermal
 from thermalmimic.homodyne import (
@@ -112,6 +114,31 @@ def test_pdf_rows_match_the_tomography_record_kernel():
             assert np.allclose(kernel, expected, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rotating_the_state_shifts_its_pdf_rows_in_lo_phase(data):
+    # (U rho U^H)_mn = e^{i (m - n) phi} rho_mn for U = diag(e^{i n phi}), so
+    # p'(x|theta + phi) = p(x|theta): the sampler's side of the covariance
+    # that tomo's reconstruction keeps; 1 to 40 phases take whole blocks and
+    # remainders of SAMPLER_PHASE_BLOCK
+    cutoff = data.draw(st.integers(0, 12), label="cutoff")
+    rho = data.draw(states(cutoff), label="rho")
+    phi = data.draw(st.floats(0.0, 2.0 * math.pi), label="phi")
+    thetas = np.array(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                                         min_size=1, max_size=40), label="thetas"))
+    turned = rotated(np.diag(np.exp(1j * phi * np.arange(cutoff + 1))), rho)
+    xs = np.linspace(-7.0, 7.0, 141)
+    rows = np.array(list(homodyne._pdf_rows(rho, thetas, xs)))
+    shifted = np.array(list(homodyne._pdf_rows(turned, np.mod(thetas + phi, 2.0 * math.pi), xs)))
+    assert rows.shape == shifted.shape == (thetas.size, xs.size)
+    assert rows.min() >= 0.0
+    # each row is its own phase's pdf, whichever block it came from
+    for theta, row in zip(thetas, rows):
+        expected = complex_record_kernel(rho, xs, np.full(xs.size, theta))
+        assert np.max(np.abs(row - expected)) <= 1e-13
+    assert np.max(np.abs(shifted - rows)) <= 1e-13  # measured: 2.2e-15 over 2000 examples
+
+
 def test_fock_wavefunctions_are_orthonormal():
     xs = np.linspace(-15, 15, 20001)
     f = fock_wavefunctions(xs, 12)
@@ -172,33 +199,55 @@ def sampling_states():
     }
 
 
+#: Rounding allowed, relative to a row's maximum, between a pdf row from one
+#: block product and the same row from a one-phase product (measured: 6 eps).
+ROW_ROUNDING = 1e-13
+
+
 def test_sample_blocks_follow_phase_order_and_spawned_generators():
-    # bit for bit: a phase-invariant state's shared row and CDF draw what a row
-    # built at each phase draws, and the nearly diagonal state, whose rows
-    # differ in their last bits, pins sharing to exactly zero off the diagonal
-    phases = [0.4, 2.5, 2.5 + 2.0 * math.pi, 5.9, 0.4, -1.3]  # a repeated phase, two wrapped ones
+    # bit for bit: every block is the draw of the run's phase-i generator from
+    # the CDF of _pdf_rows' row i for the same phases; a phase-invariant
+    # state's shared row and CDF draw what a row built at each phase draws,
+    # and the nearly diagonal state, whose rows differ in their last bits,
+    # pins sharing to exactly zero off the diagonal. The phases hold a
+    # repeated one, two wrapped ones, and a whole block plus a remainder.
+    phases = [0.4, 2.5, 2.5 + 2.0 * math.pi, 5.9, 0.4, -1.3, *np.linspace(0.1, 6.2, 15)]
+    assert len(phases) > homodyne.SAMPLER_PHASE_BLOCK
     wrapped = np.mod(phases, 2.0 * math.pi)
     n = 30
     children = np.random.SeedSequence(19).spawn(len(phases))
     for name, rho in sampling_states().items():
         ds = sample(rho, phases, n, [19])[0]
-        for j, (theta, child) in enumerate(zip(wrapped, children)):
-            expected = reference_draw(rho, theta, np.random.default_rng(child).random(n))
+        grid = _sampling_grid(rho)
+        rows = homodyne._pdf_rows(rho, wrapped, grid)
+        for j, (theta, child, row) in enumerate(zip(wrapped, children, rows, strict=True)):
+            u = np.random.default_rng(child).random(n)
+            one_phase = quadrature_pdf(rho, theta, grid)
+            assert np.max(np.abs(row - one_phase)) <= ROW_ROUNDING * row.max(), (name, j)
             block = slice(j * n, (j + 1) * n)
             assert np.all(ds.theta[block] == theta), name
-            assert np.array_equal(ds.x[block], expected), (name, j)
+            assert np.array_equal(ds.x[block], reference_draw(rho, None, u, row)), (name, j)
+            if name in ("thermal", "vacuum"):
+                assert np.array_equal(ds.x[block], reference_draw(rho, theta, u)), (name, j)
 
 
-def full_pdf_row(rho, theta, xs):
-    """The pdf row from every harmonic g_0 .. g_cutoff, zero or not."""
+def full_pdf_harmonics(rho, xs):
+    """``[Re g, Im g]`` of every order 0 .. cutoff, zero or not: shape (2, dim, len(xs))."""
     dim = rho.cutoff + 1
     f = fock_wavefunctions(xs, rho.cutoff)
     harmonics = np.empty((2, dim, xs.size))
     for k in range(dim):
         diagonal = np.diagonal(rho.entries, k) * (1.0 if k == 0 else 2.0)
         harmonics[:, k] = np.stack([diagonal.real, diagonal.imag]) @ (f[:dim - k] * f[k:])
-    k = np.arange(dim)
-    row = np.concatenate((np.cos(k * theta), -np.sin(k * theta))) @ harmonics.reshape(-1, xs.size)
+    return harmonics
+
+
+def full_pdf_row(rho, theta, xs):
+    """The pdf row at one phase from every harmonic g_0 .. g_cutoff, one
+    matrix-vector product."""
+    k = np.arange(rho.cutoff + 1)
+    weights = np.concatenate((np.cos(k * theta), -np.sin(k * theta)))
+    row = weights @ full_pdf_harmonics(rho, xs).reshape(-1, xs.size)
     return np.clip(row, 0.0, None)
 
 
@@ -206,18 +255,32 @@ def full_pdf_row(rho, theta, xs):
     ("thermal", [0]), ("vacuum", [0]), ("fock", [0]), ("coherent", list(range(21))),
 ])
 def test_skipping_zero_harmonics_keeps_rows_and_records_bit_for_bit(name, kept):
+    # the kept harmonics are the full set's bit for bit and the skipped ones
+    # exactly zero; a phase-invariant state's rows and records are the
+    # one-phase full rows' bit for bit, and any state's rows are within
+    # rounding of them (a block product sums in its own order)
     rho = {"thermal": thermal(1.35, 30), "vacuum": thermal(0.0, 10),
            "fock": fock_projector(3, 12), "coherent": coherent_state(1.1, 0.8, cutoff=20)}[name]
     assert homodyne._harmonic_orders(rho).tolist() == kept
     grid = _sampling_grid(rho)
+    orders, harmonics = homodyne._pdf_harmonics(rho, grid)
+    full_harmonics = full_pdf_harmonics(rho, grid)
+    assert np.array_equal(harmonics, full_harmonics[:, orders])
+    assert not np.delete(full_harmonics, orders, axis=1).any()
     phases = [0.0, 0.4, 2.5, 5.9]
     full = [full_pdf_row(rho, theta, grid) for theta in phases]
-    for row, expected in zip(homodyne._pdf_rows(rho, phases, grid), full):
-        assert np.array_equal(row, expected)
+    rows = list(homodyne._pdf_rows(rho, phases, grid))
+    for row, expected in zip(rows, full, strict=True):
+        assert np.max(np.abs(row - expected)) <= ROW_ROUNDING * expected.max()
+        if kept == [0]:
+            assert np.array_equal(row, expected)
     records = sample(rho, phases, 30, [19])[0].x.reshape(len(phases), 30)
-    for block, pdf, child in zip(records, full, np.random.SeedSequence(19).spawn(len(phases))):
-        assert np.array_equal(block, reference_draw(rho, None, np.random.default_rng(child)
-                                                    .random(30), pdf))
+    children = np.random.SeedSequence(19).spawn(len(phases))
+    for block, row, expected, child in zip(records, rows, full, children):
+        u = np.random.default_rng(child).random(30)
+        assert np.array_equal(block, reference_draw(rho, None, u, row))
+        if kept == [0]:
+            assert np.array_equal(block, reference_draw(rho, None, u, expected))
 
 
 @pytest.mark.parametrize("n_phases", [1, 2, 7])
@@ -309,6 +372,31 @@ def test_sample_variance_matches_pdf_moments(rho, theta):
 def test_sample_rejects_empty_request():
     with pytest.raises(ValueError):
         sample(thermal(0.0, 5), [0.0], 0, [1])
+
+
+def test_sample_checks_its_arguments_before_any_seeding(monkeypatch):
+    def seeded(*args, **kwargs):
+        raise AssertionError("a generator was seeded before the arguments were checked")
+
+    rho, seed = coherent_state(1.1, 0.8, cutoff=20), np.random.SeedSequence(1)
+    monkeypatch.setattr(np.random, "SeedSequence", seeded)
+    monkeypatch.setattr(np.random, "default_rng", seeded)
+    for phases, n_per_phase, seeds, match in [
+        ([[0.1, 0.2]], 3, [seed], r"phases must be a non-empty 1-D sequence, got shape \(1, 2\)"),
+        ([], 3, [seed], r"phases must be a non-empty 1-D sequence, got shape \(0,\)"),
+        ([0.1], 2.5, [seed], "n_per_phase must be an integer, got 2.5"),
+        ([0.1], True, [seed], "n_per_phase must be an integer, got True"),
+        ([0.1], np.float64(3.0), [seed], r"n_per_phase must be an integer, got np\.float64\(3\.0\)"),
+        ([0.1], 0, [seed], "n_per_phase must be >= 1, got 0"),
+        ([0.1], 3, [], "seeds must hold at least one seed"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            sample(rho, phases, n_per_phase, seeds)
+        with pytest.raises(ValueError, match=match):
+            simulate_raw(rho, phases, n_per_phase, 2.5, 0.3, seeds)
+    monkeypatch.undo()
+    # a numpy integer is an integer, and a scalar phase is one phase
+    assert np.array_equal(sample(rho, 0.7, np.int64(4), [5])[0].x, sample(rho, [0.7], 4, [5])[0].x)
 
 
 def test_sample_wraps_phases_into_the_period_and_rejects_non_finite_ones():

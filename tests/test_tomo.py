@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _states import fock_projector
+from _states import fock_projector, states
 from thermalmimic import tomo
 from thermalmimic.fock import (
     FockDensityMatrix,
@@ -234,6 +234,24 @@ def test_optimality_gap_bounds_the_likelihood_distance():
     assert tight.optimality_gap <= 1e-9
     assert tight.final_log_likelihood - default.final_log_likelihood <= (
         default.optimality_gap + 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_certified_gap_bounds_the_distance_to_a_tight_fit_on_random_sources(data):
+    # ll(fit) <= ll* <= ll(default) + its gap, whether or not the tight fit converged
+    source = data.draw(st.integers(0, 8).flatmap(states), label="source")
+    phases = data.draw(st.integers(1, 12), label="phases")
+    per_phase = data.draw(st.integers(1, 25), label="per_phase")
+    cutoff = data.draw(st.integers(0, 6), label="cutoff")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="data seed")
+    records = sample(source, 2.0 * math.pi * np.arange(phases) / phases, per_phase, [seed])[0]
+    default = mle_reconstruct(records, MleConfig(cutoff=cutoff))
+    tight = mle_reconstruct(records, MleConfig(cutoff=cutoff, stop_tol=1e-9))
+    assert tight.final_log_likelihood - default.final_log_likelihood <= (
+        default.optimality_gap + 1e-9)
+    assert default.final_log_likelihood - tight.final_log_likelihood <= (
+        tight.optimality_gap + 1e-9)
 
 
 def test_coherent_state_at_nonzero_phase_is_recovered():
