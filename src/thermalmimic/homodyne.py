@@ -25,7 +25,10 @@ Sampling
 :func:`sample` and :func:`simulate_raw` draw every run of an ensemble in one
 pass over the LO phases. Each phase's pdf row and CDF are built once and
 shared by the runs; each run draws from generators of its own seed only, so
-its records are the same whether it is drawn alone or with other runs. The
+its records are the same whether it is drawn alone or with other runs. A
+run's per-phase generators are numpy's ``PCG64`` seeded by the children that
+``SeedSequence.spawn`` would make of its seed; the children's seed hash runs
+once for all phases, on arrays, and gives the same words numpy would. The
 pdf's harmonics are built only for the diagonals of rho that are not exactly
 zero, and the rows of ``SAMPLER_PHASE_BLOCK`` consecutive phases come from one
 matrix product. A phase-invariant state, one with no nonzero entry off the
@@ -55,6 +58,13 @@ SAMPLER_GRID_POINTS = 4096
 #: 4096 points) take 0.88 ms in blocks of 16 against 2.76 ms one phase at a
 #: time, and 0.9-1.1 ms in blocks of 4 to 32; a block of 16 rows is 0.5 MB.
 SAMPLER_PHASE_BLOCK = 16
+
+# The seed hash of numpy's ``SeedSequence`` (O'Neill's ``seed_seq`` mixer, as
+# numpy/random/bit_generator.pyx writes it): wrapping uint32 arithmetic.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 class Convention(str, Enum):
@@ -189,6 +199,80 @@ def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
     return float(p[0]) if np.isscalar(x) else p
 
 
+def _seed_words(material) -> list[int]:
+    """The 32-bit words numpy makes of seed material that a ``SeedSequence``
+    has accepted: an integer's words, least significant first (one 0 word for
+    0), and a sequence's items' words in order."""
+    if isinstance(material, (int, np.integer)):
+        value = int(material)
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    return [word for item in material for word in _seed_words(item)]
+
+
+def _child_seed_states(root, count: int) -> np.ndarray:
+    """The words ``SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
+    pool_size=root.pool_size).generate_state(4, np.uint64)`` for each i in
+    ``range(count)`` (``count <= 2**32``), shape (count, 4).
+
+    numpy's hash runs once, on uint32 arrays over every i: the children's
+    entropy words are the root's entropy padded with zero words to the pool
+    size, the root's spawn key, then i. Every word before i is the same for
+    all children, so those steps run on one-element arrays.
+    """
+    entropy = _seed_words(root.entropy)
+    entropy += [0] * (root.pool_size - len(entropy))
+    words = [np.full(1, word, np.uint32) for word in entropy + _seed_words(root.spawn_key)]
+    words.append(np.arange(count, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in words[:root.pool_size]]  # the padding fills the pool
+    for src in range(root.pool_size):
+        for dst in range(root.pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[root.pool_size:]:
+        for dst in range(root.pool_size):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((count, 8), np.uint32)
+    hash_const = _INIT_B
+    for dst in range(8):
+        value = pool[dst % root.pool_size] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, dst] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """One child's four uint64 seed words, handed to ``PCG64`` through numpy's
+    ``ISeedSequence`` protocol: ``PCG64`` asks ``generate_state(4, np.uint64)``
+    of its seed once. :func:`sample` registers the class, so that importing
+    this module does not load ``numpy.random``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def _sampling_grid(rho: FockDensityMatrix) -> np.ndarray:
     half_width = 5.0 * math.sqrt(2.0 * mean_photon(rho) + 1.0)
     return np.linspace(-half_width, half_width, SAMPLER_GRID_POINTS)
@@ -204,8 +288,10 @@ def sample(
     one dataset per seed in ``seeds`` (integers or ``SeedSequence`` objects).
 
     The generator of phase i of a run is seeded by the child of its seed with
-    ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it, and
-    every run's uniforms are drawn before any pdf row is built. The runs then
+    ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it: a
+    ``PCG64`` holding the words that child's ``generate_state`` gives, which
+    :func:`_child_seed_states` hashes for every phase of the run at once. Every
+    run's uniforms are drawn before any pdf row is built. The runs then
     share one pass over the phases: :func:`_pdf_rows` builds the rows one
     block of phases at a time, each phase's CDF is built once, and one
     ``np.interp`` draws every run's block at that phase. If ``g_0`` is the one
@@ -239,11 +325,11 @@ def sample(
              for s in seeds]
     thetas = np.mod(thetas, fock.TWO_PI)
     thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
     uniforms = np.empty((len(roots), thetas.size, n_per_phase))
-    for i in range(thetas.size):
-        for u, root in zip(uniforms, roots):
-            child = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i))
-            u[i] = np.random.default_rng(child).random(n_per_phase)
+    for u, root in zip(uniforms, roots):
+        for u_i, state in zip(u, _child_seed_states(root, thetas.size)):
+            np.random.Generator(np.random.PCG64(_SeedState(state))).random(out=u_i)
     grid = _sampling_grid(rho)
     dx = np.diff(grid)
 

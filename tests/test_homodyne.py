@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -379,8 +379,9 @@ def test_sample_checks_its_arguments_before_any_seeding(monkeypatch):
         raise AssertionError("a generator was seeded before the arguments were checked")
 
     rho, seed = coherent_state(1.1, 0.8, cutoff=20), np.random.SeedSequence(1)
-    monkeypatch.setattr(np.random, "SeedSequence", seeded)
-    monkeypatch.setattr(np.random, "default_rng", seeded)
+    for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, seeded)
+    monkeypatch.setattr(homodyne, "_child_seed_states", seeded)
     for phases, n_per_phase, seeds, match in [
         ([[0.1, 0.2]], 3, [seed], r"phases must be a non-empty 1-D sequence, got shape \(1, 2\)"),
         ([], 3, [seed], r"phases must be a non-empty 1-D sequence, got shape \(0,\)"),
@@ -397,6 +398,76 @@ def test_sample_checks_its_arguments_before_any_seeding(monkeypatch):
     monkeypatch.undo()
     # a numpy integer is an integer, and a scalar phase is one phase
     assert np.array_equal(sample(rho, 0.7, np.int64(4), [5])[0].x, sample(rho, [0.7], 4, [5])[0].x)
+
+
+def child_states_by_numpy(root, count):
+    return np.array([
+        np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
+                               pool_size=root.pool_size).generate_state(4, np.uint64)
+        for i in range(count)
+    ])
+
+
+_ENTROPY = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32]),
+    st.integers(2**64 + 1, 2**200),
+    st.integers(0, 2**128 - 1),  # the size of SeedSequence()'s own draw
+    st.lists(st.integers(0, 2**70), max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entropy=_ENTROPY,
+    spawn_key=st.lists(st.integers(0, 2**70), max_size=3),
+    pool_size=st.sampled_from([4, 8]),
+    count=st.integers(1, 3000),
+)
+@example(entropy=[1, 2**40], spawn_key=[2**32, 5], pool_size=4, count=7)
+@example(entropy=2**32 - 1, spawn_key=[], pool_size=8, count=1)
+def test_child_seed_states_are_numpys_words_bit_for_bit(entropy, spawn_key, pool_size, count):
+    root = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+    states = homodyne._child_seed_states(root, count)
+    assert states.dtype == np.uint64 and states.shape == (count, 4)
+    assert np.array_equal(states, child_states_by_numpy(root, count))
+
+
+def test_child_seed_states_of_an_os_entropy_root_are_numpys_words():
+    root = np.random.SeedSequence()
+    assert root.entropy >= 2**64  # a 128-bit draw, all but surely above 64 bits
+    assert np.array_equal(homodyne._child_seed_states(root, 50), child_states_by_numpy(root, 50))
+
+
+@pytest.mark.parametrize("root", [
+    np.random.SeedSequence(19, pool_size=8),
+    np.random.SeedSequence([1, 2**40], spawn_key=(2**33,)),
+], ids=["pool-size-8", "sequence-entropy"])
+def test_sample_draws_from_the_spawned_children_of_a_seed_sequence(root):
+    phases, n = [0.4, 2.5, 5.9, *np.linspace(0.1, 6.2, 15)], 30
+    rho = coherent_state(1.1, 0.8, cutoff=20)
+    records = sample(rho, phases, n, [root])[0].x.reshape(len(phases), n)
+    assert root.n_children_spawned == 0
+    twin = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size)
+    rows = homodyne._pdf_rows(rho, np.mod(phases, 2.0 * math.pi), _sampling_grid(rho))
+    for block, row, child in zip(records, rows, twin.spawn(len(phases)), strict=True):
+        u = np.random.default_rng(child).random(n)
+        assert np.array_equal(block, reference_draw(rho, None, u, row))
+
+
+def test_pdf_rows_clip_a_rounding_negative_value_to_zero():
+    # (|0> - |2>)/sqrt(2) has a double zero of its theta = 0 pdf where f_0 = f_2,
+    # at x^2 = (1 + sqrt(2))/2; beside it the harmonic sum rounds below zero
+    psi = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
+    rho = FockDensityMatrix(2, np.outer(psi, psi).astype(complex))
+    node = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
+    xs = np.linspace(node - 1e-9, node + 1e-9, 101)
+    orders, harmonics = homodyne._pdf_harmonics(rho, xs)
+    assert orders.tolist() == [0, 2]
+    unclipped = np.concatenate((np.ones(2), np.zeros(2)))[None, :] @ harmonics.reshape(-1, xs.size)
+    assert (unclipped < 0.0).any()
+    (row,) = homodyne._pdf_rows(rho, [0.0], xs)
+    assert row.min() >= 0.0
+    assert np.array_equal(row, np.maximum(unclipped[0], 0.0))
 
 
 def test_sample_wraps_phases_into_the_period_and_rejects_non_finite_ones():

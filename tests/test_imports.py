@@ -6,8 +6,10 @@ and no submodule, and gives no name a second, package-level home. Importing
 ``scipy.special`` and ``scipy.optimize`` costs about 0.5 s of a fresh
 process, more than a small ``tomo-end2end`` run spends on its MLE. Only
 ``mimic.optimize_weights`` needs scipy (for ``nnls``) and imports it on first
-call. Each check runs in a fresh interpreter, since this test process has
-scipy loaded already.
+call. ``import thermalmimic.cli`` loads no ``numpy.random`` either, which would
+add about 4 ms to a 57 ms import; the sampler first touches it when it draws.
+Each check runs in a fresh interpreter, since this test process has scipy and
+numpy.random loaded already.
 
 A ``_``-prefixed name is its module's own: no module of the package imports
 one from a sibling or reads one as a sibling module's attribute.
@@ -44,7 +46,8 @@ class Watch:
 
 def report(stage, **extra):
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print(json.dumps({"stage": stage, "scipy": loaded, "importer": first[:1], **extra}))
+    print(json.dumps({"stage": stage, "scipy": loaded, "importer": first[:1],
+                      "numpy_random": "numpy.random" in sys.modules, **extra}))
 
 sys.meta_path.insert(0, Watch())
 import thermalmimic
@@ -91,6 +94,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     bare = stages[0]
     assert not bare["loaded"], f"import thermalmimic loaded {bare['loaded'][:5]}"
     assert not bare["public"], f"the package holds public names {bare['public'][:5]}"
+    assert not stages[1]["numpy_random"], "import thermalmimic.cli loaded numpy.random"
     for s in stages:
         assert not s["scipy"], (
             f"{s['stage']} loaded {len(s['scipy'])} scipy modules, first pulled in by "
