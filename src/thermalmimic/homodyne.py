@@ -25,12 +25,14 @@ Sampling
 :func:`sample` and :func:`simulate_raw` draw every run of an ensemble in one
 pass over the LO phases. Each phase's pdf row and CDF are built once and
 shared by the runs; each run draws from generators of its own seed only, so
-its records are the same whether it is drawn alone or with other runs. A
-run's per-phase generators are numpy's ``PCG64`` seeded by the children that
-``SeedSequence.spawn`` would make of its seed; the children's seed hash runs
-once for all phases, on arrays, and gives the same words numpy would. The
-pdf's harmonics are built only for the diagonals of rho that are not exactly
-zero, and the rows of ``SAMPLER_PHASE_BLOCK`` consecutive phases come from one
+its records are the same whether it is drawn alone or with other runs. A run's
+per-phase generators are numpy's ``PCG64`` seeded by the children that
+``SeedSequence.spawn`` would make of its seed. Their words start from the
+seed's own ``SeedSequence.pool``: the last hash step, once for all phases on
+arrays, gives the same words numpy would. :func:`simulate_raw` draws a run's
+vacuum trace from the child ``(*spawn_key, 0)`` of its seed. The pdf's
+harmonics are built only for the diagonals of rho that are not exactly zero,
+and the rows of ``SAMPLER_PHASE_BLOCK`` consecutive phases come from one
 matrix product. A phase-invariant state, one with no nonzero entry off the
 diagonal (thermal light, the vacuum), keeps only ``g_0`` and has the same pdf
 at every phase, so its pass builds one row and one CDF for all phases. One
@@ -199,18 +201,20 @@ def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
     return float(p[0]) if np.isscalar(x) else p
 
 
-def _seed_words(material) -> list[int]:
-    """The 32-bit words numpy makes of seed material that a ``SeedSequence``
-    has accepted: an integer's words, least significant first (one 0 word for
-    0), and a sequence's items' words in order."""
+def _word_count(material) -> int:
+    """How many 32-bit words numpy makes of seed material that a ``SeedSequence``
+    has accepted: one per started 32 bits of an integer (0 takes one)."""
     if isinstance(material, (int, np.integer)):
-        value = int(material)
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    return [word for item in material for word in _seed_words(item)]
+        return max(1, -(-int(material).bit_length() // 32))
+    return sum(_word_count(item) for item in material)
+
+
+def _hashmix(values: np.ndarray, hash_const: int, mult: int) -> np.ndarray:
+    """numpy's ``hashmix`` of each column of the uint32 ``values`` in turn, from
+    ``hash_const`` on: the hash constant steps by ``mult`` per column."""
+    consts = np.multiply.accumulate([hash_const] + [mult] * values.shape[-1], dtype=np.uint32)
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
 
 
 def _child_seed_states(root, count: int) -> np.ndarray:
@@ -218,44 +222,21 @@ def _child_seed_states(root, count: int) -> np.ndarray:
     pool_size=root.pool_size).generate_state(4, np.uint64)`` for each i in
     ``range(count)`` (``count <= 2**32``), shape (count, 4).
 
-    numpy's hash runs once, on uint32 arrays over every i: the children's
-    entropy words are the root's entropy padded with zero words to the pool
-    size, the root's spawn key, then i. Every word before i is the same for
-    all children, so those steps run on one-element arrays.
+    A child's words are the root's, padded with zero words to the pool size,
+    then i, so its pool is ``root.pool`` with i mixed into each pool word. By
+    then numpy's hash constant has stepped ``pool_size`` times per word hashed
+    before i. Only that last step and the output hash run here, on uint32
+    arrays over every i.
     """
-    entropy = _seed_words(root.entropy)
-    entropy += [0] * (root.pool_size - len(entropy))
-    words = [np.full(1, word, np.uint32) for word in entropy + _seed_words(root.spawn_key)]
-    words.append(np.arange(count, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in words[:root.pool_size]]  # the padding fills the pool
-    for src in range(root.pool_size):
-        for dst in range(root.pool_size):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[root.pool_size:]:
-        for dst in range(root.pool_size):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((count, 8), np.uint32)
-    hash_const = _INIT_B
-    for dst in range(8):
-        value = pool[dst % root.pool_size] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state[:, dst] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    size = root.pool_size
+    extra = max(_word_count(root.entropy) - size, 0) + _word_count(root.spawn_key)
+    hash_const = _INIT_A * pow(_MULT_A, size * (size + extra), 1 << 32) & _MASK32
+    i = np.arange(count, dtype=np.uint32)[:, None].repeat(size, 1)
+    hashed = _hashmix(i, hash_const, _MULT_A)
+    pool = _MIX_MULT_L * root.pool.astype(np.uint32) - _MIX_MULT_R * hashed
+    pool ^= pool >> 16
+    state = _hashmix(pool[:, np.arange(8) % size], _INIT_B, _MULT_B)
+    return np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64)
 
 
 class _SeedState:
@@ -271,6 +252,16 @@ class _SeedState:
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         return self.words
+
+
+def _seed_root(seed):
+    """The ``SeedSequence`` of a seed of :func:`sample`: the seed itself, or
+    ``SeedSequence(seed)`` of an integer (a ``bool`` is not one)."""
+    if isinstance(seed, np.random.bit_generator.SeedSequence):
+        return seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"a seed must be an integer or a SeedSequence, got {seed!r}")
+    return np.random.SeedSequence(seed)
 
 
 def _sampling_grid(rho: FockDensityMatrix) -> np.ndarray:
@@ -290,24 +281,26 @@ def sample(
     The generator of phase i of a run is seeded by the child of its seed with
     ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it: a
     ``PCG64`` holding the words that child's ``generate_state`` gives, which
-    :func:`_child_seed_states` hashes for every phase of the run at once. Every
-    run's uniforms are drawn before any pdf row is built. The runs then
-    share one pass over the phases: :func:`_pdf_rows` builds the rows one
-    block of phases at a time, each phase's CDF is built once, and one
-    ``np.interp`` draws every run's block at that phase. If ``g_0`` is the one
-    harmonic ``rho`` keeps (every entry off its diagonal is exactly zero), the
-    pdf is the same at every phase and the pass builds one row and one CDF and
-    draws every record with one ``np.interp``. A run's records depend on its
-    own seed only, not on the other seeds or their number. The block drawn at
-    phase i depends on the run's seed, ``i`` and that phase's CDF only:
-    appending phases leaves the blocks of the phases before them the same up
-    to rounding (a row's last bits may depend on the phases that share its
-    matrix product). Records are concatenated in phase order.
+    :func:`_child_seed_states` hashes from the seed's pool for every phase of
+    the run at once. Every run's uniforms are drawn before any pdf row is
+    built. The runs then share one pass over the phases: :func:`_pdf_rows`
+    builds the rows one block of phases at a time, each phase's CDF is built
+    once, and one ``np.interp`` draws every run's block at that phase. If
+    ``g_0`` is the one harmonic ``rho`` keeps (every entry off its diagonal is
+    exactly zero), the pdf is the same at every phase and the pass builds one
+    row and one CDF and draws every record with one ``np.interp``. A run's
+    records depend on its own seed only, not on the other seeds or their
+    number. The block drawn at phase i depends on the run's seed, ``i`` and
+    that phase's CDF only: appending phases leaves the blocks of the phases
+    before them the same up to rounding (a row's last bits may depend on the
+    phases that share its matrix product). Records are concatenated in phase
+    order.
 
     Raises:
         ValueError: before any generator is seeded, if ``phases`` is not a
             non-empty 1-D sequence of finite numbers, ``n_per_phase`` is not an
-            integer >= 1 (a ``bool`` is not one), or ``seeds`` is empty.
+            integer >= 1 (a ``bool`` is not one), ``seeds`` is empty, or a seed
+            is neither an integer >= 0 nor a ``SeedSequence``.
     """
     if isinstance(n_per_phase, bool) or not isinstance(n_per_phase, (int, np.integer)):
         raise ValueError(f"n_per_phase must be an integer, got {n_per_phase!r}")
@@ -321,8 +314,7 @@ def sample(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must hold at least one seed")
-    roots = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-             for s in seeds]
+    roots = [_seed_root(seed) for seed in seeds]
     thetas = np.mod(thetas, fock.TWO_PI)
     thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
     np.random.bit_generator.ISeedSequence.register(_SeedState)
@@ -354,27 +346,31 @@ def simulate_raw(
     n_per_phase: int,
     gain: float,
     offset: float,
-    seeds: Sequence[int],
+    seeds: Sequence[int | np.random.SeedSequence],
 ) -> list[RawDataset]:
-    """Raw acquisitions, one per integer seed in ``seeds``: uncalibrated values
-    ``V = offset + gain * x`` of the signal ``x = sample(rho, phases,
-    n_per_phase, seeds)[r]``, and the vacuum trace that :func:`calibrate`
-    reads, ``|0>`` recorded at the same phases, gain and offset. The signals
-    and the vacuum traces each take one :func:`sample` pass for all runs. The
-    vacuum's phase-i generator of the run seeded ``seed`` is seeded by
-    ``SeedSequence(seed, spawn_key=(0, i))``: every generator of an
-    integer-seeded :func:`sample` has a spawn key of length one, so the vacuum
-    reuses no uniform of any such call (as it would if it were seeded at
-    ``seed + 1``, the next run's signal seed).
+    """Raw acquisitions, one per seed in ``seeds`` (the seeds :func:`sample`
+    takes): uncalibrated values ``V = offset + gain * x`` of the signal ``x =
+    sample(rho, phases, n_per_phase, seeds)[r]``, and the vacuum trace that
+    :func:`calibrate` reads, ``|0>`` recorded at the same phases, gain and
+    offset. The signals, then the vacuum traces, take one :func:`sample` pass
+    for all runs. A run's vacuum is sampled from the child ``(*spawn_key, 0)``
+    of its seed's ``SeedSequence`` (``SeedSequence(seed, spawn_key=(0,))`` of
+    an integer seed). Every generator of an integer-seeded :func:`sample` has
+    a spawn key of length one, so the vacuum reuses no uniform of any such
+    call (as it would if it were seeded at ``seed + 1``, the next run's signal
+    seed).
     """
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be finite and > 0, got {gain}")
     if not math.isfinite(offset):
         raise ValueError(f"offset must be finite, got {offset}")
     seeds = list(seeds)
-    signals = sample(rho, phases, n_per_phase, seeds)
-    vacuum_seeds = [np.random.SeedSequence(seed, spawn_key=(0,)) for seed in seeds]
-    vacua = sample(fock.thermal(0.0, 0), phases, n_per_phase, vacuum_seeds)
+    signals = sample(rho, phases, n_per_phase, seeds)  # checks every argument first
+    vacuum_roots = [
+        np.random.SeedSequence(r.entropy, spawn_key=(*r.spawn_key, 0), pool_size=r.pool_size)
+        for r in map(_seed_root, seeds)
+    ]
+    vacua = sample(fock.thermal(0.0, 0), phases, n_per_phase, vacuum_roots)
     return [
         RawDataset(offset + gain * signal.x, signal.theta, offset + gain * vacuum.x)
         for signal, vacuum in zip(signals, vacua)

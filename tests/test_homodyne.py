@@ -390,6 +390,9 @@ def test_sample_checks_its_arguments_before_any_seeding(monkeypatch):
         ([0.1], np.float64(3.0), [seed], r"n_per_phase must be an integer, got np\.float64\(3\.0\)"),
         ([0.1], 0, [seed], "n_per_phase must be >= 1, got 0"),
         ([0.1], 3, [], "seeds must hold at least one seed"),
+        ([0.1], 3, [None], "a seed must be an integer or a SeedSequence, got None"),
+        ([0.1], 3, [seed, True], "a seed must be an integer or a SeedSequence, got True"),
+        ([0.1], 3, [2.5], "a seed must be an integer or a SeedSequence, got 2.5"),
     ]:
         with pytest.raises(ValueError, match=match):
             sample(rho, phases, n_per_phase, seeds)
@@ -425,6 +428,8 @@ _ENTROPY = st.one_of(
 )
 @example(entropy=[1, 2**40], spawn_key=[2**32, 5], pool_size=4, count=7)
 @example(entropy=2**32 - 1, spawn_key=[], pool_size=8, count=1)
+@example(entropy=2**300, spawn_key=[2**70], pool_size=8, count=5)  # 10 words: past the pool
+@example(entropy=2**200, spawn_key=[], pool_size=4, count=5)
 def test_child_seed_states_are_numpys_words_bit_for_bit(entropy, spawn_key, pool_size, count):
     root = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
     states = homodyne._child_seed_states(root, count)
@@ -510,6 +515,27 @@ def test_simulate_raw_vacuum_reference_is_the_one_level_vacuum_stream():
     vacuum = sample(thermal(0.0, 0), phases, n, [np.random.SeedSequence(seed, spawn_key=(0,))])[0]
     assert np.array_equal(raw.vacuum, offset + gain * vacuum.x)
     assert np.array_equal(raw.theta, vacuum.theta)
+
+
+def test_simulate_raw_takes_seed_sequences_and_seeds_the_vacuum_from_their_zero_child():
+    rho, phases, n = coherent_state(1.1, 0.8, cutoff=20), PHASES_50[:8], 10
+    by_int = simulate_raw(rho, phases, n, 2.5, 0.3, [3])[0]
+    by_sequence = simulate_raw(rho, phases, n, 2.5, 0.3, [np.random.SeedSequence(3)])[0]
+    for key in ("voltages", "theta", "vacuum"):
+        assert np.array_equal(getattr(by_sequence, key), getattr(by_int, key)), key
+    # gain 1 and offset 0: the vacuum trace is the vacuum's draws, one block
+    # per phase from the child (*spawn_key, 0, i) of the root
+    root = np.random.SeedSequence([1, 2**40], spawn_key=(2**33, 5), pool_size=8)
+    raw = simulate_raw(rho, phases, n, 1.0, 0.0, [root])[0]
+    assert root.n_children_spawned == 0
+    assert np.array_equal(raw.voltages, sample(rho, phases, n, [root])[0].x)
+    vacuum = thermal(0.0, 0)
+    (row,) = homodyne._pdf_rows(vacuum, phases[:1], _sampling_grid(vacuum))
+    zero_child = np.random.SeedSequence(root.entropy, spawn_key=(2**33, 5, 0), pool_size=8)
+    blocks = raw.vacuum.reshape(len(phases), n)
+    for block, child in zip(blocks, zero_child.spawn(len(phases)), strict=True):
+        u = np.random.default_rng(child).random(n)
+        assert np.array_equal(block, reference_draw(vacuum, None, u, row))
 
 
 def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():
