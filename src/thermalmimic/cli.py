@@ -48,11 +48,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 
-#: ``tomo-end2end --source artificial`` seeds run r of its hat-vs-hat thermal
-#: ensemble ``seed + THERMAL_SEED_OFFSET + r``, and run r of the artificial
-#: ensemble ``seed + r``; the two share no seed while ``runs`` is at most this.
-THERMAL_SEED_OFFSET = 10_000
-
 
 class ConfigError(ValueError):
     pass
@@ -84,7 +79,8 @@ class TomoConfig(tomo.MleConfig, mimic.CodebookSpec):
     along one parameter costs, so a run's state moves by up to about 6e-4 in
     trace distance if fitted to the optimum, against about 0.33 between runs.
     It is also the ``mimic.CodebookSpec`` the artificial source is built
-    from, checked there for that source; ``seed`` also seeds the data.
+    from, checked there for that source; ``seed`` is also the root
+    ``SeedSequence`` that every run's records are spawned from.
     """
 
     source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"
@@ -112,9 +108,6 @@ class TomoConfig(tomo.MleConfig, mimic.CodebookSpec):
             raise ConfigError("the raw path's vacuum trace needs phases * samples_per_phase >= 2")
         tomo.MleConfig.__post_init__(self)
         if self.source == "artificial":
-            if self.runs > THERMAL_SEED_OFFSET:
-                raise ConfigError(f"runs must be <= {THERMAL_SEED_OFFSET} for the artificial "
-                                  "source, whose thermal ensemble is seeded that far on")
             mimic.CodebookSpec.__post_init__(self)
 
 
@@ -189,6 +182,12 @@ def _load_json(path: str, what: str, parse=lambda obj: obj):
         raise ConfigError(f"cannot read {what} {path}: {exc!r}") from exc
 
 
+@cache  # string annotations evaluated once per config class
+def _field_kinds(cls: type) -> dict:
+    """Each field name of the config class ``cls`` with its evaluated type."""
+    return get_type_hints(cls)
+
+
 def _resolve_config(cls: type, config_path: str | None, overrides: dict):
     """``cls`` from its defaults, then the JSON config file, then the flags
     given (those not None), each value checked against its field's type. A
@@ -197,7 +196,7 @@ def _resolve_config(cls: type, config_path: str | None, overrides: dict):
     values = {} if config_path is None else _load_json(config_path, "config file")
     if not isinstance(values, dict):
         raise ConfigError(f"config file {config_path} must hold a JSON object")
-    kinds = get_type_hints(cls)
+    kinds = _field_kinds(cls)
     unknown = sorted(set(values) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -299,16 +298,17 @@ def _density_json(rho: fock.FockDensityMatrix) -> dict:
 
 
 def _reconstruct_ensemble(
-    source: fock.FockDensityMatrix, cfg: TomoConfig, seed_base: int
+    source: fock.FockDensityMatrix, cfg: TomoConfig, branch: np.random.SeedSequence
 ) -> tuple[list[tomo.MleResult], fock.FockDensityMatrix, np.ndarray]:
     """``cfg.runs`` reconstructions of ``source``, their mean state and elementwise spread.
 
-    Run r is seeded ``seed_base + r``. All runs' records are drawn in one
-    sampling pass (with ``cfg.gain``, one raw acquisition pass then one
-    calibration per run), and each run is then reconstructed on its own.
+    Run r is seeded by child r of the ``SeedSequence`` ``branch``. All runs'
+    records are drawn in one sampling pass (with ``cfg.gain``, one raw
+    acquisition pass then one calibration per run), and each run is then
+    reconstructed on its own.
     """
     grid = fock.TWO_PI * np.arange(cfg.phases) / cfg.phases
-    seeds = range(seed_base, seed_base + cfg.runs)
+    seeds = branch.spawn(cfg.runs)
     if cfg.gain is not None:
         raws = homodyne.simulate_raw(source, grid, cfg.samples_per_phase, cfg.gain, cfg.offset,
                                      seeds)
@@ -330,14 +330,16 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
         source = _model_state(cfg.source, cfg.nbar, cfg.source_cutoff, fock.DEFAULT_TAIL_TOL)
     # the theoretical state the reconstruction is judged against, at the MLE cutoff
     reference = _model_state(cfg.source, cfg.nbar, cfg.cutoff, tail_tol=0.05)
-    results, mean, spread = _reconstruct_ensemble(source, cfg, cfg.seed)
+    # one seeding tree: branch 0 seeds the ensemble's runs, branch 1 the
+    # hat-vs-hat thermal ensemble's, and a raw run's vacuum is its run's child 0
+    branches = np.random.SeedSequence(cfg.seed).spawn(2)
+    results, mean, spread = _reconstruct_ensemble(source, cfg, branches[0])
     mean_photon = fock.mean_photon(mean)
 
     report = metrics.compare(reference, mean)
     report["entropy_ceiling"] = metrics.thermal_entropy(mean_photon)
     if cfg.source == "artificial":
-        thermal_runs, thermal_mean, _ = _reconstruct_ensemble(thermal_source, cfg,
-                                                              cfg.seed + THERMAL_SEED_OFFSET)
+        thermal_runs, thermal_mean, _ = _reconstruct_ensemble(thermal_source, cfg, branches[1])
         results += thermal_runs
         report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(thermal_mean, mean)
         report["helstrom_vs_thermal_reconstruction"] = metrics.helstrom_error(thermal_mean, mean)
@@ -475,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=cls.__doc__.splitlines()[0], description=cls.__doc__)
         if cls is not MetricsConfig:
             cmd.add_argument("--config", help="JSON config file")
-        kinds = get_type_hints(cls)
+        kinds = _field_kinds(cls)
         for f in fields(cls):
             if f.default is MISSING:
                 cmd.add_argument(f.name)

@@ -24,20 +24,17 @@ Sampling
 --------
 :func:`sample` and :func:`simulate_raw` draw every run of an ensemble in one
 pass over the LO phases. Each phase's pdf row and CDF are built once and
-shared by the runs; each run draws from generators of its own seed only, so
-its records are the same whether it is drawn alone or with other runs. A run's
-per-phase generators are numpy's ``PCG64`` seeded by the children that
-``SeedSequence.spawn`` would make of its seed. Their words start from the
-seed's own ``SeedSequence.pool``: the last hash step, once for all phases on
-arrays, gives the same words numpy would. :func:`simulate_raw` draws a run's
-vacuum trace from the child ``(*spawn_key, 0)`` of its seed. The pdf's
-harmonics are built only for the diagonals of rho that are not exactly zero,
-and the rows of ``SAMPLER_PHASE_BLOCK`` consecutive phases come from one
-matrix product. A phase-invariant state, one with no nonzero entry off the
-diagonal (thermal light, the vacuum), keeps only ``g_0`` and has the same pdf
-at every phase, so its pass builds one row and one CDF for all phases. One
-block of pdf rows and one CDF are live at a time, beside the ensemble's
-uniforms and records.
+shared by the runs; each run draws all its uniforms, phase after phase, from
+one generator, ``np.random.default_rng`` of its own seed, so its records are
+the same whether it is drawn alone or with other runs. :func:`simulate_raw`
+draws a run's vacuum trace from the child ``(*spawn_key, 0)`` of its seed.
+The pdf's harmonics are built only for the diagonals of rho that are not
+exactly zero, and the rows of ``SAMPLER_PHASE_BLOCK`` consecutive phases come
+from one matrix product. A phase-invariant state, one with no nonzero entry
+off the diagonal (thermal light, the vacuum), keeps only ``g_0`` and has the
+same pdf at every phase, so its pass builds one row and one CDF for all
+phases. One block of pdf rows and one CDF are live at a time, beside the
+ensemble's uniforms and records.
 """
 
 from __future__ import annotations
@@ -60,13 +57,6 @@ SAMPLER_GRID_POINTS = 4096
 #: 4096 points) take 0.88 ms in blocks of 16 against 2.76 ms one phase at a
 #: time, and 0.9-1.1 ms in blocks of 4 to 32; a block of 16 rows is 0.5 MB.
 SAMPLER_PHASE_BLOCK = 16
-
-# The seed hash of numpy's ``SeedSequence`` (O'Neill's ``seed_seq`` mixer, as
-# numpy/random/bit_generator.pyx writes it): wrapping uint32 arithmetic.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 
 class Convention(str, Enum):
@@ -201,59 +191,6 @@ def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
     return float(p[0]) if np.isscalar(x) else p
 
 
-def _word_count(material) -> int:
-    """How many 32-bit words numpy makes of seed material that a ``SeedSequence``
-    has accepted: one per started 32 bits of an integer (0 takes one)."""
-    if isinstance(material, (int, np.integer)):
-        return max(1, -(-int(material).bit_length() // 32))
-    return sum(_word_count(item) for item in material)
-
-
-def _hashmix(values: np.ndarray, hash_const: int, mult: int) -> np.ndarray:
-    """numpy's ``hashmix`` of each column of the uint32 ``values`` in turn, from
-    ``hash_const`` on: the hash constant steps by ``mult`` per column."""
-    consts = np.multiply.accumulate([hash_const] + [mult] * values.shape[-1], dtype=np.uint32)
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
-
-
-def _child_seed_states(root, count: int) -> np.ndarray:
-    """The words ``SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
-    pool_size=root.pool_size).generate_state(4, np.uint64)`` for each i in
-    ``range(count)`` (``count <= 2**32``), shape (count, 4).
-
-    A child's words are the root's, padded with zero words to the pool size,
-    then i, so its pool is ``root.pool`` with i mixed into each pool word. By
-    then numpy's hash constant has stepped ``pool_size`` times per word hashed
-    before i. Only that last step and the output hash run here, on uint32
-    arrays over every i.
-    """
-    size = root.pool_size
-    extra = max(_word_count(root.entropy) - size, 0) + _word_count(root.spawn_key)
-    hash_const = _INIT_A * pow(_MULT_A, size * (size + extra), 1 << 32) & _MASK32
-    i = np.arange(count, dtype=np.uint32)[:, None].repeat(size, 1)
-    hashed = _hashmix(i, hash_const, _MULT_A)
-    pool = _MIX_MULT_L * root.pool.astype(np.uint32) - _MIX_MULT_R * hashed
-    pool ^= pool >> 16
-    state = _hashmix(pool[:, np.arange(8) % size], _INIT_B, _MULT_B)
-    return np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState:
-    """One child's four uint64 seed words, handed to ``PCG64`` through numpy's
-    ``ISeedSequence`` protocol: ``PCG64`` asks ``generate_state(4, np.uint64)``
-    of its seed once. :func:`sample` registers the class, so that importing
-    this module does not load ``numpy.random``."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
 def _seed_root(seed):
     """The ``SeedSequence`` of a seed of :func:`sample`: the seed itself, or
     ``SeedSequence(seed)`` of an integer (a ``bool`` is not one)."""
@@ -278,11 +215,9 @@ def sample(
     """Draw quadrature samples at each LO phase by tabulated inverse-CDF lookup,
     one dataset per seed in ``seeds`` (integers or ``SeedSequence`` objects).
 
-    The generator of phase i of a run is seeded by the child of its seed with
-    ``i`` appended to the spawn key, as ``SeedSequence.spawn`` makes it: a
-    ``PCG64`` holding the words that child's ``generate_state`` gives, which
-    :func:`_child_seed_states` hashes from the seed's pool for every phase of
-    the run at once. Every run's uniforms are drawn before any pdf row is
+    Run r draws its whole (phases, n_per_phase) block of uniforms, row-major,
+    from one generator, ``np.random.default_rng`` of its seed's
+    ``SeedSequence``. Every run's uniforms are drawn before any pdf row is
     built. The runs then share one pass over the phases: :func:`_pdf_rows`
     builds the rows one block of phases at a time, each phase's CDF is built
     once, and one ``np.interp`` draws every run's block at that phase. If
@@ -290,11 +225,11 @@ def sample(
     exactly zero), the pdf is the same at every phase and the pass builds one
     row and one CDF and draws every record with one ``np.interp``. A run's
     records depend on its own seed only, not on the other seeds or their
-    number. The block drawn at phase i depends on the run's seed, ``i`` and
-    that phase's CDF only: appending phases leaves the blocks of the phases
-    before them the same up to rounding (a row's last bits may depend on the
-    phases that share its matrix product). Records are concatenated in phase
-    order.
+    number. A row-major draw is prefix-stable, so appending phases leaves the
+    blocks of the phases before them the same up to rounding (a row's last
+    bits may depend on the phases that share its matrix product); changing
+    ``n_per_phase`` shifts the draws of every phase after the first. Records
+    are concatenated in phase order.
 
     Raises:
         ValueError: before any generator is seeded, if ``phases`` is not a
@@ -317,11 +252,9 @@ def sample(
     roots = [_seed_root(seed) for seed in seeds]
     thetas = np.mod(thetas, fock.TWO_PI)
     thetas[thetas >= fock.TWO_PI] = 0.0  # a tiny negative angle rounds up to the period
-    np.random.bit_generator.ISeedSequence.register(_SeedState)
     uniforms = np.empty((len(roots), thetas.size, n_per_phase))
     for u, root in zip(uniforms, roots):
-        for u_i, state in zip(u, _child_seed_states(root, thetas.size)):
-            np.random.Generator(np.random.PCG64(_SeedState(state))).random(out=u_i)
+        np.random.default_rng(root).random(out=u)
     grid = _sampling_grid(rho)
     dx = np.diff(grid)
 
@@ -355,10 +288,8 @@ def simulate_raw(
     offset. The signals, then the vacuum traces, take one :func:`sample` pass
     for all runs. A run's vacuum is sampled from the child ``(*spawn_key, 0)``
     of its seed's ``SeedSequence`` (``SeedSequence(seed, spawn_key=(0,))`` of
-    an integer seed). Every generator of an integer-seeded :func:`sample` has
-    a spawn key of length one, so the vacuum reuses no uniform of any such
-    call (as it would if it were seeded at ``seed + 1``, the next run's signal
-    seed).
+    an integer seed), so it shares no generator with the signal of its own or
+    of any other run of an integer-seeded or spawned ensemble.
     """
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be finite and > 0, got {gain}")

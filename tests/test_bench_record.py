@@ -1,0 +1,60 @@
+"""The parser of ``tools/bench_record.py``, fed a captured ``perfbench/run.py``
+output held as text, so no benchmark process starts."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+#: ``run.py --workload tomo-artificial-raw --seed 1 --seconds 1 --trace 0``
+#: on a 2-core Xeon, Python 3.11.7, numpy 2.4.6.
+CAPTURED = """\
+workload tomo-artificial-raw  seed 1  seconds 1  trace 0
+  machine {"blas": "scipy-openblas 0.3.31.188.0", "blas_thread_env": {"BLIS_NUM_THREADS": null, \
+"MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": null, "OMP_NUM_THREADS": "1", \
+"OPENBLAS_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": null}, "blas_thread_env_found": \
+{"MKL_NUM_THREADS": null, "OMP_NUM_THREADS": null, "OPENBLAS_NUM_THREADS": null}, \
+"cpu_model": "Intel(R) Xeon(R) Processor", "git_commit": \
+"596c9e36fcd357e4798699e2dac07a6e63327754", "nproc": 2, "numpy": "2.4.6", \
+"pinned_cpu": 0, "python": "3.11.7", "scipy": "1.17.1", "src_sha256": "d9e1295b1c8c87c0"}
+  invocations: untraced median 0.0424 s, min 0.0371, max 0.0510, n=23; traced none
+  import thermalmimic.cli: median 0.1195 s, min 0.0918, max 0.1237, n=5
+  speed sampler: 96 probes, mean 0.3692 ms (reference 0.5000 ms)
+  attempted 23, failed 0 (failed_frac 0)
+  physics fidelity_ref                     0.9282556846 1
+  physics helstrom_hat_vs_hat              0.3494473954 1
+  physics ll_per_record                    -1.668211037 nat
+  physics mle_iterations                            100 count
+  solution_s                                  0.0574559 s
+  setup_s                                      0.139597 s
+  peak_rss_mb                                   43.6641 MB
+  fidelity_ref                                 0.928256 1
+{"correct": true, "attempted": 23, "failed": 0, "metrics": {"solution_s": {"value": \
+0.05745588726626179, "unit": "s"}, "setup_s": {"value": 0.13959696111360906, "unit": "s"}, \
+"peak_rss_mb": {"value": 43.6640625, "unit": "MB"}, "fidelity_ref": {"value": \
+0.9282556846315659, "unit": "1"}}}
+"""
+
+
+def test_parse_run_keeps_the_machine_physics_and_result_lines():
+    record = bench_record.parse_run(CAPTURED)
+    assert set(record) == {"machine", "physics", "correct", "attempted", "failed", "metrics"}
+    assert record["machine"]["src_sha256"] == "d9e1295b1c8c87c0"
+    assert record["machine"]["git_commit"] == "596c9e36fcd357e4798699e2dac07a6e63327754"
+    assert record["machine"]["blas_thread_env"]["OMP_NUM_THREADS"] == "1"
+    assert record["physics"] == {"fidelity_ref": 0.9282556846, "helstrom_hat_vs_hat": 0.3494473954,
+                                 "ll_per_record": -1.668211037, "mle_iterations": 100.0}
+    assert (record["correct"], record["attempted"], record["failed"]) == (True, 23, 0)
+    assert list(record["metrics"]) == ["solution_s", "setup_s", "peak_rss_mb", "fidelity_ref"]
+    assert record["metrics"]["solution_s"] == {"value": 0.05745588726626179, "unit": "s"}
+
+
+def test_parse_run_refuses_an_output_without_a_machine_line():
+    text = "\n".join(line for line in CAPTURED.splitlines() if "machine {" not in line)
+    with pytest.raises(ValueError, match="no machine line"):
+        bench_record.parse_run(text)

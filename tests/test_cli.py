@@ -16,17 +16,17 @@ from hypothesis import strategies as st
 
 import thermalmimic
 from _states import random_density
-from thermalmimic import __version__, fock, homodyne, mimic, physical, tomo
+from thermalmimic import __version__, cli, fock, homodyne, mimic, physical, tomo
 from thermalmimic.cli import (
     CodebookConfig,
     ConfigError,
     MetricsConfig,
     SweepConfig,
-    THERMAL_SEED_OFFSET,
     TomoConfig,
     _build_parser,
     _COMMANDS,
     _density_json,
+    _field_kinds,
     _load_json,
     _parse_codebook,
     _parse_matrix,
@@ -154,14 +154,25 @@ def test_sweep_default_grid_saturates_at_hundred_samples(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+# The seed-pinned physics bounds below follow one rule, fixed before the
+# records were redrawn by the one-generator-per-run sampler: over CLI data
+# seeds 1-20 with each test's own flags, measured on the per-phase sampler, a
+# floor is min - 2 sd rounded down to two decimals, and a two-sided check is
+# [min - 2 sd, max + 2 sd] rounded outward.
+
+
 def test_tomo_thermal_defaults_reproduce_high_fidelity(tmp_path):
     # full default pipeline (50 phases x 40 samples, 10 runs, nbar 1.35);
-    # 0.97 is the documented floor absorbing seed-to-seed spread
+    # 0.97 is the documented floor absorbing seed-to-seed spread (seeds 1-20:
+    # F 0.9857-0.9893, <n> 1.3674-1.4314). The entropy ceiling of the
+    # ensemble's <n> sits above thermal(1.35)'s 2.31 nats because the
+    # ensemble overstates <n> by about 4% (ROADMAP item 12): seeds 1-20 read
+    # median 2.3572, sd 0.0159, range 2.3261-2.3759
     assert main(["tomo-end2end", "--out-dir", str(tmp_path)]) == 0
     report = read_json(tmp_path / "metrics.json")["metrics"]
     assert report["fidelity"] >= 0.97
     assert abs(report["mean_photon_b"] - 1.35) <= 0.1
-    assert report["entropy_ceiling"] == pytest.approx(2.31, abs=0.05)
+    assert 2.29 <= report["entropy_ceiling"] <= 2.41
 
 
 def test_tomo_vacuum_single_run(tmp_path):
@@ -169,7 +180,8 @@ def test_tomo_vacuum_single_run(tmp_path):
                  "--cutoff", "8", "--out-dir", str(tmp_path)]) == 0
     report = read_json(tmp_path / "metrics.json")
     assert report["version"] == __version__
-    assert report["metrics"]["fidelity"] >= 0.99
+    # seeds 1-20: median 0.9922, sd 0.0076, min 0.9714
+    assert report["metrics"]["fidelity"] >= 0.95
     ensemble = read_json(tmp_path / "ensemble.json")
     assert ensemble["ensemble"]["n_runs"] == 1
     assert ensemble["runs"][0]["converged"] is True
@@ -192,7 +204,7 @@ def test_tomo_coherent_source(tmp_path):
     assert main(["tomo-end2end", "--source", "coherent", "--nbar", "1.0", "--runs", "1",
                  "--seed", "4", "--cutoff", "8", "--out-dir", str(tmp_path)]) == 0
     report = read_json(tmp_path / "metrics.json")["metrics"]
-    assert report["fidelity"] >= 0.99
+    assert report["fidelity"] >= 0.95  # seeds 1-20: median 0.9925, sd 0.0077, min 0.9716
     # reference is pure up to the Poisson mass truncated at cutoff 8 (~1e-6)
     assert report["entropy_a"] == pytest.approx(0.0, abs=1e-5)
 
@@ -203,7 +215,8 @@ def test_tomo_calibrated_quarter_path(tmp_path):
                  "--gain", "2.5", "--offset", "0.3", "--convention", "quarter",
                  "--out-dir", str(tmp_path)]) == 0
     report = read_json(tmp_path / "metrics.json")
-    assert report["metrics"]["fidelity"] >= 0.95
+    # seeds 1-20: median 0.9842, sd 0.0230, min 0.8974
+    assert report["metrics"]["fidelity"] >= 0.85
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -250,9 +263,10 @@ def test_reports_carry_the_contracted_fields(tmp_path):
                  "--seed", "9", "--out-dir", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "ensemble.json")
     config = tomo.MleConfig(cutoff=4, max_iterations=200)
+    seeds = np.random.SeedSequence(9).spawn(2)[0].spawn(2)  # the ensemble branch's runs
     results = [
         tomo.mle_reconstruct(dataset, config)
-        for dataset in homodyne.sample(fock.thermal(0.0, 30), [0.0, math.pi], 50, [9, 10])
+        for dataset in homodyne.sample(fock.thermal(0.0, 30), [0.0, math.pi], 50, seeds)
     ]
     assert payload["runs"] == [
         {"converged": r.converged, "iterations": r.iterations,
@@ -329,17 +343,33 @@ def test_empty_codebook_exits_config(tmp_path, capsys, argv):
     assert "at least one amplitude and one phase" in capsys.readouterr().err
 
 
-def test_artificial_runs_past_the_thermal_seed_offset_exit_config(tmp_path, capsys):
-    # run THERMAL_SEED_OFFSET of the artificial ensemble would take the seed of
-    # the thermal ensemble's first run
-    out = tmp_path / "out"
-    runs = str(THERMAL_SEED_OFFSET + 1)
-    assert main(["tomo-end2end", "--source", "artificial", "--runs", runs,
-                 "--out-dir", str(out)]) == 2
-    assert f"runs must be <= {THERMAL_SEED_OFFSET}" in capsys.readouterr().err
-    assert not out.exists()
-    TomoConfig(source="artificial", runs=THERMAL_SEED_OFFSET)
-    TomoConfig(source="thermal", runs=THERMAL_SEED_OFFSET + 1)  # one ensemble, no second seed range
+def test_artificial_source_takes_any_number_of_runs():
+    # both ensembles are spawned from one root, so no run count makes two share a seed
+    assert TomoConfig(source="artificial", runs=10001).runs == 10001
+
+
+def test_one_command_draws_every_stream_from_its_own_spawn_key(tmp_path, monkeypatch):
+    # branch 0 holds the ensemble's runs, branch 1 the hat-vs-hat thermal
+    # ensemble's, and each raw run's vacuum is child 0 of its run: the keys
+    # (b, r) and (b, r, 0) of the root SeedSequence(seed), pairwise distinct
+    roots = []
+
+    def recording_sample(rho, phases, n_per_phase, seeds):
+        roots.extend(seeds)
+        return sample(rho, phases, n_per_phase, seeds)
+
+    sample = homodyne.sample
+    monkeypatch.setattr(homodyne, "sample", recording_sample)
+    assert main(["tomo-end2end", "--source", "artificial", "--nbar", "1.0",
+                 "--codebook-amplitudes", "2", "--codebook-phases", "2", "--phases", "4",
+                 "--samples-per-phase", "10", "--runs", "3", "--cutoff", "4", "--seed", "6",
+                 "--gain", "2.5", "--offset", "0.3", "--out-dir", str(tmp_path)]) == 0
+    assert all(isinstance(root, np.random.SeedSequence) for root in roots)
+    assert {root.entropy for root in roots} == {6}
+    keys = [tuple(root.spawn_key) for root in roots]
+    assert len(set(keys)) == len(keys)
+    assert sorted(keys) == sorted((b, r, *vacuum) for b in (0, 1) for r in range(3)
+                                  for vacuum in ((), (0,)))
 
 
 def test_tomo_config_rejects_non_finite_knobs():
@@ -797,6 +827,29 @@ def test_the_parser_built_once_parses_each_call_afresh(tmp_path):
     assert exc.value.code == 2
     assert main(args) == 0
     assert first == {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+def test_config_field_types_are_evaluated_once_per_class(monkeypatch):
+    # the config resolver and the parser read one cached map of each config
+    # class's evaluated annotations, whatever the number of calls
+    evaluated = []
+
+    def counting_hints(cls):
+        evaluated.append(cls)
+        return get_type_hints(cls)
+
+    monkeypatch.setattr(cli, "get_type_hints", counting_hints)
+    _field_kinds.cache_clear()
+    _build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert _resolve_config(TomoConfig, None, {"runs": 2}).runs == 2
+        _build_parser()
+        assert sorted(cls.__name__ for cls in evaluated) == sorted(c.__name__ for c, _ in
+                                                                   _COMMANDS.values())
+    finally:
+        _field_kinds.cache_clear()
+        _build_parser.cache_clear()
 
 
 #: The library defaults a command overrides: the codebook export's own target,

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -114,6 +114,38 @@ def test_pdf_rows_match_the_tomography_record_kernel():
             assert np.allclose(kernel, expected, rtol=0, atol=1e-12)
 
 
+def coherent_mixture_pdf(weights, magnitudes, angles, theta, xs):
+    """The closed-form quadrature pdf of a coherent-state mixture at LO phase
+    ``theta``: one Gaussian of variance 1/2 per component, centred on
+    ``sqrt(2) |alpha| cos(phi - theta)``."""
+    means = math.sqrt(2.0) * np.asarray(magnitudes) * np.cos(np.asarray(angles) - theta)
+    return np.asarray(weights) @ np.exp(-np.subtract.outer(means, xs) ** 2) / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("name", ["8x8-codebook", "thermal"])
+def test_sampler_pdf_rows_match_the_closed_form_law(name):
+    # the sampler's rows at cutoff 60 against a law written without
+    # fock_wavefunctions: a coherent mixture's sum of Gaussians, and thermal
+    # light's N(0, nbar + 1/2) (measured: 5e-16 for both)
+    thetas = [0.0, 0.9, 2.3, 4.0, 5.7]
+    if name == "thermal":
+        nbar = 1.35
+        rho = thermal(nbar, 60)
+        grid = _sampling_grid(rho)
+        variance = nbar + 0.5
+        gaussian = np.exp(-grid * grid / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+        expected = [gaussian] * len(thetas)
+    else:
+        codebook = mimic.build_codebook(mimic.CodebookSpec(1.35, 8, 8))
+        rho = mimic.assemble(codebook, 60)
+        grid = _sampling_grid(rho)
+        expected = [coherent_mixture_pdf(codebook.weights.ravel(), *codebook.points(), theta, grid)
+                    for theta in thetas]
+    rows = list(homodyne._pdf_rows(rho, thetas, grid))
+    for theta, row, law in zip(thetas, rows, expected, strict=True):
+        assert np.max(np.abs(row - law)) <= 1e-13, theta
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_rotating_the_state_shifts_its_pdf_rows_in_lo_phase(data):
@@ -204,24 +236,24 @@ def sampling_states():
 ROW_ROUNDING = 1e-13
 
 
-def test_sample_blocks_follow_phase_order_and_spawned_generators():
-    # bit for bit: every block is the draw of the run's phase-i generator from
-    # the CDF of _pdf_rows' row i for the same phases; a phase-invariant
-    # state's shared row and CDF draw what a row built at each phase draws,
-    # and the nearly diagonal state, whose rows differ in their last bits,
-    # pins sharing to exactly zero off the diagonal. The phases hold a
-    # repeated one, two wrapped ones, and a whole block plus a remainder.
+def test_sample_blocks_follow_phase_order_and_the_run_generator():
+    # bit for bit: block i is row i of the run's one draw,
+    # default_rng(seed).random((phases, n)), through the CDF of _pdf_rows' row
+    # i for the same phases; a phase-invariant state's shared row and CDF draw
+    # what a row built at each phase draws, and the nearly diagonal state,
+    # whose rows differ in their last bits, pins sharing to exactly zero off
+    # the diagonal. The phases hold a repeated one, two wrapped ones, and a
+    # whole block plus a remainder.
     phases = [0.4, 2.5, 2.5 + 2.0 * math.pi, 5.9, 0.4, -1.3, *np.linspace(0.1, 6.2, 15)]
     assert len(phases) > homodyne.SAMPLER_PHASE_BLOCK
     wrapped = np.mod(phases, 2.0 * math.pi)
     n = 30
-    children = np.random.SeedSequence(19).spawn(len(phases))
+    uniforms = np.random.default_rng(np.random.SeedSequence(19)).random((len(phases), n))
     for name, rho in sampling_states().items():
         ds = sample(rho, phases, n, [19])[0]
         grid = _sampling_grid(rho)
         rows = homodyne._pdf_rows(rho, wrapped, grid)
-        for j, (theta, child, row) in enumerate(zip(wrapped, children, rows, strict=True)):
-            u = np.random.default_rng(child).random(n)
+        for j, (theta, u, row) in enumerate(zip(wrapped, uniforms, rows, strict=True)):
             one_phase = quadrature_pdf(rho, theta, grid)
             assert np.max(np.abs(row - one_phase)) <= ROW_ROUNDING * row.max(), (name, j)
             block = slice(j * n, (j + 1) * n)
@@ -275,9 +307,8 @@ def test_skipping_zero_harmonics_keeps_rows_and_records_bit_for_bit(name, kept):
         if kept == [0]:
             assert np.array_equal(row, expected)
     records = sample(rho, phases, 30, [19])[0].x.reshape(len(phases), 30)
-    children = np.random.SeedSequence(19).spawn(len(phases))
-    for block, row, expected, child in zip(records, rows, full, children):
-        u = np.random.default_rng(child).random(30)
+    uniforms = np.random.default_rng(19).random((len(phases), 30))
+    for block, row, expected, u in zip(records, rows, full, uniforms, strict=True):
         assert np.array_equal(block, reference_draw(rho, None, u, row))
         if kept == [0]:
             assert np.array_equal(block, reference_draw(rho, None, u, expected))
@@ -381,7 +412,6 @@ def test_sample_checks_its_arguments_before_any_seeding(monkeypatch):
     rho, seed = coherent_state(1.1, 0.8, cutoff=20), np.random.SeedSequence(1)
     for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
         monkeypatch.setattr(np.random, name, seeded)
-    monkeypatch.setattr(homodyne, "_child_seed_states", seeded)
     for phases, n_per_phase, seeds, match in [
         ([[0.1, 0.2]], 3, [seed], r"phases must be a non-empty 1-D sequence, got shape \(1, 2\)"),
         ([], 3, [seed], r"phases must be a non-empty 1-D sequence, got shape \(0,\)"),
@@ -403,60 +433,39 @@ def test_sample_checks_its_arguments_before_any_seeding(monkeypatch):
     assert np.array_equal(sample(rho, 0.7, np.int64(4), [5])[0].x, sample(rho, [0.7], 4, [5])[0].x)
 
 
-def child_states_by_numpy(root, count):
-    return np.array([
-        np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i),
-                               pool_size=root.pool_size).generate_state(4, np.uint64)
-        for i in range(count)
-    ])
-
-
-_ENTROPY = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32]),
-    st.integers(2**64 + 1, 2**200),
-    st.integers(0, 2**128 - 1),  # the size of SeedSequence()'s own draw
-    st.lists(st.integers(0, 2**70), max_size=4),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    entropy=_ENTROPY,
-    spawn_key=st.lists(st.integers(0, 2**70), max_size=3),
-    pool_size=st.sampled_from([4, 8]),
-    count=st.integers(1, 3000),
-)
-@example(entropy=[1, 2**40], spawn_key=[2**32, 5], pool_size=4, count=7)
-@example(entropy=2**32 - 1, spawn_key=[], pool_size=8, count=1)
-@example(entropy=2**300, spawn_key=[2**70], pool_size=8, count=5)  # 10 words: past the pool
-@example(entropy=2**200, spawn_key=[], pool_size=4, count=5)
-def test_child_seed_states_are_numpys_words_bit_for_bit(entropy, spawn_key, pool_size, count):
-    root = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
-    states = homodyne._child_seed_states(root, count)
-    assert states.dtype == np.uint64 and states.shape == (count, 4)
-    assert np.array_equal(states, child_states_by_numpy(root, count))
-
-
-def test_child_seed_states_of_an_os_entropy_root_are_numpys_words():
-    root = np.random.SeedSequence()
-    assert root.entropy >= 2**64  # a 128-bit draw, all but surely above 64 bits
-    assert np.array_equal(homodyne._child_seed_states(root, 50), child_states_by_numpy(root, 50))
-
-
 @pytest.mark.parametrize("root", [
     np.random.SeedSequence(19, pool_size=8),
     np.random.SeedSequence([1, 2**40], spawn_key=(2**33,)),
 ], ids=["pool-size-8", "sequence-entropy"])
-def test_sample_draws_from_the_spawned_children_of_a_seed_sequence(root):
+def test_sample_draws_a_seed_sequence_run_from_one_generator(root):
+    # the run's records are default_rng(root).random((phases, n)) through the
+    # pass's CDFs, row i at phase i, and the root is not spawned
     phases, n = [0.4, 2.5, 5.9, *np.linspace(0.1, 6.2, 15)], 30
     rho = coherent_state(1.1, 0.8, cutoff=20)
     records = sample(rho, phases, n, [root])[0].x.reshape(len(phases), n)
     assert root.n_children_spawned == 0
-    twin = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size)
+    uniforms = np.random.default_rng(root).random((len(phases), n))
     rows = homodyne._pdf_rows(rho, np.mod(phases, 2.0 * math.pi), _sampling_grid(rho))
-    for block, row, child in zip(records, rows, twin.spawn(len(phases)), strict=True):
-        u = np.random.default_rng(child).random(n)
+    for block, row, u in zip(records, rows, uniforms, strict=True):
         assert np.array_equal(block, reference_draw(rho, None, u, row))
+
+
+def test_appending_phases_keeps_the_earlier_phases_records():
+    # a row-major draw is prefix-stable: the blocks of the first phases are
+    # the same up to the rounding of their pdf rows' block product, and bit
+    # for bit for a phase-invariant state; a new n_per_phase shifts the
+    # draws of every phase after the first
+    phases, n = np.linspace(0.1, 6.2, 21), 25
+    for rho in (coherent_state(1.1, 0.8, cutoff=20), thermal(1.35, 30)):
+        full = sample(rho, phases, n, [4])[0].x
+        for k in (1, 5, 16, 20):
+            prefix = sample(rho, phases[:k], n, [4])[0].x
+            assert np.allclose(prefix, full[:k * n], rtol=0, atol=1e-12), k
+            if rho.cutoff == 30:
+                assert np.array_equal(prefix, full[:k * n]), k
+        wider = sample(rho, phases, n + 1, [4])[0].x.reshape(len(phases), n + 1)
+        assert np.array_equal(wider[0, :n], full[:n])
+        assert not np.array_equal(wider[1, :n], full[n:2 * n])
 
 
 def test_pdf_rows_clip_a_rounding_negative_value_to_zero():
@@ -523,8 +532,8 @@ def test_simulate_raw_takes_seed_sequences_and_seeds_the_vacuum_from_their_zero_
     by_sequence = simulate_raw(rho, phases, n, 2.5, 0.3, [np.random.SeedSequence(3)])[0]
     for key in ("voltages", "theta", "vacuum"):
         assert np.array_equal(getattr(by_sequence, key), getattr(by_int, key)), key
-    # gain 1 and offset 0: the vacuum trace is the vacuum's draws, one block
-    # per phase from the child (*spawn_key, 0, i) of the root
+    # gain 1 and offset 0: the vacuum trace is the vacuum's draws, from one
+    # generator seeded by the child (*spawn_key, 0) of the root
     root = np.random.SeedSequence([1, 2**40], spawn_key=(2**33, 5), pool_size=8)
     raw = simulate_raw(rho, phases, n, 1.0, 0.0, [root])[0]
     assert root.n_children_spawned == 0
@@ -533,8 +542,8 @@ def test_simulate_raw_takes_seed_sequences_and_seeds_the_vacuum_from_their_zero_
     (row,) = homodyne._pdf_rows(vacuum, phases[:1], _sampling_grid(vacuum))
     zero_child = np.random.SeedSequence(root.entropy, spawn_key=(2**33, 5, 0), pool_size=8)
     blocks = raw.vacuum.reshape(len(phases), n)
-    for block, child in zip(blocks, zero_child.spawn(len(phases)), strict=True):
-        u = np.random.default_rng(child).random(n)
+    uniforms = np.random.default_rng(zero_child).random((len(phases), n))
+    for block, u in zip(blocks, uniforms, strict=True):
         assert np.array_equal(block, reference_draw(vacuum, None, u, row))
 
 
