@@ -23,18 +23,16 @@ tomography module reads each dataset on the ``half`` axis its tag implies.
 Sampling
 --------
 :func:`sample` and :func:`simulate_raw` draw every run of an ensemble in one
-pass over the LO phases. Each phase's pdf row and CDF are built once and
-shared by the runs; each run draws all its uniforms, phase after phase, from
-one generator, ``np.random.default_rng`` of its own seed, so its records are
-the same whether it is drawn alone or with other runs. :func:`simulate_raw`
+pass over the LO phases. Each run draws all its uniforms, phase after phase,
+from one generator, ``np.random.default_rng`` of its own seed, so its records
+are the same whether it is drawn alone or with other runs. :func:`simulate_raw`
 draws a run's vacuum trace from the child ``(*spawn_key, 0)`` of its seed.
-The pdf's harmonics are built only for the diagonals of rho that are not
-exactly zero, and the rows of ``SAMPLER_PHASE_BLOCK`` consecutive phases come
-from one matrix product. A phase-invariant state, one with no nonzero entry
-off the diagonal (thermal light, the vacuum), keeps only ``g_0`` and has the
-same pdf at every phase, so its pass builds one row and one CDF for all
-phases. One block of pdf rows and one CDF are live at a time, beside the
-ensemble's uniforms and records.
+The pass integrates each harmonic of the pdf once; one matrix product with
+those integrals gives the CDF rows of ``SAMPLER_PHASE_BLOCK`` phases, and a
+phase costs one ``np.interp`` for all runs. Only the harmonics above the
+rounding floor of :func:`_harmonic_orders` are built, so a phase-invariant
+state, every entry off its diagonal at or below that floor (thermal light,
+the vacuum), keeps only ``g_0`` and its pass builds one CDF for all phases.
 """
 
 from __future__ import annotations
@@ -52,10 +50,10 @@ from .fock import FockDensityMatrix, mean_photon
 #: Grid resolution for the tabulated inverse-CDF sampler.
 SAMPLER_GRID_POINTS = 4096
 
-#: LO phases whose pdf rows one matrix product builds. On one core with one
-#: BLAS thread, the 100 rows of the 8x8 codebook's source (42 harmonic rows of
-#: 4096 points) take 0.88 ms in blocks of 16 against 2.76 ms one phase at a
-#: time, and 0.9-1.1 ms in blocks of 4 to 32; a block of 16 rows is 0.5 MB.
+#: LO phases whose CDF rows one matrix product builds. On one core with one
+#: BLAS thread, the 100 rows of the 8x8 codebook's source (6 integrated
+#: harmonics of 4096 points) take 0.80 ms in blocks of 16 against 1.86 ms one
+#: phase at a time, 0.8-0.95 ms in blocks of 4 to 32; 16 rows are 0.5 MB.
 SAMPLER_PHASE_BLOCK = 16
 
 
@@ -135,9 +133,18 @@ def fock_wavefunctions(x, n_max: int) -> np.ndarray:
 
 
 def _harmonic_orders(rho: FockDensityMatrix) -> np.ndarray:
-    """The orders k whose diagonal ``rho_{m,m+k}`` holds an entry that is not
-    exactly zero: the pdf's harmonic ``g_k`` is exactly zero at every other k."""
-    return np.flatnonzero([np.diagonal(rho.entries, k).any() for k in range(rho.cutoff + 1)])
+    """The orders k whose diagonal ``rho_{m,m+k}`` holds an entry above the
+    rounding floor ``dim * eps * max|rho|``: the pdf harmonics ``g_k`` that
+    :func:`quadrature_pdf` and the sampler build. An order whose entries all
+    lie at or below the floor adds at most ``2 floor sum_m |f_m f_{m+k}|`` to
+    the pdf, the worst-case rounding of one harmonic's dim-term sum over
+    entries of size max|rho|, which a kept harmonic may already carry. A
+    codebook on a uniform grid of Q phases keeps the multiples of Q (orders 0,
+    8 and 16 of the 8x8 source at cutoff 20), thermal light g_0 alone."""
+    magnitudes = np.abs(rho.entries)
+    floor = magnitudes.shape[0] * np.finfo(float).eps * magnitudes.max()
+    m, n = np.nonzero(np.triu(magnitudes > floor))
+    return np.flatnonzero(np.bincount(n - m))
 
 
 def _pdf_harmonics(rho: FockDensityMatrix, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,23 +169,6 @@ def _pdf_harmonics(rho: FockDensityMatrix, xs: np.ndarray) -> tuple[np.ndarray, 
     return orders, harmonics
 
 
-def _pdf_rows(rho: FockDensityMatrix, thetas, xs: np.ndarray):
-    """Yield the pdf on ``xs`` at each LO phase in ``thetas``, in order.
-
-    The dim^2 work is done once in :func:`_pdf_harmonics`; each row is then
-    ``sum_k cos(k theta) Re g_k - sin(k theta) Im g_k``, clipped at zero. The
-    rows of up to ``SAMPLER_PHASE_BLOCK`` consecutive phases come from one
-    matrix product, so a row equals the one-phase row up to rounding.
-    """
-    k, harmonics = _pdf_harmonics(rho, xs)
-    harmonics = harmonics.reshape(-1, xs.size)
-    thetas = np.asarray(thetas, dtype=float)
-    for start in range(0, thetas.size, SAMPLER_PHASE_BLOCK):
-        angles = np.multiply.outer(thetas[start:start + SAMPLER_PHASE_BLOCK], k)
-        rows = np.concatenate((np.cos(angles), -np.sin(angles)), axis=1) @ harmonics
-        yield from np.clip(rows, 0.0, None, out=rows)
-
-
 def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
     """Probability density of quadrature outcome ``x`` at LO phase ``theta``.
 
@@ -187,8 +177,28 @@ def quadrature_pdf(rho: FockDensityMatrix, theta: float, x):
     from rounding are clipped to zero.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    p = next(_pdf_rows(rho, [theta], xs))
+    k, harmonics = _pdf_harmonics(rho, xs)
+    weights = np.concatenate((np.cos(k * theta), -np.sin(k * theta)))
+    p = np.maximum(weights @ harmonics.reshape(-1, xs.size), 0.0)
     return float(p[0]) if np.isscalar(x) else p
+
+
+def _cdf_rows(rho: FockDensityMatrix, thetas: np.ndarray, grid: np.ndarray):
+    """Yield the sampler's CDF on ``grid`` at each LO phase in ``thetas``, in
+    order. Each harmonic row of :func:`_pdf_harmonics` is integrated once by
+    the trapezoid rule; the rows of up to ``SAMPLER_PHASE_BLOCK`` consecutive
+    phases come from one product of their weights ``[cos k theta, -sin k
+    theta]`` with those integrals, normalized by the last column. The integral
+    is linear, so a row is the trapezoid CDF of its phase's pdf up to rounding,
+    unclipped, and that of ``g_0`` bit for bit if ``g_0`` is the one kept."""
+    k, harmonics = _pdf_harmonics(rho, grid)
+    rows = harmonics.reshape(-1, grid.size)
+    cumulative = np.zeros_like(rows)
+    np.cumsum(0.5 * (rows[:, 1:] + rows[:, :-1]) * np.diff(grid), axis=1, out=cumulative[:, 1:])
+    for start in range(0, thetas.size, SAMPLER_PHASE_BLOCK):
+        angles = np.multiply.outer(thetas[start:start + SAMPLER_PHASE_BLOCK], k)
+        cdfs = np.concatenate((np.cos(angles), -np.sin(angles)), axis=1) @ cumulative
+        yield from cdfs / cdfs[:, -1:]
 
 
 def _seed_root(seed):
@@ -217,19 +227,16 @@ def sample(
 
     Run r draws its whole (phases, n_per_phase) block of uniforms, row-major,
     from one generator, ``np.random.default_rng`` of its seed's
-    ``SeedSequence``. Every run's uniforms are drawn before any pdf row is
-    built. The runs then share one pass over the phases: :func:`_pdf_rows`
-    builds the rows one block of phases at a time, each phase's CDF is built
-    once, and one ``np.interp`` draws every run's block at that phase. If
-    ``g_0`` is the one harmonic ``rho`` keeps (every entry off its diagonal is
-    exactly zero), the pdf is the same at every phase and the pass builds one
-    row and one CDF and draws every record with one ``np.interp``. A run's
-    records depend on its own seed only, not on the other seeds or their
-    number. A row-major draw is prefix-stable, so appending phases leaves the
-    blocks of the phases before them the same up to rounding (a row's last
-    bits may depend on the phases that share its matrix product); changing
-    ``n_per_phase`` shifts the draws of every phase after the first. Records
-    are concatenated in phase order.
+    ``SeedSequence``, before any CDF is built. The runs then share one pass:
+    :func:`_cdf_rows` builds the CDF rows one block of phases at a time, and
+    one ``np.interp`` per phase draws every run's block there, or one for all
+    records if ``g_0`` is the one harmonic ``rho`` keeps. A run's records
+    depend on its own seed only, not on the other seeds or their number. A
+    row-major draw is prefix-stable, so appending phases leaves the blocks of
+    the phases before them the same up to rounding (a CDF row's last bits may
+    depend on the phases that share its product); changing ``n_per_phase``
+    shifts the draws of every phase after the first. Records are concatenated
+    in phase order.
 
     Raises:
         ValueError: before any generator is seeded, if ``phases`` is not a
@@ -256,19 +263,12 @@ def sample(
     for u, root in zip(uniforms, roots):
         np.random.default_rng(root).random(out=u)
     grid = _sampling_grid(rho)
-    dx = np.diff(grid)
-
-    def inverse_cdf(pdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))  # trapezoid
-        cdf /= cdf[-1]
-        return np.interp(u, cdf, grid)
-
-    if _harmonic_orders(rho).tolist() == [0]:  # only g_0 kept: every phase's row is that g_0
-        xs = inverse_cdf(next(_pdf_rows(rho, thetas[:1], grid)), uniforms)
+    if _harmonic_orders(rho).tolist() == [0]:  # only g_0 kept: one CDF serves every phase
+        xs = np.interp(uniforms, next(_cdf_rows(rho, thetas[:1], grid)), grid)
     else:
         xs = uniforms  # overwritten phase by phase with the records
-        for i, pdf in enumerate(_pdf_rows(rho, thetas, grid)):
-            xs[:, i] = inverse_cdf(pdf, uniforms[:, i])
+        for i, cdf in enumerate(_cdf_rows(rho, thetas, grid)):
+            xs[:, i] = np.interp(uniforms[:, i], cdf, grid)
     theta = np.repeat(thetas, n_per_phase)
     return [QuadratureDataset(x.ravel(), theta, Convention.HALF) for x in xs]
 

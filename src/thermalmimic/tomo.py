@@ -184,16 +184,18 @@ def measurement_matrix(data: QuadratureDataset, cutoff: int) -> _RecordMap:
     # slot (m, n) of record k holds f_m^2 for m = n, 2 cos((n - m) theta_k) f_m f_n
     # for m < n and 2 sin((m - n) theta_k) f_m f_n for m > n, the coefficients of
     # Re rho_mn and Im rho_mn in p_k; filled one diagonal at a time, so every
-    # write is a contiguous row of K values
+    # write is a contiguous row of K values. The trig rows are taken once per
+    # distinct phase and gathered back to the records.
     out = np.empty((dim, dim, count))
+    distinct, record_phase = np.unique(theta, return_inverse=True)
     for k in range(dim):
         m = np.arange(dim - k)
         products = radial[:dim - k] * radial[k:]
         if k == 0:
             out[m, m] = products
         else:
-            out[m, m + k] = 2.0 * np.cos(k * theta) * products
-            out[m + k, m] = 2.0 * np.sin(k * theta) * products
+            out[m, m + k] = (2.0 * np.cos(k * distinct))[record_phase] * products
+            out[m + k, m] = (2.0 * np.sin(k * distinct))[record_phase] * products
     phases = np.where(np.tri(dim, dtype=bool).T, 1.0, -1j).reshape(1, -1)
     return _RecordMap(out.reshape(1, dim * dim, count), phases, np.arange(dim * dim), dim)
 

@@ -58,3 +58,23 @@ def test_parse_run_refuses_an_output_without_a_machine_line():
     text = "\n".join(line for line in CAPTURED.splitlines() if "machine {" not in line)
     with pytest.raises(ValueError, match="no machine line"):
         bench_record.parse_run(text)
+
+
+#: ``git status --porcelain -- src perfbench BENCHMARK.json`` of a tree with
+#: one file of each kind of change.
+PORCELAIN = """\
+ M src/thermalmimic/homodyne.py
+M  src/thermalmimic/tomo.py
+MM perfbench/run.py
+ D BENCHMARK.json
+R  src/thermalmimic/old.py -> src/thermalmimic/new.py
+?? src/thermalmimic/scratch.py
+"""
+
+
+def test_uncommitted_lists_every_changed_path_of_the_porcelain_status():
+    assert bench_record.uncommitted(PORCELAIN) == [
+        "src/thermalmimic/homodyne.py", "src/thermalmimic/tomo.py", "perfbench/run.py",
+        "BENCHMARK.json", "src/thermalmimic/new.py", "src/thermalmimic/scratch.py",
+    ]
+    assert bench_record.uncommitted("") == []

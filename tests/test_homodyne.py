@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf
 
 from _states import fock_projector, random_density, rotated, states
 from thermalmimic import homodyne, mimic, tomo
@@ -124,9 +125,10 @@ def coherent_mixture_pdf(weights, magnitudes, angles, theta, xs):
 
 @pytest.mark.parametrize("name", ["8x8-codebook", "thermal"])
 def test_sampler_pdf_rows_match_the_closed_form_law(name):
-    # the sampler's rows at cutoff 60 against a law written without
-    # fock_wavefunctions: a coherent mixture's sum of Gaussians, and thermal
-    # light's N(0, nbar + 1/2) (measured: 5e-16 for both)
+    # quadrature_pdf's rows, from the harmonics the sampler integrates, at
+    # cutoff 60 against a law written without fock_wavefunctions: a coherent
+    # mixture's sum of Gaussians, and thermal light's N(0, nbar + 1/2)
+    # (measured: 5e-16 for both)
     thetas = [0.0, 0.9, 2.3, 4.0, 5.7]
     if name == "thermal":
         nbar = 1.35
@@ -141,7 +143,51 @@ def test_sampler_pdf_rows_match_the_closed_form_law(name):
         grid = _sampling_grid(rho)
         expected = [coherent_mixture_pdf(codebook.weights.ravel(), *codebook.points(), theta, grid)
                     for theta in thetas]
-    rows = list(homodyne._pdf_rows(rho, thetas, grid))
+    rows = [quadrature_pdf(rho, theta, grid) for theta in thetas]
+    for theta, row, law in zip(thetas, rows, expected, strict=True):
+        assert np.max(np.abs(row - law)) <= 1e-13, theta
+
+
+def trapezoid_law(cdf, pdf_d1, pdf_d3, dx):
+    """The trapezoid CDF, normalized by its last value, of a smooth pdf on a
+    uniform grid of step ``dx``, in closed form from the pdf's exact integral
+    ``cdf`` and its first and third derivatives ``pdf_d1`` and ``pdf_d3`` on the
+    grid: the Euler-Maclaurin formula adds them at ``dx^2 / 12`` and ``-dx^4 /
+    720``. The next term, ``dx^6 / 30240`` times the fifth derivative, is below
+    1e-16 on the sampling grids here."""
+    law = cdf + dx**2 / 12.0 * pdf_d1 - dx**4 / 720.0 * pdf_d3
+    law -= law[0]
+    return law / law[-1]
+
+
+@pytest.mark.parametrize("name", ["8x8-codebook", "thermal"])
+def test_sampler_cdf_rows_match_the_closed_form_law(name):
+    # the sampler's CDF rows at cutoff 60 against the erf of each law, with
+    # the trapezoid rule's own error in closed form (the plain erf is 2.4e-7
+    # away; measured with the correction: 1.0e-15 thermal, 2.8e-15 codebook)
+    thetas = [0.0, 0.9, 2.3, 4.0, 5.7]
+    if name == "thermal":
+        nbar = 1.35
+        rho = thermal(nbar, 60)
+        grid = _sampling_grid(rho)
+        v = nbar + 0.5
+        gaussian = np.exp(-grid * grid / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+        law = trapezoid_law(0.5 * erf(grid / math.sqrt(2.0 * v)), -grid / v * gaussian,
+                            (3.0 * grid / v**2 - grid**3 / v**3) * gaussian, grid[1] - grid[0])
+        expected = [law] * len(thetas)
+    else:
+        codebook = mimic.build_codebook(mimic.CodebookSpec(1.35, 8, 8))
+        rho = mimic.assemble(codebook, 60)
+        grid = _sampling_grid(rho)
+        weights, (magnitudes, angles) = codebook.weights.ravel(), codebook.points()
+        expected = []
+        for theta in thetas:
+            # one Gaussian of variance 1/2 per component, in y = x - its mean
+            y = np.subtract.outer(grid, math.sqrt(2.0) * magnitudes * np.cos(angles - theta))
+            g = np.exp(-y * y) / math.sqrt(math.pi)
+            expected.append(trapezoid_law(0.5 * erf(y) @ weights, -2.0 * y * g @ weights,
+                                          (12.0 * y - 8.0 * y**3) * g @ weights, grid[1] - grid[0]))
+    rows = list(homodyne._cdf_rows(rho, np.array(thetas), grid))
     for theta, row, law in zip(thetas, rows, expected, strict=True):
         assert np.max(np.abs(row - law)) <= 1e-13, theta
 
@@ -151,8 +197,8 @@ def test_sampler_pdf_rows_match_the_closed_form_law(name):
 def test_rotating_the_state_shifts_its_pdf_rows_in_lo_phase(data):
     # (U rho U^H)_mn = e^{i (m - n) phi} rho_mn for U = diag(e^{i n phi}), so
     # p'(x|theta + phi) = p(x|theta): the sampler's side of the covariance
-    # that tomo's reconstruction keeps; 1 to 40 phases take whole blocks and
-    # remainders of SAMPLER_PHASE_BLOCK
+    # that tomo's reconstruction keeps, on its CDF rows; 1 to 40 phases take
+    # whole blocks and remainders of SAMPLER_PHASE_BLOCK
     cutoff = data.draw(st.integers(0, 12), label="cutoff")
     rho = data.draw(states(cutoff), label="rho")
     phi = data.draw(st.floats(0.0, 2.0 * math.pi), label="phi")
@@ -160,15 +206,17 @@ def test_rotating_the_state_shifts_its_pdf_rows_in_lo_phase(data):
                                          min_size=1, max_size=40), label="thetas"))
     turned = rotated(np.diag(np.exp(1j * phi * np.arange(cutoff + 1))), rho)
     xs = np.linspace(-7.0, 7.0, 141)
-    rows = np.array(list(homodyne._pdf_rows(rho, thetas, xs)))
-    shifted = np.array(list(homodyne._pdf_rows(turned, np.mod(thetas + phi, 2.0 * math.pi), xs)))
-    assert rows.shape == shifted.shape == (thetas.size, xs.size)
-    assert rows.min() >= 0.0
-    # each row is its own phase's pdf, whichever block it came from
-    for theta, row in zip(thetas, rows):
+    cdfs = np.array(list(homodyne._cdf_rows(rho, thetas, xs)))
+    shifted = np.array(list(homodyne._cdf_rows(turned, np.mod(thetas + phi, 2.0 * math.pi), xs)))
+    assert cdfs.shape == shifted.shape == (thetas.size, xs.size)
+    # each CDF row is its own phase's, whichever block it came from
+    for theta, cdf in zip(thetas, cdfs):
+        row = quadrature_pdf(rho, theta, xs)
+        assert row.min() >= 0.0
         expected = complex_record_kernel(rho, xs, np.full(xs.size, theta))
         assert np.max(np.abs(row - expected)) <= 1e-13
-    assert np.max(np.abs(shifted - rows)) <= 1e-13  # measured: 2.2e-15 over 2000 examples
+        assert np.max(np.abs(cdf - trapezoid_cdf(row, xs))) <= ROW_ROUNDING
+    assert np.max(np.abs(shifted - cdfs)) <= ROW_ROUNDING
 
 
 def test_fock_wavefunctions_are_orthonormal():
@@ -204,20 +252,26 @@ def test_sampling_is_deterministic_per_seed():
     assert not np.array_equal(a.x, c.x)
 
 
+def trapezoid_cdf(pdf, grid):
+    """The trapezoid CDF of ``pdf`` on ``grid``, normalized by its last value."""
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+    return cdf / cdf[-1]
+
+
 def reference_draw(rho, theta, u, pdf=None):
     """Inverse-CDF lookup of the uniforms ``u`` in the trapezoid CDF of ``pdf``,
     by default ``quadrature_pdf``, on the sampling grid."""
     grid = _sampling_grid(rho)
     pdf = quadrature_pdf(rho, theta, grid) if pdf is None else pdf
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
-    return np.interp(u, cdf / cdf[-1], grid)
+    return np.interp(u, trapezoid_cdf(pdf, grid), grid)
 
 
-def nearly_diagonal_state():
-    """``thermal(1.0, 30)`` with ``rho[0,1] = rho[1,0] = 1e-15``: its pdf rows
-    differ from phase to phase in their last bits."""
+def nearly_diagonal_state(entry=1e-15):
+    """``thermal(1.0, 30)`` with ``rho[0,1] = rho[1,0] = entry``. The default
+    lies below the rounding floor, 31 eps max|rho| = 3.4e-15, so its pdf keeps
+    only g_0; 1e-12 lies above it and turns the pdf with the phase."""
     entries = thermal(1.0, 30).entries.copy()
-    entries[0, 1] = entries[1, 0] = 1e-15
+    entries[0, 1] = entries[1, 0] = entry
     return FockDensityMatrix(30, entries)
 
 
@@ -228,22 +282,31 @@ def sampling_states():
         "thermal": thermal(1.35, 30),
         "vacuum": thermal(0.0, 0),
         "nearly-diagonal": nearly_diagonal_state(),
+        "off-diagonal-1e-12": nearly_diagonal_state(1e-12),
     }
 
 
-#: Rounding allowed, relative to a row's maximum, between a pdf row from one
-#: block product and the same row from a one-phase product (measured: 6 eps).
+#: The sampling states whose pdf keeps only g_0.
+PHASE_INVARIANT = ("thermal", "vacuum", "nearly-diagonal")
+
+#: Rounding allowed between two builds of one row: a pdf row's, relative to
+#: its maximum, from a block product and from a one-phase product (measured:
+#: 6 eps), and a CDF row's, which ends at 1, from the sampler's integrated
+#: harmonics and from the trapezoid CDF of the clipped one-phase pdf
+#: (measured: 3.7e-15).
 ROW_ROUNDING = 1e-13
 
 
 def test_sample_blocks_follow_phase_order_and_the_run_generator():
     # bit for bit: block i is row i of the run's one draw,
-    # default_rng(seed).random((phases, n)), through the CDF of _pdf_rows' row
-    # i for the same phases; a phase-invariant state's shared row and CDF draw
-    # what a row built at each phase draws, and the nearly diagonal state,
-    # whose rows differ in their last bits, pins sharing to exactly zero off
-    # the diagonal. The phases hold a repeated one, two wrapped ones, and a
-    # whole block plus a remainder.
+    # default_rng(seed).random((phases, n)), through _cdf_rows' row i for the
+    # same phases, which lies within rounding of the trapezoid CDF of the
+    # one-phase quadrature_pdf. A phase-invariant state's shared CDF draws
+    # what that one-phase CDF at each phase draws; the state whose one
+    # off-diagonal entry lies below the rounding floor shares it too, and its
+    # twin above the floor, whose CDF rows differ from phase to phase, does
+    # not. The phases hold a repeated one, two wrapped ones, and a whole block
+    # plus a remainder.
     phases = [0.4, 2.5, 2.5 + 2.0 * math.pi, 5.9, 0.4, -1.3, *np.linspace(0.1, 6.2, 15)]
     assert len(phases) > homodyne.SAMPLER_PHASE_BLOCK
     wrapped = np.mod(phases, 2.0 * math.pi)
@@ -252,15 +315,17 @@ def test_sample_blocks_follow_phase_order_and_the_run_generator():
     for name, rho in sampling_states().items():
         ds = sample(rho, phases, n, [19])[0]
         grid = _sampling_grid(rho)
-        rows = homodyne._pdf_rows(rho, wrapped, grid)
-        for j, (theta, u, row) in enumerate(zip(wrapped, uniforms, rows, strict=True)):
-            one_phase = quadrature_pdf(rho, theta, grid)
-            assert np.max(np.abs(row - one_phase)) <= ROW_ROUNDING * row.max(), (name, j)
+        cdfs = list(homodyne._cdf_rows(rho, wrapped, grid))
+        for j, (theta, u, cdf) in enumerate(zip(wrapped, uniforms, cdfs, strict=True)):
+            one_phase = trapezoid_cdf(quadrature_pdf(rho, theta, grid), grid)
+            assert np.max(np.abs(cdf - one_phase)) <= ROW_ROUNDING, (name, j)
             block = slice(j * n, (j + 1) * n)
             assert np.all(ds.theta[block] == theta), name
-            assert np.array_equal(ds.x[block], reference_draw(rho, None, u, row)), (name, j)
-            if name in ("thermal", "vacuum"):
+            assert np.array_equal(ds.x[block], np.interp(u, cdf, grid)), (name, j)
+            if name in PHASE_INVARIANT:
                 assert np.array_equal(ds.x[block], reference_draw(rho, theta, u)), (name, j)
+        turns = any(not np.array_equal(cdf, cdfs[0]) for cdf in cdfs)
+        assert turns == (name not in PHASE_INVARIANT), name
 
 
 def full_pdf_harmonics(rho, xs):
@@ -288,9 +353,10 @@ def full_pdf_row(rho, theta, xs):
 ])
 def test_skipping_zero_harmonics_keeps_rows_and_records_bit_for_bit(name, kept):
     # the kept harmonics are the full set's bit for bit and the skipped ones
-    # exactly zero; a phase-invariant state's rows and records are the
-    # one-phase full rows' bit for bit, and any state's rows are within
-    # rounding of them (a block product sums in its own order)
+    # exactly zero; the sampler's CDF rows are within rounding of the
+    # trapezoid CDFs of the one-phase full rows (a block product of integrated
+    # harmonics sums in its own order), and a phase-invariant state's CDF rows
+    # and records are the full rows' bit for bit
     rho = {"thermal": thermal(1.35, 30), "vacuum": thermal(0.0, 10),
            "fock": fock_projector(3, 12), "coherent": coherent_state(1.1, 0.8, cutoff=20)}[name]
     assert homodyne._harmonic_orders(rho).tolist() == kept
@@ -301,37 +367,92 @@ def test_skipping_zero_harmonics_keeps_rows_and_records_bit_for_bit(name, kept):
     assert not np.delete(full_harmonics, orders, axis=1).any()
     phases = [0.0, 0.4, 2.5, 5.9]
     full = [full_pdf_row(rho, theta, grid) for theta in phases]
-    rows = list(homodyne._pdf_rows(rho, phases, grid))
-    for row, expected in zip(rows, full, strict=True):
-        assert np.max(np.abs(row - expected)) <= ROW_ROUNDING * expected.max()
+    cdfs = list(homodyne._cdf_rows(rho, np.array(phases), grid))
+    for cdf, expected in zip(cdfs, full, strict=True):
+        assert np.max(np.abs(cdf - trapezoid_cdf(expected, grid))) <= ROW_ROUNDING
         if kept == [0]:
-            assert np.array_equal(row, expected)
+            assert np.array_equal(cdf, trapezoid_cdf(expected, grid))
     records = sample(rho, phases, 30, [19])[0].x.reshape(len(phases), 30)
     uniforms = np.random.default_rng(19).random((len(phases), 30))
-    for block, row, expected, u in zip(records, rows, full, uniforms, strict=True):
-        assert np.array_equal(block, reference_draw(rho, None, u, row))
+    for block, cdf, expected, u in zip(records, cdfs, full, uniforms, strict=True):
+        assert np.array_equal(block, np.interp(u, cdf, grid))
         if kept == [0]:
             assert np.array_equal(block, reference_draw(rho, None, u, expected))
+
+
+@pytest.mark.parametrize("amplitudes, phases, cutoff", [
+    (4, 4, 12), (8, 8, 20), (8, 8, 30), (16, 16, 30), (20, 20, 30), (8, 3, 20),
+])
+def test_stratified_codebooks_keep_exactly_the_orders_that_are_multiples_of_q(
+    amplitudes, phases, cutoff
+):
+    # a codebook on a uniform grid of Q phases has rho_mn = 0 unless Q divides
+    # n - m, but for rounding; measured over these shapes, the entries of the
+    # other orders lie at or below 0.79 eps max|rho| and each multiple of Q
+    # holds one at or above 3e8 eps max|rho|, far from the floor dim eps
+    # max|rho| on both sides
+    codebook = mimic.build_codebook(mimic.CodebookSpec(1.35, amplitudes, phases))
+    rho = mimic.assemble(codebook, cutoff)
+    assert homodyne._harmonic_orders(rho).tolist() == list(range(0, cutoff + 1, phases))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dropping_orders_below_the_floor_moves_rows_within_the_floors_bound(data):
+    # a random state with rho_mn zeroed unless Q divides n - m (its average
+    # over the Q rotations diag(e^{2 pi i j n / Q}), so still a state), plus
+    # Hermitian noise below the floor dim eps max|rho| at every other order:
+    # the pdf keeps exactly the multiples of Q, and its rows stay within
+    # 2 floor sum_{m<n} |f_m f_n| <= floor (sum_m |f_m|)^2 of the rows built
+    # from every order, pointwise, its CDF rows within that bound's integral
+    # over the pdf's, beside the rows' own rounding
+    cutoff = data.draw(st.integers(1, 12), label="cutoff")
+    q = data.draw(st.integers(2, cutoff + 1), label="Q")
+    rho = data.draw(states(cutoff), label="rho")
+    thetas = np.array(data.draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                                         min_size=1, max_size=20), label="thetas"))
+    n = np.arange(cutoff + 1)
+    multiple = np.subtract.outer(n, n) % q == 0
+    symmetric = np.where(multiple, rho.entries, 0.0)
+    floor = (cutoff + 1) * np.finfo(float).eps * np.abs(symmetric).max()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="noise seed"))
+    real, imag = rng.uniform(-1.0, 1.0, (2, cutoff + 1, cutoff + 1))
+    noise = 0.5 * (real + real.T) + 0.5j * (imag - imag.T)  # Hermitian, |entry| < sqrt(2)
+    noise = np.where(multiple, 0.0, 0.99 * floor / math.sqrt(2.0) * noise)
+    assert 0.0 < np.abs(noise).max() <= floor
+    noisy = FockDensityMatrix(cutoff, symmetric + noise, trace_tol=1e-9)
+    assert homodyne._harmonic_orders(noisy).tolist() == n[::q].tolist()
+    xs = np.linspace(-7.0, 7.0, 141)
+    bound = floor * np.abs(fock_wavefunctions(xs, cutoff)).sum(axis=0) ** 2
+    cdfs = homodyne._cdf_rows(noisy, thetas, xs)
+    for theta, cdf in zip(thetas, cdfs, strict=True):
+        every = full_pdf_row(noisy, theta, xs)
+        assert np.all(np.abs(quadrature_pdf(noisy, theta, xs) - every)
+                      <= bound + ROW_ROUNDING * every.max())
+        mass = np.sum(0.5 * (every[1:] + every[:-1]) * np.diff(xs))
+        integral = np.sum(0.5 * (bound[1:] + bound[:-1]) * np.diff(xs))
+        assert np.max(np.abs(cdf - trapezoid_cdf(every, xs))) <= 2.0 * integral / mass + ROW_ROUNDING
 
 
 @pytest.mark.parametrize("n_phases", [1, 2, 7])
 def test_a_pass_builds_one_pdf_row_per_phase_unless_the_state_is_phase_invariant(
     monkeypatch, n_phases
 ):
+    # the rows a pass builds are the CDF rows it draws through
     built = []
-    pdf_rows = homodyne._pdf_rows
+    cdf_rows = homodyne._cdf_rows
 
-    def counted_rows(rho, thetas, xs):
-        for row in pdf_rows(rho, thetas, xs):
+    def counted_rows(rho, thetas, grid):
+        for row in cdf_rows(rho, thetas, grid):
             built.append(row.size)
             yield row
 
-    monkeypatch.setattr(homodyne, "_pdf_rows", counted_rows)
+    monkeypatch.setattr(homodyne, "_cdf_rows", counted_rows)
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
     for name, rho in sampling_states().items():
         built.clear()
         sample(rho, phases, 5, [3, 4, 5])
-        rows = n_phases if name in ("coherent", "nearly-diagonal") else 1
+        rows = 1 if name in PHASE_INVARIANT else n_phases
         assert built == [homodyne.SAMPLER_GRID_POINTS] * rows, name
     built.clear()
     simulate_raw(coherent_state(1.1, 0.8, cutoff=20), phases, 5, 2.5, 0.3, [3, 4])
@@ -439,15 +560,16 @@ def test_sample_checks_its_arguments_before_any_seeding(monkeypatch):
 ], ids=["pool-size-8", "sequence-entropy"])
 def test_sample_draws_a_seed_sequence_run_from_one_generator(root):
     # the run's records are default_rng(root).random((phases, n)) through the
-    # pass's CDFs, row i at phase i, and the root is not spawned
+    # pass's CDF rows, row i at phase i, and the root is not spawned
     phases, n = [0.4, 2.5, 5.9, *np.linspace(0.1, 6.2, 15)], 30
     rho = coherent_state(1.1, 0.8, cutoff=20)
     records = sample(rho, phases, n, [root])[0].x.reshape(len(phases), n)
     assert root.n_children_spawned == 0
     uniforms = np.random.default_rng(root).random((len(phases), n))
-    rows = homodyne._pdf_rows(rho, np.mod(phases, 2.0 * math.pi), _sampling_grid(rho))
-    for block, row, u in zip(records, rows, uniforms, strict=True):
-        assert np.array_equal(block, reference_draw(rho, None, u, row))
+    grid = _sampling_grid(rho)
+    cdfs = homodyne._cdf_rows(rho, np.mod(phases, 2.0 * math.pi), grid)
+    for block, cdf, u in zip(records, cdfs, uniforms, strict=True):
+        assert np.array_equal(block, np.interp(u, cdf, grid))
 
 
 def test_appending_phases_keeps_the_earlier_phases_records():
@@ -479,7 +601,7 @@ def test_pdf_rows_clip_a_rounding_negative_value_to_zero():
     assert orders.tolist() == [0, 2]
     unclipped = np.concatenate((np.ones(2), np.zeros(2)))[None, :] @ harmonics.reshape(-1, xs.size)
     assert (unclipped < 0.0).any()
-    (row,) = homodyne._pdf_rows(rho, [0.0], xs)
+    row = quadrature_pdf(rho, 0.0, xs)
     assert row.min() >= 0.0
     assert np.array_equal(row, np.maximum(unclipped[0], 0.0))
 
@@ -539,12 +661,11 @@ def test_simulate_raw_takes_seed_sequences_and_seeds_the_vacuum_from_their_zero_
     assert root.n_children_spawned == 0
     assert np.array_equal(raw.voltages, sample(rho, phases, n, [root])[0].x)
     vacuum = thermal(0.0, 0)
-    (row,) = homodyne._pdf_rows(vacuum, phases[:1], _sampling_grid(vacuum))
     zero_child = np.random.SeedSequence(root.entropy, spawn_key=(2**33, 5, 0), pool_size=8)
     blocks = raw.vacuum.reshape(len(phases), n)
     uniforms = np.random.default_rng(zero_child).random((len(phases), n))
     for block, u in zip(blocks, uniforms, strict=True):
-        assert np.array_equal(block, reference_draw(vacuum, None, u, row))
+        assert np.array_equal(block, reference_draw(vacuum, 0.0, u))
 
 
 def test_sample_takes_a_seed_sequence_and_leaves_it_unspawned():

@@ -119,6 +119,32 @@ def test_measurement_matrix_is_the_packed_projector(data):
                               records.probabilities(h).view(np.int64))
 
 
+@pytest.mark.parametrize("repeated", [True, False], ids=["repeated-phases", "distinct-phases"])
+def test_packed_map_equals_a_per_record_evaluation_bit_for_bit(repeated):
+    # the packed map takes each distinct phase's trig rows once and gathers
+    # them to the records; its products are 2 cos(k theta_k) f_m f_n and
+    # 2 sin(k theta_k) f_m f_n of each record bit for bit, on 100 phases held
+    # by 10 records each in shuffled order and on 1000 distinct phases
+    rng = np.random.default_rng(12)
+    cutoff, count = 12, 1000
+    dim = cutoff + 1
+    if repeated:
+        theta = rng.permutation(np.repeat(2.0 * math.pi * np.arange(100) / 100, 10))
+    else:
+        theta = rng.uniform(0.0, 2.0 * math.pi, count)
+    x = rng.normal(size=count)
+    records = measurement_matrix(QuadratureDataset(x, theta, Convention.HALF), cutoff)
+    assert records.products.shape == (1, dim * dim, count)
+    f = fock_wavefunctions(x, cutoff)
+    expected = np.empty((dim, dim, count))
+    for m in range(dim):
+        for n in range(dim):
+            product, k = f[min(m, n)] * f[max(m, n)], abs(n - m)
+            trig = 1.0 if m == n else 2.0 * (np.cos if m < n else np.sin)(k * theta)
+            expected[m, n] = trig * product
+    assert np.array_equal(records.products.reshape(dim, dim, count), expected)
+
+
 # ---------------------------------------------------------------------------
 # log_likelihood
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ keeps the ``machine`` line, the ``physics`` lines and the closing result line
 (``correct``, ``attempted``, ``failed`` and the metrics), as measured, and
 writes them all to ``BENCH_<LABEL>.json`` at the root of the tree: the
 untraced run holds the end-to-end metrics, the traced one the per-layer
-metrics. Exits 1 naming the first run that fails.
+metrics. Its ``uncommitted`` list names the paths under ``src``, ``perfbench``
+and ``BENCHMARK.json`` that differ from the commit the machine lines name
+(``git status --porcelain``), so a pass over a modified tree shows as one; it
+is null outside a git checkout. Exits 1 naming the first run that fails.
 
 To record another commit, export it without touching the repository's git
 state (``git archive <commit> | tar -x -C <dir>``), copy this script into the
@@ -45,6 +48,22 @@ def parse_run(text: str) -> dict:
     return {**record, **{key: result[key] for key in ("correct", "attempted", "failed", "metrics")}}
 
 
+def uncommitted(porcelain: str) -> list[str]:
+    """The paths of ``git status --porcelain`` output, in its order: modified,
+    staged, deleted and untracked files, and a renamed file's new name."""
+    return [line[3:].split(" -> ")[-1] for line in porcelain.splitlines() if line]
+
+
+def tree_changes() -> list[str] | None:
+    """The uncommitted paths that a benchmark pass runs, or None outside a git
+    checkout (an export of a commit has no ``.git``)."""
+    if not (ROOT / ".git").exists():
+        return None
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench",
+                             "BENCHMARK.json"], cwd=ROOT, capture_output=True, text=True, check=True)
+    return uncommitted(status.stdout)
+
+
 def run(workload: str, seconds: int, trace: int) -> dict:
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
@@ -66,7 +85,7 @@ def main(argv: list[str]) -> int:
         for w in spec["workloads"]
     }
     payload = {"schema_version": SCHEMA_VERSION, "label": label, "seed": SEED,
-               "run_seconds": seconds, "workloads": workloads}
+               "run_seconds": seconds, "uncommitted": tree_changes(), "workloads": workloads}
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(out)
