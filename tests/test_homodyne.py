@@ -404,8 +404,8 @@ def test_dropping_orders_below_the_floor_moves_rows_within_the_floors_bound(data
     # Hermitian noise below the floor dim eps max|rho| at every other order:
     # the pdf keeps exactly the multiples of Q, and its rows stay within
     # 2 floor sum_{m<n} |f_m f_n| <= floor (sum_m |f_m|)^2 of the rows built
-    # from every order, pointwise, its CDF rows within that bound's integral
-    # over the pdf's, beside the rows' own rounding
+    # from every order, pointwise, and its CDF rows within twice that bound's
+    # integral over the pdf's, beside the rows' own rounding
     cutoff = data.draw(st.integers(1, 12), label="cutoff")
     q = data.draw(st.integers(2, cutoff + 1), label="Q")
     rho = data.draw(states(cutoff), label="rho")
@@ -424,13 +424,13 @@ def test_dropping_orders_below_the_floor_moves_rows_within_the_floors_bound(data
     assert homodyne._harmonic_orders(noisy).tolist() == n[::q].tolist()
     xs = np.linspace(-7.0, 7.0, 141)
     bound = floor * np.abs(fock_wavefunctions(xs, cutoff)).sum(axis=0) ** 2
+    integral = np.sum(0.5 * (bound[1:] + bound[:-1]) * np.diff(xs))
     cdfs = homodyne._cdf_rows(noisy, thetas, xs)
     for theta, cdf in zip(thetas, cdfs, strict=True):
         every = full_pdf_row(noisy, theta, xs)
         assert np.all(np.abs(quadrature_pdf(noisy, theta, xs) - every)
                       <= bound + ROW_ROUNDING * every.max())
         mass = np.sum(0.5 * (every[1:] + every[:-1]) * np.diff(xs))
-        integral = np.sum(0.5 * (bound[1:] + bound[:-1]) * np.diff(xs))
         assert np.max(np.abs(cdf - trapezoid_cdf(every, xs))) <= 2.0 * integral / mass + ROW_ROUNDING
 
 
