@@ -158,9 +158,9 @@ def optimize_weights(
 
     Minimizes the Frobenius distance between the mixture and the target over
     nonnegative weights, then renormalizes to sum 1. The returned codebook is
-    never less faithful than the uniform one: if the refit loses fidelity
-    (Frobenius distance is only a surrogate for it), the uniform weights are
-    kept.
+    never less faithful than the uniform one, both scored on the ring mixture:
+    if the refit loses fidelity (Frobenius distance is only a surrogate for
+    it), the uniform weights are kept.
 
     The phase grid is uniform and thermal light is diagonal, so rotating every
     point by 2*pi/Q permutes the grid and fixes the target: averaging any
@@ -171,17 +171,13 @@ def optimize_weights(
     points; every other slot is zero, as in thermal light. The NNLS design
     holds those entries of one point per ring, real and imaginary parts
     stacked, against the target's, so its residual 2-norm is the Frobenius
-    distance.
+    distance; both weight sets are scored on the mixture these entries give.
     """
     from scipy.optimize import nnls  # the package's one scipy use; kept off the import path
 
     codebook = build_codebook(CodebookSpec(nbar, n_amplitudes, n_phases))
     target = fock.thermal(nbar, cutoff)
-    states = coherent_states(*codebook.points(), cutoff)
-    n = np.arange(target.dim)
-    rows, cols = np.nonzero((n[:, None] - n) % n_phases == 0)  # the slots a ring fills
-    psi = states[::n_phases].T  # one point per ring, one column each
-    entries = psi[rows] * psi[cols].conj()
+    rows, cols, entries = _ring_slots(codebook, cutoff)
     goal = target.entries[rows, cols]
     rings, _ = nnls(np.vstack((entries.real, entries.imag)), np.concatenate((goal.real, goal.imag)))
     solution = np.repeat(rings / n_phases, n_phases)
@@ -189,11 +185,33 @@ def optimize_weights(
     if total <= 0.0:
         raise ValueError("nonnegative least squares returned an all-zero weight vector")
     new_weights = (solution / total).reshape(codebook.weights.shape)
-    refit = fidelity(fock.mix(new_weights.ravel(), states), target)
-    kept = fidelity(fock.mix(codebook.weights.ravel(), states), target)
+    refit = fidelity(_ring_mixture(new_weights, rows, cols, entries, cutoff), target)
+    kept = fidelity(_ring_mixture(codebook.weights, rows, cols, entries, cutoff), target)
     if refit < kept:
         return replace(codebook, scheme=Scheme.OPTIMIZED), kept
     return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED), refit
+
+
+def _ring_slots(codebook: Codebook, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slots ``(rows, cols)`` with ``(m - n) % Q == 0`` that an amplitude ring
+    of the uniform phase grid fills, and the projector entries there of each
+    ring's first point, one column per ring. Those points' rows are bit for bit
+    the grid's, as :func:`~thermalmimic.fock.coherent_states` builds them."""
+    n = np.arange(cutoff + 1)
+    rows, cols = np.nonzero((n[:, None] - n) % codebook.phases.size == 0)
+    amps = codebook.amplitudes
+    psi = coherent_states(amps, np.full(amps.size, codebook.phases[0]), cutoff).T
+    return rows, cols, psi[rows] * psi[cols].conj()
+
+
+def _ring_mixture(weights: np.ndarray, rows: np.ndarray, cols: np.ndarray, entries: np.ndarray,
+                  cutoff: int) -> FockDensityMatrix:
+    """Mixture of the uniform-grid codebook with ring-uniform (L, Q) ``weights``
+    from its :func:`_ring_slots`: each ring's weight times its entries on the
+    ring slots, zero elsewhere, validated as :func:`~thermalmimic.fock.mix` does."""
+    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    rho[rows, cols] = entries @ weights.sum(axis=1)
+    return FockDensityMatrix(cutoff, rho, trace_tol=fock.DEFAULT_TAIL_TOL)
 
 
 @dataclass(frozen=True)
@@ -232,15 +250,15 @@ def sweep_fidelity(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     evaluation with zero spread.
     """
     scheme = Scheme(spec.scheme)
-    fids = np.empty((len(spec.nbars), len(spec.samples),
-                     spec.trials if scheme == Scheme.RANDOM else 1))
+    sides = [math.isqrt(m) for m in spec.samples]
+    fids = np.empty((len(spec.nbars), len(sides), spec.trials if scheme == Scheme.RANDOM else 1))
     for i, nbar in enumerate(spec.nbars):
+        if scheme == Scheme.OPTIMIZED:  # optimize_weights builds its own target
+            fids[i, :, 0] = [optimize_weights(nbar, side, side, spec.cutoff)[1] for side in sides]
+            continue
         reference = fock.thermal(nbar, spec.cutoff)
-        for j, side in enumerate(map(math.isqrt, spec.samples)):
+        for j, side in enumerate(sides):
             for trial in range(fids.shape[2]):
-                if scheme == Scheme.OPTIMIZED:
-                    fids[i, j, trial] = optimize_weights(nbar, side, side, spec.cutoff)[1]
-                else:
-                    cb = build_codebook(CodebookSpec(nbar, side, side, scheme, spec.seed + trial))
-                    fids[i, j, trial] = fidelity(assemble(cb, spec.cutoff), reference)
+                cb = build_codebook(CodebookSpec(nbar, side, side, scheme, spec.seed + trial))
+                fids[i, j, trial] = fidelity(assemble(cb, spec.cutoff), reference)
     return fids.mean(axis=2), fids.std(axis=2)

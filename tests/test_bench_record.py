@@ -78,3 +78,21 @@ def test_uncommitted_lists_every_changed_path_of_the_porcelain_status():
         "BENCHMARK.json", "src/thermalmimic/new.py", "src/thermalmimic/scratch.py",
     ]
     assert bench_record.uncommitted("") == []
+
+
+def test_bytecode_lists_the_pyc_files_under_src_only(tmp_path):
+    assert bench_record.bytecode(tmp_path) == []  # no src at all
+    package = tmp_path / "src" / "thermalmimic"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "mimic.py").write_text("")
+    assert bench_record.bytecode(tmp_path) == []  # a clean checkout
+    for name in ("mimic.cpython-311.pyc", "fock.cpython-311.pyc"):
+        (package / "__pycache__" / name).write_bytes(b"")
+    (tmp_path / "src" / "stray.pyc").write_bytes(b"")
+    (tmp_path / "tools" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "tools" / "__pycache__" / "bench_record.cpython-311.pyc").write_bytes(b"")
+    assert bench_record.bytecode(tmp_path) == [
+        "src/stray.pyc",
+        "src/thermalmimic/__pycache__/fock.cpython-311.pyc",
+        "src/thermalmimic/__pycache__/mimic.cpython-311.pyc",
+    ]

@@ -12,7 +12,10 @@ untraced run holds the end-to-end metrics, the traced one the per-layer
 metrics. Its ``uncommitted`` list names the paths under ``src``, ``perfbench``
 and ``BENCHMARK.json`` that differ from the commit the machine lines name
 (``git status --porcelain``), so a pass over a modified tree shows as one; it
-is null outside a git checkout. Exits 1 naming the first run that fails.
+is null outside a git checkout. Its ``bytecode`` list names the ``*.pyc``
+files under ``src`` when the pass starts: bytecode an earlier tree left there
+is loaded for the modules it still matches, which moves ``peak_rss_mb``, so
+a clean checkout gives an empty list. Exits 1 naming the first run that fails.
 
 To record another commit, export it without touching the repository's git
 state (``git archive <commit> | tar -x -C <dir>``), copy this script into the
@@ -64,6 +67,11 @@ def tree_changes() -> list[str] | None:
     return uncommitted(status.stdout)
 
 
+def bytecode(root: Path) -> list[str]:
+    """The ``*.pyc`` files under ``root/src``, sorted, as paths relative to ``root``."""
+    return sorted(path.relative_to(root).as_posix() for path in (root / "src").rglob("*.pyc"))
+
+
 def run(workload: str, seconds: int, trace: int) -> dict:
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
@@ -80,12 +88,13 @@ def main(argv: list[str]) -> int:
     (label,) = argv
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    stale = bytecode(ROOT)
     workloads = {
         w["name"]: {"untraced": run(w["name"], seconds, 0), "traced": run(w["name"], seconds, 1)}
         for w in spec["workloads"]
     }
     payload = {"schema_version": SCHEMA_VERSION, "label": label, "seed": SEED,
-               "run_seconds": seconds, "uncommitted": tree_changes(), "workloads": workloads}
+               "run_seconds": seconds, "uncommitted": tree_changes(), "bytecode": stale, "workloads": workloads}
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(out)
