@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +58,9 @@ class FockDensityMatrix:
         dim = self.cutoff + 1
         if rho.shape != (dim, dim):
             raise ValueError(f"entries must have shape ({dim}, {dim}), got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
+        if not np.isfinite(rho).all():
             raise ValueError("entries must be finite")
-        asym = float(np.max(np.abs(rho - rho.conj().T)))
+        asym = float(abs(rho - rho.conj().T).max())
         if asym > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |rho - rho^dag| = {asym:.3e}")
         # both LAPACK calls read only the lower triangle, as the Hermiticity check allows
@@ -85,6 +86,15 @@ class FockDensityMatrix:
     @property
     def trace(self) -> float:
         return float(self.entries.trace().real)
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """The positive semidefinite square root, eigenvalues clipped at zero to
+        drop rounding below it; computed on first read, then kept."""
+        vals, vecs = np.linalg.eigh(self.entries)
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        root.setflags(write=False)
+        return root
 
 
 def coherent_states(magnitudes, phases, cutoff: int):

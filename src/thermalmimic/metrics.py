@@ -33,12 +33,10 @@ def fidelity(a: FockDensityMatrix, b: FockDensityMatrix) -> float:
     a byte-identity check should expect F to shift whenever the entries move.
     """
     _require_same_cutoff(a, b)
-    vals_b, vecs_b = np.linalg.eigh(b.entries)
-    sqrt_b = (vecs_b * np.sqrt(np.clip(vals_b, 0.0, None))) @ vecs_b.conj().T
-    inner = sqrt_b @ a.entries @ sqrt_b
+    inner = b.sqrt @ a.entries @ b.sqrt
     inner = 0.5 * (inner + inner.conj().T)
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return min(float(np.sum(np.sqrt(vals)) ** 2), 1.0)
+    vals = np.maximum(np.linalg.eigvalsh(inner), 0.0)
+    return min(float(np.sqrt(vals).sum() ** 2), 1.0)
 
 
 def trace_distance(a: FockDensityMatrix, b: FockDensityMatrix) -> float:

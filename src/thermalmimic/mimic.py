@@ -13,7 +13,7 @@ of its L amplitude rings, one weight per ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Literal
 
@@ -56,17 +56,17 @@ class Codebook:
         checked = (("nbar_target", self.nbar_target), ("amplitudes", amps), ("phases", phs),
                    ("weights", wts))
         for name, arr in checked:
-            if not np.all(np.isfinite(arr)):  # NaN passes every range check below
+            if not np.isfinite(arr).all():  # NaN passes every range check below
                 raise ValueError(f"{name} must be finite")
-        if np.any(amps < 0.0):
+        if (amps < 0.0).any():
             raise ValueError("amplitudes must be >= 0")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if np.any(phs < 0.0) or np.any(phs >= fock.TWO_PI):
+        if (phs < 0.0).any() or (phs >= fock.TWO_PI).any():
             raise ValueError("phases must lie in [0, 2*pi)")
         if wts.shape != (amps.size, phs.size):
             raise ValueError(f"weights must have shape ({amps.size}, {phs.size}), got {wts.shape}")
-        if np.any(wts < 0.0):
+        if (wts < 0.0).any():
             raise ValueError("weights must be >= 0")
         total = float(wts.sum())
         if abs(total - 1.0) > 1e-12:
@@ -136,12 +136,19 @@ def build_codebook(spec: CodebookSpec) -> Codebook:
         amps = rayleigh_quantile(nbar, rng.random(n_amplitudes))
         phases = rng.uniform(0.0, fock.TWO_PI, n_phases)
     else:
-        l = np.arange(1, n_amplitudes + 1)
-        amps = rayleigh_quantile(nbar, (2 * l - 1) / (2 * n_amplitudes))
-        q = np.arange(1, n_phases + 1)
-        phases = math.pi * (2 * q - 1) / n_phases
+        amps, phases = _stratified_grid(nbar, n_amplitudes, n_phases)
     weights = np.full((n_amplitudes, n_phases), 1.0 / (n_amplitudes * n_phases))
     return Codebook(nbar, amps, phases, weights, scheme, spec.seed)
+
+
+def _stratified_grid(nbar: float, n_amplitudes: int, n_phases: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The stratified scheme's amplitudes, at the Rayleigh quantile midpoints
+    (2l-1)/(2L), and phases, at the uniform midpoints pi(2q-1)/Q."""
+    l = np.arange(1, n_amplitudes + 1)
+    q = np.arange(1, n_phases + 1)
+    amplitudes = rayleigh_quantile(nbar, (2 * l - 1) / (2 * n_amplitudes))
+    return amplitudes, math.pi * (2 * q - 1) / n_phases
 
 
 def assemble(codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF) -> FockDensityMatrix:
@@ -150,13 +157,14 @@ def assemble(codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF) -> FockDensi
 
 
 def optimize_weights(
-    nbar: float, n_amplitudes: int, n_phases: int, cutoff: int = fock.DEFAULT_CUTOFF
+    nbar: float, n_amplitudes: int, n_phases: int, reference: FockDensityMatrix
 ) -> tuple[Codebook, float]:
-    """Refit the stratified L x Q codebook's weights to ``thermal(nbar, cutoff)``
-    by nonnegative least squares; return the refit codebook and the fidelity of
-    its mixture to that thermal state.
+    """Refit the stratified L x Q codebook's weights to ``reference``, the
+    thermal state of mean ``nbar`` at the cutoff to fit at, by nonnegative
+    least squares; return the refit codebook and the fidelity of its mixture
+    to ``reference``.
 
-    Minimizes the Frobenius distance between the mixture and the target over
+    Minimizes the Frobenius distance between the mixture and the reference over
     nonnegative weights, then renormalizes to sum 1. The returned codebook is
     never less faithful than the uniform one, both scored on the ring mixture:
     if the refit loses fidelity (Frobenius distance is only a surrogate for
@@ -170,37 +178,87 @@ def optimize_weights(
     where it equals the projector ``psi_m conj(psi_n)`` of any one of its
     points; every other slot is zero, as in thermal light. The NNLS design
     holds those entries of one point per ring, real and imaginary parts
-    stacked, against the target's, so its residual 2-norm is the Frobenius
+    stacked, against the reference's, so its residual 2-norm is the Frobenius
     distance; both weight sets are scored on the mixture these entries give.
     """
-    from scipy.optimize import nnls  # the package's one scipy use; kept off the import path
-
-    codebook = build_codebook(CodebookSpec(nbar, n_amplitudes, n_phases))
-    target = fock.thermal(nbar, cutoff)
-    rows, cols, entries = _ring_slots(codebook, cutoff)
-    goal = target.entries[rows, cols]
-    rings, _ = nnls(np.vstack((entries.real, entries.imag)), np.concatenate((goal.real, goal.imag)))
+    CodebookSpec(nbar, n_amplitudes, n_phases)  # checks the knobs before any work
+    amplitudes, phases = _stratified_grid(nbar, n_amplitudes, n_phases)
+    cutoff = reference.cutoff
+    rows, cols, entries = _ring_slots(amplitudes, phases, cutoff)
+    goal = reference.entries[rows, cols]
+    # the real design A stacks entries' real and imaginary parts, so A^T A and
+    # A^T b are the real parts of the complex Gram products
+    gram = (entries.conj().T @ entries).real
+    rings = _nnls(gram, (entries.conj().T @ goal).real)
     solution = np.repeat(rings / n_phases, n_phases)
     total = float(solution.sum())
     if total <= 0.0:
         raise ValueError("nonnegative least squares returned an all-zero weight vector")
-    new_weights = (solution / total).reshape(codebook.weights.shape)
-    refit = fidelity(_ring_mixture(new_weights, rows, cols, entries, cutoff), target)
-    kept = fidelity(_ring_mixture(codebook.weights, rows, cols, entries, cutoff), target)
-    if refit < kept:
-        return replace(codebook, scheme=Scheme.OPTIMIZED), kept
-    return replace(codebook, weights=new_weights, scheme=Scheme.OPTIMIZED), refit
+    new_weights = (solution / total).reshape(n_amplitudes, n_phases)
+    uniform = np.full((n_amplitudes, n_phases), 1.0 / (n_amplitudes * n_phases))
+    refit = fidelity(_ring_mixture(new_weights, rows, cols, entries, cutoff), reference)
+    kept = fidelity(_ring_mixture(uniform, rows, cols, entries, cutoff), reference)
+    weights, score = (uniform, kept) if refit < kept else (new_weights, refit)
+    return Codebook(nbar, amplitudes, phases, weights, Scheme.OPTIMIZED), score
 
 
-def _ring_slots(codebook: Codebook, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nnls(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The ``x >= 0`` that minimizes ``||A x - b||``, from ``gram = A^T A`` and
+    ``rhs = A^T b``: Lawson and Hanson's active-set method (Solving Least
+    Squares Problems, 1974, ch. 23) on the normal equations, as Bro and De Jong
+    run it (J. Chemometrics 11, 393, 1997).
+
+    Each outer step moves the zero variable of largest gradient ``rhs - gram x``
+    into the passive set and solves the unconstrained problem there; while
+    that solution has a nonpositive entry, it steps from ``x`` towards it as
+    far as feasibility allows and returns the variables that reach zero to the
+    zero set. It stops when no zero variable's gradient exceeds the rounding
+    floor, or when the entering variable's own solution is nonpositive, which
+    in exact arithmetic it never is, and raises ``ValueError`` after ``3n``
+    passive-set solves, the cap :func:`scipy.optimize.nnls` keeps.
+    """
+    n = rhs.size
+    floor = 10.0 * np.finfo(float).eps * n * gram.trace()  # trace >= the largest eigenvalue
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    solves = 0
+    while True:
+        grad = rhs - gram @ x
+        grad[passive] = -np.inf
+        j = grad.argmax()
+        if not grad[j] > floor:
+            return x
+        passive[j] = True
+        while True:
+            if solves == 3 * n:
+                raise ValueError(f"nonnegative least squares did not converge in {3 * n} steps")
+            solves += 1
+            p = passive.nonzero()[0]
+            s = np.linalg.solve(gram[p[:, None], p], rhs[p])
+            if s.min() > 0.0:
+                x[p] = s
+                break
+            falling = s <= 0.0
+            start = x[p]
+            if not start[falling].min() > 0.0:  # the entering variable: its gradient is rounding
+                return x
+            ratios = start[falling] / (start[falling] - s[falling])
+            k = ratios.argmin()
+            x[p] = start + ratios[k] * (s - start)
+            x[p[falling][k]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+
+
+def _ring_slots(amplitudes: np.ndarray, phases: np.ndarray, cutoff: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The slots ``(rows, cols)`` with ``(m - n) % Q == 0`` that an amplitude ring
-    of the uniform phase grid fills, and the projector entries there of each
-    ring's first point, one column per ring. Those points' rows are bit for bit
-    the grid's, as :func:`~thermalmimic.fock.coherent_states` builds them."""
-    n = np.arange(cutoff + 1)
-    rows, cols = np.nonzero((n[:, None] - n) % codebook.phases.size == 0)
-    amps = codebook.amplitudes
-    psi = coherent_states(amps, np.full(amps.size, codebook.phases[0]), cutoff).T
+    of the uniform ``phases`` grid fills, and the projector entries there of
+    each ring's first point, one column per ring. Those points' rows are bit
+    for bit the grid's, as :func:`~thermalmimic.fock.coherent_states` builds them."""
+    residue = np.arange(cutoff + 1) % phases.size
+    rows, cols = np.nonzero(residue[:, None] == residue)
+    psi = coherent_states(amplitudes, np.full(amplitudes.size, phases[0]), cutoff).T
     return rows, cols, psi[rows] * psi[cols].conj()
 
 
@@ -253,10 +311,10 @@ def sweep_fidelity(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     sides = [math.isqrt(m) for m in spec.samples]
     fids = np.empty((len(spec.nbars), len(sides), spec.trials if scheme == Scheme.RANDOM else 1))
     for i, nbar in enumerate(spec.nbars):
-        if scheme == Scheme.OPTIMIZED:  # optimize_weights builds its own target
-            fids[i, :, 0] = [optimize_weights(nbar, side, side, spec.cutoff)[1] for side in sides]
-            continue
         reference = fock.thermal(nbar, spec.cutoff)
+        if scheme == Scheme.OPTIMIZED:
+            fids[i, :, 0] = [optimize_weights(nbar, side, side, reference)[1] for side in sides]
+            continue
         for j, side in enumerate(sides):
             for trial in range(fids.shape[2]):
                 cb = build_codebook(CodebookSpec(nbar, side, side, scheme, spec.seed + trial))

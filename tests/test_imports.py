@@ -1,15 +1,16 @@
-"""Import guards: the package loads nothing, its numpy-only commands load no
-scipy, and no module imports a name it never uses.
+"""Import guards: the package loads nothing, no command loads scipy, and no
+module imports a name it never uses.
 
 A bare ``import thermalmimic`` holds only ``__version__``: it loads no numpy
-and no submodule, and gives no name a second, package-level home. Importing
-``scipy.special`` and ``scipy.optimize`` costs about 0.5 s of a fresh
-process, more than a small ``tomo-end2end`` run spends on its MLE. Only
-``mimic.optimize_weights`` needs scipy (for ``nnls``) and imports it on first
-call. ``import thermalmimic.cli`` loads no ``numpy.random`` either, which would
-add about 4 ms to a 57 ms import; the sampler first touches it when it draws.
-Each check runs in a fresh interpreter, since this test process has scipy and
-numpy.random loaded already.
+and no submodule, and gives no name a second, package-level home. scipy is a
+test dependency only: importing ``scipy.optimize`` costs about 0.5 s and
+44 MB of a fresh process, more than a small ``tomo-end2end`` run spends on its
+MLE, and the one fit that used it, ``mimic.optimize_weights``' nonnegative
+least squares, is numpy's now. ``import thermalmimic.cli`` loads no
+``numpy.random`` either, which would add about 4 ms to a 57 ms import; the
+sampler first touches it when it draws. Each check runs in a fresh
+interpreter, since this test process has scipy and numpy.random loaded
+already.
 
 A ``_``-prefixed name is its module's own: no module of the package imports
 one from a sibling or reads one as a sibling module's attribute.
@@ -76,6 +77,11 @@ report("codebook-export")
 ensemble = out + "/tomo/ensemble.json"
 assert thermalmimic.cli.main(["metrics", ensemble, ensemble, "--out", out + "/m.json"]) == 0
 report("metrics")
+
+sweep = ["mimic-sweep", "--scheme", "optimized", "--nbars", "1.0", "--samples", "4,16",
+         "--cutoff", "20", "--out-dir", out + "/sweep"]
+assert thermalmimic.cli.main(sweep) == 0
+report("mimic-sweep --scheme optimized")
 """
 
 
@@ -89,7 +95,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     stages = [json.loads(line) for line in child.stdout.splitlines() if line.startswith("{")]
     assert [s["stage"] for s in stages] == [
         "import thermalmimic", "import thermalmimic.cli", "tomo-end2end --source thermal",
-        "codebook-export", "metrics",
+        "codebook-export", "metrics", "mimic-sweep --scheme optimized",
     ]
     bare = stages[0]
     assert not bare["loaded"], f"import thermalmimic loaded {bare['loaded'][:5]}"

@@ -189,12 +189,13 @@ RING_FIDELITY_TOL = 1e-7
 def test_optimize_weights_never_hurts_fidelity():
     target = thermal(1.0, 30)
     uniform = build_codebook(CodebookSpec(1.0, 4, 4))
-    opt, f_opt = optimize_weights(1.0, 4, 4, 30)
+    opt, f_opt = optimize_weights(1.0, 4, 4, target)
     assert opt.scheme == Scheme.OPTIMIZED
     # f_opt is scored on the ring mixture, which agrees with assemble to rounding
     assert abs(metrics.fidelity(assemble(opt, 30), target) - f_opt) <= RING_FIDELITY_TOL
     assert f_opt >= metrics.fidelity(assemble(uniform, 30), target) - RING_FIDELITY_TOL
-    ring = mimic._ring_mixture(uniform.weights, *mimic._ring_slots(uniform, 30), 30)
+    slots = mimic._ring_slots(uniform.amplitudes, uniform.phases, 30)
+    ring = mimic._ring_mixture(uniform.weights, *slots, 30)
     assert f_opt >= metrics.fidelity(ring, target)  # the uniform weights on the same scale
 
 
@@ -219,9 +220,10 @@ def _residual_along_ray(design, goal, weights):
 @pytest.mark.parametrize("nbar, n_amp, n_phase, cutoff", RING_FIT_CASES)
 def test_ring_fit_reaches_per_point_nnls_optimum(nbar, n_amp, n_phase, cutoff):
     # scipy's per-point fit over all L * Q columns is the oracle
-    opt = optimize_weights(nbar, n_amp, n_phase, cutoff)[0]
+    target = thermal(nbar, cutoff)
+    opt = optimize_weights(nbar, n_amp, n_phase, target)[0]
     assert np.all(opt.weights == opt.weights[:, :1])  # ring-uniform
-    design, goal = _per_point_problem(opt, thermal(nbar, cutoff))
+    design, goal = _per_point_problem(opt, target)
     best = nnls(design, goal)[1]
     assert _residual_along_ray(design, goal, opt.weights) <= best * (1.0 + 1e-12)
 
@@ -231,7 +233,7 @@ def test_ring_mixture_is_the_assembled_state(nbar, n_amp, n_phase, cutoff):
     # optimize_weights scores the uniform and the refit weights on the ring
     # slots alone; both mixtures must be assemble's state of the same codebook
     uniform = build_codebook(CodebookSpec(nbar, n_amp, n_phase))
-    rows, cols, entries = mimic._ring_slots(uniform, cutoff)
+    rows, cols, entries = mimic._ring_slots(uniform.amplitudes, uniform.phases, cutoff)
     goal = thermal(nbar, cutoff).entries[rows, cols]
     rings = nnls(np.vstack((entries.real, entries.imag)),
                  np.concatenate((goal.real, goal.imag)))[0]
@@ -245,6 +247,46 @@ def test_ring_mixture_is_the_assembled_state(nbar, n_amp, n_phase, cutoff):
         assert np.max(np.abs(ring - assembled)) <= 1e-14  # measured 8.3e-16
         assert np.all(ring[off_ring] == 0.0)
         assert np.all(np.abs(assembled[off_ring]) <= 1e-15)  # measured 8.9e-17
+
+
+def _ring_problem(nbar, n_amp, n_phase, cutoff):
+    """optimize_weights' real NNLS design: the ring slots' entries of one point
+    per ring, real and imaginary parts stacked, against the thermal state's."""
+    amplitudes, phases = mimic._stratified_grid(nbar, n_amp, n_phase)
+    rows, cols, entries = mimic._ring_slots(amplitudes, phases, cutoff)
+    goal = thermal(nbar, cutoff).entries[rows, cols]
+    return np.vstack((entries.real, entries.imag)), np.concatenate((goal.real, goal.imag))
+
+
+@pytest.mark.parametrize("nbar, n_amp, n_phase, cutoff", RING_FIT_CASES + SWEEP_CELLS)
+def test_nnls_matches_scipy_on_the_ring_designs(nbar, n_amp, n_phase, cutoff):
+    # scipy's Householder Lawson-Hanson on the design itself is the oracle
+    design, goal = _ring_problem(nbar, n_amp, n_phase, cutoff)
+    expected, best = nnls(design, goal)
+    rings = mimic._nnls(design.T @ design, design.T @ goal)
+    assert np.all(rings >= 0.0)
+    assert np.array_equal(rings == 0.0, expected == 0.0)
+    assert np.linalg.norm(design @ rings - goal) <= best * (1.0 + 1e-12)  # measured 1.2e-14
+
+
+def test_nnls_returns_zeros_for_b_in_the_polar_cone():
+    # every column of a ring design has nonnegative products with every other,
+    # so b = -A 1 has a nonpositive product with each column: x = 0 is optimal
+    design, _ = _ring_problem(1.0, 8, 8, 30)
+    goal = -design @ np.ones(design.shape[1])
+    assert np.all(design.T @ goal < 0.0)
+    rings = mimic._nnls(design.T @ design, design.T @ goal)
+    assert np.array_equal(rings, np.zeros(design.shape[1]))
+
+
+def test_nnls_one_column_design():
+    column = np.array([[1.0], [2.0], [-0.5]])
+    for goal, expected in (([1.0, 1.0, 1.0], 2.5 / 5.25), ([-1.0, -1.0, 1.0], 0.0)):
+        goal = np.array(goal)
+        rings = mimic._nnls(column.T @ column, column.T @ goal)
+        assert rings.shape == (1,)
+        assert rings[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert rings[0] == pytest.approx(nnls(column, goal)[0][0], rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
