@@ -74,13 +74,11 @@ class TomoConfig(tomo.MleConfig, mimic.CodebookSpec):
     the scale of its intermediate calibrated records, not the reconstruction.
     The config is the ``tomo.MleConfig`` each run is reconstructed with, so
     its ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap,
-    in nats, at which a run stops) are inherited, and checked there. The
-    default gap of 0.1 nats is below the 0.5 nat that one standard deviation
-    along one parameter costs, so a run's state moves by up to about 6e-4 in
-    trace distance if fitted to the optimum, against about 0.33 between runs.
-    It is also the ``mimic.CodebookSpec`` the artificial source is built
-    from, checked there for that source; ``seed`` is also the root
-    ``SeedSequence`` that every run's records are spawned from.
+    in nats, at which a run stops) are inherited, and checked there;
+    ``tomo.MleConfig`` says why the default gap suffices. It is also the
+    ``mimic.CodebookSpec`` the artificial source is built from, checked there
+    for that source; ``seed`` is also the root ``SeedSequence`` that every
+    run's records are spawned from.
     """
 
     source: Literal["thermal", "artificial", "coherent", "vacuum"] = "thermal"

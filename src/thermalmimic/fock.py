@@ -80,10 +80,6 @@ class FockDensityMatrix:
         object.__setattr__(self, "entries", rho)
 
     @property
-    def dim(self) -> int:
-        return self.cutoff + 1
-
-    @property
     def trace(self) -> float:
         return float(self.entries.trace().real)
 

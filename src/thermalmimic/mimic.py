@@ -27,7 +27,6 @@ from .metrics import fidelity
 class Scheme(str, Enum):
     STRATIFIED = "stratified"
     RANDOM = "random"
-    OPTIMIZED = "optimized"
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +115,6 @@ class CodebookSpec:
         scheme = Scheme(self.scheme)
         if scheme == Scheme.RANDOM and self.seed is None:
             raise ValueError("random scheme requires a seed")
-        if scheme == Scheme.OPTIMIZED:
-            raise ValueError("optimized codebooks come from optimize_weights, not build_codebook")
 
 
 def build_codebook(spec: CodebookSpec) -> Codebook:
@@ -158,15 +155,15 @@ def assemble(codebook: Codebook, cutoff: int = fock.DEFAULT_CUTOFF) -> FockDensi
 
 def optimize_weights(
     nbar: float, n_amplitudes: int, n_phases: int, reference: FockDensityMatrix
-) -> tuple[Codebook, float]:
+) -> tuple[np.ndarray, float]:
     """Refit the stratified L x Q codebook's weights to ``reference``, the
     thermal state of mean ``nbar`` at the cutoff to fit at, by nonnegative
-    least squares; return the refit codebook and the fidelity of its mixture
-    to ``reference``.
+    least squares; return the refit (L, Q) weights and the fidelity of their
+    mixture to ``reference``.
 
     Minimizes the Frobenius distance between the mixture and the reference over
-    nonnegative weights, then renormalizes to sum 1. The returned codebook is
-    never less faithful than the uniform one, both scored on the ring mixture:
+    nonnegative weights, then renormalizes to sum 1. The returned weights are
+    never less faithful than the uniform ones, both scored on the ring mixture:
     if the refit loses fidelity (Frobenius distance is only a surrogate for
     it), the uniform weights are kept.
 
@@ -198,8 +195,7 @@ def optimize_weights(
     uniform = np.full((n_amplitudes, n_phases), 1.0 / (n_amplitudes * n_phases))
     refit = fidelity(_ring_mixture(new_weights, rows, cols, entries, cutoff), reference)
     kept = fidelity(_ring_mixture(uniform, rows, cols, entries, cutoff), reference)
-    weights, score = (uniform, kept) if refit < kept else (new_weights, refit)
-    return Codebook(nbar, amplitudes, phases, weights, Scheme.OPTIMIZED), score
+    return (uniform, kept) if refit < kept else (new_weights, refit)
 
 
 def _nnls(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -297,6 +293,8 @@ class SweepSpec:
                 raise ValueError(f"sample count {m} is not a perfect square")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.scheme not in ("optimized", *Scheme):
+            raise ValueError(f"scheme must be stratified, random or optimized, got {self.scheme!r}")
 
 
 def sweep_fidelity(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -307,16 +305,15 @@ def sweep_fidelity(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     (len(nbars), len(samples)). Deterministic schemes report a single
     evaluation with zero spread.
     """
-    scheme = Scheme(spec.scheme)
     sides = [math.isqrt(m) for m in spec.samples]
-    fids = np.empty((len(spec.nbars), len(sides), spec.trials if scheme == Scheme.RANDOM else 1))
+    fids = np.empty((len(spec.nbars), len(sides), spec.trials if spec.scheme == "random" else 1))
     for i, nbar in enumerate(spec.nbars):
         reference = fock.thermal(nbar, spec.cutoff)
-        if scheme == Scheme.OPTIMIZED:
+        if spec.scheme == "optimized":
             fids[i, :, 0] = [optimize_weights(nbar, side, side, reference)[1] for side in sides]
             continue
         for j, side in enumerate(sides):
             for trial in range(fids.shape[2]):
-                cb = build_codebook(CodebookSpec(nbar, side, side, scheme, spec.seed + trial))
+                cb = build_codebook(CodebookSpec(nbar, side, side, spec.scheme, spec.seed + trial))
                 fids[i, j, trial] = fidelity(assemble(cb, spec.cutoff), reference)
     return fids.mean(axis=2), fids.std(axis=2)

@@ -758,6 +758,9 @@ def test_negative_int_knob_exits_config(tmp_path, capsys, command, key, value):
         # an integer past the float range
         pytest.param("codebook-export", json.dumps({**_CODEBOOK, "nbar_target": 10**400}),
                      id="codebook-export-nbar_target-10**400"),
+        # a sweep scheme, not a codebook's
+        pytest.param("codebook-export", json.dumps({**_CODEBOOK, "scheme": "optimized"}),
+                     id="codebook-export-scheme-optimized"),
         pytest.param("metrics", json.dumps({**_MATRIX, "entries_real": [[10**400, 0], [0, 0]]}),
                      id="metrics-entries-10**400"),
         # two valid files of different cutoffs

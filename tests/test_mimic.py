@@ -189,10 +189,10 @@ RING_FIDELITY_TOL = 1e-7
 def test_optimize_weights_never_hurts_fidelity():
     target = thermal(1.0, 30)
     uniform = build_codebook(CodebookSpec(1.0, 4, 4))
-    opt, f_opt = optimize_weights(1.0, 4, 4, target)
-    assert opt.scheme == Scheme.OPTIMIZED
+    weights, f_opt = optimize_weights(1.0, 4, 4, target)
     # f_opt is scored on the ring mixture, which agrees with assemble to rounding
-    assert abs(metrics.fidelity(assemble(opt, 30), target) - f_opt) <= RING_FIDELITY_TOL
+    f_assembled = metrics.fidelity(assemble(replace(uniform, weights=weights), 30), target)
+    assert abs(f_assembled - f_opt) <= RING_FIDELITY_TOL
     assert f_opt >= metrics.fidelity(assemble(uniform, 30), target) - RING_FIDELITY_TOL
     slots = mimic._ring_slots(uniform.amplitudes, uniform.phases, 30)
     ring = mimic._ring_mixture(uniform.weights, *slots, 30)
@@ -221,11 +221,13 @@ def _residual_along_ray(design, goal, weights):
 def test_ring_fit_reaches_per_point_nnls_optimum(nbar, n_amp, n_phase, cutoff):
     # scipy's per-point fit over all L * Q columns is the oracle
     target = thermal(nbar, cutoff)
-    opt = optimize_weights(nbar, n_amp, n_phase, target)[0]
-    assert np.all(opt.weights == opt.weights[:, :1])  # ring-uniform
-    design, goal = _per_point_problem(opt, target)
+    weights = optimize_weights(nbar, n_amp, n_phase, target)[0]
+    assert weights.shape == (n_amp, n_phase)
+    assert np.all(weights == weights[:, :1])  # ring-uniform
+    # the refit weighs the stratified grid's points
+    design, goal = _per_point_problem(build_codebook(CodebookSpec(nbar, n_amp, n_phase)), target)
     best = nnls(design, goal)[1]
-    assert _residual_along_ray(design, goal, opt.weights) <= best * (1.0 + 1e-12)
+    assert _residual_along_ray(design, goal, weights) <= best * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("nbar, n_amp, n_phase, cutoff", RING_FIT_CASES + SWEEP_CELLS)
@@ -325,6 +327,8 @@ def test_sweep_rejects_non_square_sample_counts():
     for nbars in ([], [0.0], [math.nan], [math.inf]):
         with pytest.raises(ValueError, match="nbars must be a non-empty list of finite positive"):
             sweep_fidelity(SweepSpec(nbars, [4]))
+    with pytest.raises(ValueError, match="scheme must be stratified, random or optimized"):
+        sweep_fidelity(SweepSpec([1.0], [4], "bogus"))
 
 
 def test_random_sweep_mean_within_three_sigma_of_stratified():
@@ -338,7 +342,7 @@ def test_optimized_sweep_never_trails_stratified():
     # uniform weights are kept in others (nbar 2.0, M = 64)
     grid = ([0.5, 1.0, 1.5, 2.0], [16, 64, 144, 256, 400])
     strat, _ = sweep_fidelity(SweepSpec(*grid, cutoff=30))
-    opt, _ = sweep_fidelity(SweepSpec(*grid, Scheme.OPTIMIZED, cutoff=30))
+    opt, _ = sweep_fidelity(SweepSpec(*grid, "optimized", cutoff=30))
     # the optimized cells are scored on the ring mixture, the stratified on assemble
     assert np.all(opt >= strat - RING_FIDELITY_TOL)
     assert np.any(opt > strat + RING_FIDELITY_TOL)
@@ -366,8 +370,8 @@ def test_codebook_validation():
             Codebook(1.0, np.array(amps), np.array(phases), weights, Scheme.STRATIFIED)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[1.0]]), Scheme.RANDOM, seed=-1)
-    with pytest.raises(ValueError, match="optimized codebooks come from optimize_weights"):
-        build_codebook(CodebookSpec(1.0, 2, 2, Scheme.OPTIMIZED))
+    with pytest.raises(ValueError, match="'optimized' is not a valid Scheme"):
+        CodebookSpec(1.0, 2, 2, "optimized")
     for nbar in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"nbar must be finite and > 0, got {nbar}"):
             CodebookSpec(nbar, 2, 2, "stratified", None)
