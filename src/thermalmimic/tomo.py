@@ -24,11 +24,11 @@ cutoff:
   whose products are the coefficients of ``Re rho_mn`` (m <= n) and ``Im
   rho_mn`` (m > n) in each ``p_k``, with phases 1 and ``-i``.
 
-An iteration takes one ``p`` and one ``R``, plus one ``p`` per halving of
-its step (1.01 ``p`` per iteration on 50 runs of 40 records). On one core
-with a 2 MB L2 cache at dim 13, one ``p`` and one ``R`` take 69 us in blocks
-against 147 us packed for 50 runs of 40 records, where the 2.7 MB packed map
-spills the cache. Blocks lose where each run's product call costs more than
+An iteration takes one ``p``, one ``R`` and one Cholesky, plus one ``p`` per
+halving of its step (1.01 ``p`` per iteration on 50 runs of 40 records). On
+one core with a 2 MB L2 cache at dim 13, one ``p`` and one ``R`` take 69 us
+in blocks against 147 us packed for 50 runs of 40 records, where the 2.7 MB
+packed map spills the cache. Blocks lose where each run's product call costs more than
 its work (runs shorter than about 20) and where the packed map fits in the
 cache.
 
@@ -44,9 +44,12 @@ once from steepest ascent, and a second failure ends the run unconverged.
 The gain is read without cancellation: ``ll/K(rho') - ll/K(rho) = Tr(R (rho'
 - rho)) + mean(log1p(u) - u)``, ``u = (p' - p) / p``, with ``rho' - rho = (a (B
 - rho Tr B) + a^2 (C - rho Tr C)) / ||T + a d||^2``, ``B = d T^H + T d^H`` and
-``C = d d^H``, for direction ``d`` and step ``a``. A difference of
-log-likelihood sums cannot resolve the last steps' gains, nor can ``rho' -
-rho`` as a difference of matrices: on rho's null space at a rank-deficient
+``C = d d^H``, for direction ``d`` and step ``a``. ``Tr(R B)`` and ``Tr(R C)``
+are fixed by the direction, so each direction forms them once from the ``R T``
+and ``Tr(R rho)`` of its gradient, and a trial step computes only ``T'``,
+``rho'``, ``p'`` and the log1p sum. A difference of log-likelihood sums
+cannot resolve the last steps' gains, nor can ``rho' - rho`` as a difference
+of matrices: on rho's null space at a rank-deficient
 optimum, its entries are about 1e-17 where ``R - I`` is about 0.1. On 1000
 thermal records at cutoff 10 those shortcuts stall at gaps of 1.4e-5 and
 1.1e-6 nats; this form certifies 1e-9 in 69 iterations.
@@ -54,8 +57,13 @@ thermal records at cutoff 10 those shortcuts stall at gaps of 1.4e-5 and
 The stopping rule bounds the distance to the optimum (Glancy, Knill &
 Girard, NJP 14, 095017 (2012)): ``ll`` is concave in rho on ``{p > 0}`` and
 ``Tr(R(rho) rho) = 1`` at a unit-trace rho there, so ``ll* - ll(rho) <= K
-(lambda_max(R(rho)) - 1)``, the *optimality gap* in nats, taken at every
-iterate.
+(lambda_max(R(rho)) - 1)``, the *optimality gap* in nats. The rule is decided
+at every iterate by one Cholesky factor of ``(1 + stop_tol / K) I - R``, which
+exists when the gap is below ``stop_tol``, and the gap is reported by one
+``eigvalsh`` where the iteration ends. A Cholesky that certifies a gap which
+``eigvalsh`` reads above ``stop_tol``, a rounding tie, lets the iteration go
+on, so a run is converged exactly when its reported gap is at most
+``stop_tol``.
 
 :func:`average` gives the mean state and elementwise spread of repeated
 reconstructions; the records a ``tomo-end2end`` run writes are laid out by
@@ -231,21 +239,42 @@ def _direction(g: np.ndarray, memory: deque) -> np.ndarray:
     return q
 
 
-def _trial(records: _RecordMap, t: np.ndarray, rho: np.ndarray, p: np.ndarray,
-           r: np.ndarray, d: np.ndarray, step: float) -> tuple:
+def _step_terms(t: np.ndarray, d: np.ndarray, r: np.ndarray, rt: np.ndarray,
+                traced: float) -> tuple:
+    """The coefficients of the step ``a`` and of ``a^2`` in ``||T + a d||^2 Tr(R (rho' -
+    rho))``: ``2 (<R T, d> - Tr(R rho) <T, d>)`` and ``<R d, d> - Tr(R rho) <d, d>``,
+    fixed by the direction (module docstring)."""
+    linear = 2.0 * (_inner(rt, d) - traced * _inner(t, d))
+    quadratic = _inner(r @ d, d) - traced * _inner(d, d)
+    return linear, quadratic
+
+
+def _trial(records: _RecordMap, t: np.ndarray, p: np.ndarray, d: np.ndarray, step: float,
+           linear: float, quadratic: float) -> tuple:
     """``(gain, T', rho', p')`` at ``T' = T + step d`` from ``rho = T T^H / ||T||^2``,
-    with the gain ``ll/K(rho') - ll/K(rho)`` taken without cancellation."""
+    with the gain ``ll/K(rho') - ll/K(rho)`` taken without cancellation from the
+    direction's :func:`_step_terms`."""
     t_new = t + step * d
     tau = _inner(t_new, t_new)
     rho_new = (t_new @ t_new.conj().T) / tau
     p_new = _record_probabilities(rho_new, records)
-    # Tr(R (rho' - rho)) with rho' - rho taken from T, d and the step (module docstring)
-    traced = _inner(rho, r)
-    linear = 2.0 * (_inner(r @ t, d) - traced * _inner(t, d))
-    quadratic = _inner(r @ d, d) - traced * _inner(d, d)
-    u = (p_new - p) / p
-    gain = (step * linear + step * step * quadratic) / tau + float(np.mean(np.log1p(u) - u))
+    u = p_new - p
+    u /= p
+    terms = np.log1p(u)
+    terms -= u
+    gain = (step * linear + step * step * quadratic) / tau + float(terms.sum() / p.size)
     return gain, t_new, rho_new, p_new
+
+
+def _certified(r: np.ndarray, ceiling: np.ndarray) -> bool:
+    """Whether ``ceiling - R`` is positive definite, by one Cholesky: at ``ceiling =
+    (1 + stop_tol / K) I``, whether the gap ``K (lambda_max(R) - 1)`` is below
+    ``stop_tol``, up to rounding."""
+    try:
+        np.linalg.cholesky(ceiling - r)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) -> MleResult:
@@ -253,48 +282,66 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     T^H)`` from the maximally mixed state (module docstring), to the first
     iterate whose optimality gap is at most ``config.stop_tol`` nats or,
     flagged non-converged, to the iteration cap or a line search that fails
-    from steepest ascent. ``log_likelihoods`` holds the likelihood after each
-    iteration, so its monotonicity is checkable per step.
+    from steepest ascent. Each iterate's stop is decided by one Cholesky
+    factor, and the returned gap is taken by one ``eigvalsh`` where the loop
+    ends. ``log_likelihoods`` holds the likelihood after each iteration, so
+    its monotonicity is checkable per step.
     """
     dim = config.cutoff + 1
     records = measurement_matrix(data, config.cutoff)
+    ceiling = (1.0 + config.stop_tol / data.count) * np.eye(dim)
 
     def evaluate(t: np.ndarray, rho: np.ndarray, p: np.ndarray) -> tuple:
-        # R, the gradient 2 (R - Tr(R rho) I) T / ||T||^2 of ll/K in T, and the gap
+        # R, R T, Tr(R rho) and the gradient 2 (R T - Tr(R rho) T) / ||T||^2 of ll/K in T
         r = records.gradient(p)
-        g = (2.0 / _inner(t, t)) * (r @ t - _inner(rho, r) * t)
-        return r, g, data.count * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
+        rt, traced = r @ t, _inner(rho, r)
+        return r, rt, traced, (2.0 / _inner(t, t)) * (rt - traced * t)
+
+    def gap(r: np.ndarray) -> float:
+        return data.count * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
 
     t = np.eye(dim, dtype=np.complex128) / math.sqrt(dim)
     rho = np.eye(dim, dtype=np.complex128) / dim
     p = _record_probabilities(rho, records)
     history = [float(np.log(p).sum())]
-    r, g, bound = evaluate(t, rho, p)
+    r, rt, traced, g = evaluate(t, rho, p)
     memory: deque = deque(maxlen=MEMORY)
     iterations = 0
-    while bound > config.stop_tol and iterations < config.max_iterations:
-        d = _direction(g, memory) if memory else g
-        if not memory or not _inner(g, d) > 0.0:  # steepest ascent at unit norm
+    while iterations < config.max_iterations:
+        # one Cholesky decides the stop; a tie it certifies above stop_tol iterates on
+        if _certified(r, ceiling):
+            bound = gap(r)
+            if bound <= config.stop_tol:
+                break
+        if memory:
+            d = _direction(g, memory)
+            slope = _inner(g, d)
+        if not memory or not slope > 0.0:  # steepest ascent at unit norm
             memory.clear()
             d = g / math.sqrt(_inner(g, g))
+            slope = _inner(g, d)
+        linear, quadratic = _step_terms(t, d, r, rt, traced)
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):  # Armijo backtracking
-            gain, t_new, rho_new, p_new = _trial(records, t, rho, p, r, d, step)
-            if gain >= ARMIJO * step * _inner(g, d):
+            gain, t_new, rho_new, p_new = _trial(records, t, p, d, step, linear, quadratic)
+            if gain >= ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
             if memory:  # retry once from steepest ascent
                 memory.clear()
                 continue
+            bound = gap(r)
             break
         iterations += 1
-        r, g_new, bound = evaluate(t_new, rho_new, p_new)
+        r, rt, traced, g_new = evaluate(t_new, rho_new, p_new)
         s, y = step * d, g - g_new
         if _inner(s, y) > 0.0:
             memory.append((s, y, 1.0 / _inner(s, y)))
         t, rho, p, g = t_new, rho_new, p_new, g_new
         history.append(float(np.log(p).sum()))
+    else:
+        bound = gap(r)
 
     return MleResult(
         rho=FockDensityMatrix(config.cutoff, 0.5 * (rho + rho.conj().T), trace_tol=1e-9),

@@ -1,5 +1,6 @@
-"""The parser of ``tools/bench_record.py``, fed a captured ``perfbench/run.py``
-output held as text, so no benchmark process starts."""
+"""The parser and the pair bookkeeping of ``tools/bench_record.py``, fed a
+captured ``perfbench/run.py`` output and fixed metric values held in the test,
+so no benchmark process starts."""
 
 import importlib.util
 from pathlib import Path
@@ -96,3 +97,62 @@ def test_bytecode_lists_the_pyc_files_under_src_only(tmp_path):
         "src/thermalmimic/__pycache__/fock.cpython-311.pyc",
         "src/thermalmimic/__pycache__/mimic.cpython-311.pyc",
     ]
+
+
+def test_odd_pairs_run_the_other_commit_first():
+    assert [bench_record.pair_order(n) for n in (1, 2, 3, 4)] == [
+        ("against", "tree"), ("tree", "against"), ("against", "tree"), ("tree", "against")]
+
+
+def _pair(first, against, tree):
+    # one pair's two records, reduced to the metric values summarize reads
+    def record(values):
+        return {"metrics": {name: {"value": value} for name, value in values.items()}}
+    return {"first": first, "against": record(against), "tree": record(tree)}
+
+
+END_TO_END = [{"name": "solution_s", "better": "lower"},
+              {"name": "fidelity_ref", "better": "higher"}]
+
+
+def test_summarize_gives_each_sides_quartiles_and_the_trees_wins():
+    solution = [(0.030, 0.020), (0.026, 0.027), (0.028, 0.021), (0.024, 0.024), (0.032, 0.022)]
+    fidelity = [(0.95, 0.96), (0.95, 0.95), (0.95, 0.94), (0.95, 0.96), (0.95, 0.95)]
+    pairs = [_pair(bench_record.pair_order(n)[0], {"solution_s": s[0], "fidelity_ref": f[0]},
+                   {"solution_s": s[1], "fidelity_ref": f[1]})
+             for n, (s, f) in enumerate(zip(solution, fidelity), start=1)]
+    summary = bench_record.summarize(pairs, END_TO_END)
+    assert list(summary) == ["solution_s", "fidelity_ref"]
+    # inclusive quartiles of 0.024, 0.026, 0.028, 0.030, 0.032 and of 0.020-0.027
+    assert summary["solution_s"]["against"] == pytest.approx(
+        {"q1": 0.026, "median": 0.028, "q3": 0.030}, abs=1e-15)
+    assert summary["solution_s"]["tree"] == pytest.approx(
+        {"q1": 0.021, "median": 0.022, "q3": 0.024}, abs=1e-15)
+    # lower is better: 3 wins, one loss (0.027 > 0.026) and one tie (0.024)
+    assert summary["solution_s"]["wins"] == 3
+    assert summary["solution_s"]["better"] == "lower"
+    # higher is better: 2 wins, one loss and two ties
+    assert summary["fidelity_ref"]["wins"] == 2
+    assert summary["fidelity_ref"]["against"] == {"q1": 0.95, "median": 0.95, "q3": 0.95}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["x", "--pairs", "10"], "--against and --pairs go together"),
+    (["x", "--against", "HEAD"], "--against and --pairs go together"),
+    (["x", "--against", "HEAD", "--pairs", "1"], "--pairs must be >= 2, got 1"),
+    (["x", "--workload", "nope"], "invalid choice: 'nope'"),
+])
+def test_parse_args_refuses_an_incomplete_pair_request(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.parse_args(argv, ["tomo-thermal", "design-sweep"])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_parse_args_reads_a_pair_request():
+    args = bench_record.parse_args(
+        ["trim", "--against", "5f9c283", "--pairs", "10", "--workload", "tomo-thermal",
+         "--seed", "7"], ["tomo-thermal", "design-sweep"])
+    assert (args.label, args.against, args.pairs, args.workload, args.seed) == (
+        "trim", "5f9c283", 10, "tomo-thermal", 7)
+    assert bench_record.parse_args(["one"], ["tomo-thermal"]).seed == 1

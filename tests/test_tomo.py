@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from thermalmimic.mimic import CodebookSpec, assemble, build_codebook
 from thermalmimic.tomo import (
     LIKELIHOOD_FLOOR,
     MleConfig,
+    _certified,
     _record_probabilities,
+    _step_terms,
     _trial,
     average,
     log_likelihood,
@@ -349,9 +352,9 @@ def coherent_records():
                          ids=["blocks", "packed"])
 def test_step_gain_is_the_log_likelihood_change(min_slots, blocks, monkeypatch):
     # The line search reads ll/K(rho') - ll/K(rho) as Tr(R (rho' - rho)) plus
-    # mean(log1p(u) - u), with rho' - rho taken from T, d and the step; at
-    # coarse steps, where a difference of log sums has no cancellation to
-    # lose, it must equal that difference.
+    # mean(log1p(u) - u), with rho' - rho taken from T, d and the step through
+    # the direction's two terms; at coarse steps, where a difference of log sums
+    # has no cancellation to lose, it must equal that difference.
     data, config = thermal_records()
     monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", min_slots)
     records = measurement_matrix(data, config.cutoff)
@@ -363,14 +366,149 @@ def test_step_gain_is_the_log_likelihood_change(min_slots, blocks, monkeypatch):
         rho = t @ t.conj().T / np.vdot(t, t).real
         p = _record_probabilities(rho, records)
         r = records.gradient(p)
+        linear, quadratic = _step_terms(t, d, r, r @ t, np.vdot(rho, r).real)
         for step in (2.0, 1.0, 0.3, 0.05):
-            gain, t_new, rho_new, p_new = _trial(records, t, rho, p, r, d, step)
+            gain, t_new, rho_new, p_new = _trial(records, t, p, d, step, linear, quadratic)
             assert np.array_equal(t_new, t + step * d)
             assert np.allclose(rho_new, t_new @ t_new.conj().T / np.vdot(t_new, t_new).real,
                                rtol=0, atol=1e-15)
             assert np.array_equal(p_new, _record_probabilities(rho_new, records))
             assert gain == pytest.approx(np.sum(np.log(p_new / p)) / data.count,
                                          rel=0.0, abs=1e-12)
+
+
+def reference_trial(records, t, rho, p, r, d, step):
+    # every term of the gain formed afresh at each trial, the mean by np.mean
+    t_new = t + step * d
+    tau = tomo._inner(t_new, t_new)
+    rho_new = (t_new @ t_new.conj().T) / tau
+    p_new = _record_probabilities(rho_new, records)
+    traced = tomo._inner(rho, r)
+    linear = 2.0 * (tomo._inner(r @ t, d) - traced * tomo._inner(t, d))
+    quadratic = tomo._inner(r @ d, d) - traced * tomo._inner(d, d)
+    u = (p_new - p) / p
+    gain = (step * linear + step * step * quadratic) / tau + float(np.mean(np.log1p(u) - u))
+    return gain, t_new, rho_new, p_new
+
+
+def reference_mle(data, config):
+    """The L-BFGS loop with the gap taken by ``eigvalsh`` after every iteration and
+    the stop read from it, and :func:`reference_trial` as its line search: the
+    arithmetic :func:`mle_reconstruct` must reproduce bit for bit. Returns the
+    result's fields and the gain of every trial step."""
+    dim = config.cutoff + 1
+    records = measurement_matrix(data, config.cutoff)
+
+    def evaluate(t, rho, p):
+        r = records.gradient(p)
+        g = (2.0 / tomo._inner(t, t)) * (r @ t - tomo._inner(rho, r) * t)
+        return r, g, data.count * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
+
+    t = np.eye(dim, dtype=np.complex128) / math.sqrt(dim)
+    rho = np.eye(dim, dtype=np.complex128) / dim
+    p = _record_probabilities(rho, records)
+    history = [float(np.log(p).sum())]
+    r, g, bound = evaluate(t, rho, p)
+    memory = deque(maxlen=tomo.MEMORY)
+    iterations, gains = 0, []
+    while bound > config.stop_tol and iterations < config.max_iterations:
+        d = tomo._direction(g, memory) if memory else g
+        if not memory or not tomo._inner(g, d) > 0.0:
+            memory.clear()
+            d = g / math.sqrt(tomo._inner(g, g))
+        step = 1.0
+        for _ in range(tomo.MAX_HALVINGS + 1):
+            gain, t_new, rho_new, p_new = reference_trial(records, t, rho, p, r, d, step)
+            gains.append(gain)
+            if gain >= tomo.ARMIJO * step * tomo._inner(g, d):
+                break
+            step *= 0.5
+        else:
+            if memory:
+                memory.clear()
+                continue
+            break
+        iterations += 1
+        r, g_new, bound = evaluate(t_new, rho_new, p_new)
+        s, y = step * d, g - g_new
+        if tomo._inner(s, y) > 0.0:
+            memory.append((s, y, 1.0 / tomo._inner(s, y)))
+        t, rho, p, g = t_new, rho_new, p_new, g_new
+        history.append(float(np.log(p).sum()))
+    return 0.5 * (rho + rho.conj().T), bound <= config.stop_tol, iterations, bound, history, gains
+
+
+@pytest.mark.parametrize("records, stop_tol, max_iterations", [
+    (thermal_records, 0.1, 2000), (thermal_records, 1e-9, 2000),
+    (artificial_raw_records, 0.1, 2000), (artificial_raw_records, 1e-9, 2000),
+    (coherent_records, 0.1, 2000), (coherent_records, 1e-9, 2000),
+    (thermal_records, 0.1, 20)],
+    ids=["thermal", "thermal-1e-9", "artificial-raw", "artificial-raw-1e-9", "coherent",
+         "coherent-1e-9", "thermal-capped"])
+def test_solver_reproduces_the_reference_loop_bit_for_bit(records, stop_tol, max_iterations,
+                                                          monkeypatch):
+    # one Cholesky per iteration decides the stop, one eigvalsh reports the gap
+    # and each direction forms its gain terms once: no output may move by a bit.
+    # The gains are pinned too: Tr(R rho) is 1 to rounding, so a term that drops
+    # it moves a gain's last bits but rarely an Armijo decision.
+    data, config = records()
+    config = MleConfig(cutoff=config.cutoff, max_iterations=max_iterations, stop_tol=stop_tol)
+    trial, gains = tomo._trial, []
+
+    def recording_trial(*args):
+        outcome = trial(*args)
+        gains.append(outcome[0])
+        return outcome
+
+    monkeypatch.setattr(tomo, "_trial", recording_trial)
+    result = mle_reconstruct(data, config)
+    rho, converged, iterations, bound, history, reference_gains = reference_mle(data, config)
+    assert converged == (max_iterations == 2000)
+    assert np.array_equal(result.rho.entries, rho)
+    assert np.array_equal(result.log_likelihoods, history)
+    assert result.iterations == iterations
+    assert result.optimality_gap == bound
+    assert result.converged == converged
+    assert np.array_equal(gains, reference_gains)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cholesky_stop_decides_as_the_eigenvalue_gap(data):
+    # R at a random state and at a partial fit of records from another one: the
+    # Cholesky of (1 + stop_tol / K) I - R succeeds exactly where K (lambda_max(R)
+    # - 1) <= stop_tol, wherever the two sides differ by more than 1e-9 of stop_tol.
+    # Thresholds are scaled from the gap only where it lies far above its own
+    # rounding (K eps): a gap of 2e-16 nats, as at cutoff 0, has no side to decide.
+    cutoff = data.draw(st.integers(0, 6), label="cutoff")
+    source = data.draw(st.integers(0, 8).flatmap(states), label="source")
+    phases = data.draw(st.integers(1, 12), label="phases")
+    per_phase = data.draw(st.integers(1, 25), label="per_phase")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="data seed")
+    cap = data.draw(st.integers(1, 100), label="max_iterations")
+    records = sample(source, 2.0 * math.pi * np.arange(phases) / phases, per_phase, [seed])[0]
+    record_map = measurement_matrix(records, cutoff)
+    estimates = [data.draw(states(cutoff), label="estimate").entries,
+                 mle_reconstruct(records, MleConfig(cutoff=cutoff, max_iterations=cap)).rho.entries]
+    for rho in estimates:
+        r = record_map.gradient(_record_probabilities(rho, record_map))
+        gap = records.count * (np.linalg.eigvalsh(r)[-1] - 1.0)
+        scales = (0.5, 1.0 - 1e-3, 1.0 + 1e-3, 2.0) if gap >= 1e-6 else ()
+        for stop_tol in (0.1, 1e-3, *(gap * scale for scale in scales)):
+            if abs(gap - stop_tol) <= 1e-9 * stop_tol:
+                continue
+            ceiling = (1.0 + stop_tol / records.count) * np.eye(cutoff + 1)
+            assert _certified(r, ceiling) == (gap <= stop_tol)
+
+
+def test_a_converged_run_takes_one_eigendecomposition(monkeypatch):
+    # the stop is decided by Cholesky factors; eigvalsh runs once, for the gap
+    data, config = thermal_records()
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    result = mle_reconstruct(data, config)
+    assert result.converged and result.iterations > 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("records", [thermal_records, artificial_raw_records, coherent_records],
