@@ -16,21 +16,23 @@ the blocks onto the slots. Its layout is data, chosen from the records and the
 cutoff:
 
 * Phase blocks, for records that come as J runs of S >= max(dim, 20) records
-  at one LO phase each, as the CLI samples them, with ``K dim^2`` at least
-  :data:`BLOCKED_MIN_SLOTS`: one block per run over the dim(dim+1)/2 slots of
-  the upper triangle, with products ``f_m f_n`` and phases ``e^{i (n - m)
-  theta_j}``.
+  at one LO phase each, as the CLI samples them: one block per run over the
+  dim(dim+1)/2 slots of the upper triangle, with products ``f_m f_n`` and
+  phases ``e^{i (n - m) theta_j}``.
 * The packed map, for any other record set: one block over all dim^2 slots,
   whose products are the coefficients of ``Re rho_mn`` (m <= n) and ``Im
   rho_mn`` (m > n) in each ``p_k``, with phases 1 and ``-i``.
 
 An iteration takes one ``p``, one ``R`` and one Cholesky, plus one ``p`` per
 halving of its step (1.01 ``p`` per iteration on 50 runs of 40 records). On
-one core with a 2 MB L2 cache at dim 13, one ``p`` and one ``R`` take 69 us
-in blocks against 147 us packed for 50 runs of 40 records, where the 2.7 MB
-packed map spills the cache. Blocks lose where each run's product call costs more than
-its work (runs shorter than about 20) and where the packed map fits in the
-cache.
+one core at dim 13, one ``p`` and one ``R`` take 110 us in blocks against 231
+us packed for 50 runs of 40 records (the packed map of the same records
+shuffled), and 49 us packed for 100 runs of 10. Blocks lose where each run's
+product call costs more than its work: runs shorter than 20 took 1.0-1.8
+times the packed map's MLE time from 9 800 to 338 000 slots ``K dim^2``.
+Longer runs tie with the packed map on small record sets (0.86-1.09 times up
+to 98 000 slots) and win on large ones (0.56-0.91 times from 242 000), so
+the record count does not enter the choice.
 
 Every ``T`` gives a density matrix, so no step projects. The gradient of ``ll
 / K`` in ``T`` is ``2 (R - Tr(R rho) I) T / ||T||^2`` in the inner product ``Re
@@ -88,13 +90,6 @@ LIKELIHOOD_FLOOR = 1e-300
 #: (the share of its first-order gain a step must gain) and step halvings
 #: after which a line search gives up.
 MEMORY, ARMIJO, MAX_HALVINGS = 10, 1e-4, 60
-
-#: Fewest packed-map slots ``K dim^2`` at which phase-blocked records take
-#: the block layout. Measured at cutoffs 6-12 on a 2 MB L2 cache, blocks beat
-#: the packed map at every S >= 20 from 242 000 slots (1.9 MB) up, and lose
-#: or tie at some S >= 20 at 169 000-196 000; runs of S < 20 lose or tie up to
-#: 250 000 slots.
-BLOCKED_MIN_SLOTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -172,14 +167,14 @@ def measurement_matrix(data: QuadratureDataset, cutoff: int) -> _RecordMap:
     ``d_kn = f_n(x_k) e^{i n theta_k}``. ``x_k`` is read on the ``half`` axis
     of the kernel ``f_n``: a record tagged with vacuum variance ``v`` is scaled
     by ``sqrt(0.5 / v)``. Records in equal runs of S >= max(dim, 20) at one
-    phase each, with at least :data:`BLOCKED_MIN_SLOTS` slots ``K dim^2``, get
-    phase blocks; any other record set gets the packed map (module docstring)."""
+    phase each get phase blocks; any other record set gets the packed map
+    (module docstring)."""
     x = data.x * math.sqrt(0.5 / data.convention.vacuum_variance)
     radial = fock_wavefunctions(x, cutoff)
     dim, count = radial.shape
     theta = data.theta
     size = int(np.argmax(theta != theta[0])) or count  # the first run's length
-    if (size >= max(dim, 20) and count % size == 0 and count * dim * dim >= BLOCKED_MIN_SLOTS
+    if (size >= max(dim, 20) and count % size == 0
             and (theta.reshape(-1, size) == theta[::size, None]).all()):
         m, n = np.triu_indices(dim)
         runs = radial.reshape(dim, -1, size)

@@ -102,7 +102,7 @@ def test_measurement_matrix_is_the_packed_projector(data):
     h = raw + raw.conj().T
 
     records = measurement_matrix(QuadratureDataset(x, theta, convention), cutoff)
-    # far fewer slots than BLOCKED_MIN_SLOTS: the packed map, one block over all dim^2 slots
+    # at most 6 records, too few for a run of 20: the packed map, one block over all dim^2 slots
     assert records.products.shape == (1, dim * dim, count)
     assert records.products.flags.c_contiguous
     assert np.array_equal(records.slots, np.arange(dim * dim))
@@ -348,15 +348,21 @@ def coherent_records():
     return sample(state, PHASES_50, 40, [7])[0], MleConfig(cutoff=10)
 
 
-@pytest.mark.parametrize("min_slots, blocks", [(tomo.BLOCKED_MIN_SLOTS, 50), (math.inf, 1)],
-                         ids=["blocks", "packed"])
-def test_step_gain_is_the_log_likelihood_change(min_slots, blocks, monkeypatch):
+def shuffled(data):
+    # the same records in random order: no runs at one phase, so the packed map
+    order = np.random.default_rng(0).permutation(data.count)
+    return QuadratureDataset(data.x[order], data.theta[order], data.convention), order
+
+
+@pytest.mark.parametrize("shuffle, blocks", [(False, 50), (True, 1)], ids=["blocks", "packed"])
+def test_step_gain_is_the_log_likelihood_change(shuffle, blocks):
     # The line search reads ll/K(rho') - ll/K(rho) as Tr(R (rho' - rho)) plus
     # mean(log1p(u) - u), with rho' - rho taken from T, d and the step through
     # the direction's two terms; at coarse steps, where a difference of log sums
     # has no cancellation to lose, it must equal that difference.
     data, config = thermal_records()
-    monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", min_slots)
+    if shuffle:
+        data, _ = shuffled(data)
     records = measurement_matrix(data, config.cutoff)
     assert records.products.shape[0] == blocks
     rng = np.random.default_rng(3)
@@ -523,12 +529,11 @@ def test_every_accepted_step_raises_the_likelihood(records):
     assert np.diff(result.log_likelihoods).min() >= -1e-8
 
 
-def test_both_layouts_reach_the_same_optimum(monkeypatch):
+def test_both_layouts_reach_the_same_optimum():
     data, config = thermal_records()
     tight = MleConfig(cutoff=config.cutoff, stop_tol=1e-9)
     blocked = mle_reconstruct(data, tight)
-    monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
-    packed = mle_reconstruct(data, tight)
+    packed = mle_reconstruct(shuffled(data)[0], tight)
     assert blocked.converged and packed.converged
     assert trace_distance(blocked.rho, packed.rho) <= 1e-10
 
@@ -552,21 +557,21 @@ def test_phase_blocks_match_the_packed_map_and_the_complex_oracle(data):
     h = raw + raw.conj().T
     records = QuadratureDataset(x, np.repeat(phases, size), convention)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tomo, "BLOCKED_MIN_SLOTS", 0)
-        blocks = measurement_matrix(records, cutoff)
-        patch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
-        packed = measurement_matrix(records, cutoff)
+    blocks = measurement_matrix(records, cutoff)
     assert blocks.products.shape == (runs, dim * (dim + 1) // 2, size)
-    assert packed.products.shape == (1, dim * dim, count)
     half = x * math.sqrt(0.5 / convention.vacuum_variance)
     d = fock_wavefunctions(half, cutoff).T * np.exp(1j * np.outer(records.theta, np.arange(dim)))
     expectations = np.einsum("km,mn,kn->k", d.conj(), h, d).real
     gradient = np.einsum("k,km,kn->mn", 1.0 / p, d, d.conj()) / count
-    for oracle in (expectations, packed.probabilities(h)):
-        assert np.allclose(blocks.probabilities(h), oracle, rtol=0, atol=1e-12)
-    for oracle in (gradient, packed.gradient(p)):
-        assert np.allclose(blocks.gradient(p), oracle, rtol=0, atol=1e-12)
+    oracles = [(expectations, gradient)]
+    if runs > 1:  # one run stays one run in any order
+        mixed, order = shuffled(records)
+        packed = measurement_matrix(mixed, cutoff)
+        assert packed.products.shape == (1, dim * dim, count)
+        oracles.append((packed.probabilities(h)[np.argsort(order)], packed.gradient(p[order])))
+    for probabilities, r in oracles:
+        assert np.allclose(blocks.probabilities(h), probabilities, rtol=0, atol=1e-12)
+        assert np.allclose(blocks.gradient(p), r, rtol=0, atol=1e-12)
 
 
 def test_record_layout_follows_the_phase_runs():
@@ -585,28 +590,24 @@ def test_record_layout_follows_the_phase_runs():
     assert layout(thermal.x[:-1], thermal.theta[:-1], 12) == "packed"
     uneven = np.repeat(PHASES_50[:48], [40, 30, 50] * 16)
     assert layout(np.zeros(uneven.size), uneven, 12) == "packed"
-    # blocks need runs of S >= max(dim, 20) and K dim^2 >= BLOCKED_MIN_SLOTS; the
-    # first two cases are runs of S = dim that cost more in blocks (dim 11 at
-    # K = 2002, dim 13 at K = 1495)
+    # blocks need runs of S >= max(dim, 20), at any record count; the first two
+    # cases are runs of S = dim that cost more in blocks (dim 11 at K = 2002,
+    # dim 13 at K = 1495), the last two small sets of 9 800 and 48 400 slots
     for size, cutoff, runs, expected in (
             (11, 10, 182, "packed"), (13, 12, 115, "packed"), (19, 12, 400, "packed"),
             (20, 12, 400, "blocks"), (19, 7, 400, "packed"), (20, 7, 400, "blocks"),
-            (25, 25, 40, "packed"), (26, 25, 40, "blocks")):
+            (25, 25, 40, "packed"), (26, 25, 40, "blocks"), (25, 6, 8, "blocks"),
+            (20, 10, 20, "blocks")):
         theta = np.repeat(2.0 * math.pi * np.arange(runs) / runs, size)
         assert layout(np.zeros(theta.size), theta, cutoff) == expected
-    runs = -(-tomo.BLOCKED_MIN_SLOTS // (40 * 13 * 13))  # fewest 40-record runs at cutoff 12
-    for count, expected in ((runs - 1, "packed"), (runs, "blocks")):
-        theta = np.repeat(2.0 * math.pi * np.arange(count) / count, 40)
-        assert layout(np.zeros(theta.size), theta, 12) == expected
 
 
-def test_both_layouts_take_the_same_iterations(monkeypatch):
+def test_both_layouts_take_the_same_iterations():
     # the two layouts sum the same products in another order: the iterates
     # agree to rounding, and the stop comes at the same iteration
     data, config = thermal_records()
     blocked = mle_reconstruct(data, config)
-    monkeypatch.setattr(tomo, "BLOCKED_MIN_SLOTS", math.inf)
-    packed = mle_reconstruct(data, config)
+    packed = mle_reconstruct(shuffled(data)[0], config)
     assert blocked.iterations == packed.iterations
     assert trace_distance(blocked.rho, packed.rho) <= 1e-12
     assert log_likelihood(blocked.rho, data) == pytest.approx(
