@@ -70,8 +70,10 @@ class TomoConfig(tomo.MleConfig, mimic.CodebookSpec):
     """Sample, reconstruct, average, score.
 
     ``phases`` LO phases x ``samples_per_phase`` quadratures per run. A
-    ``gain`` enables the raw-voltage calibration path; ``convention`` sets only
-    the scale of its intermediate calibrated records, not the reconstruction.
+    ``gain`` enables the raw-voltage calibration path. Its ``convention``,
+    ``gain`` and ``offset`` change no reconstruction beyond rounding, since
+    ``homodyne.calibrate`` removes the vacuum trace's mean and spread; the path
+    is still not a no-op, as the noise of those two estimates reaches every record.
     The config is the ``tomo.MleConfig`` each run is reconstructed with, so
     its ``cutoff``, ``max_iterations`` and ``stop_tol`` (the optimality gap,
     in nats, at which a run stops) are inherited, and checked there;
@@ -295,16 +297,11 @@ def _density_json(rho: fock.FockDensityMatrix) -> dict:
     }
 
 
-def _reconstruct_ensemble(
-    source: fock.FockDensityMatrix, cfg: TomoConfig, branch: np.random.SeedSequence
-) -> tuple[list[tomo.MleResult], fock.FockDensityMatrix, np.ndarray]:
-    """``cfg.runs`` reconstructions of ``source``, their mean state and elementwise spread.
-
-    Run r is seeded by child r of the ``SeedSequence`` ``branch``. All runs'
-    records are drawn in one sampling pass (with ``cfg.gain``, one raw
-    acquisition pass then one calibration per run), and each run is then
-    reconstructed on its own.
-    """
+def _reconstruct_ensemble(source: fock.FockDensityMatrix, cfg: TomoConfig,
+                          branch: np.random.SeedSequence) -> tomo.Ensemble:
+    """:func:`tomo.reconstruct_ensemble` of ``cfg.runs`` runs of ``source``, run r seeded by
+    child r of ``branch``. All runs' records are drawn in one sampling pass (with
+    ``cfg.gain``, one raw acquisition pass then one calibration per run) before any fit."""
     grid = fock.TWO_PI * np.arange(cfg.phases) / cfg.phases
     seeds = branch.spawn(cfg.runs)
     if cfg.gain is not None:
@@ -313,8 +310,7 @@ def _reconstruct_ensemble(
         datasets = [homodyne.calibrate(raw, cfg.convention) for raw in raws]
     else:
         datasets = homodyne.sample(source, grid, cfg.samples_per_phase, seeds)
-    results = [tomo.mle_reconstruct(dataset, cfg) for dataset in datasets]
-    return results, *tomo.average([r.rho for r in results])
+    return tomo.reconstruct_ensemble(datasets, cfg)
 
 
 def cmd_tomo_end2end(cfg: TomoConfig) -> None:
@@ -331,22 +327,23 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
     # one seeding tree: branch 0 seeds the ensemble's runs, branch 1 the
     # hat-vs-hat thermal ensemble's, and a raw run's vacuum is its run's child 0
     branches = np.random.SeedSequence(cfg.seed).spawn(2)
-    results, mean, spread = _reconstruct_ensemble(source, cfg, branches[0])
+    hat = _reconstruct_ensemble(source, cfg, branches[0])
+    mean, results = hat.mean, hat.runs
     mean_photon = fock.mean_photon(mean)
 
     report = metrics.compare(reference, mean)
     report["entropy_ceiling"] = metrics.thermal_entropy(mean_photon)
     if cfg.source == "artificial":
-        thermal_runs, thermal_mean, _ = _reconstruct_ensemble(thermal_source, cfg, branches[1])
-        results += thermal_runs
-        report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(thermal_mean, mean)
-        report["helstrom_vs_thermal_reconstruction"] = metrics.helstrom_error(thermal_mean, mean)
+        thermal = _reconstruct_ensemble(thermal_source, cfg, branches[1])
+        results += thermal.runs
+        report["fidelity_vs_thermal_reconstruction"] = metrics.fidelity(thermal.mean, mean)
+        report["helstrom_vs_thermal_reconstruction"] = metrics.helstrom_error(thermal.mean, mean)
 
     out_dir = Path(cfg.out_dir)
     ensemble = {
         "cutoff": mean.cutoff,
         "matrix": _density_json(mean),
-        "elementwise_std": spread.tolist(),
+        "elementwise_std": hat.spread.tolist(),
         "n_runs": cfg.runs,
         "mean_photon": mean_photon,
     }

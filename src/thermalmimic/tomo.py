@@ -67,9 +67,9 @@ exists when the gap is below ``stop_tol``, and the gap is reported by one
 on, so a run is converged exactly when its reported gap is at most
 ``stop_tol``.
 
-:func:`average` gives the mean state and elementwise spread of repeated
-reconstructions; the records a ``tomo-end2end`` run writes are laid out by
-the CLI.
+:func:`reconstruct_ensemble` reconstructs each of a list of datasets and
+returns the runs with their mean state and elementwise spread as an
+:class:`Ensemble`; the CLI samples the datasets and writes the records.
 """
 
 from __future__ import annotations
@@ -134,6 +134,15 @@ class MleResult:
     @property
     def final_log_likelihood(self) -> float:
         return float(self.log_likelihoods[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Repeated reconstructions, their unit-trace mean state and elementwise spread."""
+
+    runs: tuple[MleResult, ...]
+    mean: FockDensityMatrix
+    spread: np.ndarray = field(repr=False)
 
 
 class _RecordMap:
@@ -347,21 +356,15 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     )
 
 
-def average(runs: list[FockDensityMatrix]) -> tuple[FockDensityMatrix, np.ndarray]:
-    """Elementwise mean (renormalized to unit trace) and elementwise spread of runs.
-
-    The spread of a complex entry combines the standard deviations of its real
-    and imaginary parts in quadrature.
-    """
-    if not runs:
-        raise ValueError("need at least one reconstruction to average")
-    cutoff = runs[0].cutoff
-    for run in runs[1:]:
-        if run.cutoff != cutoff:
-            raise ValueError(f"cutoff mismatch: {run.cutoff} vs {cutoff}")
-    stack = np.stack([run.entries for run in runs])
+def reconstruct_ensemble(datasets: list[QuadratureDataset],
+                         config: MleConfig = MleConfig()) -> Ensemble:
+    """:func:`mle_reconstruct` of each dataset, in order, with the runs' unit-trace mean
+    state and elementwise spread (real and imaginary standard deviations in quadrature)."""
+    if not datasets:
+        raise ValueError("need at least one dataset to reconstruct")
+    runs = tuple(mle_reconstruct(data, config) for data in datasets)
+    stack = np.stack([run.rho.entries for run in runs])
     mean = stack.mean(axis=0)
     mean /= mean.trace().real
-    std = np.sqrt(stack.real.std(axis=0) ** 2 + stack.imag.std(axis=0) ** 2)
-    return FockDensityMatrix(cutoff, mean, trace_tol=1e-9), std
-
+    spread = np.sqrt(stack.real.std(axis=0) ** 2 + stack.imag.std(axis=0) ** 2)
+    return Ensemble(runs, FockDensityMatrix(config.cutoff, mean, trace_tol=1e-9), spread)

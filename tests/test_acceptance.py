@@ -30,8 +30,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def reconstruct_ensemble(source, seed_base):
     datasets = homodyne.sample(source, PHASES_50, 40, range(seed_base, seed_base + 10))
-    runs = [tomo.mle_reconstruct(d, tomo.MleConfig(cutoff=RECON_CUTOFF)).rho for d in datasets]
-    return tomo.average(runs)[0]
+    return tomo.reconstruct_ensemble(datasets, tomo.MleConfig(cutoff=RECON_CUTOFF)).mean
 
 
 @pytest.fixture(scope="module")

@@ -264,24 +264,21 @@ def test_reports_carry_the_contracted_fields(tmp_path):
     payload = read_json(tmp_path / "ensemble.json")
     config = tomo.MleConfig(cutoff=4, max_iterations=200)
     seeds = np.random.SeedSequence(9).spawn(2)[0].spawn(2)  # the ensemble branch's runs
-    results = [
-        tomo.mle_reconstruct(dataset, config)
-        for dataset in homodyne.sample(fock.thermal(0.0, 30), [0.0, math.pi], 50, seeds)
-    ]
+    expected = tomo.reconstruct_ensemble(
+        homodyne.sample(fock.thermal(0.0, 30), [0.0, math.pi], 50, seeds), config)
     assert payload["runs"] == [
         {"converged": r.converged, "iterations": r.iterations,
          "final_log_likelihood": float(r.log_likelihoods[-1]),
          "optimality_gap": r.optimality_gap}
-        for r in results
+        for r in expected.runs
     ]
     ensemble = payload["ensemble"]
     assert set(ensemble) == {"cutoff", "matrix", "elementwise_std", "n_runs", "mean_photon"}
-    mean, spread = tomo.average([r.rho for r in results])
     assert ensemble["cutoff"] == 4
     assert ensemble["n_runs"] == 2
-    assert np.array_equal(_parse_matrix(payload).entries, mean.entries)
-    assert ensemble["elementwise_std"] == spread.tolist()
-    assert ensemble["mean_photon"] == fock.mean_photon(mean)
+    assert np.array_equal(_parse_matrix(payload).entries, expected.mean.entries)
+    assert ensemble["elementwise_std"] == expected.spread.tolist()
+    assert ensemble["mean_photon"] == fock.mean_photon(expected.mean)
 
 
 def test_density_json_round_trip_is_bit_exact():

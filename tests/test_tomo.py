@@ -33,10 +33,10 @@ from thermalmimic.tomo import (
     _record_probabilities,
     _step_terms,
     _trial,
-    average,
     log_likelihood,
     measurement_matrix,
     mle_reconstruct,
+    reconstruct_ensemble,
 )
 
 PHASES_50 = 2.0 * math.pi * np.arange(50) / 50
@@ -675,15 +675,12 @@ def test_no_iteration_runs_past_the_certificate(records):
 
 def test_thermal_ensemble_recovers_the_source():
     truth = thermal(1.35, 30)
-    runs = [
-        mle_reconstruct(sample(truth, PHASES_50, 40, [10_000 + r])[0], MleConfig(cutoff=12))
-        for r in range(10)
-    ]
-    mean, spread = average([r.rho for r in runs])
+    datasets = [sample(truth, PHASES_50, 40, [10_000 + r])[0] for r in range(10)]
+    ensemble = reconstruct_ensemble(datasets, MleConfig(cutoff=12))
     reference = thermal(1.35, 12, tail_tol=1e-3)
-    assert fidelity(mean, reference) > 0.98
-    assert mean_photon(mean) == pytest.approx(1.35, abs=0.1)
-    assert spread[0, 0] < 0.03
+    assert fidelity(ensemble.mean, reference) > 0.98
+    assert mean_photon(ensemble.mean) == pytest.approx(1.35, abs=0.1)
+    assert ensemble.spread[0, 0] < 0.03
 
 
 @pytest.mark.parametrize(
@@ -723,30 +720,44 @@ def test_fidelity_improves_with_sample_size():
 
 
 # ---------------------------------------------------------------------------
-# average
+# reconstruct_ensemble
 # ---------------------------------------------------------------------------
 
 
 def test_average_of_identical_runs_has_zero_spread():
-    rho = thermal(1.0, 12, tail_tol=1e-3)
-    normalized = FockDensityMatrix(12, rho.entries / rho.trace, trace_tol=1e-9)
-    mean, spread = average([normalized] * 10)
-    assert np.allclose(mean.entries, normalized.entries, rtol=0.0, atol=1e-15)
-    assert np.max(spread) < 1e-15
+    data = sample(thermal(1.0, 30), PHASES_50, 10, [3])[0]
+    config = MleConfig(cutoff=8)
+    ensemble = reconstruct_ensemble([data, data], config)
+    state = mle_reconstruct(data, config).rho.entries
+    assert np.array_equal(ensemble.runs[0].rho.entries, state)
+    assert np.array_equal(ensemble.runs[1].rho.entries, state)
+    assert np.allclose(ensemble.mean.entries, state, rtol=0.0, atol=1e-15)
+    assert np.all(ensemble.spread == 0.0)
 
 
-def test_average_two_point_statistics():
-    mean, spread = average([fock_projector(0, 4), fock_projector(1, 4)])
-    assert mean.entries[0, 0] == pytest.approx(0.5)
-    assert mean.entries[1, 1] == pytest.approx(0.5)
-    assert spread[0, 0] == pytest.approx(0.5)
+def test_ensemble_mean_and_spread_are_the_runs_numpy_statistics():
+    config = MleConfig(cutoff=4)
+    datasets = sample(thermal(0.5, 20), PHASES_50[::5], 30, range(40, 43))
+    ensemble = reconstruct_ensemble(datasets, config)
+    assert len(ensemble.runs) == 3
+    for run, data in zip(ensemble.runs, datasets):  # one fit per dataset, in order
+        assert np.array_equal(run.rho.entries, mle_reconstruct(data, config).rho.entries)
+    stack = np.stack([run.rho.entries for run in ensemble.runs])
+    mean = stack.mean(axis=0)
+    mean = mean / mean.trace().real
+    spread = np.sqrt(stack.real.std(axis=0) ** 2 + stack.imag.std(axis=0) ** 2)
+    assert ensemble.mean.cutoff == 4
+    assert np.array_equal(ensemble.mean.entries, mean)
+    assert np.array_equal(ensemble.spread, spread)
+    assert np.max(spread) > 0.0
+    # the spread is the root-mean-square distance of each entry from its mean
+    rms = np.sqrt(np.mean(np.abs(stack - stack.mean(axis=0)) ** 2, axis=0))
+    assert np.allclose(spread, rms, rtol=1e-12, atol=1e-15)
 
 
-def test_average_rejects_mixed_cutoffs_and_empty_input():
-    with pytest.raises(ValueError, match="cutoff mismatch"):
-        average([fock_projector(0, 4), fock_projector(0, 5)])
-    with pytest.raises(ValueError):
-        average([])
+def test_reconstruct_ensemble_rejects_empty_input():
+    with pytest.raises(ValueError, match="at least one dataset"):
+        reconstruct_ensemble([])
 
 
 # ---------------------------------------------------------------------------
