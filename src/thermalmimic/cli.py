@@ -332,6 +332,7 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
     mean_photon = fock.mean_photon(mean)
 
     report = metrics.compare(reference, mean)
+    report["reference_trace"] = reference.trace  # below 1 by the reference's truncated tail
     report["entropy_ceiling"] = metrics.thermal_entropy(mean_photon)
     if cfg.source == "artificial":
         thermal = _reconstruct_ensemble(thermal_source, cfg, branches[1])
@@ -361,24 +362,26 @@ def cmd_tomo_end2end(cfg: TomoConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _parse_codebook(obj) -> mimic.Codebook:
-    """A bare codebook, or one wrapped as in ``codebook.json``."""
+def _parse_codebook(obj) -> tuple[mimic.Codebook, dict]:
+    """A bare codebook, or one wrapped as in ``codebook.json``, and its provenance:
+    the ``nbar_target``, ``scheme`` and ``seed`` (null if absent) the file records."""
     obj = obj.get("codebook", obj)
+    provenance = {"nbar_target": _typed("nbar_target", obj["nbar_target"], float),
+                  "scheme": _typed("scheme", obj["scheme"], mimic.Scheme),
+                  "seed": _typed("seed", obj.get("seed"), int | None)}
     return mimic.Codebook(
-        nbar_target=_typed("nbar_target", obj["nbar_target"], float),
         amplitudes=_typed("amplitudes", obj["amplitudes"], tuple[float, ...]),
         phases=_typed("phases", obj["phases"], tuple[float, ...]),
         weights=_typed("weights", obj["weights"], tuple[tuple[float, ...], ...]),
-        scheme=mimic.Scheme(obj["scheme"]),
-        seed=_typed("seed", obj.get("seed"), int | None),
-    )
+    ), provenance
 
 
 def cmd_codebook_export(cfg: CodebookConfig) -> None:
     if cfg.codebook_file is not None:
-        codebook = _load_json(cfg.codebook_file, "codebook file", _parse_codebook)
+        codebook, provenance = _load_json(cfg.codebook_file, "codebook file", _parse_codebook)
     else:
         codebook = mimic.build_codebook(cfg)
+        provenance = {"nbar_target": cfg.nbar, "scheme": cfg.scheme, "seed": cfg.seed}
     table = physical.codebook_to_drive(codebook, cfg)
     out_dir = Path(cfg.out_dir)
     payload = {
@@ -386,12 +389,10 @@ def cmd_codebook_export(cfg: CodebookConfig) -> None:
         "config": asdict(cfg),
         "required_db": table.required_db,
         "codebook": {
-            "nbar_target": codebook.nbar_target,
+            **provenance,
             "amplitudes": codebook.amplitudes.tolist(),
             "phases": codebook.phases.tolist(),
             "weights": codebook.weights.tolist(),
-            "scheme": codebook.scheme.value,
-            "seed": codebook.seed,
         },
     }
     columns = ("alpha_sq", "power_w", "intensity_level", "phase_rad")  # DriveTable's fields

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -24,9 +23,8 @@ from .fock import FockDensityMatrix, coherent_states
 from .metrics import fidelity
 
 
-class Scheme(str, Enum):
-    STRATIFIED = "stratified"
-    RANDOM = "random"
+#: The codebook schemes :func:`build_codebook` knows, the one list of their names.
+Scheme = Literal["stratified", "random"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,15 +33,13 @@ class Codebook:
 
     ``weights[l, q]`` is the probability of the coherent state with amplitude
     ``amplitudes[l]`` and phase ``phases[q]``; weights are nonnegative and sum
-    to 1 within 1e-12. ``seed``, the random scheme's, is None or >= 0.
+    to 1 within 1e-12. It is the constellation alone: the knobs it was built
+    from are the :class:`CodebookSpec`'s, and no field here records them.
     """
 
-    nbar_target: float
     amplitudes: np.ndarray
     phases: np.ndarray
     weights: np.ndarray = field(repr=False)
-    scheme: Scheme
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=float)  # copies: the caller's stay writeable
@@ -52,15 +48,11 @@ class Codebook:
         for name, arr in (("amplitudes", amps), ("phases", phs)):
             if arr.ndim != 1 or arr.size < 1:
                 raise ValueError(f"{name} must be a non-empty 1-D array")
-        checked = (("nbar_target", self.nbar_target), ("amplitudes", amps), ("phases", phs),
-                   ("weights", wts))
-        for name, arr in checked:
+        for name, arr in (("amplitudes", amps), ("phases", phs), ("weights", wts)):
             if not np.isfinite(arr).all():  # NaN passes every range check below
                 raise ValueError(f"{name} must be finite")
         if (amps < 0.0).any():
             raise ValueError("amplitudes must be >= 0")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if (phs < 0.0).any() or (phs >= fock.TWO_PI).any():
             raise ValueError("phases must lie in [0, 2*pi)")
         if wts.shape != (amps.size, phs.size):
@@ -104,7 +96,7 @@ class CodebookSpec:
     nbar: float = 1.35
     codebook_amplitudes: int = 8
     codebook_phases: int = 8
-    scheme: Literal["stratified", "random"] = "stratified"
+    scheme: Scheme = "stratified"
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -112,8 +104,10 @@ class CodebookSpec:
             raise ValueError("need at least one amplitude and one phase")
         if not (math.isfinite(self.nbar) and self.nbar > 0.0):
             raise ValueError(f"nbar must be finite and > 0, got {self.nbar}")
-        scheme = Scheme(self.scheme)
-        if scheme == Scheme.RANDOM and self.seed is None:
+        if self.scheme not in get_args(Scheme):
+            raise ValueError(f"scheme must be one of {', '.join(get_args(Scheme))}, "
+                             f"got {self.scheme!r}")
+        if self.scheme == "random" and self.seed is None:
             raise ValueError("random scheme requires a seed")
 
 
@@ -127,15 +121,14 @@ def build_codebook(spec: CodebookSpec) -> Codebook:
     fully determined by ``spec.seed``.
     """
     nbar, n_amplitudes, n_phases = spec.nbar, spec.codebook_amplitudes, spec.codebook_phases
-    scheme = Scheme(spec.scheme)
-    if scheme == Scheme.RANDOM:
+    if spec.scheme == "random":
         rng = np.random.default_rng(spec.seed)
         amps = rayleigh_quantile(nbar, rng.random(n_amplitudes))
         phases = rng.uniform(0.0, fock.TWO_PI, n_phases)
     else:
         amps, phases = _stratified_grid(nbar, n_amplitudes, n_phases)
     weights = np.full((n_amplitudes, n_phases), 1.0 / (n_amplitudes * n_phases))
-    return Codebook(nbar, amps, phases, weights, scheme, spec.seed)
+    return Codebook(amps, phases, weights)
 
 
 def _stratified_grid(nbar: float, n_amplitudes: int, n_phases: int
@@ -278,7 +271,7 @@ class SweepSpec:
 
     nbars: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
     samples: tuple[int, ...] = (4, 16, 36, 64, 100)
-    scheme: Literal["stratified", "random", "optimized"] = "stratified"
+    scheme: Literal[Scheme, "optimized"] = "stratified"
     cutoff: int = fock.DEFAULT_CUTOFF
     trials: int = 1
     seed: int = 0
@@ -293,7 +286,7 @@ class SweepSpec:
                 raise ValueError(f"sample count {m} is not a perfect square")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.scheme not in ("optimized", *Scheme):
+        if self.scheme not in (*get_args(Scheme), "optimized"):
             raise ValueError(f"scheme must be stratified, random or optimized, got {self.scheme!r}")
 
 

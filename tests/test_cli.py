@@ -33,7 +33,7 @@ from thermalmimic.cli import (
     _resolve_config,
     main,
 )
-from thermalmimic.mimic import Codebook, CodebookSpec, Scheme, build_codebook
+from thermalmimic.mimic import Codebook, CodebookSpec, build_codebook
 from thermalmimic.physical import PLANCK, SPEED_OF_LIGHT
 
 
@@ -322,6 +322,17 @@ def test_tomo_truncation_fails_before_sampling(tmp_path, capsys, monkeypatch, ar
     assert not out.exists()
 
 
+def test_tomo_reports_the_reference_trace(tmp_path):
+    # a reference truncated within its 0.05 budget still scores the run: the
+    # thermal(3.5) reference at cutoff 12 keeps 1 - (3.5/4.5)^13 = 0.9619 of its mass
+    assert main(["tomo-end2end", "--nbar", "3.5", "--source-cutoff", "60", "--cutoff", "12",
+                 "--runs", "1", "--phases", "4", "--samples-per-phase", "50",
+                 "--out-dir", str(tmp_path)]) == 0
+    trace = read_json(tmp_path / "metrics.json")["metrics"]["reference_trace"]
+    assert trace == fock.thermal(3.5, 12, tail_tol=0.05).trace
+    assert trace == pytest.approx(1.0 - (3.5 / 4.5) ** 13, rel=1e-12)
+
+
 def test_tomo_bad_source_exits_config(tmp_path):
     assert main(["tomo-end2end", "--source", "thermal", "--nbar", "-1.0",
                  "--out-dir", str(tmp_path)]) == 2
@@ -448,7 +459,7 @@ def test_codebook_export_round_trip(tmp_path):
     payload = read_json(tmp_path / "codebook.json")
     assert payload["version"] == __version__
     assert payload["required_db"] < 25.0
-    reloaded = _parse_codebook(payload)
+    reloaded, _ = _parse_codebook(payload)
     original = build_codebook(CodebookSpec(1.5, 8, 8))
     assert np.array_equal(reloaded.amplitudes, original.amplitudes)
     assert np.array_equal(reloaded.weights, original.weights)
@@ -461,13 +472,16 @@ def test_codebook_export_round_trip(tmp_path):
 def test_codebook_json_round_trip(tmp_path):
     assert main(["codebook-export", "--scheme", "random", "--seed", "7", "--nbar", "1.5",
                  "--extinction-db", "40", "--out-dir", str(tmp_path)]) == 0
-    back = _parse_codebook(read_json(tmp_path / "codebook.json"))
-    cb = build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=7))
+    written = read_json(tmp_path / "codebook.json")
+    back, provenance = _parse_codebook(written)
+    cb = build_codebook(CodebookSpec(1.5, 8, 8, "random", seed=7))
     assert np.array_equal(back.amplitudes, cb.amplitudes)
     assert np.array_equal(back.phases, cb.phases)
     assert np.array_equal(back.weights, cb.weights)
-    assert back.scheme == cb.scheme
-    assert back.seed == cb.seed
+    # the provenance is the config the codebook was built from, and reads back as written
+    expected = {"nbar_target": 1.5, "scheme": "random", "seed": 7}
+    assert {key: written["codebook"][key] for key in expected} == expected
+    assert provenance == expected
 
 
 def test_drive_csv_header_and_rows(tmp_path):
@@ -477,7 +491,7 @@ def test_drive_csv_header_and_rows(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "drive.csv").read_text().splitlines()
     assert lines[1] == "index,alpha_sq,power_w,intensity_level,phase_rad"
-    cb = build_codebook(CodebookSpec(1.0, 3, 2, Scheme.RANDOM, seed=5))
+    cb = build_codebook(CodebookSpec(1.0, 3, 2, "random", seed=5))
     symbols = [(a, q) for a in cb.amplitudes.tolist() for q in cb.phases.tolist()]
     frequency = SPEED_OF_LIGHT / CodebookConfig.wavelength
     powers = [a * a * PLANCK * frequency / CodebookConfig.tau for a, _ in symbols]
@@ -494,6 +508,30 @@ def test_codebook_export_reexports_existing_file(tmp_path):
     assert main(["codebook-export", "--codebook-file", str(cb_file),
                  "--out-dir", str(out)]) == 0
     assert read_json(out / "codebook.json")["codebook"] == codebook_json()
+
+
+def test_codebook_export_writes_back_the_typed_provenance(tmp_path):
+    # the file's provenance is typed as config values are: an integer
+    # nbar_target is written back as a float, a null seed as null
+    cb_file = tmp_path / "cb.json"
+    cb_file.write_text(json.dumps(codebook_json(nbar_target=1, scheme="random")))
+    out = tmp_path / "out"
+    assert main(["codebook-export", "--codebook-file", str(cb_file),
+                 "--out-dir", str(out)]) == 0
+    text = (out / "codebook.json").read_text()
+    assert '"nbar_target": 1.0,' in text and '"seed": null' in text
+    assert json.loads(text)["codebook"] == codebook_json(scheme="random")
+
+
+def test_codebook_export_unknown_scheme_exits_config(tmp_path, capsys):
+    cb_file = tmp_path / "cb.json"
+    cb_file.write_text(json.dumps(codebook_json(scheme="optimized")))
+    out = tmp_path / "out"
+    assert main(["codebook-export", "--codebook-file", str(cb_file),
+                 "--out-dir", str(out)]) == 2
+    assert "scheme must be one of stratified, random; got 'optimized'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_codebook_export_zero_amplitude_exits_feasibility(tmp_path, capsys):
@@ -551,13 +589,14 @@ def test_codebook_export_overflowing_amplitude_exits_numeric(tmp_path, capsys):
 def test_codebook_export_nan_field_exits_config(tmp_path, capsys, field, index):
     # json.loads reads NaN, and NaN fails every range comparison silently: the
     # input file's typing rule rejects it, as Codebook does for library callers
+    # of the constellation's own fields
     cb = codebook_json()
     if index is None:
         cb[field] = math.nan
     else:
         cb[field][index] = [math.nan, 0.25] if field == "weights" else math.nan
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        Codebook(**{**cb, "scheme": Scheme(cb["scheme"])})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Codebook(cb["amplitudes"], cb["phases"], cb["weights"])
     cb_file = tmp_path / "nan.json"
     cb_file.write_text(json.dumps(cb))
     out = tmp_path / "out"
@@ -987,7 +1026,7 @@ def test_input_parser_returns_a_value_or_config_error(tmp_path_factory, parse, l
         value = _load_json(str(path), "input file", parse)
     except ConfigError:
         return
-    assert isinstance(value, kind)
+    assert isinstance(value[0] if parse is _parse_codebook else value, kind)
     for key, item in changes.items():
         assert _json_has_type(item, _INPUT_KINDS[key]), key
 

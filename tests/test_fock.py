@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from thermalmimic import fock
-from thermalmimic.mimic import CodebookSpec, Scheme, build_codebook
+from thermalmimic.mimic import CodebookSpec, build_codebook
 from thermalmimic.fock import (
     FockDensityMatrix,
     coherent_states,
@@ -82,7 +82,7 @@ def test_coherent_states_rejects_negative_magnitude():
     "magnitudes, phases",
     [
         build_codebook(CodebookSpec(1.5, 6, 5)).points(),
-        build_codebook(CodebookSpec(1.5, 6, 5, Scheme.RANDOM, seed=3)).points(),
+        build_codebook(CodebookSpec(1.5, 6, 5, "random", seed=3)).points(),
         ([0.0, 1.2, 0.0], [0.0, 0.4, 2.5]),
         ([0.7, 1.2, 0.7, 0.7, 1.2], [2.5, 0.4, 2.5, 0.4, 2.5]),
         # np.unique takes -0.0 and 0.0 for one value; a signed zero's factors are the same bits

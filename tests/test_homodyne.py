@@ -769,7 +769,7 @@ def test_value_types_freeze_copies_of_the_callers_arrays():
     amps, phases, weights = np.array([1.0]), np.array([0.0, 1.0]), np.array([[0.5, 0.5]])
     x, theta, vacuum = np.array([0.1, -0.2]), np.array([0.0, 1.0]), np.array([0.3, 0.4])
     rho = FockDensityMatrix(1, entries)
-    codebook = mimic.Codebook(1.0, amps, phases, weights, mimic.Scheme.STRATIFIED)
+    codebook = mimic.Codebook(amps, phases, weights)
     dataset = QuadratureDataset(x, theta, Convention.HALF)
     raw = RawDataset(x, theta, vacuum)
     for given in (entries, amps, phases, weights, x, theta, vacuum):

@@ -10,7 +10,6 @@ from thermalmimic.fock import coherent_states, thermal
 from thermalmimic.mimic import (
     Codebook,
     CodebookSpec,
-    Scheme,
     SweepSpec,
     assemble,
     build_codebook,
@@ -64,19 +63,19 @@ def test_stratified_phase_grid_is_uniform_midpoints():
 
 
 def test_random_codebook_is_seed_deterministic():
-    cb1 = build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=7))
-    cb2 = build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=7))
+    cb1 = build_codebook(CodebookSpec(1.5, 8, 8, "random", seed=7))
+    cb2 = build_codebook(CodebookSpec(1.5, 8, 8, "random", seed=7))
     assert np.array_equal(cb1.amplitudes, cb2.amplitudes)
     assert np.array_equal(cb1.phases, cb2.phases)
     assert np.array_equal(cb1.weights, cb2.weights)
     assert not np.array_equal(
-        cb1.amplitudes, build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM, seed=8)).amplitudes
+        cb1.amplitudes, build_codebook(CodebookSpec(1.5, 8, 8, "random", seed=8)).amplitudes
     )
 
 
 def test_random_codebook_requires_seed():
     with pytest.raises(ValueError, match="seed"):
-        build_codebook(CodebookSpec(1.5, 8, 8, Scheme.RANDOM))
+        build_codebook(CodebookSpec(1.5, 8, 8, "random"))
 
 
 def test_stratified_amplitudes_strictly_increasing():
@@ -99,7 +98,7 @@ def test_stratified_amplitudes_reproduce_rayleigh_mean(nbar):
 
 
 def test_assemble_single_vacuum_point():
-    cb = Codebook(1.0, np.array([0.0]), np.array([0.0]), np.array([[1.0]]), Scheme.STRATIFIED)
+    cb = Codebook(np.array([0.0]), np.array([0.0]), np.array([[1.0]]))
     rho = assemble(cb, 10)
     expected = np.zeros((11, 11), dtype=complex)
     expected[0, 0] = 1.0
@@ -110,7 +109,7 @@ def test_assemble_pairs_each_weight_with_its_point():
     amplitudes = np.array([0.3, 0.8, 1.4])
     phases = np.array([0.1, 1.2, 2.3, 4.5])
     weights = np.arange(1.0, 13.0).reshape(3, 4) / 78.0
-    rho = assemble(Codebook(1.0, amplitudes, phases, weights, Scheme.STRATIFIED), 20)
+    rho = assemble(Codebook(amplitudes, phases, weights), 20)
     expected = np.zeros((21, 21), dtype=complex)
     for l, amp in enumerate(amplitudes):
         for q, phase in enumerate(phases):
@@ -318,7 +317,7 @@ def test_sweep_rejects_non_square_sample_counts():
     with pytest.raises(ValueError, match="perfect square"):
         sweep_fidelity(SweepSpec([1.0], [50]))
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        sweep_fidelity(SweepSpec([1.0], [4], Scheme.RANDOM, trials=0))
+        sweep_fidelity(SweepSpec([1.0], [4], "random", trials=0))
     # the grid is checked before any cell: M = 0, empty lists and nbar 0
     with pytest.raises(ValueError, match="sample count 0 is not a perfect square"):
         sweep_fidelity(SweepSpec([1.0], [0]))
@@ -333,7 +332,7 @@ def test_sweep_rejects_non_square_sample_counts():
 
 def test_random_sweep_mean_within_three_sigma_of_stratified():
     strat, _ = sweep_fidelity(SweepSpec([1.0], [64]))
-    rand, rand_std = sweep_fidelity(SweepSpec([1.0], [64], Scheme.RANDOM, trials=20, seed=10))
+    rand, rand_std = sweep_fidelity(SweepSpec([1.0], [64], "random", trials=20, seed=10))
     assert abs(rand[0, 0] - strat[0, 0]) <= 3.0 * rand_std[0, 0]
 
 
@@ -351,14 +350,11 @@ def test_optimized_sweep_never_trails_stratified():
 
 def test_codebook_validation():
     with pytest.raises(ValueError, match="sum to 1"):
-        Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[0.9]]), Scheme.STRATIFIED)
+        Codebook(np.array([1.0]), np.array([0.0]), np.array([[0.9]]))
     with pytest.raises(ValueError, match=">= 0"):
-        Codebook(
-            1.0, np.array([1.0]), np.array([0.0, 1.0]),
-            np.array([[1.5, -0.5]]), Scheme.STRATIFIED,
-        )
+        Codebook(np.array([1.0]), np.array([0.0, 1.0]), np.array([[1.5, -0.5]]))
     with pytest.raises(ValueError, match="shape"):
-        Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[0.5, 0.5]]), Scheme.STRATIFIED)
+        Codebook(np.array([1.0]), np.array([0.0]), np.array([[0.5, 0.5]]))
     for amps, phases, match in [
         ([], [0.0], "amplitudes must be a non-empty 1-D array"),
         ([1.0], [], "phases must be a non-empty 1-D array"),
@@ -367,10 +363,9 @@ def test_codebook_validation():
     ]:
         weights = np.full((len(amps), len(phases)), 1.0 / max(len(amps) * len(phases), 1))
         with pytest.raises(ValueError, match=match):
-            Codebook(1.0, np.array(amps), np.array(phases), weights, Scheme.STRATIFIED)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        Codebook(1.0, np.array([1.0]), np.array([0.0]), np.array([[1.0]]), Scheme.RANDOM, seed=-1)
-    with pytest.raises(ValueError, match="'optimized' is not a valid Scheme"):
+            Codebook(np.array(amps), np.array(phases), weights)
+    with pytest.raises(ValueError,
+                       match="scheme must be one of stratified, random, got 'optimized'"):
         CodebookSpec(1.0, 2, 2, "optimized")
     for nbar in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"nbar must be finite and > 0, got {nbar}"):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermalmimic.mimic import Codebook, CodebookSpec, Scheme, build_codebook
+from thermalmimic.mimic import Codebook, CodebookSpec, build_codebook
 from thermalmimic.physical import (
     PLANCK,
     SPEED_OF_LIGHT,
@@ -108,19 +108,13 @@ def test_extinction_acceptance_is_monotone_in_budget():
 def test_zero_amplitude_symbol_requires_ideal_modulator():
     # |alpha|^2 = 1e-340 rounds to 0: a nonzero amplitude whose power is zero
     for dark in (0.0, 1e-170):
-        cb = Codebook(
-            1.0, np.array([dark, 1.0]), np.array([0.5]),
-            np.array([[0.5], [0.5]]), Scheme.STRATIFIED,
-        )
+        cb = Codebook(np.array([dark, 1.0]), np.array([0.5]), np.array([[0.5], [0.5]]))
         with pytest.raises(ExtinctionRangeError, match="symbol 0 has zero power"):
             codebook_to_drive(cb, TELECOM)
         table = codebook_to_drive(cb, IDEAL)
         assert table.intensity_level.tolist() == [0.0, 1.0]
     # L != Q: the error names the row-major symbol index, not the amplitude index
-    cb = Codebook(
-        1.0, np.array([1.0, 0.0]), np.array([0.5, 2.0]),
-        np.full((2, 2), 0.25), Scheme.STRATIFIED,
-    )
+    cb = Codebook(np.array([1.0, 0.0]), np.array([0.5, 2.0]), np.full((2, 2), 0.25))
     with pytest.raises(ExtinctionRangeError, match="symbol 2 has zero power"):
         codebook_to_drive(cb, TELECOM)
     table = codebook_to_drive(cb, IDEAL)
@@ -129,7 +123,7 @@ def test_zero_amplitude_symbol_requires_ideal_modulator():
 
 def test_all_dark_codebook_is_rejected():
     for dark in (0.0, 1e-170):
-        cb = Codebook(1.0, np.array([dark]), np.array([0.0]), np.array([[1.0]]), Scheme.STRATIFIED)
+        cb = Codebook(np.array([dark]), np.array([0.0]), np.array([[1.0]]))
         for transmitter in (TELECOM, IDEAL):
             with pytest.raises(ValueError, match="no symbol of nonzero power") as excinfo:
                 codebook_to_drive(cb, transmitter)
@@ -153,7 +147,7 @@ def test_points_order_matches_weights_and_drive_table():
     amplitudes = np.array([0.3, 0.8, 1.4])
     phases = np.array([0.1, 1.2, 2.3, 4.5])
     weights = np.arange(1.0, 13.0).reshape(3, 4) / 78.0
-    cb = Codebook(1.0, amplitudes, phases, weights, Scheme.STRATIFIED)
+    cb = Codebook(amplitudes, phases, weights)
     l, q = np.divmod(np.arange(12), 4)  # point i sits at row-major (l, q)
     magnitudes, point_phases = cb.points()
     assert np.array_equal(magnitudes, amplitudes[l])
