@@ -89,7 +89,7 @@ class TomoConfig(tomo.MleConfig, mimic.CodebookSpec):
     phases: int = 50
     samples_per_phase: int = 40
     runs: int = 10
-    convention: Literal["half", "quarter"] = "half"
+    convention: homodyne.Convention = "half"
     gain: float | None = None
     offset: float = 0.0
     out_dir: str = "."

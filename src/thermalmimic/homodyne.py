@@ -15,10 +15,10 @@ by a factor sqrt(2) in the quadrature axis:
 
 The two are mutually inconsistent if applied blindly, which would corrupt a
 reconstruction by a sqrt(2) quadrature scale (showing up as a wrong mean
-photon number). Every dataset therefore carries an explicit convention tag,
-whose :attr:`Convention.vacuum_variance` is the one place the scale is
-written: :func:`calibrate` maps a raw record's vacuum trace onto it, and the
-tomography module reads each dataset on the ``half`` axis its tag implies.
+photon number). Every dataset therefore carries a :data:`Convention` tag, and
+:data:`VACUUM_VARIANCE` is the one place the scale is written: :func:`calibrate`
+maps a raw record's vacuum trace onto it, and :attr:`QuadratureDataset.half_x`
+reads a dataset on the ``half`` axis, the one the tomography kernel reads.
 
 Sampling
 --------
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from enum import Enum
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -57,14 +57,16 @@ SAMPLER_GRID_POINTS = 4096
 SAMPLER_PHASE_BLOCK = 16
 
 
-class Convention(str, Enum):
-    HALF = "half"
-    QUARTER = "quarter"
+#: The quadrature scales a dataset may be tagged with, the one list of their names.
+Convention = Literal["half", "quarter"]
+#: Variance of the vacuum's quadrature on each :data:`Convention` scale.
+VACUUM_VARIANCE = {"half": 0.5, "quarter": 0.25}
 
-    @property
-    def vacuum_variance(self) -> float:
-        """Variance of the vacuum's quadrature on this scale."""
-        return 0.5 if self is Convention.HALF else 0.25
+
+def _vacuum_variance(name) -> float:
+    if name not in get_args(Convention):
+        raise ValueError(f"convention must be {' or '.join(get_args(Convention))}, got {name!r}")
+    return VACUUM_VARIANCE[name]
 
 
 def _freeze_records(dataset, **names: str) -> None:
@@ -96,12 +98,16 @@ class QuadratureDataset:
 
     def __post_init__(self) -> None:
         _freeze_records(self, x="quadratures")
-        if not isinstance(self.convention, Convention):
-            raise ValueError(f"invalid convention tag {self.convention!r}")
+        _vacuum_variance(self.convention)
 
     @property
     def count(self) -> int:
         return self.x.size
+
+    @property
+    def half_x(self) -> np.ndarray:
+        """The quadratures on the ``half`` axis, that of :func:`fock_wavefunctions`."""
+        return self.x * math.sqrt(0.5 / VACUUM_VARIANCE[self.convention])
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +276,7 @@ def sample(
         for i, cdf in enumerate(_cdf_rows(rho, thetas, grid)):
             xs[:, i] = np.interp(uniforms[:, i], cdf, grid)
     theta = np.repeat(thetas, n_per_phase)
-    return [QuadratureDataset(x.ravel(), theta, Convention.HALF) for x in xs]
+    return [QuadratureDataset(x.ravel(), theta, "half") for x in xs]
 
 
 def simulate_raw(
@@ -308,14 +314,12 @@ def simulate_raw(
     ]
 
 
-def calibrate(raw: RawDataset, convention: Convention | str) -> QuadratureDataset:
+def calibrate(raw: RawDataset, convention: Convention) -> QuadratureDataset:
     """Scale raw values to quadratures referenced to the vacuum trace the record
     carries: ``x = (V - V_vac) sqrt(vacuum_variance / sigma_vac^2)``, with
     ``V_vac`` and ``sigma_vac`` the mean and sample standard deviation of
-    ``raw.vacuum``, maps the vacuum to the variance of ``convention`` (a
-    :class:`Convention` or its value), which the dataset carries as its tag.
-    """
-    convention = Convention(convention)
+    ``raw.vacuum``, maps the vacuum to the variance of ``convention``, which
+    the dataset carries as its tag."""
     if raw.vacuum.size < 2:
         raise ValueError(f"the vacuum trace needs at least two values, got {raw.vacuum.size}")
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below catch overflow
@@ -324,5 +328,5 @@ def calibrate(raw: RawDataset, convention: Convention | str) -> QuadratureDatase
         raise ValueError(f"v_vac must be finite, got {v_vac}")
     if not (math.isfinite(sigma_vac) and sigma_vac > 0.0):
         raise ValueError(f"sigma_vac must be finite and > 0, got {sigma_vac}")
-    scale = math.sqrt(convention.vacuum_variance / sigma_vac**2)
+    scale = math.sqrt(_vacuum_variance(convention) / sigma_vac**2)
     return QuadratureDataset((raw.voltages - v_vac) * scale, raw.theta, convention)

@@ -25,6 +25,8 @@ from .metrics import fidelity
 
 #: The codebook schemes :func:`build_codebook` knows, the one list of their names.
 Scheme = Literal["stratified", "random"]
+#: The schemes :func:`sweep_fidelity` knows: those of :data:`Scheme` and "optimized".
+SweepScheme = Literal[Scheme, "optimized"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +135,7 @@ def build_codebook(spec: CodebookSpec) -> Codebook:
 
 def _stratified_grid(nbar: float, n_amplitudes: int, n_phases: int
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The stratified scheme's amplitudes, at the Rayleigh quantile midpoints
-    (2l-1)/(2L), and phases, at the uniform midpoints pi(2q-1)/Q."""
+    """The stratified scheme's amplitudes and phases, placed as :func:`build_codebook` says."""
     l = np.arange(1, n_amplitudes + 1)
     q = np.arange(1, n_phases + 1)
     amplitudes = rayleigh_quantile(nbar, (2 * l - 1) / (2 * n_amplitudes))
@@ -271,7 +272,7 @@ class SweepSpec:
 
     nbars: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
     samples: tuple[int, ...] = (4, 16, 36, 64, 100)
-    scheme: Literal[Scheme, "optimized"] = "stratified"
+    scheme: SweepScheme = "stratified"
     cutoff: int = fock.DEFAULT_CUTOFF
     trials: int = 1
     seed: int = 0
@@ -283,11 +284,12 @@ class SweepSpec:
             raise ValueError("samples must be a non-empty list of perfect squares")
         for m in self.samples:
             if m < 1 or math.isqrt(m) ** 2 != m:
-                raise ValueError(f"sample count {m} is not a perfect square")
+                raise ValueError(f"sample count must be a perfect square >= 1, got {m}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.scheme not in (*get_args(Scheme), "optimized"):
-            raise ValueError(f"scheme must be stratified, random or optimized, got {self.scheme!r}")
+        if self.scheme not in get_args(SweepScheme):
+            raise ValueError(f"scheme must be one of {', '.join(get_args(SweepScheme))}, "
+                             f"got {self.scheme!r}")
 
 
 def sweep_fidelity(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:

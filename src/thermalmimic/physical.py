@@ -27,14 +27,6 @@ class ExtinctionRangeError(ValueError):
     """Codebook needs more intensity dynamic range than the modulator has."""
 
 
-def _require_positive(spec, *names: str) -> None:
-    """Each named field of ``spec`` must be finite and > 0."""
-    for name in names:
-        value = getattr(spec, name)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class Transmitter:
     """The temporal mode (``wavelength``, duration ``tau``), which sets the
@@ -47,7 +39,10 @@ class Transmitter:
     ideal: bool = False
 
     def __post_init__(self) -> None:
-        _require_positive(self, "wavelength", "tau", "extinction_db")
+        for name in ("wavelength", "tau", "extinction_db"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def frequency(self) -> float:

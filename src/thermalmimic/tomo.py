@@ -173,13 +173,11 @@ def measurement_matrix(data: QuadratureDataset, cutoff: int) -> _RecordMap:
     """The record map: ``probabilities(rho)`` gives the records' ``p_k = Tr(rho
     Pi_k)`` and ``gradient(p)`` gives ``(1/K) sum_k Pi_k / p_k``, for the
     projector ``Pi_k = d_k d_k^H`` onto record k's quadrature eigenstate
-    ``d_kn = f_n(x_k) e^{i n theta_k}``. ``x_k`` is read on the ``half`` axis
-    of the kernel ``f_n``: a record tagged with vacuum variance ``v`` is scaled
-    by ``sqrt(0.5 / v)``. Records in equal runs of S >= max(dim, 20) at one
-    phase each get phase blocks; any other record set gets the packed map
-    (module docstring)."""
-    x = data.x * math.sqrt(0.5 / data.convention.vacuum_variance)
-    radial = fock_wavefunctions(x, cutoff)
+    ``d_kn = f_n(x_k) e^{i n theta_k}``, with ``x_k`` read on the ``half``
+    axis of the kernel ``f_n`` (``data.half_x``). Records in equal runs of S >=
+    max(dim, 20) at one phase each get phase blocks; any other record set gets
+    the packed map (module docstring)."""
+    radial = fock_wavefunctions(data.half_x, cutoff)
     dim, count = radial.shape
     theta = data.theta
     size = int(np.argmax(theta != theta[0])) or count  # the first run's length

@@ -206,8 +206,8 @@ def test_criterion_7_property_battery():
     raw = homodyne.simulate_raw(
         fock.thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=0.3, seeds=[60]
     )[0]
-    var_quarter = homodyne.calibrate(raw, homodyne.Convention.QUARTER).x.var()
-    var_half = homodyne.calibrate(raw, homodyne.Convention.HALF).x.var()
+    var_quarter = homodyne.calibrate(raw, "quarter").x.var()
+    var_half = homodyne.calibrate(raw, "half").x.var()
     assert var_quarter == pytest.approx(0.25, abs=0.03)
     assert var_half == pytest.approx(0.5, abs=0.05)
 

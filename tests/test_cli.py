@@ -116,8 +116,10 @@ def test_sweep_rejects_unknown_config_key(tmp_path):
     assert main(["mimic-sweep", "--config", str(cfg)]) == 2
 
 
-def test_sweep_rejects_non_square_sample_count(tmp_path):
-    assert main(["mimic-sweep", "--samples", "50", "--out-dir", str(tmp_path)]) == 2
+def test_sweep_rejects_non_square_sample_count(tmp_path, capsys):
+    for m in ("50", "0"):
+        assert main(["mimic-sweep", "--samples", m, "--out-dir", str(tmp_path)]) == 2
+        assert f"sample count must be a perfect square >= 1, got {m}" in capsys.readouterr().err
 
 
 def test_sweep_rejects_empty_sample_list(tmp_path, capsys):
@@ -331,6 +333,18 @@ def test_tomo_reports_the_reference_trace(tmp_path):
     trace = read_json(tmp_path / "metrics.json")["metrics"]["reference_trace"]
     assert trace == fock.thermal(3.5, 12, tail_tol=0.05).trace
     assert trace == pytest.approx(1.0 - (3.5 / 4.5) ** 13, rel=1e-12)
+
+
+def test_convention_choices_are_the_homodyne_literal(tmp_path, capsys):
+    # --convention's choices and the config file's check both read homodyne.Convention
+    tomo_parser = _build_parser()._subparsers._group_actions[0].choices["tomo-end2end"]
+    flag = next(a for a in tomo_parser._actions if a.dest == "convention")
+    assert flag.choices == get_args(homodyne.Convention) == ("half", "quarter")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"convention": "eighth"}))
+    assert main(["tomo-end2end", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "convention must be one of half, quarter; got 'eighth'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tomo_bad_source_exits_config(tmp_path):

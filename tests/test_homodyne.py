@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_pdf_rows_match_the_tomography_record_kernel():
     for _ in range(3):
         rho = random_density(rng)
         for theta in thetas:
-            records = QuadratureDataset(xs, np.full(xs.size, theta), Convention.HALF)
+            records = QuadratureDataset(xs, np.full(xs.size, theta), "half")
             expected = complex_record_kernel(rho, xs, records.theta)
             record_map = tomo.measurement_matrix(records, rho.cutoff)
             kernel = tomo._record_probabilities(rho.entries, record_map)
@@ -234,7 +235,7 @@ def test_fock_wavefunctions_are_orthonormal():
 def test_vacuum_samples_have_half_variance():
     ds = sample(thermal(0.0, 10), PHASES_50, 40, [42])[0]
     assert ds.count == 2000
-    assert ds.convention == Convention.HALF
+    assert ds.convention == "half"
     assert ds.x.var() == pytest.approx(0.5, abs=0.05)
 
 
@@ -694,15 +695,22 @@ def test_simulate_raw_vacuum_statistics_follow_gain_and_offset():
             simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=2.5, offset=offset, seeds=[9])
 
 
+def test_calibrate_rejects_an_unknown_convention_naming_both():
+    raw = RawDataset(np.array([1.75, 3.0]), np.array([0.0, 1.0]), np.array([1.5, 2.0]))
+    with pytest.raises(ValueError, match=re.escape(
+            "convention must be half or quarter, got 'eighth'")):
+        calibrate(raw, "eighth")
+
+
 def test_calibrate_centers_the_vacuum_mean():
     # the trace's mean is exactly 1.75, the first record's value
     raw = RawDataset(np.array([1.75, 3.0]), np.array([0.0, 1.0]), np.array([1.5, 2.0]))
-    assert calibrate(raw, Convention.HALF).x[0] == 0.0
-    assert calibrate(raw, Convention.QUARTER).x[0] == 0.0
+    assert calibrate(raw, "half").x[0] == 0.0
+    assert calibrate(raw, "quarter").x[0] == 0.0
 
 
 @pytest.mark.parametrize(
-    "convention,target", [(Convention.QUARTER, 0.25), (Convention.HALF, 0.5)]
+    "convention,target", [("quarter", 0.25), ("half", 0.5)]
 )
 def test_calibrated_vacuum_variance_matches_convention(convention, target):
     raw = simulate_raw(thermal(0.0, 10), PHASES_50, 40, gain=3.0, offset=-0.7, seeds=[21])[0]
@@ -713,7 +721,7 @@ def test_calibrated_vacuum_variance_matches_convention(convention, target):
 
 def test_calibration_round_trip_recovers_thermal_variance():
     raw = simulate_raw(thermal(1.0, 30), PHASES_50, 40, gain=2.5, offset=0.3, seeds=[13])[0]
-    ds = calibrate(raw, Convention.HALF)
+    ds = calibrate(raw, "half")
     assert ds.x.var() == pytest.approx(1.5, abs=0.15)
 
 
@@ -721,8 +729,8 @@ def test_calibration_is_gain_and_offset_invariant():
     rho = thermal(1.0, 30)
     raw_a = simulate_raw(rho, PHASES_50, 40, gain=1.0, offset=0.0, seeds=[17])[0]
     raw_b = simulate_raw(rho, PHASES_50, 40, gain=2.5, offset=0.3, seeds=[17])[0]
-    a = calibrate(raw_a, Convention.HALF)
-    b = calibrate(raw_b, Convention.HALF)
+    a = calibrate(raw_a, "half")
+    b = calibrate(raw_b, "half")
     # With a shared seed the calibration cancels gain and offset exactly.
     assert np.array_equal(a.theta, b.theta)
     assert np.allclose(a.x, b.x, rtol=0, atol=1e-9)
@@ -739,7 +747,7 @@ def test_calibrate_requires_a_vacuum_trace_with_finite_positive_spread():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(match)):
-                calibrate(raw, Convention.QUARTER)
+                calibrate(raw, "quarter")
 
 
 def test_raw_dataset_requires_finite_voltages_and_phases_in_range():
@@ -770,7 +778,7 @@ def test_value_types_freeze_copies_of_the_callers_arrays():
     x, theta, vacuum = np.array([0.1, -0.2]), np.array([0.0, 1.0]), np.array([0.3, 0.4])
     rho = FockDensityMatrix(1, entries)
     codebook = mimic.Codebook(amps, phases, weights)
-    dataset = QuadratureDataset(x, theta, Convention.HALF)
+    dataset = QuadratureDataset(x, theta, "half")
     raw = RawDataset(x, theta, vacuum)
     for given in (entries, amps, phases, weights, x, theta, vacuum):
         assert given.flags.writeable
@@ -785,18 +793,31 @@ def test_value_types_freeze_copies_of_the_callers_arrays():
 
 def test_dataset_requires_phases_in_range():
     with pytest.raises(ValueError):
-        QuadratureDataset(np.array([0.0]), np.array([7.0]), Convention.HALF)
+        QuadratureDataset(np.array([0.0]), np.array([7.0]), "half")
     for theta, x, match in [
         (np.nan, 0.1, r"phases must lie in \[0, 2\*pi\)"),
         (0.5, np.nan, "quadratures must be finite"),
         (0.5, np.inf, "quadratures must be finite"),
     ]:
         with pytest.raises(ValueError, match=match):
-            QuadratureDataset(np.array([x]), np.array([theta]), Convention.HALF)
+            QuadratureDataset(np.array([x]), np.array([theta]), "half")
     for x, theta in [([], []), ([[0.1, 0.2]], [[0.5, 0.5]]), ([0.1, 0.2], [0.5])]:
         with pytest.raises(ValueError, match="quadratures and theta must be matching non-empty"):
-            QuadratureDataset(np.array(x), np.array(theta), Convention.HALF)
-    # no dataset exists without a Convention tag; a bare string is not one
-    for tag in (None, "half"):
-        with pytest.raises(ValueError, match="invalid convention tag"):
+            QuadratureDataset(np.array(x), np.array(theta), "half")
+    # no dataset exists without a Convention tag, and the error names every one
+    for tag in (None, "eighth", "HALF"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"convention must be half or quarter, got {tag!r}")):
             QuadratureDataset(np.array([0.1]), np.array([0.5]), tag)
+
+
+def test_dataset_takes_a_convention_name_and_reads_it_on_the_half_axis():
+    # the names are the Literal's and the table holds exactly them; a quarter
+    # record is read on the half axis as x sqrt(2), bit for bit
+    assert get_args(Convention) == ("half", "quarter")
+    assert homodyne.VACUUM_VARIANCE.keys() == {"half", "quarter"}
+    x, theta = np.array([0.3, -1.7, 2.25, 0.0]), np.array([0.0, 1.0, 2.0, 6.0])
+    for tag, factor in (("half", 1.0), ("quarter", math.sqrt(2.0))):
+        dataset = QuadratureDataset(x, theta, tag)
+        assert dataset.convention == tag
+        assert np.array_equal(dataset.half_x, x * factor)

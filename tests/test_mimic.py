@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -319,14 +321,17 @@ def test_sweep_rejects_non_square_sample_counts():
     with pytest.raises(ValueError, match="trials must be >= 1"):
         sweep_fidelity(SweepSpec([1.0], [4], "random", trials=0))
     # the grid is checked before any cell: M = 0, empty lists and nbar 0
-    with pytest.raises(ValueError, match="sample count 0 is not a perfect square"):
+    with pytest.raises(ValueError, match="sample count must be a perfect square >= 1, got 0"):
         sweep_fidelity(SweepSpec([1.0], [0]))
     with pytest.raises(ValueError, match="samples must be a non-empty list"):
         sweep_fidelity(SweepSpec([1.0], []))
     for nbars in ([], [0.0], [math.nan], [math.inf]):
         with pytest.raises(ValueError, match="nbars must be a non-empty list of finite positive"):
             sweep_fidelity(SweepSpec(nbars, [4]))
-    with pytest.raises(ValueError, match="scheme must be stratified, random or optimized"):
+    # the message lists the sweep's scheme alias, the codebook schemes and "optimized"
+    assert get_args(mimic.SweepScheme) == ("stratified", "random", "optimized")
+    with pytest.raises(ValueError, match=re.escape(
+            "scheme must be one of stratified, random, optimized, got 'bogus'")):
         sweep_fidelity(SweepSpec([1.0], [4], "bogus"))
 
 
