@@ -46,15 +46,16 @@ once from steepest ascent, and a second failure ends the run unconverged.
 The gain is read without cancellation: ``ll/K(rho') - ll/K(rho) = Tr(R (rho'
 - rho)) + mean(log1p(u) - u)``, ``u = (p' - p) / p``, with ``rho' - rho = (a (B
 - rho Tr B) + a^2 (C - rho Tr C)) / ||T + a d||^2``, ``B = d T^H + T d^H`` and
-``C = d d^H``, for direction ``d`` and step ``a``. ``Tr(R B)`` and ``Tr(R C)``
-are fixed by the direction, so each direction forms them once from the ``R T``
-and ``Tr(R rho)`` of its gradient, and a trial step computes only ``T'``,
-``rho'``, ``p'`` and the log1p sum. A difference of log-likelihood sums
-cannot resolve the last steps' gains, nor can ``rho' - rho`` as a difference
-of matrices: on rho's null space at a rank-deficient
-optimum, its entries are about 1e-17 where ``R - I`` is about 0.1. On 1000
-thermal records at cutoff 10 those shortcuts stall at gaps of 1.4e-5 and
-1.1e-6 nats; this form certifies 1e-9 in 69 iterations.
+``C = d d^H``, for direction ``d`` and step ``a``. Both terms are fixed by the
+direction. The linear one, ``Tr(R B) - Tr(R rho) Tr B = 2 (<R T, d> - Tr(R rho)
+<T, d>)``, is ``||T||^2`` times the slope ``<g, d>`` that the Armijo test reads;
+only the quadratic one, ``<R d, d> - Tr(R rho) <d, d>``, is formed once per
+direction. A trial step computes only ``T'``, ``rho'``, ``p'`` and the log1p
+sum. A difference of log-likelihood sums cannot resolve the last steps' gains,
+nor can ``rho' - rho`` as a difference of matrices: on rho's null space at a
+rank-deficient optimum, its entries are about 1e-17 where ``R - I`` is about
+0.1. On 1000 thermal records at cutoff 10 those shortcuts stall at gaps of
+1.4e-5 and 1.1e-6 nats; this form certifies 1e-9 in 69 iterations.
 
 The stopping rule bounds the distance to the optimum (Glancy, Knill &
 Girard, NJP 14, 095017 (2012)): ``ll`` is concave in rho on ``{p > 0}`` and
@@ -241,21 +242,12 @@ def _direction(g: np.ndarray, memory: deque) -> np.ndarray:
     return q
 
 
-def _step_terms(t: np.ndarray, d: np.ndarray, r: np.ndarray, rt: np.ndarray,
-                traced: float) -> tuple:
-    """The coefficients of the step ``a`` and of ``a^2`` in ``||T + a d||^2 Tr(R (rho' -
-    rho))``: ``2 (<R T, d> - Tr(R rho) <T, d>)`` and ``<R d, d> - Tr(R rho) <d, d>``,
-    fixed by the direction (module docstring)."""
-    linear = 2.0 * (_inner(rt, d) - traced * _inner(t, d))
-    quadratic = _inner(r @ d, d) - traced * _inner(d, d)
-    return linear, quadratic
-
-
 def _trial(records: _RecordMap, t: np.ndarray, p: np.ndarray, d: np.ndarray, step: float,
            linear: float, quadratic: float) -> tuple:
     """``(gain, T', rho', p')`` at ``T' = T + step d`` from ``rho = T T^H / ||T||^2``,
     with the gain ``ll/K(rho') - ll/K(rho)`` taken without cancellation from the
-    direction's :func:`_step_terms`."""
+    direction's two terms: ``linear``, ``||T||^2`` times the slope ``<g, d>``, and
+    ``quadratic``, formed once per direction (module docstring)."""
     t_new = t + step * d
     tau = _inner(t_new, t_new)
     rho_new = (t_new @ t_new.conj().T) / tau
@@ -294,10 +286,10 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     ceiling = (1.0 + config.stop_tol / data.count) * np.eye(dim)
 
     def evaluate(t: np.ndarray, rho: np.ndarray, p: np.ndarray) -> tuple:
-        # R, R T, Tr(R rho) and the gradient 2 (R T - Tr(R rho) T) / ||T||^2 of ll/K in T
+        # R, Tr(R rho), ||T||^2 and the gradient 2 (R T - Tr(R rho) T) / ||T||^2 of ll/K in T
         r = records.gradient(p)
-        rt, traced = r @ t, _inner(rho, r)
-        return r, rt, traced, (2.0 / _inner(t, t)) * (rt - traced * t)
+        traced, tau = _inner(rho, r), _inner(t, t)
+        return r, traced, tau, (2.0 / tau) * (r @ t - traced * t)
 
     def gap(r: np.ndarray) -> float:
         return data.count * (float(np.linalg.eigvalsh(r)[-1]) - 1.0)
@@ -306,7 +298,7 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     rho = np.eye(dim, dtype=np.complex128) / dim
     p = _record_probabilities(rho, records)
     history = [float(np.log(p).sum())]
-    r, rt, traced, g = evaluate(t, rho, p)
+    r, traced, tau, g = evaluate(t, rho, p)
     memory: deque = deque(maxlen=MEMORY)
     iterations = 0
     while iterations < config.max_iterations:
@@ -322,10 +314,10 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
             memory.clear()
             d = g / math.sqrt(_inner(g, g))
             slope = _inner(g, d)
-        linear, quadratic = _step_terms(t, d, r, rt, traced)
+        quadratic = _inner(r @ d, d) - traced * _inner(d, d)
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):  # Armijo backtracking
-            gain, t_new, rho_new, p_new = _trial(records, t, p, d, step, linear, quadratic)
+            gain, t_new, rho_new, p_new = _trial(records, t, p, d, step, tau * slope, quadratic)
             if gain >= ARMIJO * step * slope:
                 break
             step *= 0.5
@@ -336,7 +328,7 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
             bound = gap(r)
             break
         iterations += 1
-        r, rt, traced, g_new = evaluate(t_new, rho_new, p_new)
+        r, traced, tau, g_new = evaluate(t_new, rho_new, p_new)
         s, y = step * d, g - g_new
         if _inner(s, y) > 0.0:
             memory.append((s, y, 1.0 / _inner(s, y)))

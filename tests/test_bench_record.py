@@ -3,6 +3,7 @@ captured ``perfbench/run.py`` output and fixed metric values held in the test,
 so no benchmark process starts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,25 @@ def test_bytecode_lists_the_pyc_files_under_src_only(tmp_path):
         "src/thermalmimic/__pycache__/fock.cpython-311.pyc",
         "src/thermalmimic/__pycache__/mimic.cpython-311.pyc",
     ]
+
+
+@pytest.mark.parametrize("found", [None, "1", ""], ids=["unset", "set", "empty"])
+def test_bench_file_records_the_bytecode_variable_as_found(found, tmp_path, monkeypatch):
+    # main on a tree outside git, each run answered by the captured output: the
+    # BENCH file holds PYTHONDONTWRITEBYTECODE next to the bytecode list, null when unset
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "workloads": [{"name": "tomo-artificial-raw"}], "end_to_end": []}')
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run", lambda *args: bench_record.parse_run(CAPTURED))
+    if found is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", found)
+    assert bench_record.main(["probe"]) == 0
+    payload = json.loads((tmp_path / "BENCH_probe.json").read_text())
+    assert payload["PYTHONDONTWRITEBYTECODE"] == found
+    assert (payload["bytecode"], payload["uncommitted"]) == ([], None)
+    assert list(payload["workloads"]["tomo-artificial-raw"]) == ["traced", "untraced"]
 
 
 def test_odd_pairs_run_the_other_commit_first():

@@ -32,7 +32,6 @@ from thermalmimic.tomo import (
     MleConfig,
     _certified,
     _record_probabilities,
-    _step_terms,
     _trial,
     log_likelihood,
     measurement_matrix,
@@ -357,12 +356,22 @@ def shuffled(data):
     return QuadratureDataset(data.x[order], data.theta[order], data.convention), order
 
 
+def solver_terms(t, rho, r, d):
+    # a direction's two gain terms as mle_reconstruct forms them: the linear one
+    # as ||T||^2 times the slope <g, d>, with ||T||^2 and the gradient g taken as
+    # its evaluate takes them, and the quadratic one <R d, d> - Tr(R rho) <d, d>
+    traced, tau = tomo._inner(rho, r), tomo._inner(t, t)
+    g = (2.0 / tau) * (r @ t - traced * t)
+    return tau * tomo._inner(g, d), tomo._inner(r @ d, d) - traced * tomo._inner(d, d)
+
+
 @pytest.mark.parametrize("shuffle, blocks", [(False, 50), (True, 1)], ids=["blocks", "packed"])
 def test_step_gain_is_the_log_likelihood_change(shuffle, blocks):
     # The line search reads ll/K(rho') - ll/K(rho) as Tr(R (rho' - rho)) plus
     # mean(log1p(u) - u), with rho' - rho taken from T, d and the step through
-    # the direction's two terms; at coarse steps, where a difference of log sums
-    # has no cancellation to lose, it must equal that difference.
+    # the direction's two terms, formed as the solver forms them; at coarse steps,
+    # where a difference of log sums has no cancellation to lose, it must equal
+    # that difference.
     data, config = thermal_records()
     if shuffle:
         data, _ = shuffled(data)
@@ -375,7 +384,7 @@ def test_step_gain_is_the_log_likelihood_change(shuffle, blocks):
         rho = t @ t.conj().T / np.vdot(t, t).real
         p = _record_probabilities(rho, records)
         r = records.gradient(p)
-        linear, quadratic = _step_terms(t, d, r, r @ t, np.vdot(rho, r).real)
+        linear, quadratic = solver_terms(t, rho, r, d)
         for step in (2.0, 1.0, 0.3, 0.05):
             gain, t_new, rho_new, p_new = _trial(records, t, p, d, step, linear, quadratic)
             assert np.array_equal(t_new, t + step * d)
@@ -386,15 +395,45 @@ def test_step_gain_is_the_log_likelihood_change(shuffle, blocks):
                                          rel=0.0, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linear_gain_term_is_the_norm_times_the_slope(data):
+    # The solver takes a direction's linear gain term 2 (<R T, d> - Tr(R rho) <T, d>)
+    # as ||T||^2 <g, d>, g = 2 (R T - Tr(R rho) T) / ||T||^2: on either record-map
+    # layout, at random T, d and source states, the two agree within 1e-12 of the
+    # size ||d|| (||R T|| + |Tr(R rho)| ||T||) at which the inner products round.
+    cutoff = data.draw(st.integers(0, 6), label="cutoff")
+    dim = cutoff + 1
+    source = data.draw(st.integers(0, 8).flatmap(states), label="source")
+    phases = data.draw(st.integers(2, 12), label="phases")
+    per_phase = data.draw(st.integers(max(dim, 20), 40), label="per_phase")
+    packed = data.draw(st.booleans(), label="packed")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    records = sample(source, 2.0 * math.pi * np.arange(phases) / phases, per_phase, [seed])[0]
+    if packed:
+        records, _ = shuffled(records)
+    record_map = measurement_matrix(records, cutoff)
+    assert record_map.products.shape[:2] == ((1, dim * dim) if packed
+                                             else (phases, dim * (dim + 1) // 2))
+    rng = np.random.default_rng(seed)
+    t, d = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    d *= 10.0 ** data.draw(st.integers(-6, 3), label="log10 |d|")
+    rho = t @ t.conj().T / tomo._inner(t, t)
+    r = record_map.gradient(_record_probabilities(rho, record_map))
+    linear, _ = solver_terms(t, rho, r, d)
+    traced = tomo._inner(rho, r)
+    rt_d, t_d = tomo._inner(r @ t, d), traced * tomo._inner(t, d)
+    size = np.linalg.norm(d) * (np.linalg.norm(r @ t) + abs(traced) * np.linalg.norm(t))
+    assert abs(linear - 2.0 * (rt_d - t_d)) <= 1e-12 * 2.0 * size
+
+
 def reference_trial(records, t, rho, p, r, d, step):
     # every term of the gain formed afresh at each trial, the mean by np.mean
     t_new = t + step * d
     tau = tomo._inner(t_new, t_new)
     rho_new = (t_new @ t_new.conj().T) / tau
     p_new = _record_probabilities(rho_new, records)
-    traced = tomo._inner(rho, r)
-    linear = 2.0 * (tomo._inner(r @ t, d) - traced * tomo._inner(t, d))
-    quadratic = tomo._inner(r @ d, d) - traced * tomo._inner(d, d)
+    linear, quadratic = solver_terms(t, rho, r, d)
     u = (p_new - p) / p
     gain = (step * linear + step * step * quadratic) / tau + float(np.mean(np.log1p(u) - u))
     return gain, t_new, rho_new, p_new

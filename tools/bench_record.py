@@ -17,7 +17,11 @@ so a pass over a modified tree shows as one; it is null outside a git
 checkout. Its ``bytecode`` list names the ``*.pyc`` files under ``src`` when
 the pass starts: bytecode an earlier tree left there is loaded for the modules
 it still matches, which moves ``peak_rss_mb``, so a clean checkout gives an
-empty list. Exits 1 naming the first run that fails.
+empty list. Beside it, ``PYTHONDONTWRITEBYTECODE`` holds that variable as this
+script found it, or null when unset: the runs inherit it, and with it set no
+interpreter writes bytecode, so every fresh one compiles the modules that no
+``*.pyc`` holds, which moves ``setup_s`` and ``peak_rss_mb``. Exits 1 naming the
+first run that fails.
 
 With ``--against COMMIT --pairs N`` (N >= 2), it also exports COMMIT by
 ``git archive`` into a temporary directory and, per workload, runs N pairs of
@@ -38,6 +42,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -169,6 +174,7 @@ def main(argv: list[str]) -> int:
                         "traced": run(ROOT, name, seconds, 1, args.seed)} for name in names}
     payload = {"schema_version": SCHEMA_VERSION, "label": args.label, "seed": args.seed,
                "run_seconds": seconds, "uncommitted": tree_changes(), "bytecode": stale,
+               "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
                "workloads": workloads}
     if args.against is not None:
         with tempfile.TemporaryDirectory(prefix="bench_record_") as scratch:
