@@ -62,11 +62,11 @@ Girard, NJP 14, 095017 (2012)): ``ll`` is concave in rho on ``{p > 0}`` and
 ``Tr(R(rho) rho) = 1`` at a unit-trace rho there, so ``ll* - ll(rho) <= K
 (lambda_max(R(rho)) - 1)``, the *optimality gap* in nats. The rule is decided
 at every iterate by one Cholesky factor of ``(1 + stop_tol / K) I - R``, which
-exists when the gap is below ``stop_tol``, and the gap is reported by one
-``eigvalsh`` where the iteration ends. A Cholesky that certifies a gap which
-``eigvalsh`` reads above ``stop_tol``, a rounding tie, lets the iteration go
-on, so a run is converged exactly when its reported gap is at most
-``stop_tol``.
+exists when the gap is below ``stop_tol``. A certified iterate's gap is read
+by ``eigvalsh``: a rounding tie, read above ``stop_tol``, lets the iteration
+go on, and a run stopped there reports that gap. A capped run, or one whose
+line search fails, reports its last iterate's gap from one ``eigvalsh`` after
+the loop, so a run is converged exactly when its gap is at most ``stop_tol``.
 
 :func:`reconstruct_ensemble` reconstructs each of a list of datasets and
 returns the runs with their mean state and elementwise spread as an
@@ -277,9 +277,9 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     iterate whose optimality gap is at most ``config.stop_tol`` nats or,
     flagged non-converged, to the iteration cap or a line search that fails
     from steepest ascent. Each iterate's stop is decided by one Cholesky
-    factor, and the returned gap is taken by one ``eigvalsh`` where the loop
-    ends. ``log_likelihoods`` holds the likelihood after each iteration, so
-    its monotonicity is checkable per step.
+    factor; the returned gap is the certified iterate's, or one ``eigvalsh``
+    after the loop for a capped or failed run. ``log_likelihoods`` holds the
+    likelihood after each iteration, so its monotonicity is checkable per step.
     """
     dim = config.cutoff + 1
     records = measurement_matrix(data, config.cutoff)
@@ -300,20 +300,18 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
     history = [float(np.log(p).sum())]
     r, traced, tau, g = evaluate(t, rho, p)
     memory: deque = deque(maxlen=MEMORY)
-    iterations = 0
+    iterations, bound = 0, math.inf
     while iterations < config.max_iterations:
         # one Cholesky decides the stop; a tie it certifies above stop_tol iterates on
         if _certified(r, ceiling):
             bound = gap(r)
             if bound <= config.stop_tol:
                 break
-        if memory:
-            d = _direction(g, memory)
-            slope = _inner(g, d)
-        if not memory or not slope > 0.0:  # steepest ascent at unit norm
+        d = _direction(g, memory) if memory else g
+        if not memory or not _inner(g, d) > 0.0:  # steepest ascent at unit norm
             memory.clear()
             d = g / math.sqrt(_inner(g, g))
-            slope = _inner(g, d)
+        slope = _inner(g, d)
         quadratic = _inner(r @ d, d) - traced * _inner(d, d)
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):  # Armijo backtracking
@@ -325,7 +323,6 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
             if memory:  # retry once from steepest ascent
                 memory.clear()
                 continue
-            bound = gap(r)
             break
         iterations += 1
         r, traced, tau, g_new = evaluate(t_new, rho_new, p_new)
@@ -334,7 +331,7 @@ def mle_reconstruct(data: QuadratureDataset, config: MleConfig = MleConfig()) ->
             memory.append((s, y, 1.0 / _inner(s, y)))
         t, rho, p, g = t_new, rho_new, p_new, g_new
         history.append(float(np.log(p).sum()))
-    else:
+    if not bound <= config.stop_tol:  # capped, failed, or a tie's gap from an earlier iterate
         bound = gap(r)
 
     return MleResult(

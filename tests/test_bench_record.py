@@ -100,21 +100,26 @@ def test_bytecode_lists_the_pyc_files_under_src_only(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("found", [None, "1", ""], ids=["unset", "set", "empty"])
-def test_bench_file_records_the_bytecode_variable_as_found(found, tmp_path, monkeypatch):
+@pytest.mark.parametrize("bytecode, threshold", [(None, None), ("1", "131072"), ("", "")],
+                         ids=["unset", "set", "empty"])
+def test_bench_file_records_the_bytecode_variable_as_found(bytecode, threshold, tmp_path,
+                                                           monkeypatch):
     # main on a tree outside git, each run answered by the captured output: the
-    # BENCH file holds PYTHONDONTWRITEBYTECODE next to the bytecode list, null when unset
+    # BENCH file holds PYTHONDONTWRITEBYTECODE and MALLOC_MMAP_THRESHOLD_, which the
+    # runs inherit, next to the bytecode list, each null when unset
     (tmp_path / "BENCHMARK.json").write_text(
         '{"run_seconds": 1, "workloads": [{"name": "tomo-artificial-raw"}], "end_to_end": []}')
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run", lambda *args: bench_record.parse_run(CAPTURED))
-    if found is None:
-        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    else:
-        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", found)
+    found = {"PYTHONDONTWRITEBYTECODE": bytecode, "MALLOC_MMAP_THRESHOLD_": threshold}
+    for name, value in found.items():
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
     assert bench_record.main(["probe"]) == 0
     payload = json.loads((tmp_path / "BENCH_probe.json").read_text())
-    assert payload["PYTHONDONTWRITEBYTECODE"] == found
+    assert {name: payload[name] for name in found} == found
     assert (payload["bytecode"], payload["uncommitted"]) == ([], None)
     assert list(payload["workloads"]["tomo-artificial-raw"]) == ["traced", "untraced"]
 

@@ -296,6 +296,9 @@ def test_mix_rejects_bad_weights_and_cutoffs():
             mix(weights, [psi, psi])
     with pytest.raises(ValueError, match="share one cutoff"):
         mix([0.5, 0.5], [psi, coherent(1.0, 0.0, cutoff=20)])
+    # rows of one length that are not numbers: numpy's own error passes through
+    with pytest.raises(ValueError, match="malformed string"):
+        mix([0.5, 0.5], [["a", "b"], ["c", "d"]])
     with pytest.raises(ValueError, match=r"2-D \(M, dim\) array of Fock rows, got shape \(31,\)"):
         mix([1.0], psi)
 

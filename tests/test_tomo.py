@@ -439,11 +439,31 @@ def reference_trial(records, t, rho, p, r, d, step):
     return gain, t_new, rho_new, p_new
 
 
-def reference_mle(data, config):
+def failing(trial, step_at, fails):
+    """``trial`` with the gain of every trial of the n-th direction reported as
+    ``-inf`` where ``fails(n)``. Directions count from 1, each opened by its unit
+    first step, which ``trial`` takes as argument ``step_at``."""
+    opened = 0
+
+    def wrapped(*args):
+        nonlocal opened
+        opened += args[step_at] == 1.0
+        gain, *rest = trial(*args)
+        return (-math.inf if fails(opened) else gain, *rest)
+    return wrapped
+
+
+#: Injected line-search failures: every trial of the 3rd direction, which the
+#: solver retries from steepest ascent, and of every direction from the 6th on,
+#: which fails the retry too and ends the run.
+RETRIED, FAILED = (lambda n: n == 3), (lambda n: n >= 6)
+
+
+def reference_mle(data, config, trial=reference_trial):
     """The L-BFGS loop with the gap taken by ``eigvalsh`` after every iteration and
-    the stop read from it, and :func:`reference_trial` as its line search: the
-    arithmetic :func:`mle_reconstruct` must reproduce bit for bit. Returns the
-    result's fields and the gain of every trial step."""
+    the stop read from it, and ``trial`` (:func:`reference_trial`) as its line
+    search: the arithmetic :func:`mle_reconstruct` must reproduce bit for bit.
+    Returns the result's fields and the gain of every trial step."""
     dim = config.cutoff + 1
     records = measurement_matrix(data, config.cutoff)
 
@@ -466,7 +486,7 @@ def reference_mle(data, config):
             d = g / math.sqrt(tomo._inner(g, g))
         step = 1.0
         for _ in range(tomo.MAX_HALVINGS + 1):
-            gain, t_new, rho_new, p_new = reference_trial(records, t, rho, p, r, d, step)
+            gain, t_new, rho_new, p_new = trial(records, t, rho, p, r, d, step)
             gains.append(gain)
             if gain >= tomo.ARMIJO * step * tomo._inner(g, d):
                 break
@@ -486,22 +506,26 @@ def reference_mle(data, config):
     return 0.5 * (rho + rho.conj().T), bound <= config.stop_tol, iterations, bound, history, gains
 
 
-@pytest.mark.parametrize("records, stop_tol, max_iterations", [
-    (thermal_records, 0.1, 2000), (thermal_records, 1e-9, 2000),
-    (artificial_raw_records, 0.1, 2000), (artificial_raw_records, 1e-9, 2000),
-    (coherent_records, 0.1, 2000), (coherent_records, 1e-9, 2000),
-    (thermal_records, 0.1, 20)],
+@pytest.mark.parametrize("records, stop_tol, max_iterations, fails, converges", [
+    (thermal_records, 0.1, 2000, None, True), (thermal_records, 1e-9, 2000, None, True),
+    (artificial_raw_records, 0.1, 2000, None, True),
+    (artificial_raw_records, 1e-9, 2000, None, True),
+    (coherent_records, 0.1, 2000, None, True), (coherent_records, 1e-9, 2000, None, True),
+    (thermal_records, 0.1, 20, None, False), (thermal_records, 0.1, 2000, RETRIED, True),
+    (thermal_records, 0.1, 2000, FAILED, False)],
     ids=["thermal", "thermal-1e-9", "artificial-raw", "artificial-raw-1e-9", "coherent",
-         "coherent-1e-9", "thermal-capped"])
+         "coherent-1e-9", "thermal-capped", "thermal-retried", "thermal-line-search-failed"])
 def test_solver_reproduces_the_reference_loop_bit_for_bit(records, stop_tol, max_iterations,
-                                                          monkeypatch):
+                                                          fails, converges, monkeypatch):
     # one Cholesky per iteration decides the stop, one eigvalsh reports the gap
-    # and each direction forms its gain terms once: no output may move by a bit.
-    # The gains are pinned too: Tr(R rho) is 1 to rounding, so a term that drops
-    # it moves a gain's last bits but rarely an Armijo decision.
+    # and each direction forms its gain terms once: no output may move by a bit,
+    # on any exit. The gains are pinned too: Tr(R rho) is 1 to rounding, so a
+    # term that drops it moves a gain's last bits but rarely an Armijo decision.
     data, config = records()
     config = MleConfig(cutoff=config.cutoff, max_iterations=max_iterations, stop_tol=stop_tol)
-    trial, gains = tomo._trial, []
+    trial, reference, gains = tomo._trial, reference_trial, []
+    if fails:
+        trial, reference = failing(trial, 4, fails), failing(reference, 6, fails)
 
     def recording_trial(*args):
         outcome = trial(*args)
@@ -510,14 +534,35 @@ def test_solver_reproduces_the_reference_loop_bit_for_bit(records, stop_tol, max
 
     monkeypatch.setattr(tomo, "_trial", recording_trial)
     result = mle_reconstruct(data, config)
-    rho, converged, iterations, bound, history, reference_gains = reference_mle(data, config)
-    assert converged == (max_iterations == 2000)
+    rho, converged, iterations, bound, history, reference_gains = reference_mle(data, config,
+                                                                                reference)
+    assert converged == converges
     assert np.array_equal(result.rho.entries, rho)
     assert np.array_equal(result.log_likelihoods, history)
     assert result.iterations == iterations
     assert result.optimality_gap == bound
     assert result.converged == converged
     assert np.array_equal(gains, reference_gains)
+
+
+@pytest.mark.parametrize("fails, converges, iterations, gap",
+                         [(RETRIED, True, 27, 0.0601), (FAILED, False, 5, 19.55)],
+                         ids=["retried", "failed"])
+def test_a_failed_line_search_is_retried_once_from_steepest_ascent(fails, converges,
+                                                                   iterations, gap, monkeypatch):
+    # an L-BFGS direction whose every trial fails is retried from steepest ascent;
+    # a failed retry ends the run unconverged, with one history entry per accepted
+    # iterate and the eigenvalue gap of the last one
+    data, config = thermal_records()
+    monkeypatch.setattr(tomo, "_trial", failing(tomo._trial, 4, fails))
+    result = mle_reconstruct(data, config)
+    assert (result.converged, result.iterations) == (converges, iterations)
+    assert len(result.log_likelihoods) == iterations + 1
+    assert result.optimality_gap == pytest.approx(gap, rel=1e-3)
+    records = measurement_matrix(data, config.cutoff)
+    r = records.gradient(_record_probabilities(result.rho.entries, records))
+    assert result.optimality_gap == pytest.approx(
+        data.count * (np.linalg.eigvalsh(r)[-1] - 1.0), rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -550,13 +595,19 @@ def test_cholesky_stop_decides_as_the_eigenvalue_gap(data):
 
 
 def test_a_converged_run_takes_one_eigendecomposition(monkeypatch):
-    # the stop is decided by Cholesky factors; eigvalsh runs once, for the gap
+    # the stop is decided by Cholesky factors; eigvalsh runs once, for the gap, on
+    # every exit: the certificate, the cap and a failed line search (no tie occurs)
     data, config = thermal_records()
     eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    result = mle_reconstruct(data, config)
-    assert result.converged and result.iterations > 1
-    assert len(calls) == 1
+    trial = tomo._trial
+    for cap, fails, converges, iterations in [
+            (2000, None, True, 26), (1, None, False, 1), (5, None, False, 5),
+            (20, None, False, 20), (2000, RETRIED, True, 27), (2000, FAILED, False, 5)]:
+        monkeypatch.setattr(tomo, "_trial", failing(trial, 4, fails) if fails else trial)
+        calls.clear()
+        result = mle_reconstruct(data, MleConfig(cutoff=config.cutoff, max_iterations=cap))
+        assert (result.converged, result.iterations, len(calls)) == (converges, iterations, 1)
 
 
 @pytest.mark.parametrize("records", [thermal_records, artificial_raw_records, coherent_records],

@@ -20,8 +20,11 @@ it still matches, which moves ``peak_rss_mb``, so a clean checkout gives an
 empty list. Beside it, ``PYTHONDONTWRITEBYTECODE`` holds that variable as this
 script found it, or null when unset: the runs inherit it, and with it set no
 interpreter writes bytecode, so every fresh one compiles the modules that no
-``*.pyc`` holds, which moves ``setup_s`` and ``peak_rss_mb``. Exits 1 naming the
-first run that fails.
+``*.pyc`` holds, which moves ``setup_s`` and ``peak_rss_mb``.
+``MALLOC_MMAP_THRESHOLD_`` is kept the same way: the runs inherit it too, and
+glibc's threshold decides which allocations are mapped apart from the heap,
+which moves ``peak_rss_mb`` by tenths of a MB with the allocation order alone.
+Exits 1 naming the first run that fails.
 
 With ``--against COMMIT --pairs N`` (N >= 2), it also exports COMMIT by
 ``git archive`` into a temporary directory and, per workload, runs N pairs of
@@ -175,6 +178,7 @@ def main(argv: list[str]) -> int:
     payload = {"schema_version": SCHEMA_VERSION, "label": args.label, "seed": args.seed,
                "run_seconds": seconds, "uncommitted": tree_changes(), "bytecode": stale,
                "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+               "MALLOC_MMAP_THRESHOLD_": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
                "workloads": workloads}
     if args.against is not None:
         with tempfile.TemporaryDirectory(prefix="bench_record_") as scratch:
